@@ -43,6 +43,7 @@ _EXPORTS = {
     "load_triplets": "operator",
     # spectra and perturbation series
     "EigenPair": "spectral",
+    "connected_blocks": "spectral",
     "PerturbationSeries": "spectral",
     "eigen_spectrum": "spectral",
     "ground_state": "spectral",

@@ -7,7 +7,9 @@ configuration -- all floats are printed with 17 significant digits and
 anything nondeterministic (timestamps, absolute paths) lives in the sidecar.
 
 Exit codes: 0 all checks passed; 1 a numerical check failed (including
-overlap-magnitude range overflows); 2 configuration error; 3 solver failure.
+overlap-magnitude range overflows); 2 configuration error; 3 solver failure;
+4 unexpected internal error (any other exception; its traceback goes to
+stderr).
 
 numpy and the numeric modules are imported only after --threads is applied to
 the BLAS/OpenMP environment, so thread caps take effect.
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .errors import ConfigurationError, RangeOverflowError, SolverError
 
@@ -383,6 +386,11 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        # a defect, not a verdict on the run: keep it apart from exit code 1
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     return 1 if failures else 0
 
 

@@ -30,6 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
 from .lattice import ModeLattice
+from .spectral import connected_blocks
 
 STATE_LIMIT = 2_000_000
 DENSE_LIMIT = 3000
@@ -220,9 +221,10 @@ def build_hamiltonian(
     ham.sort_indices()
     herm_err = np.abs(ham - ham.getH()).max() if ham.nnz else 0.0
     peak = np.abs(ham).max() if ham.nnz else 0.0
-    assert herm_err <= 1e-13 * max(peak, 1e-300), (
-        f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}"
-    )
+    if herm_err > 1e-13 * max(peak, 1e-300):
+        raise SolverError(
+            f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}"
+        )
     return FockHamiltonian(
         matrix=ham,
         basis=basis,
@@ -236,11 +238,23 @@ def build_hamiltonian(
 
 
 def ground_pair(h: FockHamiltonian):
-    """(lowest eigenvalue, eigenvector), residual-validated against 1e-10*|H|."""
+    """(lowest eigenvalue, eigenvector), residual-validated against 1e-10*|H|.
+
+    Up to `DENSE_LIMIT` states, H is diagonalized one block of
+    `spectral.connected_blocks` at a time -- the interaction conserves total
+    momentum, so the blocks are (pieces of) the momentum sectors -- and the
+    lowest level over all blocks is returned; on a tie across blocks the
+    block with the smallest state index wins.  Larger sectors use Lanczos.
+    """
     dim = h.dim
     if dim <= DENSE_LIMIT:
-        vals, vecs = np.linalg.eigh(h.matrix.toarray())
-        energy, vec = float(vals[0]), vecs[:, 0]
+        energy = None
+        for idx in connected_blocks(h.matrix):
+            vals, vecs = np.linalg.eigh(h.matrix[idx][:, idx].toarray())
+            if energy is None or vals[0] < energy:
+                energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
+        vec = np.zeros(dim, dtype=block_vec.dtype)
+        vec[support] = block_vec
     else:
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
         try:

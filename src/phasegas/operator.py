@@ -95,21 +95,29 @@ def _expand(coeff, factor_lists, acc):
 
 def _materialize(acc, basis: HermiteBasis) -> sparse.csr_matrix:
     dim = basis.dim
+    side = basis.n_max + 1
     total = sparse.csr_matrix((dim, dim), dtype=complex)
-    eye = sparse.identity(basis.n_max + 1, format="csr", dtype=float)
+    eye = (np.arange(side), np.arange(side), np.ones(side))
     for key, coeff in acc.items():
         if coeff == 0.0:
             continue
         blocks = dict(key)
-        mat = None
+        # Kronecker product over the coordinates by index arithmetic; entries
+        # multiply left to right, identity factors by an exact 1.0, so the
+        # values equal those of chained sparse.kron calls
+        rows = cols = np.zeros(1, dtype=np.intp)
+        vals = np.ones(1)
         for coord in range(basis.n_coords):
             if coord in blocks:
-                piece = sparse.csr_matrix(basis.block(coord, blocks[coord]))
+                block = basis.block(coord, blocks[coord])
+                r, c = np.nonzero(block)
+                piece = (r, c, block[r, c])
             else:
                 piece = eye
-            mat = piece if mat is None else sparse.kron(mat, piece, format="csr")
-        if mat is None:  # lattice with no nonzero pairs: 1x1 space
-            mat = sparse.identity(1, format="csr", dtype=float)
+            rows = (rows[:, None] * side + piece[0]).ravel()
+            cols = (cols[:, None] * side + piece[1]).ravel()
+            vals = (vals[:, None] * piece[2]).ravel()
+        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
         total = total + coeff * mat
     return total
 
@@ -391,32 +399,55 @@ def export_triplets(op: OperatorMatrix, path=None) -> str:
     return text
 
 
-def load_triplets(source: str) -> OperatorMatrix:
-    """Rebuild an OperatorMatrix from export_triplets text (or a path to it)."""
-    try:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except (OSError, ValueError):
+def load_triplets(source) -> OperatorMatrix:
+    """Rebuild an OperatorMatrix from export_triplets text (or a path to it).
+
+    A string that starts with the export header is the text itself; anything
+    else is a path.  Unreadable paths and malformed exports raise
+    ConfigurationError.
+    """
+    if isinstance(source, str) and source.lstrip().startswith(_TRIPLET_HEADER):
         text = source
+    else:
+        try:
+            with open(source, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(
+                f"triplet source is neither export text nor a readable file: {exc}"
+            ) from exc
     lines = text.strip().splitlines()
     if not lines or lines[0] != _TRIPLET_HEADER:
         raise ConfigurationError("not a phasegas triplet export")
     meta = {}
     rows, cols, vals = [], [], []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if ln.startswith("#"):
             key, _, val = ln[1:].partition(":")
             meta[key.strip()] = val.strip()
-        else:
+            continue
+        try:
             r, c, re_s, im_s = ln.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re_s), float(im_s)))
-    dims = tuple(int(s) for s in meta.get("basis_dims", "").split()) if meta.get("basis_dims") else ()
-    dim = int(meta["dim"])
-    matrix = sparse.csr_matrix(
-        (np.array(vals, dtype=complex), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-        shape=(dim, dim),
-    )
+            row, col, val = int(r), int(c), complex(float(re_s), float(im_s))
+        except ValueError:
+            raise ConfigurationError(
+                f"triplet export line {lineno}: expected 'row col re im', got {ln!r}"
+            ) from None
+        rows.append(row)
+        cols.append(col)
+        vals.append(val)
+    for key in ("dim", "offset"):
+        if key not in meta:
+            raise ConfigurationError(f"triplet export has no '# {key}:' header line")
+    try:
+        dims = tuple(int(s) for s in meta.get("basis_dims", "").split())
+        dim = int(meta["dim"])
+        offset = float(meta["offset"])
+        matrix = sparse.csr_matrix(
+            (np.array(vals, dtype=complex), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+            shape=(dim, dim),
+        )
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid triplet export: {exc}") from exc
     matrix.sort_indices()
-    return OperatorMatrix(matrix, float(meta["offset"]), dims, meta.get("provenance", "loaded"))
+    return OperatorMatrix(matrix, offset, dims, meta.get("provenance", "loaded"))

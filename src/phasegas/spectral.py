@@ -1,11 +1,20 @@
 """Eigen-analysis of the assembled non-Hermitian mode operators.
 
 Ground states carry the largest real part of the spectrum; energies follow
-from an operator eigenvalue lam through E = hbar2_over_2m * (-lam).  Left and
-right eigenvectors are computed together and globally bi-orthonormalized
-(L^H R = I), which is stable here because the admixture a normalization solve
-introduces between eigenvectors of distinct eigenvalues is bounded by the
-solver roundoff independent of the spectral gap.
+from an operator eigenvalue lam through E = hbar2_over_2m * (-lam).
+
+The dense solver works one exact symmetry block at a time.  The blocks are the
+weakly connected components of the matrix's stored sparsity pattern
+(`connected_blocks`).  On the hypercube Hermite truncation they split at least
+the sectors of the two sign symmetries that act diagonally on the basis, the
+half-box translation phi_k -> (-1)^{n_k} phi_k and the reflection
+phi_k <-> phi_{-k}; at epsilon = 0 the operator is diagonal and every basis
+state is its own block.
+Within each block left and right eigenvectors are computed together and
+bi-orthonormalized (L^H R = I), which is stable here because the admixture a
+normalization solve introduces between eigenvectors of distinct eigenvalues
+is bounded by the solver roundoff independent of the spectral gap; vectors of
+different blocks are exactly orthogonal because their supports are disjoint.
 
 The epsilon series for the ground eigenvalue uses the standard
 Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
@@ -25,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sparse
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
@@ -81,6 +91,28 @@ def _fix_phases(vr: np.ndarray) -> np.ndarray:
     return out
 
 
+def connected_blocks(matrix) -> list:
+    """Index sets of the weakly connected components of a square matrix's pattern.
+
+    Two indices share a block when a stored entry links them in either
+    direction, so the matrix is block-diagonal over the returned sets: every
+    stored entry has its row and column in the same block.  Each set is an
+    ascending index array, and the sets are ordered by their smallest index.
+    The graph has unit weights on the stored positions, so complex (even
+    purely imaginary) data is never cast.
+    """
+    csr = sparse.csr_matrix(matrix)
+    pattern = sparse.csr_matrix(
+        (np.ones(csr.indices.size, dtype=np.int8), csr.indices, csr.indptr),
+        shape=csr.shape,
+    )
+    n_blocks, labels = csgraph.connected_components(pattern, directed=True, connection="weak")
+    members = np.argsort(labels, kind="stable")
+    blocks = np.split(members, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    blocks.sort(key=lambda b: b[0])
+    return blocks
+
+
 def eigen_spectrum(
     op: OperatorMatrix,
     count: int | None = None,
@@ -90,8 +122,10 @@ def eigen_spectrum(
 ) -> list:
     """Eigenpairs of the total operator (matrix + offset), sorted ground-first.
 
-    Dense path solves the full left/right problem and enforces L^H R = I by a
-    single global solve; the iterative path (ARPACK on the operator and its
+    Dense path solves the left/right problem of each block of
+    `connected_blocks` (the symmetry sectors, see the module docstring) and
+    enforces L^H R = I by one solve per block; 1x1 blocks are read off the
+    diagonal.  The iterative path (ARPACK on the operator and its
     adjoint, deterministic start vector) is available for larger dimensions
     and requires `count`.  Every returned pair is residual-validated on both
     sides; failure raises with the worst residual reported.
@@ -106,16 +140,35 @@ def eigen_spectrum(
                 f"dense solve capped at dimension {DENSE_DIM_LIMIT} (got {dim}); "
                 "use method='arpack'"
             )
-        w, vl, vr = sla.eig(op.matrix.toarray(), left=True, right=True)
+        matrix = op.matrix.tocsr()
+        blocks = connected_blocks(matrix)
+        starts = np.cumsum([0] + [b.size for b in blocks[:-1]])
+        w = np.empty(dim, dtype=complex)
+        vr = np.zeros((dim, dim), dtype=complex)
+        vl = np.zeros((dim, dim), dtype=complex)
+        # 1x1 blocks: eigenvalue is the diagonal entry, both vectors unit vectors
+        single = np.array([b.size == 1 for b in blocks], dtype=bool)
+        idx = np.array([b[0] for b, one in zip(blocks, single) if one], dtype=np.intp)
+        cols = starts[single]
+        w[cols] = matrix.diagonal()[idx]
+        vr[idx, cols] = 1.0
+        vl[idx, cols] = 1.0
+        for idx, start, one in zip(blocks, starts, single):
+            if one:
+                continue
+            cols = slice(start, start + idx.size)
+            wb, vlb, vrb = sla.eig(matrix[idx][:, idx].toarray(), left=True, right=True)
+            vrb = _fix_phases(vrb)
+            gram = vlb.conj().T @ vrb
+            try:
+                left_h = np.linalg.solve(gram, vlb.conj().T)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
+            w[cols] = wb
+            vr[idx, cols] = vrb
+            vl[idx, cols] = left_h.conj().T
         order = _sorted_order(w)
         w, vl, vr = w[order], vl[:, order], vr[:, order]
-        vr = _fix_phases(vr)
-        gram = vl.conj().T @ vr
-        try:
-            left_h = np.linalg.solve(gram, vl.conj().T)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
-        vl = left_h.conj().T
     elif method == "arpack":
         if count is None:
             raise ConfigurationError("iterative method requires an explicit count")

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import phasegas.cli as cli
 from phasegas.cli import main
 
 
@@ -85,6 +86,18 @@ def test_failed_numerical_check_is_exit_one(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "overlaps"]) == 1
     lines = (out / "overlaps.csv").read_text().strip().splitlines()
     assert any(line.endswith("FAIL") for line in lines[1:])
+
+
+def test_unexpected_exception_is_exit_four(tmp_path, monkeypatch, capsys):
+    def broken(cfg, out_dir, fmt):
+        raise RuntimeError("handler defect")
+
+    monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
+    cfg = _write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path / "x"), "spectrum"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: handler defect" in err
 
 
 def test_perturb_outputs_series_and_scan(tmp_path):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import phasegas.fock as fock
-from phasegas.errors import ConfigurationError
+from phasegas.errors import ConfigurationError, SolverError
 from phasegas.fock import (
     FockBasis,
     build_hamiltonian,
@@ -22,6 +23,7 @@ from phasegas.fock import (
     state_momentum,
 )
 from phasegas.lattice import ModeLattice, TAU
+from phasegas.spectral import connected_blocks
 
 SEED = 99
 
@@ -150,6 +152,19 @@ def test_asymmetric_interaction_rejected():
         build_hamiltonian(lat, u_bad, 0.0, 0.0, b)
 
 
+def test_non_hermitian_assembly_raises(monkeypatch):
+    lat = _lat()
+    b = enumerate_basis(lat.num_modes, 2, lat)
+
+    def not_adjoint(basis, lattice, mode):
+        # the same upper-triangular matrix for k and -k: n~_k n~_{-k} is not Hermitian
+        return sparse.csr_matrix(np.triu(np.ones((basis.dim, basis.dim))))
+
+    monkeypatch.setattr(fock, "shift_operator", not_adjoint)
+    with pytest.raises(SolverError, match="lost Hermiticity"):
+        build_hamiltonian(lat, 0.6, 0.0, 0.0, b)
+
+
 def test_momentum_block_structure():
     lat = _lat()
     b = enumerate_basis(lat.num_modes, 3, lat)
@@ -194,6 +209,14 @@ def test_ground_pair_residual_and_sparse_path(monkeypatch):
     m = h.matrix.toarray()
     for e, v in ((e_dense, v_dense), (e_sparse, v_sparse)):
         assert np.linalg.norm(m @ v - e * v) <= 1e-9 * np.linalg.norm(m)
+    # the block-by-block dense solve against one eigh of the whole sector
+    lat7 = _lat(7)
+    h7 = build_hamiltonian(lat7, 0.7, 0.0, 0.0, enumerate_basis(lat7.num_modes, 5, lat7))
+    assert len(connected_blocks(h7.matrix)) == 31
+    e_block, v_block = ground_pair(h7)
+    e_full = np.linalg.eigh(h7.matrix.toarray())[0][0]
+    assert abs(e_block - e_full) <= 1e-12 * abs(e_full)
+    assert np.isclose(np.linalg.norm(v_block), 1.0, atol=1e-12)
 
 
 def test_mirror_relabeling_is_exact_symmetry():

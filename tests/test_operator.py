@@ -395,14 +395,37 @@ def test_triplet_export_round_trip(tmp_path):
     path = tmp_path / "op.txt"
     text = export_triplets(op, path)
     assert path.read_text() == text
-    back = load_triplets(path)
-    assert back.offset == op.offset
-    assert back.basis_dims == op.basis_dims
-    assert back.provenance == op.provenance
-    a, b = op.matrix.tocsr(), back.matrix.tocsr()
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+    for back in (load_triplets(path), load_triplets(text)):
+        assert back.offset == op.offset
+        assert back.basis_dims == op.basis_dims
+        assert back.provenance == op.provenance
+        a, b = op.matrix.tocsr(), back.matrix.tocsr()
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
+
+
+def _small_export():
+    lat, par, bas = _setup(n_max=2)
+    return export_triplets(assemble_full(par, lat, bas))
+
+
+def test_triplet_missing_dim_line_rejected():
+    text = "\n".join(ln for ln in _small_export().splitlines() if not ln.startswith("# dim:"))
+    with pytest.raises(ConfigurationError, match="no '# dim:' header line"):
+        load_triplets(text)
+
+
+def test_triplet_malformed_entry_rejected():
+    lines = _small_export().splitlines()
+    lines.append("3 4 0.5")
+    with pytest.raises(ConfigurationError, match=f"line {len(lines)}: expected 'row col re im'"):
+        load_triplets("\n".join(lines))
+
+
+def test_triplet_missing_path_rejected(tmp_path):
+    with pytest.raises(ConfigurationError, match="neither export text nor a readable file"):
+        load_triplets(str(tmp_path / "absent.txt"))
 
 
 def test_two_dimensional_lattice_smoke():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy import sparse
 
 from phasegas.errors import ConfigurationError, SolverError
@@ -20,6 +21,7 @@ from phasegas.params import ModelParams
 from phasegas.spectral import (
     EigenPair,
     calibrate_mu,
+    connected_blocks,
     eigen_spectrum,
     energy_from_eigenvalue,
     ground_state,
@@ -146,6 +148,50 @@ def test_one_by_one_operator():
     (pair,) = eigen_spectrum(op)
     assert pair.eigenvalue == 0.5 - 0.5j
     assert pair.residual == 0.0
+
+
+def test_blocked_solve_of_permuted_block_diagonal_operator():
+    rng = np.random.default_rng(SEED)
+    sizes = [7, 5, 9, 3, 1, 1, 1]
+    dim = sum(sizes)
+    dense = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for b in sizes:
+        dense[start : start + b, start : start + b] = rng.normal(size=(b, b)) + 1j * rng.normal(
+            size=(b, b)
+        )
+        start += b
+    dense[dim - 1, dim - 1] = 0.0  # an isolated index with no stored entry at all
+    perm = rng.permutation(dim)
+    m = dense[np.ix_(perm, perm)]  # interleaves the blocks
+    op = OperatorMatrix(sparse.csr_matrix(m), 0.0, (dim,), "test-blocks")
+
+    inv = np.argsort(perm)
+    bounds = np.cumsum([0] + sizes)
+    expected = sorted((np.sort(inv[a:b]) for a, b in zip(bounds, bounds[1:])), key=lambda x: x[0])
+    assert [b.tolist() for b in connected_blocks(op.matrix)] == [e.tolist() for e in expected]
+
+    pairs = eigen_spectrum(op)
+    got = np.array([p.eigenvalue for p in pairs])
+    assert multiset_match_error(got, sla.eig(m, right=False)) <= 1e-10
+    r = np.column_stack([p.right_vector for p in pairs])
+    l = np.column_stack([p.left_vector for p in pairs])
+    assert np.max(np.abs(l.conj().T @ r - np.eye(dim))) <= 1e-9
+    assert max(p.residual for p in pairs) <= 1e-9
+
+
+def test_blocked_spectrum_matches_unblocked_zgeev():
+    lat, par, bas = _setup(epsilon=0.2, n_max=4)
+    op = assemble_full(par, lat, bas)
+    # the sectors of the half-box translation and the k <-> -k reflection
+    sizes = sorted((b.size for b in connected_blocks(op.matrix)), reverse=True)
+    assert sizes == [173, 150, 150, 150, 1, 1]
+    got = np.array([p.eigenvalue for p in eigen_spectrum(op)])
+    ref = sla.eig(op.matrix.toarray(), right=False) + op.offset
+    assert multiset_match_error(got, ref) <= 1e-10
+    # at epsilon = 0 the operator is diagonal: every state is its own block
+    lat, par0, bas = _setup(epsilon=0.0, n_max=4)
+    assert len(connected_blocks(assemble_full(par0, lat, bas).matrix)) == op.dim
 
 
 # -- perturbation series -----------------------------------------------------------
