@@ -90,38 +90,50 @@ def enumerate_basis(m_modes: int, n_particles: int, lattice: ModeLattice | None 
     return FockBasis(modes=modes, n_particles=int(n_particles), states=states, index=index)
 
 
+def _shift_pairs(lattice: ModeLattice, k_mode):
+    """Index arrays (q, q+k) over the modes q with q+k also on the lattice."""
+    src, dst = [], []
+    for qi, q in enumerate(lattice.modes):
+        qk = tuple(a + b for a, b in zip(q, k_mode))
+        if lattice.contains(qk):
+            src.append(qi)
+            dst.append(lattice.index(qk))
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+
+
 def shift_operator(basis: FockBasis, lattice: ModeLattice, k_mode) -> sparse.csr_matrix:
     """Matrix of n~_k = sum_q a+_q a_{q+k}, sharp-cutoff, in the given basis.
 
     Diagonal (q = q+k) contributions use the integer occupation directly so
-    that n~_0 = N exactly in floating point.
+    that n~_0 = N exactly in floating point.  Target states are located by
+    binary search over the occupation rows viewed as opaque byte strings.
     """
     k_mode = tuple(int(c) for c in k_mode)
     if len(basis.states[0]) != lattice.num_modes:
         raise ConfigurationError("basis width does not match the lattice mode count")
-    rows, cols, vals = [], [], []
-    for si, occ in enumerate(basis.states):
-        for qi, q in enumerate(lattice.modes):
-            qk = tuple(a + b for a, b in zip(q, k_mode))
-            if not lattice.contains(qk):
-                continue
-            ti = lattice.index(qk)
-            if ti == qi:
-                if occ[qi]:
-                    rows.append(si)
-                    cols.append(si)
-                    vals.append(float(occ[qi]))
-            elif occ[ti]:
-                amp = math.sqrt(occ[ti]) * math.sqrt(occ[qi] + 1)
-                new = list(occ)
-                new[ti] -= 1
-                new[qi] += 1
-                rows.append(basis.index[tuple(new)])
-                cols.append(si)
-                vals.append(amp)
+    occ = np.array(basis.states, dtype=np.int64)
+    src, dst = _shift_pairs(lattice, k_mode)
+    if not any(k_mode):
+        # diagonal: the integer particle count, stored only where it is nonzero
+        count = occ[:, src].sum(axis=1)
+        (states,) = np.nonzero(count)
+        rows, cols, vals = states, states, count[states].astype(float)
+    else:
+        key = np.dtype((np.void, occ.itemsize * occ.shape[1]))
+        order = np.argsort(occ.view(key).ravel())
+        sorted_keys = occ.view(key).ravel()[order]
+        rows, cols, vals = [], [], []
+        for qi, ti in zip(src, dst):
+            (states,) = np.nonzero(occ[:, ti])
+            new = occ[states]
+            new[:, ti] -= 1
+            new[:, qi] += 1
+            rows.append(order[np.searchsorted(sorted_keys, new.view(key).ravel())])
+            cols.append(states)
+            vals.append(np.sqrt(occ[states, ti].astype(float)) * np.sqrt(occ[states, qi] + 1.0))
+        rows, cols, vals = (np.concatenate(x) if x else np.zeros(0) for x in (rows, cols, vals))
     mat = sparse.csr_matrix(
-        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-        shape=(basis.dim, basis.dim),
+        (vals, (rows.astype(int), cols.astype(int))), shape=(basis.dim, basis.dim)
     )
     mat.sum_duplicates()
     mat.sort_indices()
@@ -130,15 +142,8 @@ def shift_operator(basis: FockBasis, lattice: ModeLattice, k_mode) -> sparse.csr
 
 def _pair_density_diagonal(basis: FockBasis, lattice: ModeLattice, k_mode) -> np.ndarray:
     """Diagonal of sum_{q in S_k} n_q with S_k = {q : q and q+k on the lattice}."""
-    sel = []
-    for qi, q in enumerate(lattice.modes):
-        qk = tuple(a + b for a, b in zip(q, k_mode))
-        if lattice.contains(qk):
-            sel.append(qi)
-    out = np.zeros(basis.dim)
-    for si, occ in enumerate(basis.states):
-        out[si] = float(sum(occ[qi] for qi in sel))
-    return out
+    src, _ = _shift_pairs(lattice, k_mode)
+    return np.array(basis.states, dtype=np.int64)[:, src].sum(axis=1).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +254,15 @@ def ground_pair(h: FockHamiltonian):
     dim = h.dim
     if dim <= DENSE_LIMIT:
         energy = None
-        for idx in connected_blocks(h.matrix):
-            vals, vecs = np.linalg.eigh(h.matrix[idx][:, idx].toarray())
+        blocks = connected_blocks(h.matrix)
+        # one permutation makes every block a contiguous diagonal slice
+        perm = np.concatenate(blocks)
+        grouped = h.matrix[perm][:, perm]
+        start = 0
+        for idx in blocks:
+            stop = start + idx.size
+            vals, vecs = np.linalg.eigh(grouped[start:stop, start:stop].toarray())
+            start = stop
             if energy is None or vals[0] < energy:
                 energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
         vec = np.zeros(dim, dtype=block_vec.dtype)

@@ -15,6 +15,9 @@ bi-orthonormalized (L^H R = I), which is stable here because the admixture a
 normalization solve introduces between eigenvectors of distinct eigenvalues
 is bounded by the solver roundoff independent of the spectral gap; vectors of
 different blocks are exactly orthogonal because their supports are disjoint.
+So every check -- residuals, L^H R = I, the eigenvalue condition number --
+runs on the block, and only the pairs a caller asks for are expanded to
+full-length vectors.
 
 The epsilon series for the ground eigenvalue uses the standard
 Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
@@ -45,6 +48,9 @@ from .operator import OperatorMatrix, assemble_full
 from .params import ModelParams
 
 DENSE_DIM_LIMIT = 4096
+# Beyond this eigenvalue condition number half the digits of the eigenvalue
+# are lost to roundoff, the signature of a (numerically) defective eigenvalue.
+CONDITION_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,81 @@ def connected_blocks(matrix) -> list:
     return blocks
 
 
+def _dense_spectrum(op: OperatorMatrix, count, residual_tol: float) -> list:
+    """Dense path of `eigen_spectrum`: every check runs on one block at a time.
+
+    The eigenvalues keep the slots of the block concatenation, so the sort
+    breaks exact ties by block order; only the `count` returned pairs are
+    expanded to full-length vectors.
+    """
+    dim = op.dim
+    matrix = op.matrix.tocsr()
+    blocks = connected_blocks(matrix)
+    sizes = np.array([b.size for b in blocks])
+    starts = np.cumsum(sizes) - sizes
+    w = np.empty(dim, dtype=complex)
+    residual = np.zeros(dim)  # exact for 1x1 blocks: both vectors are unit vectors
+    w[starts[sizes == 1]] = matrix.diagonal()[[b[0] for b in blocks if b.size == 1]]
+    vectors = {}
+    for n, (idx, start) in enumerate(zip(blocks, starts)):
+        if idx.size == 1:
+            continue
+        sub = matrix[idx][:, idx]
+        wb, vlb, vrb = sla.eig(sub.toarray(), left=True, right=True)
+        vrb = _fix_phases(vrb)
+        try:
+            left_h = np.linalg.solve(vlb.conj().T @ vrb, vlb.conj().T)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
+        vlb = left_h.conj().T
+        # with unit right vectors and L^H R = I, |l| is the eigenvalue condition number
+        lnorm = np.linalg.norm(vlb, axis=0)
+        if not lnorm.max() <= CONDITION_LIMIT:
+            raise SolverError(
+                f"defective eigenbasis: eigenvalue condition number {lnorm.max():.3e} "
+                f"exceeds {CONDITION_LIMIT:.1e}"
+            )
+        # the supports of different blocks are disjoint, so their cross terms vanish
+        cross = np.abs(left_h @ vrb - np.eye(idx.size)).max()
+        if not cross <= 1e-9:
+            raise SolverError(f"bi-orthonormalization failed, max |L^H R - I| = {cross:.3e}")
+        # residuals on the matrix part (a scalar offset shifts values, not residuals)
+        right_res = np.linalg.norm(sub @ vrb - vrb * wb, axis=0)
+        left_res = np.linalg.norm(sub.conj().T @ vlb - vlb * wb.conj(), axis=0) / lnorm
+        w[start : start + idx.size] = wb
+        residual[start : start + idx.size] = np.maximum(right_res, left_res)
+        vectors[n] = (vrb, vlb)
+
+    keep = _sorted_order(w)[: dim if count is None else count]
+    worst = residual[keep].max()
+    if not worst <= residual_tol:
+        raise SolverError(
+            f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
+        )
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    pairs = []
+    for slot in keep:
+        n = owner[slot]
+        right = np.zeros(dim, dtype=complex)
+        left = np.zeros(dim, dtype=complex)
+        if n in vectors:
+            vrb, vlb = vectors[n]
+            right[blocks[n]] = vrb[:, slot - starts[n]]
+            left[blocks[n]] = vlb[:, slot - starts[n]]
+        else:
+            right[blocks[n]] = 1.0
+            left[blocks[n]] = 1.0
+        pairs.append(
+            EigenPair(
+                eigenvalue=complex(w[slot] + op.offset),
+                right_vector=right,
+                left_vector=left,
+                residual=float(residual[slot]),
+            )
+        )
+    return pairs
+
+
 def eigen_spectrum(
     op: OperatorMatrix,
     count: int | None = None,
@@ -123,9 +204,11 @@ def eigen_spectrum(
     """Eigenpairs of the total operator (matrix + offset), sorted ground-first.
 
     Dense path solves the left/right problem of each block of
-    `connected_blocks` (the symmetry sectors, see the module docstring) and
-    enforces L^H R = I by one solve per block; 1x1 blocks are read off the
-    diagonal.  The iterative path (ARPACK on the operator and its
+    `connected_blocks` (the symmetry sectors, see the module docstring),
+    enforces L^H R = I by one solve per block and checks it there, and
+    rejects a block whose eigenbasis is (numerically) defective; 1x1 blocks
+    are read off the diagonal.  Only the `count` returned pairs are expanded
+    to full-length vectors.  The iterative path (ARPACK on the operator and its
     adjoint, deterministic start vector) is available for larger dimensions
     and requires `count`.  Every returned pair is residual-validated on both
     sides; failure raises with the worst residual reported.
@@ -140,35 +223,7 @@ def eigen_spectrum(
                 f"dense solve capped at dimension {DENSE_DIM_LIMIT} (got {dim}); "
                 "use method='arpack'"
             )
-        matrix = op.matrix.tocsr()
-        blocks = connected_blocks(matrix)
-        starts = np.cumsum([0] + [b.size for b in blocks[:-1]])
-        w = np.empty(dim, dtype=complex)
-        vr = np.zeros((dim, dim), dtype=complex)
-        vl = np.zeros((dim, dim), dtype=complex)
-        # 1x1 blocks: eigenvalue is the diagonal entry, both vectors unit vectors
-        single = np.array([b.size == 1 for b in blocks], dtype=bool)
-        idx = np.array([b[0] for b, one in zip(blocks, single) if one], dtype=np.intp)
-        cols = starts[single]
-        w[cols] = matrix.diagonal()[idx]
-        vr[idx, cols] = 1.0
-        vl[idx, cols] = 1.0
-        for idx, start, one in zip(blocks, starts, single):
-            if one:
-                continue
-            cols = slice(start, start + idx.size)
-            wb, vlb, vrb = sla.eig(matrix[idx][:, idx].toarray(), left=True, right=True)
-            vrb = _fix_phases(vrb)
-            gram = vlb.conj().T @ vrb
-            try:
-                left_h = np.linalg.solve(gram, vlb.conj().T)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
-            w[cols] = wb
-            vr[idx, cols] = vrb
-            vl[idx, cols] = left_h.conj().T
-        order = _sorted_order(w)
-        w, vl, vr = w[order], vl[:, order], vr[:, order]
+        return _dense_spectrum(op, count, residual_tol)
     elif method == "arpack":
         if count is None:
             raise ConfigurationError("iterative method requires an explicit count")
@@ -210,7 +265,7 @@ def eigen_spectrum(
     else:
         raise ConfigurationError(f"unknown eigensolver method {method!r}")
 
-    n_keep = w.size if count is None else count
+    n_keep = count
     # residuals on the matrix part (a scalar offset shifts values, not residuals)
     right_res = op.matrix @ vr[:, :n_keep] - vr[:, :n_keep] * w[None, :n_keep]
     left_res = op.matrix.conj().T @ vl[:, :n_keep] - vl[:, :n_keep] * np.conj(w[None, :n_keep])
@@ -234,22 +289,14 @@ def eigen_spectrum(
         raise SolverError(
             f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
         )
-    cross = np.abs(vl[:, :n_keep].conj().T @ vr[:, :n_keep] - np.eye(n_keep))
-    if method == "dense" and cross.max() > 1e-9:
-        raise SolverError(
-            f"bi-orthonormalization failed, max |L^H R - I| = {cross.max():.3e}"
-        )
     return pairs
 
 
 def ground_state(op: OperatorMatrix, *, method: str = "dense", residual_tol: float = 1e-9):
     """The eigenpair with maximal real part (ties: smallest |imag|, then index)."""
-    if method == "dense":
-        return eigen_spectrum(op, method="dense", residual_tol=residual_tol)[0]
-    count = min(4, op.dim - 2)
-    if count < 1:
-        return eigen_spectrum(op, method="dense", residual_tol=residual_tol)[0]
-    return eigen_spectrum(op, count, method="arpack", residual_tol=residual_tol)[0]
+    if method == "dense" or op.dim < 3:
+        return eigen_spectrum(op, 1, method="dense", residual_tol=residual_tol)[0]
+    return eigen_spectrum(op, min(4, op.dim - 2), method="arpack", residual_tol=residual_tol)[0]
 
 
 def energy_from_eigenvalue(e, params: ModelParams | None = None, hbar2_over_2m: float = 1.0):

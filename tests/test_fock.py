@@ -1,5 +1,6 @@
 """Exact-diagonalization oracle: basis enumeration, Hamiltonian structure, scans."""
 
+import itertools
 import math
 
 import numpy as np
@@ -63,6 +64,54 @@ def test_shift_operator_adjoint_pairs():
         sk = shift_operator(b, lat, k).toarray()
         smk = shift_operator(b, lat, (-k[0],)).toarray()
         assert np.max(np.abs(sk.T - smk)) == 0.0
+
+
+def _shift_operator_loop(basis, lattice, k_mode):
+    """Reference n~_k: one state and one mode at a time, dict lookup of each target."""
+    rows, cols, vals = [], [], []
+    for si, occ in enumerate(basis.states):
+        for qi, q in enumerate(lattice.modes):
+            qk = tuple(a + b for a, b in zip(q, k_mode))
+            if not lattice.contains(qk):
+                continue
+            ti = lattice.index(qk)
+            if ti == qi:
+                if occ[qi]:
+                    rows.append(si)
+                    cols.append(si)
+                    vals.append(float(occ[qi]))
+            elif occ[ti]:
+                new = list(occ)
+                new[ti] -= 1
+                new[qi] += 1
+                rows.append(basis.index[tuple(new)])
+                cols.append(si)
+                vals.append(math.sqrt(occ[ti]) * math.sqrt(occ[qi] + 1))
+    mat = sparse.csr_matrix(
+        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+        shape=(basis.dim, basis.dim),
+    )
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+@pytest.mark.parametrize("d, m, shifts", [
+    (1, 5, [(k,) for k in range(-6, 7)]),
+    # every lattice mode, partly-off shifts such as (2, -1), and shifts off entirely
+    (2, 3, list(itertools.product(range(-2, 3), repeat=2)) + [(3, 0), (0, -3), (3, 3)]),
+])
+def test_shift_operator_bit_identical_to_loop(d, m, shifts):
+    lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+    for n in (0, 1, 3, 5):
+        b = enumerate_basis(lat.num_modes, n, lat)
+        for k in shifts:
+            got = shift_operator(b, lat, k)
+            ref = _shift_operator_loop(b, lat, k)
+            assert got.shape == ref.shape
+            for a, r in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+                assert a.dtype == r.dtype
+                assert np.array_equal(a, r)
 
 
 def _single_particle_oracle(lat, u_int, u0, mu, h):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.linalg as sla
 from scipy import sparse
 
@@ -355,3 +356,105 @@ def test_multiset_match_error_behaviour():
     b = a.copy()
     b[3] += 1e-4
     assert abs(multiset_match_error(a[perm], b) - 1e-4) <= 1e-12
+
+
+# -- dense validation --------------------------------------------------------------
+
+
+def _diagonal_with_block(block, at=1, dim=6):
+    """diag(0, -1, ..., 1 - dim) with `block` overwriting the square that starts at (at, at)."""
+    m = np.diag(-np.arange(dim, dtype=float)).astype(complex)
+    b = block.shape[0]
+    m[at : at + b, at : at + b] = block
+    return OperatorMatrix(sparse.csr_matrix(m), 0.0, (dim,), "test-dense-checks")
+
+
+@pytest.mark.parametrize("lam", [-2.0 + 0.5j, 0.0])
+@pytest.mark.parametrize("count", [None, 1])
+def test_dense_rejects_defective_jordan_block(lam, count):
+    op = _diagonal_with_block(np.array([[lam, 1.0], [0.0, lam]]))
+    # at lam = 0 the bi-orthonormalized left vectors overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="defective eigenbasis"):
+            eigen_spectrum(op, count)
+
+
+def test_dense_residual_above_tolerance_raises():
+    rng = np.random.default_rng(SEED + 5)
+    op = _diagonal_with_block(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), dim=8)
+    assert max(p.residual for p in eigen_spectrum(op)) > 0.0
+    with pytest.raises(SolverError, match="exceeds tolerance"):
+        eigen_spectrum(op, residual_tol=1e-300)
+
+
+def test_dense_corrupted_biorthonormalization_raises(monkeypatch):
+    rng = np.random.default_rng(SEED + 6)
+    sizes = [3, 4, 2]
+    dim = sum(sizes)
+    m = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for b in sizes:
+        m[start : start + b, start : start + b] = rng.normal(size=(b, b)) + 1j * rng.normal(
+            size=(b, b)
+        )
+        start += b
+    op = OperatorMatrix(sparse.csr_matrix(m), 0.0, (dim,), "test-corrupt")
+    eigen_spectrum(op)  # clean run passes
+    solve = np.linalg.solve
+    calls = []
+
+    def corrupt_second_block(a, b):
+        calls.append(a.shape)
+        out = solve(a, b)
+        return 1.5 * out if len(calls) == 2 else out
+
+    monkeypatch.setattr(np.linalg, "solve", corrupt_second_block)
+    with pytest.raises(SolverError, match="bi-orthonormalization failed"):
+        eigen_spectrum(op)
+    assert len(calls) >= 2
+
+
+@st.composite
+def _block_diagonal_operators(draw):
+    """A permuted block-diagonal operator with ties between its blocks.
+
+    Blocks of size 1 take their entry from a short list, so equal 1x1
+    eigenvalues recur; a drawn block may be repeated verbatim, giving equal
+    eigenvalues in different larger blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for b in draw(st.lists(st.integers(1, 5), min_size=1, max_size=8)):
+        if b == 1:
+            blocks.append(np.array([[draw(st.sampled_from([0.0, -1.0, -1.0 + 0.5j, 2.0]))]]))
+        else:
+            blocks.append(rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+        if draw(st.booleans()):
+            blocks.append(blocks[-1])
+    dim = sum(b.shape[0] for b in blocks)
+    dense = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for b in blocks:
+        dense[start : start + b.shape[0], start : start + b.shape[0]] = b
+        start += b.shape[0]
+    perm = rng.permutation(dim)
+    offset = draw(st.sampled_from([0.0, -0.75]))
+    return OperatorMatrix(sparse.csr_matrix(dense[np.ix_(perm, perm)]), offset, (dim,), "test-h")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(op=_block_diagonal_operators(), data=st.data())
+def test_dense_count_and_ground_state_are_heads_of_the_full_spectrum(op, data):
+    full = eigen_spectrum(op)
+    count = data.draw(st.integers(1, op.dim))
+    for got, ref in zip(eigen_spectrum(op, count), full[:count], strict=True):
+        assert got.eigenvalue == ref.eigenvalue
+        assert got.residual == ref.residual
+        assert np.array_equal(got.right_vector, ref.right_vector)
+        assert np.array_equal(got.left_vector, ref.left_vector)
+    g = ground_state(op)
+    assert g.eigenvalue == full[0].eigenvalue and g.residual == full[0].residual
+    assert np.array_equal(g.right_vector, full[0].right_vector)
+    assert np.array_equal(g.left_vector, full[0].left_vector)
+    ref = sla.eig(op.matrix.toarray(), right=False) + op.offset
+    assert multiset_match_error([p.eigenvalue for p in full], ref) <= 1e-10
