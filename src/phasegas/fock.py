@@ -38,12 +38,17 @@ DENSE_LIMIT = 3000
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation-number basis of one fixed-N sector, descending-lex ordered."""
+    """Occupation-number basis of one fixed-N sector, descending-lex ordered.
+
+    `build_hamiltonian` keeps the n~_k matrices it builds in `_shifts`, keyed
+    by (lattice, k), so Hamiltonians on one basis share them.
+    """
 
     modes: tuple
     n_particles: int
     states: tuple
     index: dict = field(repr=False)
+    _shifts: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -201,12 +206,11 @@ def build_hamiltonian(
         (diag, (np.arange(dim), np.arange(dim))), shape=(dim, dim)
     )
 
-    shifts: dict = {}
-
     def _shift(mode):
-        if mode not in shifts:
-            shifts[mode] = shift_operator(basis, lattice, mode)
-        return shifts[mode]
+        key = (lattice, mode)
+        if key not in basis._shifts:
+            basis._shifts[key] = shift_operator(basis, lattice, mode)
+        return basis._shifts[key]
 
     inv_v = 1.0 / lattice.volume
     for i, mode in enumerate(lattice.modes):

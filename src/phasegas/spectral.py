@@ -39,7 +39,6 @@ import scipy.linalg as sla
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError, SolverError
 from .hermite import HermiteBasis
@@ -248,7 +247,7 @@ def eigen_spectrum(
         wl = wl - shift
         # adjoint eigenvalues are conjugates; pair them to the right set
         cost = np.abs(np.conj(wl)[None, :] - w[:, None])
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _min_sum_assignment(cost)
         if np.max(cost[rows, cols]) > 1e-6 * max(1.0, np.max(np.abs(w))):
             raise SolverError("left/right iterative eigenvalues do not pair up")
         vl = np.array(vl_raw[:, cols[np.argsort(rows)]], dtype=complex)
@@ -421,8 +420,44 @@ def perturbation_series(
     return PerturbationSeries(tuple(orders))
 
 
+def _min_sum_assignment(cost: np.ndarray):
+    """(rows, cols) of a min-sum assignment of a square cost matrix.
+
+    Returns exactly what `scipy.optimize.linear_sum_assignment` returns.  When
+    every entry is finite, every row minimum is strictly below the rest of its
+    row and the row argmins are distinct columns, the argmin permutation is the
+    unique optimum -- any other permutation leaves some row's minimum for a
+    strictly larger entry -- and scipy's shortest-augmenting-path solver takes
+    exactly these one-step paths, so it is returned without loading scipy's
+    solver.  Anything else (ties, repeated argmins, non-finite entries) goes to
+    scipy; a cost it rejects (NaN, or no finite assignment) raises SolverError.
+    """
+    n = cost.shape[0]
+    if np.isfinite(cost).all():
+        cols = np.argmin(cost, axis=1)
+        second = np.partition(cost, 1, axis=1)[:, 1] if n > 1 else np.inf
+        if (cost[np.arange(n), cols] < second).all() and np.unique(cols).size == n:
+            return np.arange(n), cols
+    from scipy.optimize import linear_sum_assignment
+
+    try:
+        return linear_sum_assignment(cost)
+    except ValueError as exc:
+        raise SolverError(f"no valid assignment for the cost matrix: {exc}") from None
+
+
 def multiset_match_error(a, b) -> float:
-    """Max pairing distance between two equal-size complex multisets (optimal matching)."""
+    """Max pairing distance between two equal-size complex multisets.
+
+    The pairing minimizes the summed distance |a_i - b_j| over all
+    permutations (`_min_sum_assignment`); the largest distance in that pairing
+    is returned.  Multisets whose nearest partners are unique and distinct
+    (e.g. a spectrum of simple eigenvalues against its exact conjugate) are
+    paired directly; only ties or repeated nearest partners load scipy's
+    assignment solver.  Sizes that differ raise ConfigurationError.  A NaN or
+    infinite entry raises SolverError: its row of distances is all infinite or
+    NaN, so no valid pairing exists.
+    """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
@@ -430,7 +465,7 @@ def multiset_match_error(a, b) -> float:
     if a.size == 0:
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _min_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
 

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phasegas
 import phasegas.cli as cli
 from phasegas.cli import main
 
@@ -162,3 +166,23 @@ def test_threads_flag_sets_environment(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     assert main(["--config", cfg, "--threads", "0", "spectrum"]) == 2
+
+
+def test_cli_commands_do_not_load_scipy_optimize(tmp_path):
+    # scipy's assignment solver costs a third of a second of start-up; the
+    # demo spectra pair without it, so no subcommand may import it
+    config = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
+    script = (
+        "import sys\n"
+        "from phasegas.cli import main\n"
+        "for command in ('spectrum', 'compare', 'perturb', 'scan'):\n"
+        f"    assert main(['--config', {str(config)!r}, '--out', {str(tmp_path)!r}, command]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(phasegas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

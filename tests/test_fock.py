@@ -311,6 +311,30 @@ def test_mean_field_comparison_rows():
     assert len(lines) == 3
 
 
+def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
+    lat = _lat(5)
+    built = []
+
+    def counting(basis, lattice, k_mode):
+        built.append(k_mode)
+        return shift_operator(basis, lattice, k_mode)
+
+    monkeypatch.setattr(fock, "shift_operator", counting)
+    shared = enumerate_basis(lat.num_modes, 3, lat)
+    cases = list(itertools.product((1.0, 0.05), (False, True)))
+    for u, normal_order in cases:
+        got = build_hamiltonian(lat, u, 0.0, 0.0, shared, normal_order=normal_order).matrix
+        fresh = enumerate_basis(lat.num_modes, 3, lat)
+        ref = build_hamiltonian(lat, u, 0.0, 0.0, fresh, normal_order=normal_order).matrix
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    # the shared basis builds each n~_k once, every fresh basis builds all of them
+    assert len(built) == lat.num_modes * (1 + len(cases))
+    rows = mean_field_comparison(lat, 3, (0.5, 0.05, 0.005))
+    assert len(built) == lat.num_modes * (2 + len(cases))
+    assert len(rows) == 3
+
+
 def test_exports(tmp_path):
     lat = _lat()
     b = enumerate_basis(lat.num_modes, 2, lat)
