@@ -199,15 +199,14 @@ def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
 
 
 def _assemble_variant(cfg, lattice, params):
-    from .operator import assemble_full, assemble_weak, scaled_operator
+    from .operator import assemble_full, assemble_weak, scaled_operator, scaled_params
 
     variant = cfg.solver["variant"]
-    basis = cfg.basis(lattice)
     if variant == "weak":
-        return assemble_weak(params, lattice, basis)
+        return assemble_weak(params, lattice, cfg.basis(lattice))
     if variant == "full":
-        return assemble_full(params, lattice, basis)
-    return scaled_operator(params, basis)
+        return assemble_full(params, lattice, cfg.basis(lattice))
+    return scaled_operator(params, cfg.basis(lattice, gamma=scaled_params(params).gamma))
 
 
 def _cmd_spectrum(cfg, out_dir: str, fmt: str) -> int:
@@ -302,29 +301,21 @@ def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
     import numpy as np
 
     from .operator import assemble_full
-    from .spectral import eigen_spectrum, multiset_match_error
+    from .spectral import _solve, multiset_match_error
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
     basis = cfg.basis(lattice)
     rows = []
     failures = 0
+    tol = cfg.solver["residual_tol"]
     for eps in cfg.scan["eps_grid"]:
-        # full spectra are needed for the multiset pairing, so this is dense-only
-        plus = eigen_spectrum(
-            assemble_full(replace(params, epsilon=eps), lattice, basis),
-            method="dense",
-            residual_tol=cfg.solver["residual_tol"],
-        )
-        minus = eigen_spectrum(
-            assemble_full(replace(params, epsilon=-eps), lattice, basis),
-            method="dense",
-            residual_tol=cfg.solver["residual_tol"],
-        )
-        sp = np.array([p.eigenvalue for p in plus])
-        sm = np.array([p.eigenvalue for p in minus])
+        # full spectra are needed for the multiset pairing, so this is dense-only;
+        # only the (validated) eigenvalues are read, so no pair is expanded
+        sp = _solve(assemble_full(replace(params, epsilon=eps), lattice, basis), None, "dense", tol)[0]
+        sm = _solve(assemble_full(replace(params, epsilon=-eps), lattice, basis), None, "dense", tol)[0]
         pair_err = multiset_match_error(np.conj(sp), sm)
-        gp, gm = plus[0].eigenvalue, minus[0].eigenvalue
+        gp, gm = complex(sp[0]), complex(sm[0])
         rows.append((eps, gp.real, gp.imag, gm.real, gm.imag, pair_err))
         if pair_err > cfg.scan["pair_tol"]:
             failures += 1

@@ -259,13 +259,20 @@ def ground_pair(h: FockHamiltonian):
     if dim <= DENSE_LIMIT:
         energy = None
         blocks = connected_blocks(h.matrix)
-        # one permutation makes every block a contiguous diagonal slice
+        # one permutation makes every block a contiguous diagonal slice, so a
+        # block's entries are one stretch of the CSR arrays, scattered into a
+        # dense array without a sparse slice
         perm = np.concatenate(blocks)
         grouped = h.matrix[perm][:, perm]
+        grouped.sum_duplicates()
+        rows = np.repeat(np.arange(dim), np.diff(grouped.indptr))
         start = 0
         for idx in blocks:
             stop = start + idx.size
-            vals, vecs = np.linalg.eigh(grouped[start:stop, start:stop].toarray())
+            lo, hi = grouped.indptr[start], grouped.indptr[stop]
+            block = np.zeros((idx.size, idx.size), dtype=grouped.dtype)
+            block[rows[lo:hi] - start, grouped.indices[lo:hi] - start] = grouped.data[lo:hi]
+            vals, vecs = np.linalg.eigh(block)
             start = stop
             if energy is None or vals[0] < energy:
                 energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]

@@ -284,21 +284,33 @@ def cubic_drift_operator(
     return OperatorMatrix(matrix, 0.0, basis.dims, "cubic-drift")
 
 
-def scaled_operator(params: ModelParams, basis: HermiteBasis) -> OperatorMatrix:
-    """Scaling family: kappa^p on the quadratic drift, kappa^(q-p) on u, kappa^(1-2p) on gamma.
+def scaled_params(params: ModelParams) -> ModelParams:
+    """The coefficients of the scaling family substituted into `params`.
 
-    Direct substitution of those three coefficients into assemble_full; with
-    p = q = 1/2 (diffusion coefficient 1) this is assemble_full at
-    epsilon = sqrt(kappa) on the same basis.
+    kappa^p multiplies the quadratic drift (it becomes epsilon), kappa^(q-p)
+    the potential and kappa^(1-2p) the diffusion coefficients; the basis of a
+    scaled operator is variance-matched to the returned gamma.
     """
     kappa, p, q = params.kappa, params.p_exp, params.q_exp
-    eff = replace(
+    return replace(
         params,
         gamma=params.gamma * kappa ** (1.0 - 2.0 * p),
         gamma_k=None if params.gamma_k is None else params.gamma_k * kappa ** (1.0 - 2.0 * p),
         u_k=None if params.u_k is None else params.u_k * kappa ** (q - p),
         epsilon=kappa ** p,
     )
+
+
+def scaled_operator(params: ModelParams, basis: HermiteBasis) -> OperatorMatrix:
+    """Scaling family: kappa^p on the quadratic drift, kappa^(q-p) on u, kappa^(1-2p) on gamma.
+
+    Direct substitution of those three coefficients (`scaled_params`) into
+    assemble_full, on a basis variance-matched to the effective gamma; with
+    p = q = 1/2 (diffusion coefficient 1) this is assemble_full at
+    epsilon = sqrt(kappa) on the unscaled basis.
+    """
+    kappa, p, q = params.kappa, params.p_exp, params.q_exp
+    eff = scaled_params(params)
     lattice = basis.lattice
     _check_setup(eff, lattice, basis, eff.gamma)
     if eff.epsilon != 0.0 and basis.n_max < 2:
@@ -334,6 +346,37 @@ def gaussian_ground_coeffs(params: ModelParams, basis: HermiteBasis) -> np.ndarr
     v = np.zeros(basis.dim, dtype=complex)
     v[0] = 1.0
     return v
+
+
+def symmetry_weight(basis_dims) -> np.ndarray:
+    """Diagonal weight W = (-1)^(sum of x degrees) * prod_c n_c! of the tensor basis.
+
+    Coordinates 2p and 2p+1 are the x and y of mode pair p (`phi_factors`);
+    entries follow the basis order, the first coordinate slowest.  prod_c n_c!
+    is the Gram matrix of the bilinear pairing (f, g) = int f g / rho over the
+    stationary Gaussian rho of the weak operator (up to a constant; see the
+    duals in `hermite`), and the sign is the reflection x -> -x of every pair,
+    which maps phi_k to -phi_{-k}.  For a constant potential in d = 1:
+      - the weak part is diagonal;
+      - the quadratic drift C is antisymmetric in the pairing and odd under
+        the reflection (P C P = -C),
+    so W L = (W L)^T, the detailed-balance symmetrization of a Fokker-Planck
+    operator (H. Risken, The Fokker-Planck Equation, 1989).  Then
+    conj(W r) is a left eigenvector for every right eigenvector r.  A nonzero
+    u_k (a pure raising term) or d = 2 (where the pairing no longer makes C
+    antisymmetric) breaks the symmetry, so it is a certificate to test on the
+    assembled matrix, never an assumption.  Factorials beyond the float range
+    come back infinite.
+    """
+    w = np.ones(1)
+    for coord, size in enumerate(basis_dims):
+        n = np.arange(size)
+        with np.errstate(over="ignore"):
+            factor = np.cumprod(np.maximum(n, 1), dtype=float)
+        if coord % 2 == 0:
+            factor = np.where(n % 2 == 0, factor, -factor)
+        w = np.outer(w, factor).ravel()
+    return w
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -3,7 +3,7 @@
 Ground states carry the largest real part of the spectrum; energies follow
 from an operator eigenvalue lam through E = hbar2_over_2m * (-lam).
 
-The dense solver works one exact symmetry block at a time.  The blocks are the
+Both solvers work one exact symmetry block at a time.  The blocks are the
 weakly connected components of the matrix's stored sparsity pattern
 (`connected_blocks`).  On the hypercube Hermite truncation they split at least
 the sectors of the two sign symmetries that act diagonally on the basis, the
@@ -18,6 +18,18 @@ different blocks are exactly orthogonal because their supports are disjoint.
 So every check -- residuals, L^H R = I, the eigenvalue condition number --
 runs on the block, and only the pairs a caller asks for are expanded to
 full-length vectors.
+
+The iterative path (`method="arpack"`) splits the same way.  1x1 blocks are
+read off the diagonal and blocks of fewer than count + 2 states go through the
+dense block code, so at epsilon = 0 no Arnoldi run happens at all.  Each larger
+block gets ARPACK for its `count` leading pairs.  When the weight of
+`operator.symmetry_weight` makes W L symmetric -- a certificate tested on the
+matrix at every call -- one run on the balanced block D B D^-1 suffices: the
+left eigenvectors are conj(W R).  Otherwise (a nonzero potential u_k, or
+d = 2) a second run on the adjoint supplies them.  Left vectors of every
+source -- zgeev, the weight, adjoint Ritz vectors -- go through the same
+bi-orthonormalization and checks, so a degenerate cluster cut inside a block
+raises SolverError instead of returning a wrong pair.
 
 The epsilon series for the ground eigenvalue uses the standard
 Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
@@ -43,13 +55,15 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverError
 from .hermite import HermiteBasis
 from .lattice import ModeLattice
-from .operator import OperatorMatrix, assemble_full
+from .operator import OperatorMatrix, assemble_full, symmetry_weight
 from .params import ModelParams
 
 DENSE_DIM_LIMIT = 4096
 # Beyond this eigenvalue condition number half the digits of the eigenvalue
 # are lost to roundoff, the signature of a (numerically) defective eigenvalue.
 CONDITION_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
+# seed of the ARPACK start vectors, one fresh generator per block
+_ARPACK_SEED = 20260816
 
 
 @dataclass(frozen=True)
@@ -118,60 +132,198 @@ def connected_blocks(matrix) -> list:
     return blocks
 
 
-def _dense_spectrum(op: OperatorMatrix, count, residual_tol: float) -> list:
-    """Dense path of `eigen_spectrum`: every check runs on one block at a time.
+def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
+    """(balanced matrix D L D^-1, D, sign W) if `symmetry_weight` certifies L, else None.
 
-    The eigenvalues keep the slots of the block concatenation, so the sort
-    breaks exact ties by block order; only the `count` returned pairs are
-    expanded to full-length vectors.
+    D = sqrt(|W| / max|W|).  W L = (W L)^T holds exactly when S B is symmetric
+    for B = D L D^-1 and S = sign(W), so the test runs on B, where every entry
+    is measured against the scale of the matrix the iteration sees:
+    max|S B - (S B)^T| <= 1e-13 max|B|, in one pass over the stored entries.
+    A weight that does not match the dimension or overflows certifies nothing.
     """
+    dim = matrix.shape[0]
+    if int(np.prod(basis_dims)) != dim:
+        return None
+    weight = symmetry_weight(basis_dims)
+    if not np.isfinite(weight).all():
+        return None
+    scale = np.sqrt(np.abs(weight) / np.abs(weight).max())
+    sign = np.sign(weight)
+    balanced = (sparse.diags(scale) @ matrix @ sparse.diags(1.0 / scale)).tocsr()
+    signed = sparse.diags(sign) @ balanced
+    if not abs(signed - signed.T).max() <= 1e-13 * abs(balanced).max():
+        return None
+    return balanced, scale, sign
+
+
+def _arpack_block(sub, count: int, balance):
+    """(values, unit right vectors, left candidates) of the `count` LR-most pairs of a block.
+
+    `balance` is the block's (balanced block, D, sign W) when the weight
+    certificate holds: one Arnoldi run on the balanced block, whose right
+    vectors map back through D^-1, and left candidates conj(W R).  Otherwise
+    a second run on the adjoint supplies the left candidates, paired to the
+    right values by `_min_sum_assignment`.  The start vector is seeded and
+    non-symmetric, so no sign symmetry of the block hides a level from it.
+    """
+    size = sub.shape[0]
+    rng = np.random.default_rng(_ARPACK_SEED)
+    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    def run(matrix, k):
+        # ARPACK's restarted Arnoldi can lose an eigenvalue sitting exactly at
+        # zero (the generator's stationary mode); a real positive diagonal
+        # shift keeps the wanted values away from zero and leaves vectors and
+        # LR ordering untouched
+        shift = 1.0 + float(np.abs(matrix).sum(axis=1).max())
+        shifted = (matrix + shift * sparse.identity(size, dtype=complex, format="csr")).tocsr()
+        try:
+            try:
+                w, v = spla.eigs(shifted, k=k, which="LR", v0=v0)
+            except spla.ArpackNoConvergence:
+                # a tight cluster just behind the wanted values: retry once
+                # with twice the default Krylov dimension
+                ncv = min(size, 2 * max(2 * k + 1, 20))
+                w, v = spla.eigs(shifted, k=k, which="LR", v0=v0, ncv=ncv)
+        except spla.ArpackError as exc:
+            raise SolverError(f"iterative eigensolver failed: {exc}") from None
+        return w - shift, v
+
+    if balance is not None:
+        balanced, scale, sign = balance
+        w, vr = run(balanced, count)
+        vr = _fix_phases(vr / scale[:, None])
+        return w, vr, np.conj((sign * scale**2)[:, None] * vr)
+    w, vr = run(sub, count)
+    # two spare adjoint pairs, so a conjugate pair or a double level that the
+    # cut at `count` splits still finds its partner
+    wl, vl = run(sub.conj().T.tocsr(), min(count + 2, size - 2))
+    # adjoint eigenvalues are conjugates; pair them to the right set
+    cost = np.abs(np.conj(wl)[None, :] - w[:, None])
+    rows, cols = _min_sum_assignment(cost)
+    if np.max(cost[rows, cols]) > 1e-6 * max(1.0, np.max(np.abs(w))):
+        raise SolverError("left/right iterative eigenvalues do not pair up")
+    return w, _fix_phases(vr), vl[:, cols[np.argsort(rows)]]
+
+
+def _biorthonormalize(sub, wb, vrb, cand):
+    """Left vectors with L^H R = I from candidates `cand`, and the two-sided residuals.
+
+    One solve serves every source of candidates (zgeev's left vectors, the
+    weight certificate, adjoint Ritz vectors); then the checks: the eigenvalue
+    condition number against CONDITION_LIMIT, |L^H R - I| <= 1e-9, and
+    residuals on both sides.
+    """
+    try:
+        left_h = np.linalg.solve(cand.conj().T @ vrb, cand.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
+    vlb = left_h.conj().T
+    # with unit right vectors and L^H R = I, |l| is the eigenvalue condition number
+    lnorm = np.linalg.norm(vlb, axis=0)
+    if not lnorm.max() <= CONDITION_LIMIT:
+        raise SolverError(
+            f"defective eigenbasis: eigenvalue condition number {lnorm.max():.3e} "
+            f"exceeds {CONDITION_LIMIT:.1e}"
+        )
+    # the supports of different blocks are disjoint, so their cross terms vanish
+    cross = np.abs(left_h @ vrb - np.eye(wb.size)).max()
+    if not cross <= 1e-9:
+        raise SolverError(f"bi-orthonormalization failed, max |L^H R - I| = {cross:.3e}")
+    # residuals on the matrix part (a scalar offset shifts values, not residuals)
+    right_res = np.linalg.norm(sub @ vrb - vrb * wb, axis=0)
+    left_res = np.linalg.norm(sub.conj().T @ vlb - vlb * wb.conj(), axis=0) / lnorm
+    return vlb, np.maximum(right_res, left_res)
+
+
+def _check_request(op: OperatorMatrix, count, method: str) -> None:
+    dim = op.dim
+    if count is not None:
+        if not isinstance(count, (int, np.integer)) or not (1 <= count <= dim):
+            raise ConfigurationError(f"count must be in [1, {dim}], got {count}")
+    if method == "dense":
+        if dim > DENSE_DIM_LIMIT:
+            raise ConfigurationError(
+                f"dense solve capped at dimension {DENSE_DIM_LIMIT} (got {dim}); "
+                "use method='arpack'"
+            )
+    elif method == "arpack":
+        if count is None:
+            raise ConfigurationError("iterative method requires an explicit count")
+        if count > dim - 2:
+            raise ConfigurationError(
+                f"iterative method needs count <= dim-2 (= {dim - 2}); use dense"
+            )
+    else:
+        raise ConfigurationError(f"unknown eigensolver method {method!r}")
+
+
+def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
+    """Validated head of the spectrum, one block of `connected_blocks` at a time.
+
+    Returns (values, pair): the `count` (all when None) leading eigenvalues of
+    matrix + offset, ground first, every one residual-checked on both sides,
+    and `pair(i)` expanding the i-th to an EigenPair with full-length vectors,
+    so a caller that reads only values and a few pairs never holds the rest.
+    Each block contributes its values to one slot range in block order, so
+    the sort breaks exact ties by block order.  1x1 blocks are read off the
+    diagonal; `method="arpack"` runs ARPACK on blocks of at least count + 2
+    states (their `count` LR-most pairs) and solves smaller ones densely.
+    """
+    _check_request(op, count, method)
     dim = op.dim
     matrix = op.matrix.tocsr()
     blocks = connected_blocks(matrix)
     sizes = np.array([b.size for b in blocks])
-    starts = np.cumsum(sizes) - sizes
-    w = np.empty(dim, dtype=complex)
-    residual = np.zeros(dim)  # exact for 1x1 blocks: both vectors are unit vectors
+    heads = sizes.copy()
+    iterative = np.zeros(sizes.size, dtype=bool)
+    if method == "arpack":
+        iterative = sizes >= count + 2
+        heads[iterative] = count
+    starts = np.cumsum(heads) - heads
+    w = np.empty(heads.sum(), dtype=complex)
+    residual = np.zeros(w.size)  # exact for 1x1 blocks: both vectors are unit vectors
     w[starts[sizes == 1]] = matrix.diagonal()[[b[0] for b in blocks if b.size == 1]]
-    vectors = {}
+    balance = _weight_balance(matrix, op.basis_dims) if iterative.any() else None
+    vectors, pending = {}, {}
     for n, (idx, start) in enumerate(zip(blocks, starts)):
         if idx.size == 1:
             continue
         sub = matrix[idx][:, idx]
-        wb, vlb, vrb = sla.eig(sub.toarray(), left=True, right=True)
-        vrb = _fix_phases(vrb)
-        try:
-            left_h = np.linalg.solve(vlb.conj().T @ vrb, vlb.conj().T)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
-        vlb = left_h.conj().T
-        # with unit right vectors and L^H R = I, |l| is the eigenvalue condition number
-        lnorm = np.linalg.norm(vlb, axis=0)
-        if not lnorm.max() <= CONDITION_LIMIT:
-            raise SolverError(
-                f"defective eigenbasis: eigenvalue condition number {lnorm.max():.3e} "
-                f"exceeds {CONDITION_LIMIT:.1e}"
-            )
-        # the supports of different blocks are disjoint, so their cross terms vanish
-        cross = np.abs(left_h @ vrb - np.eye(idx.size)).max()
-        if not cross <= 1e-9:
-            raise SolverError(f"bi-orthonormalization failed, max |L^H R - I| = {cross:.3e}")
-        # residuals on the matrix part (a scalar offset shifts values, not residuals)
-        right_res = np.linalg.norm(sub @ vrb - vrb * wb, axis=0)
-        left_res = np.linalg.norm(sub.conj().T @ vlb - vlb * wb.conj(), axis=0) / lnorm
-        w[start : start + idx.size] = wb
-        residual[start : start + idx.size] = np.maximum(right_res, left_res)
-        vectors[n] = (vrb, vlb)
+        if iterative[n]:
+            local = None
+            if balance is not None:
+                local = (balance[0][idx][:, idx], balance[1][idx], balance[2][idx])
+            wb, vrb, cand = _arpack_block(sub, count, local)
+            pending[n] = (sub, vrb, cand)
+        else:
+            wb, cand, vrb = sla.eig(sub.toarray(), left=True, right=True)
+            vrb = _fix_phases(vrb)
+            vlb, residual[start : start + wb.size] = _biorthonormalize(sub, wb, vrb, cand)
+            vectors[n] = (vrb, vlb)
+        w[start : start + wb.size] = wb
 
-    keep = _sorted_order(w)[: dim if count is None else count]
+    keep = _sorted_order(w)[: w.size if count is None else count]
+    owner = np.repeat(np.arange(len(blocks)), heads)
+    # an ARPACK block validates only the heads it returns: a cluster split by
+    # the block's own cut at `count` can fail the checks only if returned
+    for n, (sub, vrb, cand) in pending.items():
+        cols = keep[owner[keep] == n] - starts[n]
+        if cols.size:
+            vlb = np.zeros_like(vrb)
+            vlb[:, cols], residual[starts[n] + cols] = _biorthonormalize(
+                sub, w[starts[n] + cols], vrb[:, cols], cand[:, cols]
+            )
+            vectors[n] = (vrb, vlb)
     worst = residual[keep].max()
     if not worst <= residual_tol:
         raise SolverError(
             f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
         )
-    owner = np.repeat(np.arange(len(blocks)), sizes)
-    pairs = []
-    for slot in keep:
+    values = w[keep] + op.offset
+
+    def pair(i: int) -> EigenPair:
+        slot = keep[i]
         n = owner[slot]
         right = np.zeros(dim, dtype=complex)
         left = np.zeros(dim, dtype=complex)
@@ -182,15 +334,14 @@ def _dense_spectrum(op: OperatorMatrix, count, residual_tol: float) -> list:
         else:
             right[blocks[n]] = 1.0
             left[blocks[n]] = 1.0
-        pairs.append(
-            EigenPair(
-                eigenvalue=complex(w[slot] + op.offset),
-                right_vector=right,
-                left_vector=left,
-                residual=float(residual[slot]),
-            )
+        return EigenPair(
+            eigenvalue=complex(values[i]),
+            right_vector=right,
+            left_vector=left,
+            residual=float(residual[slot]),
         )
-    return pairs
+
+    return values, pair
 
 
 def eigen_spectrum(
@@ -202,93 +353,21 @@ def eigen_spectrum(
 ) -> list:
     """Eigenpairs of the total operator (matrix + offset), sorted ground-first.
 
-    Dense path solves the left/right problem of each block of
-    `connected_blocks` (the symmetry sectors, see the module docstring),
-    enforces L^H R = I by one solve per block and checks it there, and
-    rejects a block whose eigenbasis is (numerically) defective; 1x1 blocks
-    are read off the diagonal.  Only the `count` returned pairs are expanded
-    to full-length vectors.  The iterative path (ARPACK on the operator and its
-    adjoint, deterministic start vector) is available for larger dimensions
-    and requires `count`.  Every returned pair is residual-validated on both
-    sides; failure raises with the worst residual reported.
+    Both paths work on the blocks of `connected_blocks` (the symmetry sectors,
+    see the module docstring) and read 1x1 blocks off the diagonal.  The
+    dense path solves the left/right problem of every other block.  The
+    iterative path (`method="arpack"`, requires `count`) runs ARPACK for the
+    `count` leading pairs of each block of at least count + 2 states -- once,
+    on the balanced block, when `operator.symmetry_weight` certifies the
+    operator, otherwise on the block and its adjoint -- and solves smaller
+    blocks densely.  Every block then goes through the same checks: L^H R = I
+    enforced by one solve and verified, a (numerically) defective eigenbasis
+    rejected, and every returned pair residual-validated on both sides;
+    failure raises SolverError with the worst value reported.  Only the
+    `count` returned pairs are expanded to full-length vectors.
     """
-    dim = op.dim
-    if count is not None:
-        if not isinstance(count, (int, np.integer)) or not (1 <= count <= dim):
-            raise ConfigurationError(f"count must be in [1, {dim}], got {count}")
-    if method == "dense":
-        if dim > DENSE_DIM_LIMIT:
-            raise ConfigurationError(
-                f"dense solve capped at dimension {DENSE_DIM_LIMIT} (got {dim}); "
-                "use method='arpack'"
-            )
-        return _dense_spectrum(op, count, residual_tol)
-    elif method == "arpack":
-        if count is None:
-            raise ConfigurationError("iterative method requires an explicit count")
-        if count > dim - 2:
-            raise ConfigurationError(
-                f"iterative method needs count <= dim-2 (= {dim - 2}); use dense"
-            )
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        # ARPACK's restarted Arnoldi can lose an eigenvalue sitting exactly at
-        # zero (the generator's stationary mode), because A v no longer feeds
-        # that direction.  A real positive diagonal shift keeps the wanted
-        # eigenvalue away from zero and leaves eigenvectors and LR ordering
-        # untouched; it is subtracted back from the Ritz values below.
-        shift = 1.0 + float(np.abs(op.matrix).sum(axis=1).max())
-        shifted = (op.matrix + shift * sparse.identity(dim, dtype=complex, format="csr")).tocsr()
-        try:
-            w, vr = spla.eigs(shifted, k=count, which="LR", v0=v0)
-            wl, vl_raw = spla.eigs(shifted.conj().T.tocsr(), k=count, which="LR", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"iterative eigensolver did not converge: {exc}")
-        w = w - shift
-        wl = wl - shift
-        # adjoint eigenvalues are conjugates; pair them to the right set
-        cost = np.abs(np.conj(wl)[None, :] - w[:, None])
-        rows, cols = _min_sum_assignment(cost)
-        if np.max(cost[rows, cols]) > 1e-6 * max(1.0, np.max(np.abs(w))):
-            raise SolverError("left/right iterative eigenvalues do not pair up")
-        vl = np.array(vl_raw[:, cols[np.argsort(rows)]], dtype=complex)
-        order = _sorted_order(w)
-        w, vr, vl = w[order], vr[:, order], vl[:, order]
-        vr = _fix_phases(vr)
-        for i in range(w.size):
-            d = np.vdot(vl[:, i], vr[:, i])
-            if abs(d) < 1e-12:
-                raise SolverError(
-                    "degenerate cluster defeats the iterative pairing; use dense"
-                )
-            vl[:, i] = vl[:, i] / np.conj(d)
-    else:
-        raise ConfigurationError(f"unknown eigensolver method {method!r}")
-
-    n_keep = count
-    # residuals on the matrix part (a scalar offset shifts values, not residuals)
-    right_res = op.matrix @ vr[:, :n_keep] - vr[:, :n_keep] * w[None, :n_keep]
-    left_res = op.matrix.conj().T @ vl[:, :n_keep] - vl[:, :n_keep] * np.conj(w[None, :n_keep])
-    pairs = []
-    worst = 0.0
-    for i in range(n_keep):
-        rr = float(np.linalg.norm(right_res[:, i]))  # right vectors are unit norm
-        lnorm = np.linalg.norm(vl[:, i])
-        lr = float(np.linalg.norm(left_res[:, i])) / lnorm if lnorm > 0 else np.inf
-        res = max(rr, lr)
-        worst = max(worst, res)
-        pairs.append(
-            EigenPair(
-                eigenvalue=complex(w[i] + op.offset),
-                right_vector=vr[:, i].copy(),
-                left_vector=vl[:, i].copy(),
-                residual=res,
-            )
-        )
-    if worst > residual_tol:
-        raise SolverError(
-            f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
-        )
-    return pairs
+    values, pair = _solve(op, count, method, residual_tol)
+    return [pair(i) for i in range(values.size)]
 
 
 def ground_state(op: OperatorMatrix, *, method: str = "dense", residual_tol: float = 1e-9):
@@ -373,11 +452,11 @@ def perturbation_series(
         raise ConfigurationError(
             f"operator dimensions differ: {op0.dim} vs {op1.dim}"
         )
-    pairs = eigen_spectrum(op0, method="dense", residual_tol=residual_tol)
-    lam_g = pairs[0].eigenvalue
-    if len(pairs) > 1:
-        gaps = [abs(p.eigenvalue - lam_g) for p in pairs[1:]]
-        gap = min(gaps)
+    values, pair = _solve(op0, None, "dense", residual_tol)
+    ground = pair(0)
+    lam_g = ground.eigenvalue
+    if values.size > 1:
+        gap = np.abs(values[1:] - lam_g).min()
         if gap < degeneracy_tol:
             raise SolverError(
                 f"ground level is (near-)degenerate: nearest gap {gap:.3e} < "
@@ -388,8 +467,8 @@ def perturbation_series(
         return PerturbationSeries(tuple(orders))
 
     dim = op0.dim
-    right = pairs[0].right_vector
-    left = pairs[0].left_vector
+    right = ground.right_vector
+    left = ground.left_vector
     # intermediate normalization <L|psi_0> = 1
     d = np.vdot(left, right)
     if abs(d) < 1e-12:
@@ -421,13 +500,14 @@ def perturbation_series(
 
 
 def _min_sum_assignment(cost: np.ndarray):
-    """(rows, cols) of a min-sum assignment of a square cost matrix.
+    """(rows, cols) of a min-sum assignment of an n x m cost matrix, n <= m.
 
-    Returns exactly what `scipy.optimize.linear_sum_assignment` returns.  When
-    every entry is finite, every row minimum is strictly below the rest of its
-    row and the row argmins are distinct columns, the argmin permutation is the
-    unique optimum -- any other permutation leaves some row's minimum for a
-    strictly larger entry -- and scipy's shortest-augmenting-path solver takes
+    Every row is assigned a distinct column.  Returns exactly what
+    `scipy.optimize.linear_sum_assignment` returns.  When every entry is
+    finite, every row minimum is strictly below the rest of its row and the
+    row argmins are distinct columns, the argmin assignment is the unique
+    optimum -- any other assignment leaves some row's minimum for a strictly
+    larger entry -- and scipy's shortest-augmenting-path solver takes
     exactly these one-step paths, so it is returned without loading scipy's
     solver.  Anything else (ties, repeated argmins, non-finite entries) goes to
     scipy; a cost it rejects (NaN, or no finite assignment) raises SolverError.
@@ -435,7 +515,7 @@ def _min_sum_assignment(cost: np.ndarray):
     n = cost.shape[0]
     if np.isfinite(cost).all():
         cols = np.argmin(cost, axis=1)
-        second = np.partition(cost, 1, axis=1)[:, 1] if n > 1 else np.inf
+        second = np.partition(cost, 1, axis=1)[:, 1] if cost.shape[1] > 1 else np.inf
         if (cost[np.arange(n), cols] < second).all() and np.unique(cols).size == n:
             return np.arange(n), cols
     from scipy.optimize import linear_sum_assignment

@@ -60,6 +60,24 @@ def test_spectrum_json_format(tmp_path):
     assert ground[1] == -2.0  # -ebar for gamma = 0.5, N = 2
 
 
+def test_scaled_variant_spectrum_builds_its_basis_at_the_effective_gamma(tmp_path):
+    # kappa^(1 - 2p) != 1 moves the diffusion coefficient, so the basis must be
+    # variance-matched to gamma * kappa^(1 - 2p), not to params.gamma
+    kappa, p_exp = 0.04, 0.3
+    cfg = _write_config(
+        tmp_path,
+        params={"kappa": kappa, "p_exp": p_exp},
+        solver={"variant": "scaled", "count": 4},
+    )
+    out = tmp_path / "sc"
+    assert main(["--config", cfg, "--out", str(out), "spectrum"]) == 0
+    rows = (out / "spectrum.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 4
+    gamma_eff = 0.5 * kappa ** (1.0 - 2.0 * p_exp)
+    ground = float(rows[0].split(",")[1])
+    assert abs(ground - (-2 * gamma_eff * 2)) <= 1e-12  # -ebar_N = -N gamma_eff N
+
+
 def test_overlaps_suite_passes(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "ov"

@@ -268,6 +268,27 @@ def test_ground_pair_residual_and_sparse_path(monkeypatch):
     assert np.isclose(np.linalg.norm(v_block), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d, m, n", [(1, 7, 5), (1, 5, 3), (2, 3, 2)])
+def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n):
+    # the blocks are scattered from the permuted CSR arrays; each must equal
+    # the dense copy of the sparse slice of the same diagonal square, bit for bit
+    lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+    h = build_hamiltonian(lat, 0.7, 0.0, 0.0, enumerate_basis(lat.num_modes, n, lat), normal_order=True)
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
+    ground_pair(h)
+    blocks = connected_blocks(h.matrix)
+    perm = np.concatenate(blocks)
+    grouped = h.matrix[perm][:, perm]
+    assert len(seen) == len(blocks) > 1
+    start = 0
+    for got, stop in zip(seen, np.cumsum([b.size for b in blocks])):
+        ref = grouped[start:stop, start:stop].toarray()
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        start = stop
+
+
 def test_mirror_relabeling_is_exact_symmetry():
     """k -> -k relabeling with even couplings permutes states and fixes H."""
     lat = _lat(5)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg as sla
 import scipy.optimize
 from scipy import sparse
 
+import phasegas.spectral as spectral
 from phasegas.errors import ConfigurationError, SolverError
 from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
@@ -18,11 +20,15 @@ from phasegas.operator import (
     assemble_full,
     assemble_weak,
     cubic_drift_operator,
+    scaled_operator,
+    symmetry_weight,
 )
 from phasegas.params import ModelParams
 from phasegas.spectral import (
     EigenPair,
     _min_sum_assignment,
+    _solve,
+    _weight_balance,
     calibrate_mu,
     connected_blocks,
     eigen_spectrum,
@@ -548,3 +554,136 @@ def test_dense_count_and_ground_state_are_heads_of_the_full_spectrum(op, data):
     assert np.array_equal(g.left_vector, full[0].left_vector)
     ref = sla.eig(op.matrix.toarray(), right=False) + op.offset
     assert multiset_match_error([p.eigenvalue for p in full], ref) <= 1e-10
+
+
+# -- blocked iterative path ------------------------------------------------------
+
+
+def test_arpack_at_epsilon_zero_equals_dense():
+    # every block is 1x1 at epsilon = 0, so no Arnoldi run can skip the
+    # degenerate -3 level that a symmetric start vector never reaches
+    lat, par, bas = _setup(m=5, n_max=4, epsilon=0.0)
+    op = assemble_full(par, lat, bas)
+    dense = eigen_spectrum(op, 6)
+    arpack = eigen_spectrum(op, 6, method="arpack")
+    assert [p.eigenvalue for p in arpack] == [-2, -3, -3, -4, -4, -4]
+    for a, d in zip(arpack, dense, strict=True):
+        assert a.eigenvalue == d.eigenvalue and a.residual == 0.0
+        assert np.array_equal(a.right_vector, d.right_vector)
+        assert np.array_equal(a.left_vector, d.left_vector)
+
+
+def _potential(lat, u):
+    if u == 0.0:
+        return None
+    u_k = np.full(lat.num_modes, u, dtype=complex)
+    u_k[0] = 0.0
+    return u_k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.sampled_from([3, 5]),
+    n_max=st.sampled_from([2, 3]),
+    epsilon=st.floats(-0.5, 0.5),
+    count=st.integers(1, 6),
+    u=st.sampled_from([0.0, 0.3, -0.7]),
+)
+def test_arpack_heads_equal_dense_heads(m, n_max, epsilon, count, u):
+    # u = 0 takes the weight-certified single run, u != 0 the adjoint run
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=m)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=epsilon, u_k=_potential(lat, u))
+    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, n_max))
+    count = min(count, op.dim - 2)
+    full = np.array([p.eigenvalue for p in eigen_spectrum(op)])
+    pairs = eigen_spectrum(op, count, method="arpack")
+    got = np.array([p.eigenvalue for p in pairs])
+    # the same levels in the same order; a conjugate pair tied in the sort
+    # key may come out in either order, or either member at the cut
+    key = lambda z: np.stack([z.real, np.abs(z.imag)])  # noqa: E731
+    assert np.abs(key(got) - key(full[:count])).max() <= 1e-9
+    assert np.abs(got[:, None] - full[None, :]).min(axis=1).max() <= 1e-9
+    right = np.array([p.right_vector for p in pairs]).T
+    left = np.array([p.left_vector for p in pairs]).T
+    assert np.abs(left.conj().T @ right - np.eye(count)).max() <= 1e-9
+    total = op.matrix + op.offset * sparse.identity(op.dim)
+    assert np.linalg.norm(total @ right - right * got, axis=0).max() <= 1e-9
+    assert np.linalg.norm(total.conj().T @ left - left * got.conj(), axis=0).max() <= 1e-9 * (
+        np.linalg.norm(left, axis=0).max()
+    )
+
+
+def _weight_certified(op):
+    return _weight_balance(op.matrix.tocsr(), op.basis_dims) is not None
+
+
+def test_weight_certificate_holds_exactly_for_constant_potential_in_one_dimension():
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    bas = HermiteBasis(lat, 0.5, 3)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2)
+    assert _weight_certified(assemble_weak(par, lat, bas))
+    assert _weight_certified(assemble_full(par, lat, bas))
+    assert _weight_certified(assemble_full(replace(par, epsilon=-0.45), lat, bas))
+    scaled = ModelParams(gamma=0.5, n_particles=2, kappa=0.04, p_exp=0.3)
+    gamma_eff = 0.5 * 0.04 ** 0.4
+    assert _weight_certified(scaled_operator(scaled, HermiteBasis(lat, gamma_eff, 3)))
+    # the potential term is raising-only, and in d = 2 the Gram pairing no
+    # longer makes the quadratic drift antisymmetric
+    with_u = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, 0.3))
+    assert not _weight_certified(assemble_full(with_u, lat, bas))
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    assert not _weight_certified(assemble_full(par, lat2, HermiteBasis(lat2, 0.5, 2)))
+    # a weight that does not fit the dimension, or overflows, certifies nothing
+    op = assemble_full(par, lat, bas)
+    assert _weight_balance(op.matrix.tocsr(), (op.dim + 1,)) is None
+    big = OperatorMatrix(sparse.identity(200, dtype=complex, format="csr"), 0.0, (200,), "t")
+    assert not np.isfinite(symmetry_weight(big.basis_dims)).all()
+    assert not _weight_certified(big)
+
+
+@pytest.mark.parametrize("u, runs_per_block", [(0.0, 1), (0.3, 2)])
+def test_arpack_runs_per_block_follow_the_certificate(monkeypatch, u, runs_per_block):
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, u))
+    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+    large = sum(b.size >= 6 for b in connected_blocks(op.matrix))
+    checks, runs = [], []
+    balance, eigs = spectral._weight_balance, spectral.spla.eigs
+    monkeypatch.setattr(spectral, "_weight_balance", lambda *a: checks.append(1) or balance(*a))
+    monkeypatch.setattr(spectral.spla, "eigs", lambda *a, **k: runs.append(1) or eigs(*a, **k))
+    eigen_spectrum(op, 4, method="arpack")
+    assert len(checks) == 1 and len(runs) == runs_per_block * large > 0
+
+
+def test_arpack_with_a_false_certificate_raises(monkeypatch):
+    # the certificate is tested, never assumed: forcing the weight path on an
+    # operator the weight does not symmetrize yields wrong left vectors,
+    # which the bi-orthonormalization and residual checks must reject
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, 0.3))
+    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+    eigen_spectrum(op, 4, method="arpack")  # the adjoint path passes
+
+    def forged(matrix, basis_dims):
+        weight = symmetry_weight(basis_dims)
+        return matrix, np.ones(matrix.shape[0]), np.sign(weight)
+
+    monkeypatch.setattr(spectral, "_weight_balance", forged)
+    with pytest.raises(SolverError):
+        eigen_spectrum(op, 4, method="arpack")
+
+
+def test_solve_returns_validated_values_and_expands_only_on_request():
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble_full(par, lat, bas)
+    pairs = eigen_spectrum(op)
+    values, pair = _solve(op, None, "dense", 1e-9)
+    assert np.array_equal(values, np.array([p.eigenvalue for p in pairs]))
+    for i in (0, 7, op.dim - 1):
+        got = pair(i)
+        assert got.eigenvalue == pairs[i].eigenvalue and got.residual == pairs[i].residual
+        assert np.array_equal(got.right_vector, pairs[i].right_vector)
+        assert np.array_equal(got.left_vector, pairs[i].left_vector)
+    # every returned value is residual-checked, read or not
+    with pytest.raises(SolverError, match="exceeds tolerance"):
+        _solve(op, None, "dense", 1e-300)
