@@ -41,7 +41,10 @@ class FockBasis:
     """Occupation-number basis of one fixed-N sector, descending-lex ordered.
 
     `build_hamiltonian` keeps the n~_k matrices it builds in `_shifts`, keyed
-    by (lattice, k), so Hamiltonians on one basis share them.
+    by (lattice, k), and the coupling-independent interaction terms
+    n~_k n~_{-k} (normal-ordered: minus their diagonal) in `_pair_terms`,
+    keyed by (lattice, k, normal_order), so Hamiltonians on one basis share
+    them and a build only scales and sums.
     """
 
     modes: tuple
@@ -49,6 +52,7 @@ class FockBasis:
     states: tuple
     index: dict = field(repr=False)
     _shifts: dict = field(init=False, default_factory=dict, repr=False)
+    _pair_terms: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -212,18 +216,22 @@ def build_hamiltonian(
             basis._shifts[key] = shift_operator(basis, lattice, mode)
         return basis._shifts[key]
 
+    def _pair_term(mode):
+        key = (lattice, mode, normal_order)
+        if key not in basis._pair_terms:
+            term = _shift(mode) @ _shift(tuple(-c for c in mode))
+            if normal_order:
+                corr = _pair_density_diagonal(basis, lattice, mode)
+                term = term - sparse.csr_matrix(
+                    (corr, (np.arange(dim), np.arange(dim))), shape=(dim, dim)
+                )
+            basis._pair_terms[key] = term
+        return basis._pair_terms[key]
+
     inv_v = 1.0 / lattice.volume
     for i, mode in enumerate(lattice.modes):
-        if u_int[i] == 0.0:
-            continue
-        neg = tuple(-c for c in mode)
-        term = _shift(mode) @ _shift(neg)
-        if normal_order:
-            corr = _pair_density_diagonal(basis, lattice, mode)
-            term = term - sparse.csr_matrix(
-                (corr, (np.arange(dim), np.arange(dim))), shape=(dim, dim)
-            )
-        ham = ham + (u_int[i] * inv_v) * term
+        if u_int[i] != 0.0:
+            ham = ham + (u_int[i] * inv_v) * _pair_term(mode)
 
     ham = ham.tocsr().astype(complex)
     ham.sum_duplicates()

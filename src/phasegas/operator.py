@@ -54,6 +54,8 @@ from .lattice import ModeLattice
 from .params import ModelParams
 
 PRUNE_REL = 1e-15
+# the largest side of a dense array: a block handed to LAPACK, or a D x D matrix
+DENSE_DIM_LIMIT = 4096
 
 
 # -- real-coordinate bookkeeping ---------------------------------------------
@@ -161,6 +163,10 @@ class OperatorMatrix:
         return self.matrix @ vec + self.offset * vec
 
     def total_dense(self) -> np.ndarray:
+        if self.dim > DENSE_DIM_LIMIT:
+            raise ConfigurationError(
+                f"dense matrix capped at dimension {DENSE_DIM_LIMIT} (got {self.dim})"
+            )
         out = np.asarray(self.matrix.todense(), dtype=complex)
         out[np.diag_indices_from(out)] += self.offset
         return out
@@ -377,6 +383,21 @@ def symmetry_weight(basis_dims) -> np.ndarray:
             factor = np.where(n % 2 == 0, factor, -factor)
         w = np.outer(w, factor).ravel()
     return w
+
+
+def hermite_degrees(basis_dims) -> np.ndarray:
+    """Total Hermite degree sum_c n_c of every tensor basis state, in basis order.
+
+    For the operators assembled here S^-1 L S is real, with S = diag(i^deg):
+    the entries that change the total degree by an even amount are real and
+    those that change it by an odd amount are imaginary, the PT symmetry of
+    an i*epsilon coupling.  `spectral._real_form` tests this on the assembled
+    matrix, entry by entry, rather than assuming it.
+    """
+    deg = np.zeros(1, dtype=np.int64)
+    for size in basis_dims:
+        deg = (deg[:, None] + np.arange(size)).ravel()
+    return deg
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -31,6 +31,20 @@ source -- zgeev, the weight, adjoint Ritz vectors -- go through the same
 bi-orthonormalization and checks, so a degenerate cluster cut inside a block
 raises SolverError instead of returning a wrong pair.
 
+Both solvers work in real arithmetic when the operator has a real form.  In
+the Hermite basis the entries of L that change the total degree by an even
+amount are real and those that change it by an odd amount -- the quadratic
+drift i*epsilon*d(phi phi .), like the i*phi^3 coupling of PT-symmetric
+quantum mechanics (C. M. Bender and S. Boettcher, Phys. Rev. Lett. 80, 5243,
+1998), and the potential term -- are imaginary.  With S = diag(i^deg), deg the
+total Hermite degree of a basis state, A = S^-1 L S is then exactly real
+(`_real_form`, a certificate tested on every call).  LAPACK runs dgeev and
+ARPACK its real iteration on the blocks of A, the weight certificate uses
+W' = (-1)^deg W on A, and the vectors map back exactly, r = S r_A and
+l = S l_A.  Phases, bi-orthonormalization and every check run against the
+original complex block.  An operator without a real form is solved the same
+way, in complex arithmetic, with S = I.
+
 The epsilon series for the ground eigenvalue uses the standard
 Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
 
@@ -55,10 +69,15 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverError
 from .hermite import HermiteBasis
 from .lattice import ModeLattice
-from .operator import OperatorMatrix, assemble_full, symmetry_weight
+from .operator import (
+    DENSE_DIM_LIMIT,
+    OperatorMatrix,
+    assemble_full,
+    hermite_degrees,
+    symmetry_weight,
+)
 from .params import ModelParams
 
-DENSE_DIM_LIMIT = 4096
 # Beyond this eigenvalue condition number half the digits of the eigenvalue
 # are lost to roundoff, the signature of a (numerically) defective eigenvalue.
 CONDITION_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
@@ -132,19 +151,62 @@ def connected_blocks(matrix) -> list:
     return blocks
 
 
-def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
-    """(balanced matrix D L D^-1, D, sign W) if `symmetry_weight` certifies L, else None.
+_UNIT_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
 
-    D = sqrt(|W| / max|W|).  W L = (W L)^T holds exactly when S B is symmetric
-    for B = D L D^-1 and S = sign(W), so the test runs on B, where every entry
+
+def _real_form(matrix: sparse.csr_matrix, basis_dims):
+    """(real A = S^-1 L S, unit phases diag S) if the operator has a real form, else (L, None).
+
+    S = diag(i^deg), with deg the total Hermite degree of a basis state
+    (`operator.hermite_degrees`).  Entry (r, c) of S^-1 L S is
+    i^((deg_c - deg_r) mod 4) L_rc, formed by swapping and negating real and
+    imaginary parts, so the map is exact.  It is a real form when every
+    imaginary part comes out exactly 0: a certificate checked in one pass
+    over the stored entries at every call.  When the first stored entry with
+    an odd degree difference comes out negative, conj(S) is used instead,
+    which negates every odd entry; so L(epsilon) and its conjugate
+    L(-epsilon) have the same real form bit for bit.  A dimension that does
+    not match `basis_dims`, or any nonzero imaginary part, leaves L as it is.
+    """
+    dim = matrix.shape[0]
+    if int(np.prod(basis_dims)) != dim:
+        return matrix, None
+    deg = hermite_degrees(basis_dims)
+    rows = np.repeat(np.arange(dim), np.diff(matrix.indptr))
+    turn = (deg[matrix.indices] - deg[rows]) % 4
+    re, im = matrix.data.real, matrix.data.imag
+    if not (np.choose(turn, (im, re, -im, -re)) == 0.0).all():
+        return matrix, None
+    real = np.choose(turn, (re, -im, -re, im))
+    phase = _UNIT_PHASES[deg % 4]
+    odd = turn % 2 == 1
+    if odd.any() and real[np.argmax(odd)] < 0.0:
+        real[odd] = -real[odd]
+        phase = phase.conj()
+    form = sparse.csr_matrix((real, matrix.indices, matrix.indptr), shape=matrix.shape)
+    return form, phase
+
+
+def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
+    """(balanced matrix D M D^-1, D, sign of the weight) if the weight certifies M, else None.
+
+    The weight is W = `symmetry_weight` for a complex matrix, and
+    W' = (-1)^deg W for a real one, the real form A = S^-1 L S of
+    `_real_form`: with s = diag S, s^2 = (-1)^deg, and W' A = (W' A)^T holds
+    exactly when W L = (W L)^T does.  Either way the test decides.
+    D = sqrt(|W| / max|W|).  The weight symmetrizes M exactly when sign(W) B
+    is symmetric for B = D M D^-1, so the test runs on B, where every entry
     is measured against the scale of the matrix the iteration sees:
-    max|S B - (S B)^T| <= 1e-13 max|B|, in one pass over the stored entries.
-    A weight that does not match the dimension or overflows certifies nothing.
+    max|sign(W) B - (sign(W) B)^T| <= 1e-13 max|B|, in one pass over the
+    stored entries.  A weight that does not match the dimension or overflows
+    certifies nothing.
     """
     dim = matrix.shape[0]
     if int(np.prod(basis_dims)) != dim:
         return None
     weight = symmetry_weight(basis_dims)
+    if not np.iscomplexobj(matrix):
+        weight = np.where(hermite_degrees(basis_dims) % 2 == 0, weight, -weight)
     if not np.isfinite(weight).all():
         return None
     scale = np.sqrt(np.abs(weight) / np.abs(weight).max())
@@ -157,18 +219,22 @@ def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
 
 
 def _arpack_block(sub, count: int, balance):
-    """(values, unit right vectors, left candidates) of the `count` LR-most pairs of a block.
+    """(values, right vectors, left candidates) of the `count` LR-most pairs of a block.
 
-    `balance` is the block's (balanced block, D, sign W) when the weight
-    certificate holds: one Arnoldi run on the balanced block, whose right
-    vectors map back through D^-1, and left candidates conj(W R).  Otherwise
-    a second run on the adjoint supplies the left candidates, paired to the
-    right values by `_min_sum_assignment`.  The start vector is seeded and
-    non-symmetric, so no sign symmetry of the block hides a level from it.
+    `sub` is a block of the working matrix, real or complex, and the run is
+    in its arithmetic.  `balance` is the block's (balanced block, D, sign W)
+    when the weight certificate holds: one Arnoldi run on the balanced
+    block, whose right vectors map back through D^-1, and left candidates
+    conj(W R).  Otherwise a second run on the adjoint supplies the left
+    candidates, paired to the right values by `_min_sum_assignment`.  The
+    start vector is seeded and non-symmetric, so no sign symmetry of the
+    block hides a level from it.
     """
     size = sub.shape[0]
     rng = np.random.default_rng(_ARPACK_SEED)
-    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v0 = rng.standard_normal(size)
+    if np.iscomplexobj(sub):
+        v0 = v0 + 1j * rng.standard_normal(size)
 
     def run(matrix, k):
         # ARPACK's restarted Arnoldi can lose an eigenvalue sitting exactly at
@@ -176,7 +242,7 @@ def _arpack_block(sub, count: int, balance):
         # shift keeps the wanted values away from zero and leaves vectors and
         # LR ordering untouched
         shift = 1.0 + float(np.abs(matrix).sum(axis=1).max())
-        shifted = (matrix + shift * sparse.identity(size, dtype=complex, format="csr")).tocsr()
+        shifted = (matrix + shift * sparse.identity(size, dtype=matrix.dtype, format="csr")).tocsr()
         try:
             try:
                 w, v = spla.eigs(shifted, k=k, which="LR", v0=v0)
@@ -192,7 +258,7 @@ def _arpack_block(sub, count: int, balance):
     if balance is not None:
         balanced, scale, sign = balance
         w, vr = run(balanced, count)
-        vr = _fix_phases(vr / scale[:, None])
+        vr = vr / scale[:, None]
         return w, vr, np.conj((sign * scale**2)[:, None] * vr)
     w, vr = run(sub, count)
     # two spare adjoint pairs, so a conjugate pair or a double level that the
@@ -203,7 +269,7 @@ def _arpack_block(sub, count: int, balance):
     rows, cols = _min_sum_assignment(cost)
     if np.max(cost[rows, cols]) > 1e-6 * max(1.0, np.max(np.abs(w))):
         raise SolverError("left/right iterative eigenvalues do not pair up")
-    return w, _fix_phases(vr), vl[:, cols[np.argsort(rows)]]
+    return w, vr, vl[:, cols[np.argsort(rows)]]
 
 
 def _biorthonormalize(sub, wb, vrb, cand):
@@ -241,20 +307,14 @@ def _check_request(op: OperatorMatrix, count, method: str) -> None:
     if count is not None:
         if not isinstance(count, (int, np.integer)) or not (1 <= count <= dim):
             raise ConfigurationError(f"count must be in [1, {dim}], got {count}")
-    if method == "dense":
-        if dim > DENSE_DIM_LIMIT:
-            raise ConfigurationError(
-                f"dense solve capped at dimension {DENSE_DIM_LIMIT} (got {dim}); "
-                "use method='arpack'"
-            )
-    elif method == "arpack":
+    if method == "arpack":
         if count is None:
             raise ConfigurationError("iterative method requires an explicit count")
         if count > dim - 2:
             raise ConfigurationError(
                 f"iterative method needs count <= dim-2 (= {dim - 2}); use dense"
             )
-    else:
+    elif method != "dense":
         raise ConfigurationError(f"unknown eigensolver method {method!r}")
 
 
@@ -268,7 +328,12 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
     Each block contributes its values to one slot range in block order, so
     the sort breaks exact ties by block order.  1x1 blocks are read off the
     diagonal; `method="arpack"` runs ARPACK on blocks of at least count + 2
-    states (their `count` LR-most pairs) and solves smaller ones densely.
+    states (their `count` LR-most pairs) and solves smaller ones densely, up
+    to DENSE_DIM_LIMIT states a block.  Both solvers run on the working
+    matrix of `_real_form` -- the real A = S^-1 L S when it exists, so LAPACK
+    and ARPACK work in real arithmetic, else L itself -- and their vectors
+    map back exactly, r = S r_A and l = S l_A.  Phases, bi-orthonormalization
+    and every check then run against the original complex block.
     """
     _check_request(op, count, method)
     dim = op.dim
@@ -280,25 +345,38 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
     if method == "arpack":
         iterative = sizes >= count + 2
         heads[iterative] = count
+    largest = sizes[~iterative].max(initial=0)
+    if largest > DENSE_DIM_LIMIT:
+        raise ConfigurationError(
+            f"dense solve capped at block dimension {DENSE_DIM_LIMIT} (largest block "
+            f"{largest} of dimension {dim}); use method='arpack'"
+        )
     starts = np.cumsum(heads) - heads
     w = np.empty(heads.sum(), dtype=complex)
     residual = np.zeros(w.size)  # exact for 1x1 blocks: both vectors are unit vectors
     w[starts[sizes == 1]] = matrix.diagonal()[[b[0] for b in blocks if b.size == 1]]
-    balance = _weight_balance(matrix, op.basis_dims) if iterative.any() else None
+    work, phase = _real_form(matrix, op.basis_dims)
+    if phase is None:
+        phase = np.ones(dim)
+    balance = _weight_balance(work, op.basis_dims) if iterative.any() else None
     vectors, pending = {}, {}
     for n, (idx, start) in enumerate(zip(blocks, starts)):
         if idx.size == 1:
             continue
-        sub = matrix[idx][:, idx]
+        sub, block = matrix[idx][:, idx], work[idx][:, idx]
         if iterative[n]:
             local = None
             if balance is not None:
                 local = (balance[0][idx][:, idx], balance[1][idx], balance[2][idx])
-            wb, vrb, cand = _arpack_block(sub, count, local)
+            wb, vrb, cand = _arpack_block(block, count, local)
+        else:
+            wb, cand, vrb = sla.eig(block.toarray(), left=True, right=True)
+        # back from the real form to L's basis, exactly: r = S r_A, l = S l_A
+        vrb = _fix_phases(phase[idx, None] * vrb)
+        cand = phase[idx, None] * cand
+        if iterative[n]:
             pending[n] = (sub, vrb, cand)
         else:
-            wb, cand, vrb = sla.eig(sub.toarray(), left=True, right=True)
-            vrb = _fix_phases(vrb)
             vlb, residual[start : start + wb.size] = _biorthonormalize(sub, wb, vrb, cand)
             vectors[n] = (vrb, vlb)
         w[start : start + wb.size] = wb
@@ -360,11 +438,15 @@ def eigen_spectrum(
     `count` leading pairs of each block of at least count + 2 states -- once,
     on the balanced block, when `operator.symmetry_weight` certifies the
     operator, otherwise on the block and its adjoint -- and solves smaller
-    blocks densely.  Every block then goes through the same checks: L^H R = I
-    enforced by one solve and verified, a (numerically) defective eigenbasis
-    rejected, and every returned pair residual-validated on both sides;
-    failure raises SolverError with the worst value reported.  Only the
-    `count` returned pairs are expanded to full-length vectors.
+    blocks densely, up to DENSE_DIM_LIMIT states a block.  Both run in real
+    arithmetic on the operator's real form S^-1 L S when it has one (see the
+    module docstring), so the eigenvalues of such an operator come in exact
+    conjugate pairs.  Every block then goes through the same checks, against
+    the original complex block: L^H R = I enforced by one solve and verified,
+    a (numerically) defective eigenbasis rejected, and every returned pair
+    residual-validated on both sides; failure raises SolverError with the
+    worst value reported.  Only the `count` returned pairs are expanded to
+    full-length vectors.
     """
     values, pair = _solve(op, count, method, residual_tol)
     return [pair(i) for i in range(values.size)]
@@ -452,6 +534,11 @@ def perturbation_series(
         raise ConfigurationError(
             f"operator dimensions differ: {op0.dim} vs {op1.dim}"
         )
+    if op0.dim > DENSE_DIM_LIMIT:
+        raise ConfigurationError(
+            f"the series factors a dense bordered matrix, capped at dimension "
+            f"{DENSE_DIM_LIMIT} (got {op0.dim})"
+        )
     values, pair = _solve(op0, None, "dense", residual_tol)
     ground = pair(0)
     lam_g = ground.eigenvalue
@@ -531,9 +618,11 @@ def multiset_match_error(a, b) -> float:
 
     The pairing minimizes the summed distance |a_i - b_j| over all
     permutations (`_min_sum_assignment`); the largest distance in that pairing
-    is returned.  Multisets whose nearest partners are unique and distinct
-    (e.g. a spectrum of simple eigenvalues against its exact conjugate) are
-    paired directly; only ties or repeated nearest partners load scipy's
+    is returned.  Two equal finite multisets (equal once sorted, e.g. a real
+    operator's spectrum against its own conjugate) give 0.0 directly, which
+    is what every optimal pairing gives, even with exactly repeated values.
+    Multisets whose nearest partners are unique and distinct are paired
+    directly too; only ties or repeated nearest partners load scipy's
     assignment solver.  Sizes that differ raise ConfigurationError.  A NaN or
     infinite entry raises SolverError: its row of distances is all infinite or
     NaN, so no valid pairing exists.
@@ -542,7 +631,7 @@ def multiset_match_error(a, b) -> float:
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
         raise ConfigurationError(f"multiset sizes differ: {a.size} vs {b.size}")
-    if a.size == 0:
+    if np.isfinite(a).all() and np.array_equal(np.sort(a), np.sort(b)):
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = _min_sum_assignment(cost)

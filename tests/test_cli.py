@@ -154,6 +154,27 @@ def test_compare_table(tmp_path):
     assert len(lines) == 3
 
 
+def test_compare_caps_the_largest_block_not_the_total_dimension(tmp_path, capsys):
+    # at d = 2, m = 3 the functional side's weak operator has dimension
+    # 6561, above the dense cap, but every one of its blocks is 1x1
+    path = tmp_path / "d2.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "lattice": {"d": 2, "m_per_dim": 3},
+                "params": {"gamma": 0.5, "n_particles": 2},
+                "compare": {"couplings": [1.0]},
+            }
+        )
+    )
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "compare"]) == 0, (
+        capsys.readouterr().err
+    )
+    lines = (tmp_path / "o" / "compare.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+
+
 def test_missing_config_is_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("PHASEGAS_CONFIG", raising=False)
     assert main(["spectrum"]) == 2

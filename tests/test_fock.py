@@ -356,6 +356,22 @@ def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
     assert len(rows) == 3
 
 
+def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
+    lat = _lat(5)
+    corrections = []
+    diagonal = fock._pair_density_diagonal
+    monkeypatch.setattr(
+        fock, "_pair_density_diagonal", lambda *a: corrections.append(a[2]) or diagonal(*a)
+    )
+    shared = enumerate_basis(lat.num_modes, 3, lat)
+    for u in (1.0, 0.05, 0.3):
+        for normal_order in (False, True):
+            build_hamiltonian(lat, u, 0.0, 0.0, shared, normal_order=normal_order)
+    # one n~_k n~_{-k} per mode and convention, one diagonal correction per mode
+    assert len(shared._pair_terms) == 2 * lat.num_modes
+    assert len(corrections) == lat.num_modes
+
+
 def test_exports(tmp_path):
     lat = _lat()
     b = enumerate_basis(lat.num_modes, 2, lat)

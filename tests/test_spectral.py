@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from phasegas.params import ModelParams
 from phasegas.spectral import (
     EigenPair,
     _min_sum_assignment,
+    _real_form,
     _solve,
     _weight_balance,
     calibrate_mu,
@@ -687,3 +692,174 @@ def test_solve_returns_validated_values_and_expands_only_on_request():
     # every returned value is residual-checked, read or not
     with pytest.raises(SolverError, match="exceeds tolerance"):
         _solve(op, None, "dense", 1e-300)
+
+
+# -- real form ---------------------------------------------------------------------
+
+
+def _real_form_of(op):
+    return _real_form(op.matrix.tocsr(), op.basis_dims)
+
+
+def _even_gamma_k(lat):
+    # gamma_k = gamma_{-k}, not constant across |k|
+    return np.array([0.5 + 0.1 * abs(mode[0]) for mode in lat.modes])
+
+
+def test_real_form_is_exact_for_every_assembled_operator():
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    bas = HermiteBasis(lat, 0.5, 3)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2)
+    scaled = ModelParams(gamma=0.5, n_particles=2, kappa=0.04, p_exp=0.3)
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    ops = [
+        assemble_weak(par, lat, bas),
+        *(assemble_full(replace(par, epsilon=e), lat, bas) for e in (0.2, -0.2, -0.37)),
+        scaled_operator(scaled, HermiteBasis(lat, 0.5 * 0.04**0.4, 3)),
+        cubic_drift_operator(par, lat, bas),
+        assemble_full(replace(par, u_k=_potential(lat, 0.3)), lat, bas),
+        assemble_full(replace(par, gamma_k=_even_gamma_k(lat)), lat, bas),
+        assemble_full(par, lat2, HermiteBasis(lat2, 0.5, 2)),
+    ]
+    for op in ops:
+        form, phase = _real_form_of(op)
+        assert phase is not None and form.dtype == np.float64
+        assert set(np.unique(phase).tolist()) <= {1, 1j, -1, -1j}
+        # S A S^-1 gives back every stored entry of L bit for bit
+        back = sparse.diags(phase) @ form @ sparse.diags(phase.conj())
+        assert np.array_equal(back.toarray(), op.matrix.toarray())
+    # the off-diagonal blocks of an even gamma_k are real with even degree steps
+    assert _real_form_of(ops[7])[0].nnz > ops[1].matrix.nnz
+
+
+def test_conjugate_operators_have_the_same_real_form():
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    for eps in (0.2, 0.37):
+        plus, s_plus = _real_form_of(assemble_full(replace(par, epsilon=eps), lat, bas))
+        minus, s_minus = _real_form_of(assemble_full(replace(par, epsilon=-eps), lat, bas))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(plus, attr), getattr(minus, attr))
+        assert np.array_equal(s_plus, s_minus.conj())
+
+
+def test_generic_complex_operator_has_no_real_form():
+    rng = np.random.default_rng(SEED + 7)
+    op = _random_op(6, rng)
+    form, phase = _real_form_of(op)
+    assert phase is None and form is not None and np.iscomplexobj(form)
+    # a basis that does not match the dimension certifies nothing either
+    lat, par, bas = _setup(epsilon=0.2)
+    full = assemble_full(par, lat, bas)
+    assert _real_form(full.matrix.tocsr(), (full.dim + 1,))[1] is None
+
+
+def test_real_form_is_weight_certified_exactly_when_the_operator_is():
+    # W' = (-1)^deg W symmetrizes the real form when W symmetrizes L
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    bas = HermiteBasis(lat, 0.5, 3)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2)
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    cases = [
+        (assemble_full(par, lat, bas), True),
+        (assemble_full(replace(par, epsilon=-0.45), lat, bas), True),
+        (assemble_full(replace(par, u_k=_potential(lat, 0.3)), lat, bas), False),
+        (assemble_full(par, lat2, HermiteBasis(lat2, 0.5, 2)), False),
+    ]
+    for op, certified in cases:
+        form = _real_form_of(op)[0]
+        assert _weight_certified(op) == certified
+        assert (_weight_balance(form, op.basis_dims) is not None) == certified
+
+
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_demo_spectrum_is_conjugation_closed_and_matches_global_zgeev(u):
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, u))
+    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+    got = np.array([p.eigenvalue for p in eigen_spectrum(op)])
+    # real arithmetic returns complex eigenvalues in exact conjugate pairs
+    assert np.array_equal(np.sort(got), np.sort(got.conj()))
+    assert (got.imag != 0.0).any() == (u != 0.0)
+    ref = sla.eig(op.matrix.toarray(), right=False) + op.offset
+    assert multiset_match_error(got, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["dense", "arpack"])
+def test_every_block_solver_runs_in_real_arithmetic(monkeypatch, method):
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble_full(par, lat, bas)
+    dtypes = []
+    eig, eigs = spectral.sla.eig, spectral.spla.eigs
+    monkeypatch.setattr(spectral.sla, "eig", lambda a, **k: dtypes.append(a.dtype) or eig(a, **k))
+    monkeypatch.setattr(
+        spectral.spla, "eigs", lambda a, **k: dtypes.append(a.dtype) or eigs(a, **k)
+    )
+    eigen_spectrum(op, 4 if method == "arpack" else None, method=method)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("method", ["dense", "arpack"])
+def test_forged_real_form_raises(monkeypatch, method):
+    # the real form's phases are not trusted: every returned pair is checked
+    # against the original complex block, so one wrong phase is caught
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble_full(par, lat, bas)
+    count = 4 if method == "arpack" else None
+    eigen_spectrum(op, count, method=method)
+    largest = max(connected_blocks(op.matrix), key=len)
+
+    def forged(matrix, basis_dims):
+        form, phase = _real_form(matrix, basis_dims)
+        phase = phase.copy()
+        phase[largest[1]] *= 1j
+        return form, phase
+
+    monkeypatch.setattr(spectral, "_real_form", forged)
+    with pytest.raises(SolverError):
+        eigen_spectrum(op, count, method=method)
+
+
+def test_exact_duplicates_pair_without_loading_scipy_optimize():
+    # a real operator's spectrum against its own conjugate, with exactly
+    # repeated values from blocks that carry equal spectra
+    script = (
+        "import sys\n"
+        "from phasegas.spectral import multiset_match_error\n"
+        "a = [-1.0, -2.0 + 0.5j, -2.0 - 0.5j, -2.0 + 0.5j, -2.0 - 0.5j, -3.0, -3.0]\n"
+        "b = [z.conjugate() for z in reversed(a)]\n"
+        "assert multiset_match_error(a, b) == 0.0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+    # the shortcut returns what the min-sum pairing returns
+    a = np.array([-1.0, -2.0 + 0.5j, -2.0 - 0.5j, -2.0 + 0.5j, -2.0 - 0.5j, -3.0, -3.0])
+    cost = np.abs(a[:, None] - np.conj(a)[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert multiset_match_error(a, np.conj(a)) == cost[rows, cols].max() == 0.0
+
+
+def test_dense_cap_applies_to_the_largest_block(monkeypatch):
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    par = ModelParams(gamma=0.5, n_particles=2)
+    weak = assemble_weak(par, lat2, HermiteBasis(lat2, 0.5, 2))
+    assert weak.dim > spectral.DENSE_DIM_LIMIT
+    # every block of the diagonal weak operator is 1x1
+    assert ground_state(weak).eigenvalue == -par.ebar_n
+    # a D x D array stays capped at the total dimension
+    with pytest.raises(ConfigurationError, match="capped at dimension"):
+        weak.total_dense()
+    with pytest.raises(ConfigurationError, match="capped at dimension"):
+        perturbation_series(weak, weak, 1)
+    lat, par, bas = _setup(epsilon=0.2, n_max=4)
+    op = assemble_full(par, lat, bas)
+    monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 160)
+    with pytest.raises(ConfigurationError, match="largest block 173"):
+        eigen_spectrum(op)
+    # blocks that ARPACK takes are not capped
+    assert len(eigen_spectrum(op, 4, method="arpack")) == 4
