@@ -27,7 +27,7 @@ block gets ARPACK for its `count` leading pairs.  When the weight of
 matrix at every call -- one run on the balanced block D B D^-1 suffices: the
 left eigenvectors are conj(W R).  Otherwise (a nonzero potential u_k, or
 d = 2) a second run on the adjoint supplies them.  Left vectors of every
-source -- zgeev, the weight, adjoint Ritz vectors -- go through the same
+source -- LAPACK `eig`, the weight, adjoint Ritz vectors -- go through the same
 bi-orthonormalization and checks, so a degenerate cluster cut inside a block
 raises SolverError instead of returning a wrong pair.
 
@@ -39,11 +39,15 @@ quantum mechanics (C. M. Bender and S. Boettcher, Phys. Rev. Lett. 80, 5243,
 1998), and the potential term -- are imaginary.  With S = diag(i^deg), deg the
 total Hermite degree of a basis state, A = S^-1 L S is then exactly real
 (`_real_form`, a certificate tested on every call).  LAPACK runs dgeev and
-ARPACK its real iteration on the blocks of A, the weight certificate uses
-W' = (-1)^deg W on A, and the vectors map back exactly, r = S r_A and
-l = S l_A.  Phases, bi-orthonormalization and every check run against the
-original complex block.  An operator without a real form is solved the same
-way, in complex arithmetic, with S = I.
+ARPACK its real iteration on the blocks of A, and the weight certificate
+uses W' = (-1)^deg W on A.  The vectors stay in A's basis for the phase
+choice and the bi-orthonormalization solve, in float64 when dgeev returns a
+real spectrum; then they map to L's basis, R = S v c and L = S l c with
+unit column phases c, and every check runs against the original complex
+block.  An operator without a real form is solved the same way, in complex
+arithmetic, with S = I.  Every eigenvalue is read off A, so two operators
+with one real form bit for bit (`_shared_real_form`, e.g. L(epsilon) and
+L(-epsilon) = conj L(epsilon)) have the same spectrum array.
 
 The epsilon series for the ground eigenvalue uses the standard
 Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
@@ -114,19 +118,23 @@ def _sorted_order(w: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(w.size), np.abs(w.imag), -w.real))
 
 
-def _fix_phases(vr: np.ndarray) -> np.ndarray:
-    """Unit norm and a deterministic phase: largest-|entry| component real positive."""
-    out = np.array(vr, dtype=complex)
-    for i in range(out.shape[1]):
-        v = out[:, i]
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise SolverError("solver returned a zero eigenvector")
-        v = v / nrm
-        j = int(np.argmax(np.abs(v)))
-        phase = v[j] / abs(v[j])
-        out[:, i] = v * np.conj(phase)
-    return out
+def _fix_phases(v: np.ndarray, s: np.ndarray):
+    """(unit-norm columns of v, unit phase c per column): S v c has its largest entry real positive.
+
+    v holds vectors of the working matrix and s = diag S the unit phases of
+    `_real_form`.  v keeps its arithmetic; the phase is formed by real
+    divisions, so for real v it is exactly one of 1, i, -1, -i.
+    """
+    nrm = np.linalg.norm(v, axis=0)
+    if not nrm.all():
+        raise SolverError("solver returned a zero eigenvector")
+    v = v / nrm
+    rows = np.argmax(np.abs(v), axis=0)
+    top = s[rows] * v[rows, np.arange(v.shape[1])]
+    mag = np.abs(top)
+    c = np.empty(top.size, dtype=complex)
+    c.real, c.imag = top.real / mag, -top.imag / mag
+    return v, c
 
 
 def connected_blocks(matrix) -> list:
@@ -185,6 +193,26 @@ def _real_form(matrix: sparse.csr_matrix, basis_dims):
         phase = phase.conj()
     form = sparse.csr_matrix((real, matrix.indices, matrix.indptr), shape=matrix.shape)
     return form, phase
+
+
+def _shared_real_form(a: OperatorMatrix, b: OperatorMatrix) -> bool:
+    """Whether two operators have one real form bit for bit and equal offsets.
+
+    `_solve` reads every eigenvalue off the working matrix of `_real_form`
+    and the offset, so for two such operators it returns the same values:
+    `scan` solves L(epsilon) once and uses its values for
+    L(-epsilon) = conj L(epsilon).  One O(nnz) pass per operator.
+    """
+    if a.offset != b.offset:
+        return False
+    form_a, phase_a = _real_form(a.matrix.tocsr(), a.basis_dims)
+    form_b, phase_b = _real_form(b.matrix.tocsr(), b.basis_dims)
+    if phase_a is None or phase_b is None:
+        return False
+    return all(
+        getattr(form_a, attr).tobytes() == getattr(form_b, attr).tobytes()
+        for attr in ("indptr", "indices", "data")
+    )
 
 
 def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
@@ -272,11 +300,16 @@ def _arpack_block(sub, count: int, balance):
     return w, vr, vl[:, cols[np.argsort(rows)]]
 
 
-def _biorthonormalize(sub, wb, vrb, cand):
-    """Left vectors with L^H R = I from candidates `cand`, and the two-sided residuals.
+def _biorthonormalize(sub, wb, s, c, vrb, cand):
+    """(R, L, two-sided residuals) of a block, with L^H R = I from left candidates `cand`.
 
-    One solve serves every source of candidates (zgeev's left vectors, the
-    weight certificate, adjoint Ritz vectors); then the checks: the eigenvalue
+    `vrb` (unit columns) and `cand` are vectors of the working matrix, s the
+    block's unit phases diag S and c the column phases of `_fix_phases`.
+    One solve serves every source of candidates (LAPACK `eig`'s left
+    vectors, the weight certificate, adjoint Ritz vectors), and it runs in
+    their arithmetic: float64 when LAPACK (`dgeev`) returns a real spectrum.
+    Then the vectors map to L's basis, R = S v c and L = S l c, and every
+    check runs against the original complex block `sub`: the eigenvalue
     condition number against CONDITION_LIMIT, |L^H R - I| <= 1e-9, and
     residuals on both sides.
     """
@@ -284,22 +317,25 @@ def _biorthonormalize(sub, wb, vrb, cand):
         left_h = np.linalg.solve(cand.conj().T @ vrb, cand.conj().T)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
-    vlb = left_h.conj().T
+    # with C = S cand and R = S v c, solve(C^H R, C^H) = c^-1 left_h S^H, so L = S l c
+    phases = s[:, None] * c
+    right = phases * vrb
+    left = phases * left_h.conj().T
     # with unit right vectors and L^H R = I, |l| is the eigenvalue condition number
-    lnorm = np.linalg.norm(vlb, axis=0)
+    lnorm = np.linalg.norm(left, axis=0)
     if not lnorm.max() <= CONDITION_LIMIT:
         raise SolverError(
             f"defective eigenbasis: eigenvalue condition number {lnorm.max():.3e} "
             f"exceeds {CONDITION_LIMIT:.1e}"
         )
     # the supports of different blocks are disjoint, so their cross terms vanish
-    cross = np.abs(left_h @ vrb - np.eye(wb.size)).max()
+    cross = np.abs(left.conj().T @ right - np.eye(wb.size)).max()
     if not cross <= 1e-9:
         raise SolverError(f"bi-orthonormalization failed, max |L^H R - I| = {cross:.3e}")
     # residuals on the matrix part (a scalar offset shifts values, not residuals)
-    right_res = np.linalg.norm(sub @ vrb - vrb * wb, axis=0)
-    left_res = np.linalg.norm(sub.conj().T @ vlb - vlb * wb.conj(), axis=0) / lnorm
-    return vlb, np.maximum(right_res, left_res)
+    right_res = np.linalg.norm(sub @ right - right * wb, axis=0)
+    left_res = np.linalg.norm(sub.conj().T @ left - left * wb.conj(), axis=0) / lnorm
+    return right, left, np.maximum(right_res, left_res)
 
 
 def _check_request(op: OperatorMatrix, count, method: str) -> None:
@@ -331,9 +367,11 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
     states (their `count` LR-most pairs) and solves smaller ones densely, up
     to DENSE_DIM_LIMIT states a block.  Both solvers run on the working
     matrix of `_real_form` -- the real A = S^-1 L S when it exists, so LAPACK
-    and ARPACK work in real arithmetic, else L itself -- and their vectors
-    map back exactly, r = S r_A and l = S l_A.  Phases, bi-orthonormalization
-    and every check then run against the original complex block.
+    and ARPACK work in real arithmetic, else L itself -- and the values,
+    1x1 blocks included, are read off it.  Phases and the
+    bi-orthonormalization solve stay in the working arithmetic; the vectors
+    then map to L's basis, R = S v c and L = S l c, and every check runs
+    against the original complex block.
     """
     _check_request(op, count, method)
     dim = op.dim
@@ -354,10 +392,11 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
     starts = np.cumsum(heads) - heads
     w = np.empty(heads.sum(), dtype=complex)
     residual = np.zeros(w.size)  # exact for 1x1 blocks: both vectors are unit vectors
-    w[starts[sizes == 1]] = matrix.diagonal()[[b[0] for b in blocks if b.size == 1]]
     work, phase = _real_form(matrix, op.basis_dims)
     if phase is None:
         phase = np.ones(dim)
+    # every value comes from the working matrix, so one real form gives one spectrum
+    w[starts[sizes == 1]] = work.diagonal()[[b[0] for b in blocks if b.size == 1]]
     balance = _weight_balance(work, op.basis_dims) if iterative.any() else None
     vectors, pending = {}, {}
     for n, (idx, start) in enumerate(zip(blocks, starts)):
@@ -371,28 +410,29 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
             wb, vrb, cand = _arpack_block(block, count, local)
         else:
             wb, cand, vrb = sla.eig(block.toarray(), left=True, right=True)
-        # back from the real form to L's basis, exactly: r = S r_A, l = S l_A
-        vrb = _fix_phases(phase[idx, None] * vrb)
-        cand = phase[idx, None] * cand
+        vrb, c = _fix_phases(vrb, phase[idx])
         if iterative[n]:
-            pending[n] = (sub, vrb, cand)
+            pending[n] = (sub, c, vrb, cand)
         else:
-            vlb, residual[start : start + wb.size] = _biorthonormalize(sub, wb, vrb, cand)
-            vectors[n] = (vrb, vlb)
+            right, left, residual[start : start + wb.size] = _biorthonormalize(
+                sub, wb, phase[idx], c, vrb, cand
+            )
+            vectors[n] = (right, left)
         w[start : start + wb.size] = wb
 
     keep = _sorted_order(w)[: w.size if count is None else count]
     owner = np.repeat(np.arange(len(blocks)), heads)
     # an ARPACK block validates only the heads it returns: a cluster split by
     # the block's own cut at `count` can fail the checks only if returned
-    for n, (sub, vrb, cand) in pending.items():
+    for n, (sub, c, vrb, cand) in pending.items():
         cols = keep[owner[keep] == n] - starts[n]
         if cols.size:
-            vlb = np.zeros_like(vrb)
-            vlb[:, cols], residual[starts[n] + cols] = _biorthonormalize(
-                sub, w[starts[n] + cols], vrb[:, cols], cand[:, cols]
+            right = np.zeros((sub.shape[0], heads[n]), dtype=complex)
+            left = np.zeros_like(right)
+            right[:, cols], left[:, cols], residual[starts[n] + cols] = _biorthonormalize(
+                sub, w[starts[n] + cols], phase[blocks[n]], c[cols], vrb[:, cols], cand[:, cols]
             )
-            vectors[n] = (vrb, vlb)
+            vectors[n] = (right, left)
     worst = residual[keep].max()
     if not worst <= residual_tol:
         raise SolverError(

@@ -95,9 +95,66 @@ def test_scan_checks_conjugation(tmp_path):
     lines = (out / "scan.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 epsilon rows
     for line in lines[1:]:
-        # sign flip conjugates the matrix entrywise, so the paired spectra
-        # agree to rounding and the mismatch column stays at the noise floor
-        assert float(line.split(",")[5]) < 1e-12
+        # sign flip conjugates the matrix entrywise, and L(eps) and L(-eps)
+        # share one real form, so the paired spectra are the same array
+        assert float(line.split(",")[5]) == 0.0
+
+
+_DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_scan_solves_each_shared_real_form_once(tmp_path, monkeypatch):
+    import phasegas.spectral as spectral
+    from phasegas.config import load_config
+    from phasegas.spectral import connected_blocks
+
+    solves = _count_calls(monkeypatch, spectral, "_solve")
+    eigs = _count_calls(monkeypatch, spectral.sla, "eig")
+    assert main(["--config", str(_DEMO_CONFIG), "--out", str(tmp_path), "scan"]) == 0
+    eps_grid = load_config(str(_DEMO_CONFIG)).scan["eps_grid"]
+    # one solve per epsilon, of L(+eps), and one LAPACK call per block of it
+    assert len(solves) == len(eps_grid)
+    blocks = sum(sum(b.size > 1 for b in connected_blocks(op.matrix)) for op in solves)
+    assert len(eigs) == blocks
+    for line in (tmp_path / "scan.csv").read_text().strip().splitlines()[1:]:
+        fields = line.split(",")
+        assert fields[1:3] == fields[3:5] and float(fields[5]) == 0.0
+
+
+def test_scan_without_a_shared_real_form_solves_both_and_fails(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    import phasegas.operator as operator
+    import phasegas.spectral as spectral
+
+    assemble_full = operator.assemble_full
+
+    def broken(params, lattice, basis):
+        # L(-eps) no longer conjugates L(eps)
+        if params.epsilon < 0:
+            params = replace(params, epsilon=1.01 * params.epsilon)
+        return assemble_full(params, lattice, basis)
+
+    monkeypatch.setattr(operator, "assemble_full", broken)
+    solves = _count_calls(monkeypatch, spectral, "_solve")
+    cfg = _write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path / "sc"), "scan"]) == 1
+    assert len(solves) == 4  # both signs of both epsilon values
+    lines = (tmp_path / "sc" / "scan.csv").read_text().strip().splitlines()
+    assert all(float(line.split(",")[5]) > 1e-9 for line in lines[1:])
+    assert "violate conjugation pairing" in capsys.readouterr().err
 
 
 def test_failed_numerical_check_is_exit_one(tmp_path):

@@ -863,3 +863,110 @@ def test_dense_cap_applies_to_the_largest_block(monkeypatch):
         eigen_spectrum(op)
     # blocks that ARPACK takes are not capped
     assert len(eigen_spectrum(op, 4, method="arpack")) == 4
+
+
+def _fix_phases_loop(vr):
+    """The per-column phase fixing that `_fix_phases` replaced, kept as the reference.
+
+    Returns the fixed columns, and the argmax row and unit phase of each.
+    """
+    out = np.array(vr, dtype=complex)
+    rows, phases = [], []
+    for i in range(out.shape[1]):
+        v = out[:, i]
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:
+            raise SolverError("solver returned a zero eigenvector")
+        v = v / nrm
+        j = int(np.argmax(np.abs(v)))
+        phase = v[j] / abs(v[j])
+        out[:, i] = v * np.conj(phase)
+        rows.append(j)
+        phases.append(phase)
+    return out, np.array(rows), np.array(phases)
+
+
+def test_vectorized_phases_agree_with_the_column_loop():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(SEED + 8)
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    inputs = []
+    # LAPACK vectors of the real form: real for u = 0, complex pairs for u != 0
+    for u in (0.0, 0.7):
+        par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, u))
+        op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+        form, phase = _real_form_of(op)
+        for idx in connected_blocks(op.matrix):
+            if idx.size > 1:
+                _, vl, vr = sla.eig(form[idx][:, idx].toarray(), left=True, right=True)
+                inputs += [(vr, phase[idx]), (vl, phase[idx])]
+    for _ in range(10):
+        s = spectral._UNIT_PHASES[rng.integers(0, 4, 30)]
+        inputs.append((rng.normal(size=(30, 8)), s))
+        inputs.append((rng.normal(size=(30, 8)) + 1j * rng.normal(size=(30, 8)), s))
+    assert {v.dtype for v, _ in inputs} == {np.dtype(np.float64), np.dtype(np.complex128)}
+    for v, s in inputs:
+        ref, rows, phases = _fix_phases_loop(s[:, None] * v)
+        unit, c = spectral._fix_phases(v, s)
+        assert unit.dtype == v.dtype
+        assert np.array_equal(np.argmax(np.abs(unit), axis=0), rows)
+        assert np.abs(np.linalg.norm(unit, axis=0) - 1.0).max() <= 2 * eps
+        assert np.abs(c * phases - 1.0).max() <= 2 * eps
+        assert np.abs(s[:, None] * unit * c - ref).max() <= 2 * eps
+        if not np.iscomplexobj(v):
+            # the loop's phase can miss a power of i by an ulp; this one is exact
+            assert set(c.tolist()) <= {1, 1j, -1, -1j}
+            assert np.array_equal(c, np.conj(np.round(phases.real) + 1j * np.round(phases.imag)))
+    with pytest.raises(SolverError, match="zero eigenvector"):
+        spectral._fix_phases(np.zeros((3, 2)), np.ones(3))
+
+
+def test_biorthonormalization_solves_in_real_arithmetic(monkeypatch):
+    # every block of the u = 0 operator has a real spectrum, so dgeev returns
+    # real vectors and the normalization solve stays in float64
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble_full(par, lat, bas)
+    dtypes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda a, b: dtypes.append((a.dtype, b.dtype)) or solve(a, b)
+    )
+    pairs = eigen_spectrum(op)
+    assert len(dtypes) == sum(b.size > 1 for b in connected_blocks(op.matrix))
+    assert set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
+    # the vectors handed back are in L's basis and pass the complex checks
+    right = np.array([p.right_vector for p in pairs]).T
+    left = np.array([p.left_vector for p in pairs]).T
+    assert right.dtype == left.dtype == np.complex128
+    assert np.abs(left.conj().T @ right - np.eye(op.dim)).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.sampled_from([3, 5]),
+    n_max=st.sampled_from([2, 3, 4]),
+    epsilon=st.floats(-0.5, 0.5),
+    u=st.sampled_from([0.0, 0.3]),
+)
+def test_conjugate_partner_shares_the_real_form_and_the_spectrum(m, n_max, epsilon, u):
+    # conj L(eps) is L(-eps) with u_k -> -conj(u_k), so L(-eps) itself for
+    # u = 0; `scan` solves L(eps) once and uses its values for L(-eps)
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=m)
+    bas = HermiteBasis(lat, 0.5, n_max)
+    u_k = _potential(lat, u)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=epsilon, u_k=u_k)
+    op = assemble_full(par, lat, bas)
+    partner_u = None if u_k is None else -np.conj(u_k)
+    partner = assemble_full(replace(par, epsilon=-epsilon, u_k=partner_u), lat, bas)
+    assert np.array_equal(partner.matrix.toarray(), op.matrix.toarray().conj())
+    assert spectral._shared_real_form(op, partner)
+    values = _solve(op, None, "dense", 1e-9)[0]
+    again = _solve(partner, None, "dense", 1e-9)[0]
+    assert values.tobytes() == again.tobytes()
+    # with a potential, L(-eps) is the partner only where the drift vanishes
+    # (m = 3, or eps = 0); whenever the check passes, the values agree
+    flipped = assemble_full(replace(par, epsilon=-epsilon), lat, bas)
+    if spectral._shared_real_form(op, flipped):
+        assert _solve(flipped, None, "dense", 1e-9)[0].tobytes() == values.tobytes()
+    else:
+        assert u != 0.0 and epsilon != 0.0 and m == 5
