@@ -17,6 +17,12 @@ Hermitian for real even U^I_k.
 The bridge to the mode-operator side is gamma_k = U^I_k / (hbar2_over_2m * V)
 and u_0 = (U0 - mu) / hbar2_over_2m; operator eigenvalues lam convert back to
 energies through E = hbar2_over_2m * (-lam).
+
+The interaction conserves total momentum, so H splits into exact blocks
+(`spectral.connected_blocks`), each diagonalized densely by `eigh` up to
+`operator.DENSE_DIM_LIMIT` states.  `ground_pair` solves only the blocks
+whose Gershgorin bound leaves room for the ground level, lowest bound first,
+and returns what a solve of every block would.
 """
 
 from __future__ import annotations
@@ -30,28 +36,28 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
 from .lattice import ModeLattice
+from .operator import DENSE_DIM_LIMIT
 from .spectral import connected_blocks
 
 STATE_LIMIT = 2_000_000
-DENSE_LIMIT = 3000
 
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Occupation-number basis of one fixed-N sector, descending-lex ordered.
 
-    `build_hamiltonian` keeps the n~_k matrices it builds in `_shifts`, keyed
-    by (lattice, k), and the coupling-independent interaction terms
+    `build_hamiltonian` keeps the coupling-independent interaction terms
     n~_k n~_{-k} (normal-ordered: minus their diagonal) in `_pair_terms`,
-    keyed by (lattice, k, normal_order), so Hamiltonians on one basis share
-    them and a build only scales and sums.
+    keyed by (lattice, normal_order): one union pattern of the diagonal and
+    every term, and each term's data aligned to it (`_interaction_terms`).
+    So Hamiltonians on one basis share them, and a build is the diagonal
+    plus one scaled vector add per mode.
     """
 
     modes: tuple
     n_particles: int
     states: tuple
     index: dict = field(repr=False)
-    _shifts: dict = field(init=False, default_factory=dict, repr=False)
     _pair_terms: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
@@ -155,6 +161,42 @@ def _pair_density_diagonal(basis: FockBasis, lattice: ModeLattice, k_mode) -> np
     return np.array(basis.states, dtype=np.int64)[:, src].sum(axis=1).astype(float)
 
 
+def _interaction_terms(basis: FockBasis, lattice: ModeLattice, normal_order: bool):
+    """(indptr, indices, diagonal slots, aligned data) of the n~_k n~_{-k} of one convention.
+
+    The pattern (indptr, indices) is the union, rows and columns sorted, of
+    the diagonal and of every n~_k n~_{-k}.  Row i of `aligned` holds the
+    entries of the term of mode i at their slots of that pattern and 0
+    elsewhere; normal-ordered, the diagonal of `_pair_density_diagonal` is
+    subtracted at the diagonal slots.  Both conventions are cached on the
+    basis per lattice at the first request, from one n~_k per mode; they
+    share the pattern and the products.
+    """
+    if (lattice, normal_order) not in basis._pair_terms:
+        dim = basis.dim
+        shifts = {mode: shift_operator(basis, lattice, mode) for mode in lattice.modes}
+        # entries as row-major keys row * dim + col, so the sorted union is the
+        # sorted CSR pattern and each term's slots are one binary search
+        terms = []
+        for mode in lattice.modes:
+            coo = (shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo()
+            terms.append((coo.row.astype(np.int64) * dim + coo.col, coo.data))
+        diag_keys = np.arange(dim, dtype=np.int64) * (dim + 1)
+        union = np.unique(np.concatenate([diag_keys] + [keys for keys, _ in terms]))
+        diag_slots = np.searchsorted(union, diag_keys)
+        plain = np.zeros((len(terms), union.size))
+        for row, (keys, data) in zip(plain, terms):
+            row[np.searchsorted(union, keys)] = data
+        normal = plain.copy()
+        for row, mode in zip(normal, lattice.modes):
+            row[diag_slots] -= _pair_density_diagonal(basis, lattice, mode)
+        rows, indices = np.divmod(union, dim)
+        indptr = np.searchsorted(rows, np.arange(dim + 1))
+        for convention, aligned in ((False, plain), (True, normal)):
+            basis._pair_terms[lattice, convention] = (indptr, indices, diag_slots, aligned)
+    return basis._pair_terms[lattice, normal_order]
+
+
 @dataclass(frozen=True, eq=False)
 class FockHamiltonian:
     matrix: sparse.csr_matrix
@@ -189,6 +231,8 @@ def build_hamiltonian(
         raise ConfigurationError(
             f"u_int_k has shape {u_int.shape}, lattice carries {lattice.num_modes} modes"
         )
+    if not np.isfinite(u_int).all():
+        raise ConfigurationError("u_int_k must be finite")
     scale = max(1.0, float(np.max(np.abs(u_int))))
     for i, mode in enumerate(lattice.modes):
         j = lattice.index(tuple(-c for c in mode))
@@ -206,36 +250,27 @@ def build_hamiltonian(
     occ_arr = np.array(basis.states, dtype=float)
     kinetic = hbar2_over_2m * (occ_arr @ k2)
     diag = kinetic + (u0_ext - mu) * float(basis.n_particles)
-    ham = sparse.csr_matrix(
-        (diag, (np.arange(dim), np.arange(dim))), shape=(dim, dim)
-    )
 
-    def _shift(mode):
-        key = (lattice, mode)
-        if key not in basis._shifts:
-            basis._shifts[key] = shift_operator(basis, lattice, mode)
-        return basis._shifts[key]
-
-    def _pair_term(mode):
-        key = (lattice, mode, normal_order)
-        if key not in basis._pair_terms:
-            term = _shift(mode) @ _shift(tuple(-c for c in mode))
-            if normal_order:
-                corr = _pair_density_diagonal(basis, lattice, mode)
-                term = term - sparse.csr_matrix(
-                    (corr, (np.arange(dim), np.arange(dim))), shape=(dim, dim)
-                )
-            basis._pair_terms[key] = term
-        return basis._pair_terms[key]
-
+    indptr, indices, diag_slots, aligned = _interaction_terms(basis, lattice, normal_order)
+    # every entry is summed as a chain of scipy sparse adds would sum it, the
+    # diagonal first and then one scaled term per mode in mode order, and an
+    # entry that comes out exactly 0 is dropped as such an add drops it; with
+    # no interaction term the whole diagonal is kept, zeros included
+    acc = np.zeros(indices.size)
+    acc[diag_slots] = diag
     inv_v = 1.0 / lattice.volume
-    for i, mode in enumerate(lattice.modes):
-        if u_int[i] != 0.0:
-            ham = ham + (u_int[i] * inv_v) * _pair_term(mode)
-
-    ham = ham.tocsr().astype(complex)
-    ham.sum_duplicates()
-    ham.sort_indices()
+    active = np.flatnonzero(u_int != 0.0)
+    for i in active:
+        acc += (u_int[i] * inv_v) * aligned[i]
+    if active.size:
+        keep = acc != 0.0
+    else:
+        keep = np.zeros(indices.size, dtype=bool)
+        keep[diag_slots] = True
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    ham = sparse.csr_matrix(
+        (acc[keep].astype(complex), indices[keep], kept[indptr]), shape=(dim, dim)
+    )
     herm_err = np.abs(ham - ham.getH()).max() if ham.nnz else 0.0
     peak = np.abs(ham).max() if ham.nnz else 0.0
     if herm_err > 1e-13 * max(peak, 1e-300):
@@ -257,42 +292,66 @@ def build_hamiltonian(
 def ground_pair(h: FockHamiltonian):
     """(lowest eigenvalue, eigenvector), residual-validated against 1e-10*|H|.
 
-    Up to `DENSE_LIMIT` states, H is diagonalized one block of
-    `spectral.connected_blocks` at a time -- the interaction conserves total
-    momentum, so the blocks are (pieces of) the momentum sectors -- and the
-    lowest level over all blocks is returned; on a tie across blocks the
-    block with the smallest state index wins.  Larger sectors use Lanczos.
+    H is diagonalized one block of `spectral.connected_blocks` at a time --
+    the interaction conserves total momentum, so the blocks are (pieces of)
+    the momentum sectors -- up to `operator.DENSE_DIM_LIMIT` states a block.
+    The result is the all-blocks answer, the lowest level over every block
+    with a tie going to the block with the smallest state index, but only
+    the blocks that can hold it reach `eigh`.  By the Gershgorin circle
+    theorem (S. Gershgorin, 1931) every eigenvalue of a block lies above
+    min_i (H_ii - sum_{j != i} |H_ij|) over its rows, where the sum runs over
+    the Hermitian matrix `eigh` sees, the lower triangle and its conjugate.
+    Blocks are solved lowest bound first, and the loop stops at the first
+    block whose bound exceeds the lowest level found by more than
+    4 n^2 eps max|H_ij|, n the largest block.  That margin covers the
+    rounding of the bound's sum of at most n terms of size <= max|H_ij|
+    (n^2 eps max|H_ij|) and the backward error of LAPACK's Hermitian
+    eigensolver, whose values are exact for a perturbation of norm
+    <= p(n) eps |H|_2, with p(n) a modest function of n taken as n and
+    |H|_2 <= n max|H_ij|.  So every
+    skipped block's computed lowest value would lie strictly above the
+    returned one, and the solved blocks get the same arrays as in a loop
+    over all of them.
     """
     dim = h.dim
-    if dim <= DENSE_LIMIT:
-        energy = None
-        blocks = connected_blocks(h.matrix)
-        # one permutation makes every block a contiguous diagonal slice, so a
-        # block's entries are one stretch of the CSR arrays, scattered into a
-        # dense array without a sparse slice
-        perm = np.concatenate(blocks)
-        grouped = h.matrix[perm][:, perm]
-        grouped.sum_duplicates()
-        rows = np.repeat(np.arange(dim), np.diff(grouped.indptr))
-        start = 0
-        for idx in blocks:
-            stop = start + idx.size
-            lo, hi = grouped.indptr[start], grouped.indptr[stop]
-            block = np.zeros((idx.size, idx.size), dtype=grouped.dtype)
-            block[rows[lo:hi] - start, grouped.indices[lo:hi] - start] = grouped.data[lo:hi]
-            vals, vecs = np.linalg.eigh(block)
-            start = stop
-            if energy is None or vals[0] < energy:
-                energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
-        vec = np.zeros(dim, dtype=block_vec.dtype)
-        vec[support] = block_vec
-    else:
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        try:
-            vals, vecs = spla.eigsh(h.matrix, k=1, which="SA", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"Lanczos did not converge: {exc}")
-        energy, vec = float(vals[0].real), vecs[:, 0]
+    blocks = connected_blocks(h.matrix)
+    sizes = np.array([idx.size for idx in blocks])
+    if sizes.max() > DENSE_DIM_LIMIT:
+        raise ConfigurationError(
+            f"dense solve capped at block dimension {DENSE_DIM_LIMIT} (largest block "
+            f"{sizes.max()} of dimension {dim})"
+        )
+    # one permutation makes every block a contiguous diagonal slice, so a
+    # block's entries are one stretch of the CSR arrays, scattered into a
+    # dense array without a sparse slice
+    perm = np.concatenate(blocks)
+    grouped = h.matrix[perm][:, perm]
+    grouped.sum_duplicates()
+    rows = np.repeat(np.arange(dim), np.diff(grouped.indptr))
+    starts = np.cumsum(sizes) - sizes
+    # Gershgorin bound of each block: the lower triangle (eigh's default)
+    # enters the discs of its row and of its column
+    mag = np.abs(grouped.data)
+    on, low = rows == grouped.indices, rows > grouped.indices
+    radius = np.bincount(rows[low], mag[low], dim) + np.bincount(grouped.indices[low], mag[low], dim)
+    centre = np.bincount(rows[on], grouped.data.real[on], dim)
+    bound = np.minimum.reduceat(centre - radius, starts)
+    if not np.isfinite(bound).all():
+        raise SolverError("Hamiltonian has non-finite entries")
+    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * mag.max(initial=0.0)
+    energy = None
+    for n in np.argsort(bound, kind="stable"):
+        if energy is not None and bound[n] - margin > energy:
+            break
+        start, idx = starts[n], blocks[n]
+        lo, hi = grouped.indptr[start], grouped.indptr[start + idx.size]
+        block = np.zeros((idx.size, idx.size), dtype=grouped.dtype)
+        block[rows[lo:hi] - start, grouped.indices[lo:hi] - start] = grouped.data[lo:hi]
+        vals, vecs = np.linalg.eigh(block)
+        if energy is None or vals[0] < energy or (vals[0] == energy and n < best):
+            energy, best, block_vec = float(vals[0]), n, vecs[:, 0]
+    vec = np.zeros(dim, dtype=block_vec.dtype)
+    vec[blocks[best]] = block_vec
     resid = float(np.linalg.norm(h.matrix @ vec - energy * vec))
     h_norm = float(spla.norm(h.matrix)) if h.matrix.nnz else 0.0
     if resid > 1e-10 * max(h_norm, 1e-300):

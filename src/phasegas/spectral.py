@@ -56,8 +56,10 @@ Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
     (H0 - lam_g) |psi_n> = -V |psi_{n-1}> + sum_{m=1..n} e_m |psi_{n-m}>,
 
 solved with a bordered system that pins <L_g|psi_n> = 0 (intermediate
-normalization).  A near-degenerate ground level aborts with a diagnostic
-rather than returning unreliable coefficients.
+normalization).  The system splits over the blocks of H0 and only the
+ground's block carries the border, so each block is solved on its own and
+no D x D array is formed.  A near-degenerate ground level aborts with a
+diagnostic rather than returning unreliable coefficients.
 """
 
 from __future__ import annotations
@@ -566,18 +568,18 @@ def perturbation_series(
 
     op0 is the unperturbed operator (its total ground eigenvalue is e_0) and
     op1 the unit-strength perturbation matrix.  Aborts if the ground level of
-    op0 is degenerate within degeneracy_tol.
+    op0 is degenerate within degeneracy_tol.  Each order solves
+    (H0 - lam_g) psi_n = rhs one block of `connected_blocks(op0)` at a time,
+    up to DENSE_DIM_LIMIT states a block: 1x1 blocks by one vectorized
+    division, other blocks by their own LU factors, and only the ground's
+    block bordered by <L|psi_n> = 0 (on a 1x1 ground block that pins
+    psi_n to 0).  op1 acts as a sparse matvec, so no D x D array is formed.
     """
     if not isinstance(max_order, (int, np.integer)) or max_order < 0:
         raise ConfigurationError(f"max_order must be a non-negative integer, got {max_order}")
     if op0.dim != op1.dim:
         raise ConfigurationError(
             f"operator dimensions differ: {op0.dim} vs {op1.dim}"
-        )
-    if op0.dim > DENSE_DIM_LIMIT:
-        raise ConfigurationError(
-            f"the series factors a dense bordered matrix, capped at dimension "
-            f"{DENSE_DIM_LIMIT} (got {op0.dim})"
         )
     values, pair = _solve(op0, None, "dense", residual_tol)
     ground = pair(0)
@@ -593,7 +595,6 @@ def perturbation_series(
     if max_order == 0:
         return PerturbationSeries(tuple(orders))
 
-    dim = op0.dim
     right = ground.right_vector
     left = ground.left_vector
     # intermediate normalization <L|psi_0> = 1
@@ -602,27 +603,45 @@ def perturbation_series(
         raise SolverError("ill-conditioned ground pair: <L|R> ~ 0")
     left = left / np.conj(d)
 
-    v_mat = op1.total_dense()
-    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
-    bordered[:dim, :dim] = op0.total_dense()
-    idx = np.arange(dim)
-    bordered[idx, idx] -= lam_g
-    bordered[:dim, dim] = right
-    bordered[dim, :dim] = np.conj(left)
-    lu, piv = sla.lu_factor(bordered)
+    # the bordered system [[H0 - lam_g, R], [L^H, 0]] is block-diagonal over
+    # op0's blocks except for the border, which lives on the ground's block
+    matrix = op0.matrix.tocsr()
+    blocks = connected_blocks(matrix)
+    home = next(idx for idx in blocks if right[idx].any())
+    singles = np.array([idx[0] for idx in blocks if idx.size == 1 and idx is not home], dtype=int)
+    pivots = matrix.diagonal()[singles] + op0.offset - lam_g
+    factors, bordered = [], None
+    for idx in blocks:
+        if idx.size == 1:
+            continue
+        sub = np.asarray(matrix[idx][:, idx].todense(), dtype=complex)
+        diag = np.diag_indices_from(sub)
+        sub[diag] += op0.offset
+        sub[diag] -= lam_g
+        if idx is home:
+            border = np.zeros((idx.size + 1, idx.size + 1), dtype=complex)
+            border[:-1, :-1] = sub
+            border[:-1, -1] = right[idx]
+            border[-1, :-1] = np.conj(left[idx])
+            bordered = sla.lu_factor(border)
+        else:
+            factors.append((idx, sla.lu_factor(sub)))
 
     psi = {0: right.astype(complex)}
     for n in range(1, max_order + 1):
-        w = v_mat @ psi[n - 1]
+        w = op1.apply(psi[n - 1])
         e_n = complex(np.vdot(left, w))
         orders.append(e_n)
         rhs = -w
         for m in range(1, n + 1):
             rhs = rhs + orders[m] * psi[n - m]
-        full = np.zeros(dim + 1, dtype=complex)
-        full[:dim] = rhs
-        sol = sla.lu_solve((lu, piv), full)
-        psi[n] = sol[:dim]
+        nxt = np.zeros(op0.dim, dtype=complex)
+        nxt[singles] = rhs[singles] / pivots
+        for idx, lu in factors:
+            nxt[idx] = sla.lu_solve(lu, rhs[idx])
+        if bordered is not None:
+            nxt[home] = sla.lu_solve(bordered, np.append(rhs[home], 0.0))[:-1]
+        psi[n] = nxt
     return PerturbationSeries(tuple(orders))
 
 

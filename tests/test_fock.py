@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
+import scipy.sparse.linalg as spla
 
 import phasegas.fock as fock
 from phasegas.errors import ConfigurationError, SolverError
 from phasegas.fock import (
     FockBasis,
+    FockHamiltonian,
     build_hamiltonian,
     comparison_table,
     condensate_expectation,
@@ -247,17 +250,46 @@ def test_variational_bound():
         assert ground_energy(h) <= condensate_expectation(h) + 1e-12
 
 
-def test_ground_pair_residual_and_sparse_path(monkeypatch):
+def _ground_pair_all_blocks(h):
+    """The loop that solved every block, kept as the reference: (energy, vector)."""
+    energy = None
+    blocks = connected_blocks(h.matrix)
+    perm = np.concatenate(blocks)
+    grouped = h.matrix[perm][:, perm]
+    grouped.sum_duplicates()
+    rows = np.repeat(np.arange(h.dim), np.diff(grouped.indptr))
+    start = 0
+    for idx in blocks:
+        stop = start + idx.size
+        lo, hi = grouped.indptr[start], grouped.indptr[stop]
+        block = np.zeros((idx.size, idx.size), dtype=grouped.dtype)
+        block[rows[lo:hi] - start, grouped.indices[lo:hi] - start] = grouped.data[lo:hi]
+        vals, vecs = np.linalg.eigh(block)
+        start = stop
+        if energy is None or vals[0] < energy:
+            energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
+    vec = np.zeros(h.dim, dtype=block_vec.dtype)
+    vec[support] = block_vec
+    return energy, vec
+
+
+def test_ground_pair_residual_and_sparse_path():
     lat = _lat()
     b = enumerate_basis(lat.num_modes, 3, lat)
     h = build_hamiltonian(lat, 0.9, 0.0, 0.0, b)
-    e_dense, v_dense = ground_pair(h)
-    monkeypatch.setattr(fock, "DENSE_LIMIT", 2)
-    e_sparse, v_sparse = ground_pair(h)
-    assert abs(e_dense - e_sparse) <= 1e-9 * max(1.0, abs(e_dense))
+    e_small, v_small = ground_pair(h)
     m = h.matrix.toarray()
-    for e, v in ((e_dense, v_dense), (e_sparse, v_sparse)):
-        assert np.linalg.norm(m @ v - e * v) <= 1e-9 * np.linalg.norm(m)
+    assert np.linalg.norm(m @ v_small - e_small * v_small) <= 1e-9 * np.linalg.norm(m)
+    # m=9, N=6 (dim 3003, largest block 151) is solved block by block too,
+    # checked against Lanczos on the whole sector
+    lat9 = _lat(9)
+    h9 = build_hamiltonian(lat9, 0.9, 0.0, 0.0, enumerate_basis(lat9.num_modes, 6, lat9))
+    assert h9.dim == 3003 and max(idx.size for idx in connected_blocks(h9.matrix)) == 151
+    e9, v9 = ground_pair(h9)
+    v0 = np.random.default_rng(SEED).standard_normal(h9.dim)
+    e_lanczos = spla.eigsh(h9.matrix, k=1, which="SA", v0=v0)[0][0]
+    assert abs(e9 - e_lanczos) <= 1e-9 * max(1.0, abs(e9))
+    assert np.linalg.norm(h9.matrix @ v9 - e9 * v9) <= 1e-9 * spla.norm(h9.matrix)
     # the block-by-block dense solve against one eigh of the whole sector
     lat7 = _lat(7)
     h7 = build_hamiltonian(lat7, 0.7, 0.0, 0.0, enumerate_basis(lat7.num_modes, 5, lat7))
@@ -268,10 +300,96 @@ def test_ground_pair_residual_and_sparse_path(monkeypatch):
     assert np.isclose(np.linalg.norm(v_block), 1.0, atol=1e-12)
 
 
+def test_ground_pair_caps_the_largest_block(monkeypatch):
+    lat = _lat(7)
+    h = build_hamiltonian(lat, 0.7, 0.0, 0.0, enumerate_basis(lat.num_modes, 5, lat))
+    largest = max(idx.size for idx in connected_blocks(h.matrix))
+    monkeypatch.setattr(fock, "DENSE_DIM_LIMIT", largest)
+    ground_pair(h)
+    monkeypatch.setattr(fock, "DENSE_DIM_LIMIT", largest - 1)
+    with pytest.raises(ConfigurationError, match=f"largest block {largest} of dimension 462"):
+        ground_pair(h)
+
+
+def test_ground_pair_solves_only_the_blocks_that_can_hold_the_ground(monkeypatch):
+    # compare's couplings at m=7, N=5: 31 blocks a Hamiltonian, so 310 eigh
+    # calls when every block is solved
+    lat = _lat(7)
+    b = enumerate_basis(lat.num_modes, 5, lat)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    counts = []
+    for u in (1.0, 0.3162, 0.1, 0.03162, 0.01):
+        for normal_order in (False, True):
+            h = build_hamiltonian(lat, u, 0.0, 0.0, b, normal_order=normal_order)
+            before = len(calls)
+            energy, vec = ground_pair(h)
+            counts.append(len(calls) - before)
+            ref_energy, ref_vec = _ground_pair_all_blocks(h)
+            assert energy == ref_energy and np.array_equal(vec, ref_vec)
+    assert counts == [9, 9, 3, 3, 1, 1, 1, 1, 1, 1]
+
+
+@st.composite
+def _block_hamiltonians(draw):
+    """Permuted block-diagonal Hermitian H with exact ties between block minima.
+
+    Each block keeps the row order it was drawn in, so `eigh` sees it as
+    drawn and a repeated block has the same lowest value bit for bit.  A 1x1
+    block at the lowest value of the others (when drawn) has its Gershgorin
+    bound exactly at the ground.  The upper triangle may carry a relative
+    error of 1e-13, as a build that passed the Hermiticity check may.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)):
+        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        blocks.append(x + x.conj().T + draw(st.sampled_from([0.0, 3.0, -2.5])) * np.eye(size))
+        if draw(st.booleans()):
+            blocks.append(blocks[-1])
+    if draw(st.booleans()):
+        for x in blocks:
+            x[np.triu_indices_from(x, 1)] *= 1.0 + 1e-13 * rng.standard_normal()
+
+    def assemble(blocks, labels):
+        dense = np.zeros((labels.size, labels.size), dtype=complex)
+        for n, x in enumerate(blocks):
+            pos = np.flatnonzero(labels == n)
+            dense[np.ix_(pos, pos)] = x
+        return FockHamiltonian(sparse.csr_matrix(dense), None, None, (), 0.0, 0.0, 1.0, False)
+
+    labels = rng.permutation(np.repeat(np.arange(len(blocks)), [x.shape[0] for x in blocks]))
+    h = assemble(blocks, labels)
+    if draw(st.booleans()):
+        # inserting one state keeps every other block's row order
+        ground = _ground_pair_all_blocks(h)[0]
+        at = draw(st.integers(0, labels.size))
+        h = assemble(blocks + [np.array([[ground]])], np.insert(labels, at, len(blocks)))
+    return h
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(h=_block_hamiltonians())
+def test_ground_pair_equals_the_all_blocks_loop(h):
+    energy, vec = ground_pair(h)
+    ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert energy == ref_energy
+    assert vec.dtype == ref_vec.dtype and np.array_equal(vec, ref_vec)
+
+
+def test_ground_pair_rejects_non_finite_entries():
+    matrix = sparse.csr_matrix(np.array([[1.0, np.inf], [np.inf, 0.0]], dtype=complex))
+    h = FockHamiltonian(matrix, None, None, (), 0.0, 0.0, 1.0, False)
+    with pytest.raises(SolverError, match="non-finite"):
+        ground_pair(h)
+
+
 @pytest.mark.parametrize("d, m, n", [(1, 7, 5), (1, 5, 3), (2, 3, 2)])
 def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n):
-    # the blocks are scattered from the permuted CSR arrays; each must equal
-    # the dense copy of the sparse slice of the same diagonal square, bit for bit
+    # the blocks handed to eigh are scattered from the permuted CSR arrays;
+    # each must equal the dense copy of the sparse slice of its own diagonal
+    # square, bit for bit
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
     h = build_hamiltonian(lat, 0.7, 0.0, 0.0, enumerate_basis(lat.num_modes, n, lat), normal_order=True)
     seen = []
@@ -281,12 +399,16 @@ def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n)
     blocks = connected_blocks(h.matrix)
     perm = np.concatenate(blocks)
     grouped = h.matrix[perm][:, perm]
-    assert len(seen) == len(blocks) > 1
-    start = 0
-    for got, stop in zip(seen, np.cumsum([b.size for b in blocks])):
-        ref = grouped[start:stop, start:stop].toarray()
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        start = stop
+    stops = np.cumsum([b.size for b in blocks])
+    refs = [grouped[stop - b.size : stop, stop - b.size : stop].toarray() for b, stop in zip(blocks, stops)]
+    assert len(blocks) > 1 and 1 <= len(seen) <= len(blocks)
+    # each solved array is the slice of a block not matched before (equal
+    # blocks are interchangeable)
+    unmatched = list(range(len(refs)))
+    for got in seen:
+        hits = [i for i in unmatched if got.dtype == refs[i].dtype and np.array_equal(got, refs[i])]
+        assert hits
+        unmatched.remove(hits[0])
 
 
 def test_mirror_relabeling_is_exact_symmetry():
@@ -367,9 +489,64 @@ def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
     for u in (1.0, 0.05, 0.3):
         for normal_order in (False, True):
             build_hamiltonian(lat, u, 0.0, 0.0, shared, normal_order=normal_order)
-    # one n~_k n~_{-k} per mode and convention, one diagonal correction per mode
-    assert len(shared._pair_terms) == 2 * lat.num_modes
+    # one aligned set of n~_k n~_{-k} per convention, one diagonal correction per mode
+    assert len(shared._pair_terms) == 2
     assert len(corrections) == lat.num_modes
+
+
+def _build_matrix_loop(lattice, u_int, u0, mu, basis, hbar2_over_2m, normal_order):
+    """H by one sparse add per mode, as builds used to run, kept as the reference."""
+    dim = basis.dim
+    k2 = np.array([lattice.k_squared(m) for m in lattice.modes])
+    diag = hbar2_over_2m * (np.array(basis.states, dtype=float) @ k2)
+    diag = diag + (u0 - mu) * float(basis.n_particles)
+    eye = (np.arange(dim), np.arange(dim))
+    ham = sparse.csr_matrix((diag, eye), shape=(dim, dim))
+    inv_v = 1.0 / lattice.volume
+    for i, mode in enumerate(lattice.modes):
+        if u_int[i] != 0.0:
+            term = shift_operator(basis, lattice, mode) @ shift_operator(
+                basis, lattice, tuple(-c for c in mode)
+            )
+            if normal_order:
+                corr = fock._pair_density_diagonal(basis, lattice, mode)
+                term = term - sparse.csr_matrix((corr, eye), shape=(dim, dim))
+            ham = ham + (u_int[i] * inv_v) * term
+    ham = ham.tocsr().astype(complex)
+    ham.sum_duplicates()
+    ham.sort_indices()
+    return ham
+
+
+@pytest.mark.parametrize("d, m, n", [(1, 3, 4), (1, 5, 3), (1, 7, 3), (2, 3, 2)])
+def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
+    lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+    basis = enumerate_basis(lat.num_modes, n, lat)
+    rng = np.random.default_rng(SEED + 3)
+    vals = rng.uniform(0.1, 2.0, size=lat.n_pairs + 1)
+    vals[1::2] = 0.0  # k-dependent, with zeros, the zero mode kept
+    u_k = np.empty(lat.num_modes)
+    u_k[0] = vals[0]
+    for p, (ip, im) in enumerate(lat.pair_list()):
+        u_k[ip] = u_k[im] = vals[p + 1]
+    assert (u_k == 0.0).any() and (u_k != 0.0).any()
+    for u_int, (u0, mu), normal_order in itertools.product(
+        (u_k, np.full(lat.num_modes, 0.3162), np.zeros(lat.num_modes)),
+        ((0.0, 0.0), (0.4, 0.1), (0.25, 0.25)),
+        (False, True),
+    ):
+        got = build_hamiltonian(lat, u_int, u0, mu, basis, hbar2_over_2m=0.7, normal_order=normal_order)
+        ref = _build_matrix_loop(lat, u_int, u0, mu, basis, 0.7, normal_order)
+        for attr in ("indptr", "indices", "data"):
+            a, r = getattr(got.matrix, attr), getattr(ref, attr)
+            assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+
+
+def test_non_finite_coupling_rejected():
+    lat = _lat()
+    b = enumerate_basis(lat.num_modes, 2, lat)
+    with pytest.raises(ConfigurationError, match="finite"):
+        build_hamiltonian(lat, np.inf, 0.0, 0.0, b)
 
 
 def test_exports(tmp_path):

@@ -245,6 +245,74 @@ def test_series_recursion_matches_explicit_sums():
     assert abs(series.orders[3] - e3) <= 1e-9 * max(abs(e3), 1.0)
 
 
+def _series_bordered_lu(op0, op1, max_order):
+    """The (D+1) x (D+1) bordered-LU recursion the block solve replaced, kept as the reference."""
+    ground = ground_state(op0)
+    lam_g, right = ground.eigenvalue, ground.right_vector
+    left = ground.left_vector / np.conj(np.vdot(ground.left_vector, right))
+    dim = op0.dim
+    v_mat = op1.total_dense()
+    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
+    bordered[:dim, :dim] = op0.total_dense()
+    bordered[np.arange(dim), np.arange(dim)] -= lam_g
+    bordered[:dim, dim] = right
+    bordered[dim, :dim] = np.conj(left)
+    lu = sla.lu_factor(bordered)
+    orders, psi = [complex(lam_g)], {0: right.astype(complex)}
+    for n in range(1, max_order + 1):
+        w = v_mat @ psi[n - 1]
+        orders.append(complex(np.vdot(left, w)))
+        rhs = -w
+        for m in range(1, n + 1):
+            rhs = rhs + orders[m] * psi[n - m]
+        psi[n] = sla.lu_solve(lu, np.append(rhs, 0.0))[:dim]
+    return orders
+
+
+def _permuted_block_operator(sizes, rng):
+    """A permuted block-diagonal op0 whose ground (largest real part, near 0) sits in the first block."""
+    dim = sum(sizes)
+    dense = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for n, size in enumerate(sizes):
+        levels = rng.uniform(-8.0, -1.0, size)
+        if n == 0:
+            levels[0] = 0.0
+        noise = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        dense[start : start + size, start : start + size] = np.diag(levels) + 0.1 * noise
+        start += size
+    perm = rng.permutation(dim)
+    return OperatorMatrix(sparse.csr_matrix(dense[np.ix_(perm, perm)]), -0.5, (dim,), "test-h0")
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 3, 1, 2, 5, 1), (4, 1, 1, 2, 3), (2,), (1,)])
+def test_block_series_matches_bordered_lu_on_random_blocks(sizes):
+    rng = np.random.default_rng(SEED + sum(sizes))
+    op0 = _permuted_block_operator(sizes, rng)
+    assert len(connected_blocks(op0.matrix)) == len(sizes)
+    op1 = _random_op(op0.dim, rng, scale=0.3)
+    got = perturbation_series(op0, op1, 6).orders
+    ref = _series_bordered_lu(op0, op1, 6)
+    for g, r in zip(got, ref, strict=True):
+        assert abs(g - r) <= 1e-12 * abs(r)
+
+
+@pytest.mark.parametrize("u", [0.3, -0.7])
+def test_block_series_matches_bordered_lu_on_assembled_operators(u):
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
+    par = ModelParams(gamma=0.5, n_particles=2, u_k=_potential(lat, u))
+    bas = HermiteBasis(lat, 0.5, 3)
+    op0 = assemble_full(par, lat, bas)
+    assert max(b.size for b in connected_blocks(op0.matrix)) > 1
+    rng = np.random.default_rng(SEED + 4)
+    # the drift leaves the pinned ground's orders exactly 0; a random op1 does not
+    for op1 in (cubic_drift_operator(par, lat, bas), _random_op(op0.dim, rng, scale=0.05)):
+        got = perturbation_series(op0, op1, 6).orders
+        ref = _series_bordered_lu(op0, op1, 6)
+        for g, r in zip(got, ref, strict=True):
+            assert abs(g - r) <= 1e-12 * abs(r)
+
+
 def test_series_evaluate_and_tables():
     series = perturbation_series(
         OperatorMatrix(
@@ -854,13 +922,16 @@ def test_dense_cap_applies_to_the_largest_block(monkeypatch):
     # a D x D array stays capped at the total dimension
     with pytest.raises(ConfigurationError, match="capped at dimension"):
         weak.total_dense()
-    with pytest.raises(ConfigurationError, match="capped at dimension"):
-        perturbation_series(weak, weak, 1)
+    # the series solves one block at a time, so it runs at dim 6561
+    series = perturbation_series(weak, weak, 1)
+    assert series.orders == (-par.ebar_n, -par.ebar_n)
     lat, par, bas = _setup(epsilon=0.2, n_max=4)
     op = assemble_full(par, lat, bas)
     monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 160)
     with pytest.raises(ConfigurationError, match="largest block 173"):
         eigen_spectrum(op)
+    with pytest.raises(ConfigurationError, match="largest block 173"):
+        perturbation_series(op, op, 1)
     # blocks that ARPACK takes are not capped
     assert len(eigen_spectrum(op, 4, method="arpack")) == 4
 
