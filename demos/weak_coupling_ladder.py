@@ -15,8 +15,7 @@ from phasegas import (
     HermiteBasis,
     ModeLattice,
     ModelParams,
-    apply,
-    assemble_weak,
+    assemble,
     calibrate_mu,
     eigen_spectrum,
     gaussian_ground_coeffs,
@@ -26,11 +25,11 @@ gamma, n_particles, n_max = 0.5, 2, 3
 lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
 par = ModelParams(gamma=gamma, n_particles=n_particles)
 bas = HermiteBasis(lat, gamma, n_max)
-op = assemble_weak(par, lat, bas)
+op = assemble(par, bas).at(0.0)
 print(f"lattice modes = {lat.num_modes}, basis dim = {op.dim}, nnz = {op.matrix.nnz}")
 
 v = gaussian_ground_coeffs(par, bas)
-resid = np.linalg.norm(apply(op, v) - (-par.ebar_n) * v)
+resid = np.linalg.norm(op.apply(v) - (-par.ebar_n) * v)
 print(f"Gaussian ground state residual |L v + ebar v| = {resid:.3e}")
 print(f"ground eigenvalue = -ebar_N = {-par.ebar_n}")
 print()
@@ -51,5 +50,5 @@ print()
 u0 = calibrate_mu(par)
 print(f"constant potential that zeroes the ground eigenvalue: u0 = {u0}")
 par_cal = ModelParams(gamma=gamma, n_particles=n_particles, u_k=[u0] + [0.0] * (lat.num_modes - 1))
-op_cal = assemble_weak(par_cal, lat, bas)
+op_cal = assemble(par_cal, bas).at(0.0)
 print("recalibrated ground eigenvalue:", eigen_spectrum(op_cal, method="dense")[0].eigenvalue)

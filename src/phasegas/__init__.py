@@ -32,13 +32,11 @@ _EXPORTS = {
     "gaussian_expansion_1d": "hermite",
     # operator assembly
     "OperatorMatrix": "operator",
-    "assemble_weak": "operator",
-    "assemble_full": "operator",
-    "scaled_operator": "operator",
-    "cubic_drift_operator": "operator",
+    "AffineOperator": "operator",
+    "assemble": "operator",
+    "scaled_params": "operator",
     "gaussian_ground_coeffs": "operator",
     "drift_term": "operator",
-    "apply": "operator",
     "export_triplets": "operator",
     "load_triplets": "operator",
     # spectra and perturbation series

@@ -23,6 +23,7 @@ import os
 import sys
 import traceback
 
+from ._tables import csv_text
 from .errors import ConfigurationError, RangeOverflowError, SolverError
 
 _THREAD_VARS = (
@@ -61,24 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
-
-
 def _write_table(out_dir: str, name: str, fmt: str, columns, rows) -> str:
     """Write a table deterministically; rows are sequences aligned with columns."""
     path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        text = csv_text(columns, rows)
     else:
         text = json.dumps(
             {"columns": list(columns), "rows": [list(r) for r in rows]},
@@ -199,33 +187,38 @@ def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
 
 
 def _assemble_variant(cfg, lattice, params):
-    from .operator import assemble_full, assemble_weak, scaled_operator, scaled_params
+    """The configured variant: one parameter substitution into `operator.assemble`."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from .operator import assemble, scaled_params
 
     variant = cfg.solver["variant"]
     if variant == "weak":
-        return assemble_weak(params, lattice, cfg.basis(lattice))
-    if variant == "full":
-        return assemble_full(params, lattice, cfg.basis(lattice))
-    return scaled_operator(params, cfg.basis(lattice, gamma=scaled_params(params).gamma))
+        # no drift and no potential but u_0, which stays in the offset -ebar_N
+        if params.u_k is not None:
+            params = replace(params, u_k=np.where(np.arange(params.u_k.size) == 0, params.u_k, 0.0))
+        return assemble(params, cfg.basis(lattice)).at(0.0)
+    if variant == "scaled":
+        params = scaled_params(params)
+        return assemble(params, cfg.basis(lattice, gamma=params.gamma)).at(params.epsilon)
+    return assemble(params, cfg.basis(lattice)).at(params.epsilon)
 
 
 def _cmd_spectrum(cfg, out_dir: str, fmt: str) -> int:
-    from .spectral import eigen_spectrum
+    from .spectral import _solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
     op = _assemble_variant(cfg, lattice, params)
-    pairs = eigen_spectrum(
-        op,
-        cfg.solver["count"],
-        method=cfg.solver["method"],
-        residual_tol=cfg.solver["residual_tol"],
+    # only the ground pair is expanded to full-length vectors
+    values, residuals, pair = _solve(
+        op, cfg.solver["count"], cfg.solver["method"], cfg.solver["residual_tol"]
     )
-    rows = [
-        (i, p.eigenvalue.real, p.eigenvalue.imag, p.residual) for i, p in enumerate(pairs)
-    ]
+    rows = [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(values, residuals))]
     files = [_write_table(out_dir, "spectrum", fmt, ("index", "re", "im", "residual"), rows)]
-    ground = pairs[0].right_vector
+    ground = pair(0).right_vector
     grows = [(i, c.real, c.imag) for i, c in enumerate(ground)]
     files.append(_write_table(out_dir, "spectrum_ground", fmt, ("index", "re", "im"), grows))
     _write_meta(out_dir, "spectrum", cfg.source, fmt, files)
@@ -250,24 +243,19 @@ def _cmd_compare(cfg, out_dir: str, fmt: str) -> int:
 
 
 def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
-    from dataclasses import replace
-
-    from .operator import assemble_full, cubic_drift_operator
+    from .operator import assemble
     from .spectral import ground_state, perturbation_series
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
-    basis = cfg.basis(lattice)
-    params0 = replace(params, epsilon=0.0)
-    op0 = assemble_full(params0, lattice, basis)
-    op1 = cubic_drift_operator(params0, lattice, basis)
-    series = perturbation_series(op0, op1, cfg.perturb["max_order"])
+    affine = assemble(params, cfg.basis(lattice))
+    series = perturbation_series(affine.at(0.0), affine.l1, cfg.perturb["max_order"])
     srows = [(j, c.real, c.imag) for j, c in enumerate(series.orders)]
     files = [_write_table(out_dir, "perturb_series", fmt, ("order", "re", "im"), srows)]
 
     drows = []
     for eps in cfg.perturb["eps_grid"]:
-        direct = ground_state(assemble_full(replace(params, epsilon=eps), lattice, basis)).eigenvalue
+        direct = ground_state(affine.at(eps)).eigenvalue
         model = series.evaluate(eps)
         drows.append((eps, direct.real, direct.imag, model.real, model.imag, abs(direct - model)))
     files.append(
@@ -296,24 +284,21 @@ def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
 
 
 def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
-    from dataclasses import replace
-
     import numpy as np
 
-    from .operator import assemble_full
+    from .operator import assemble
     from .spectral import _shared_real_form, _solve, multiset_match_error
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
-    basis = cfg.basis(lattice)
+    affine = assemble(params, cfg.basis(lattice))
     rows = []
     failures = 0
     tol = cfg.solver["residual_tol"]
     for eps in cfg.scan["eps_grid"]:
         # full spectra are needed for the multiset pairing, so this is dense-only;
         # only the (validated) eigenvalues are read, so no pair is expanded
-        plus = assemble_full(replace(params, epsilon=eps), lattice, basis)
-        minus = assemble_full(replace(params, epsilon=-eps), lattice, basis)
+        plus, minus = affine.at(eps), affine.at(-eps)
         sp = _solve(plus, None, "dense", tol)[0]
         # a second solve of the same real form would return the same array
         sm = sp if _shared_real_form(plus, minus) else _solve(minus, None, "dense", tol)[0]

@@ -34,6 +34,7 @@ import numpy as np
 from scipy import sparse
 import scipy.sparse.linalg as spla
 
+from ._tables import csv_text
 from .errors import ConfigurationError, SolverError
 from .lattice import ModeLattice
 from .operator import DENSE_DIM_LIMIT
@@ -408,7 +409,7 @@ def mean_field_comparison(
       - oracle_normal_epp -> U (N-1)/V.
     """
     from .hermite import HermiteBasis
-    from .operator import assemble_weak
+    from .operator import assemble
     from .params import ModelParams
     from .spectral import energy_from_eigenvalue, ground_state
 
@@ -434,10 +435,9 @@ def mean_field_comparison(
         gamma = u_val / (hbar2_over_2m * vol)
         params = ModelParams(gamma=gamma, n_particles=n)
         hbasis = HermiteBasis(lattice, gamma, n_max)
-        op = assemble_weak(params, lattice, hbasis)
-        gs = ground_state(op)
+        gs = ground_state(assemble(params, hbasis).at(0.0))
         functional_epp = float(
-            np.real(energy_from_eigenvalue(gs.eigenvalue, params, hbar2_over_2m=hbar2_over_2m))
+            np.real(energy_from_eigenvalue(gs.eigenvalue, hbar2_over_2m=hbar2_over_2m))
         ) / n
 
         prediction_epp = u_val * n / vol
@@ -471,10 +471,7 @@ COMPARISON_COLUMNS = (
 
 def comparison_table(rows) -> str:
     """CSV text of mean_field_comparison rows, 17-significant-digit floats."""
-    lines = [",".join(COMPARISON_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(f"{row[c]:.17g}" for c in COMPARISON_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return csv_text(COMPARISON_COLUMNS, [[row[c] for c in COMPARISON_COLUMNS] for row in rows])
 
 
 def export_hamiltonian(h: FockHamiltonian, path=None) -> str:

@@ -27,16 +27,21 @@ and the weak operator becomes exactly diagonal in the variance-matched
 Hermite basis with the ladder spectrum -sum_c n_c k_c^2 - ebar_n.
 
 Every operator term is a finite product of per-coordinate multiplications
-and derivatives, so matrix elements are computed exactly (see `hermite`);
-entries are polynomial in epsilon with real coefficients multiplying even
-powers and imaginary coefficients multiplying odd powers, which realizes the
+and derivatives, so matrix elements are computed exactly (see `hermite`).
+The operator is affine in epsilon, L(epsilon) = L0 + epsilon L1, because the
+perturbing term is part of the kinetic energy: `assemble` builds L0 (pair
+drift/diffusion and potential, offset -ebar_n) and, on first use, L1 (the
+unit-strength quadratic drift), and `AffineOperator.at` forms their sum.
+For a constant potential L0 is real and L1 imaginary, which realizes the
 conjugation symmetry matrix(-epsilon) = conj(matrix(epsilon)) entry for
-entry when the potential is constant.
+entry.
 
-Determinism contract: terms are accumulated in a fixed documented order --
+Determinism contract: L0 accumulates its terms in a fixed documented order --
 pair drift/diffusion in lattice mode order, then potential terms in mode
-order, then quadratic-drift terms ordered by (k index, q index) -- and the
-assembly is sequential, so rebuilding with identical inputs is bit-identical.
+order -- and L1 its quadratic-drift terms ordered by (k index, q index); each
+is materialized and pruned once, sequentially, and L(epsilon) is the one
+pruned sparse sum L0 + epsilon L1.  So rebuilding with identical inputs is
+bit-identical, and L(0) is L0 itself.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -172,23 +178,7 @@ class OperatorMatrix:
         return out
 
 
-def apply(op: OperatorMatrix, vec: np.ndarray) -> np.ndarray:
-    """Matrix-vector action including the scalar offset."""
-    return op.apply(vec)
-
-
 # -- term generators -----------------------------------------------------------
-
-
-def _check_setup(params: ModelParams, lattice: ModeLattice, basis: HermiteBasis, gamma_ref: float):
-    params.validate_against(lattice)
-    if basis.lattice != lattice:
-        raise ConfigurationError("basis was built for a different lattice")
-    if basis.gamma != gamma_ref:
-        raise ConfigurationError(
-            f"basis variance-matched to gamma={basis.gamma} but the operator "
-            f"requires gamma={gamma_ref}; rebuild the basis"
-        )
 
 
 def _weak_terms(params: ModelParams, lattice: ModeLattice, acc):
@@ -212,82 +202,99 @@ def _potential_terms(params: ModelParams, lattice: ModeLattice, acc):
             _expand(-1.0j * u, [deriv_factors(pair, sign)], acc)
 
 
-def _cubic_terms(epsilon: float, lattice: ModeLattice, acc):
-    """i*eps * sum_{k!=0} d_k ( sum_q q.(k-q) phi_q phi_{k-q} . ), sharp mode cutoff."""
-    if epsilon == 0.0:
-        return
+def _convolution(lattice: ModeLattice):
+    """(k index, q index, k-q index, q.(k-q)) of every nonzero term of sum_q q.(k-q) phi_q phi_{k-q}.
+
+    Sharp mode cutoff: only q with both q and k-q on the lattice.  Terms come
+    ordered by (k index, q index) over every lattice mode k, k = 0 included.
+    """
     unit2 = lattice.k_unit ** 2
-    for i in lattice.nonzero_indices():
-        mode_k = lattice.modes[i]
-        pk, sk = pair_and_sign(i)
+    for i, mode_k in enumerate(lattice.modes):
         for j in lattice.nonzero_indices():
             mode_q = lattice.modes[j]
             mode_kq = tuple(a - b for a, b in zip(mode_k, mode_q))
-            if not any(mode_kq) or not lattice.contains(mode_kq):
+            if not lattice.contains(mode_kq):
                 continue
             weight = unit2 * float(sum(a * b for a, b in zip(mode_q, mode_kq)))
-            if weight == 0.0:
-                continue
-            pq, sq = pair_and_sign(j)
-            pr, sr = pair_and_sign(lattice.index(mode_kq))
-            _expand(
-                1.0j * epsilon * weight,
-                [deriv_factors(pk, sk), phi_factors(pq, sq), phi_factors(pr, sr)],
-                acc,
+            if weight != 0.0:
+                yield i, j, lattice.index(mode_kq), weight
+
+
+def _cubic_terms(lattice: ModeLattice, acc):
+    """i * sum_{k!=0} d_k ( sum_q q.(k-q) phi_q phi_{k-q} . ): the drift at unit epsilon."""
+    for i, j, r, weight in _convolution(lattice):
+        if i == 0:
+            continue
+        pk, sk = pair_and_sign(i)
+        pq, sq = pair_and_sign(j)
+        pr, sr = pair_and_sign(r)
+        _expand(
+            1.0j * weight,
+            [deriv_factors(pk, sk), phi_factors(pq, sq), phi_factors(pr, sr)],
+            acc,
+        )
+
+
+# -- the affine operator ---------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class AffineOperator:
+    """The operator family of one parameter set on one basis: L(epsilon) = L0 + epsilon L1.
+
+    `l0` holds the pair drift/diffusion and potential terms with the offset
+    -ebar_n; it is L(0), the weak-coupling operator when u_{k!=0} = 0.  `l1`
+    is the unit-strength quadratic drift dL/d(epsilon) with a zero offset,
+    materialized on first use, so a caller that reads only L(0) never builds
+    it.  For a constant potential L0 is real and L1 imaginary, so
+    conj(L(epsilon)) = L(-epsilon) entry for entry.
+    """
+
+    l0: OperatorMatrix
+    basis: HermiteBasis
+
+    @cached_property
+    def l1(self) -> OperatorMatrix:
+        acc: dict = {}
+        _cubic_terms(self.basis.lattice, acc)
+        return OperatorMatrix(_prune(_materialize(acc, self.basis)), 0.0, self.basis.dims, "cubic-drift")
+
+    def at(self, epsilon: float) -> OperatorMatrix:
+        """L(epsilon): L0 itself at epsilon = 0, else the pruned sum L0 + epsilon L1."""
+        if epsilon == 0.0:
+            return self.l0
+        if self.basis.n_max < 2:
+            warnings.warn(
+                f"n_max={self.basis.n_max} cannot resolve the quadratic-drift term "
+                "(it couples degrees up to 3); results are heavily truncated",
+                TruncationWarning,
+                stacklevel=2,
             )
+        matrix = _prune(self.l0.matrix + epsilon * self.l1.matrix)
+        return OperatorMatrix(matrix, self.l0.offset, self.basis.dims, f"affine(epsilon={epsilon:.17g})")
 
 
-# -- public assemblers ---------------------------------------------------------
+def assemble(params: ModelParams, basis: HermiteBasis) -> AffineOperator:
+    """L(epsilon) = sum_k [-d_k (A_k .) + gamma_k d_k d_{-k}] - ebar_n on `basis`, affine in epsilon.
 
-
-def assemble_weak(params: ModelParams, lattice: ModeLattice, basis: HermiteBasis) -> OperatorMatrix:
-    """Weak-coupling operator sum_k d_k (k^2 phi_k . + gamma_k d_{-k} .) - ebar_n.
-
-    Exactly diagonal in the variance-matched basis (when gamma_k is the
-    constant gamma), with entries -sum_c n_c k_c^2 and offset -ebar_n.
+    Reads every field of `params` but epsilon, which callers pass to
+    `AffineOperator.at`.  The lattice is the basis's, and the basis must be
+    variance-matched to params.gamma.  Substitutions give the variants:
+    the weak operator is L(0) with no potential beyond u_0, and the scaling
+    family is `scaled_params` on a basis matched to its gamma.
     """
-    _check_setup(params, lattice, basis, params.gamma)
-    acc: dict = {}
-    _weak_terms(params, lattice, acc)
-    matrix = _prune(_materialize(acc, basis))
-    return OperatorMatrix(matrix, -params.ebar_n, basis.dims, "weak")
-
-
-def assemble_full(params: ModelParams, lattice: ModeLattice, basis: HermiteBasis) -> OperatorMatrix:
-    """Full operator sum_k [-d_k (A_k .) + gamma_k d_k d_{-k}] - ebar_n.
-
-    Includes the potential term -i u_k d_k for k != 0 and the
-    epsilon-weighted quadratic-drift term i*eps*d_k(q.(k-q) phi_q phi_{k-q} .).
-    """
-    _check_setup(params, lattice, basis, params.gamma)
-    if params.epsilon != 0.0 and basis.n_max < 2:
-        warnings.warn(
-            f"n_max={basis.n_max} cannot resolve the quadratic-drift term "
-            "(it couples degrees up to 3); results are heavily truncated",
-            TruncationWarning,
-            stacklevel=2,
+    lattice = basis.lattice
+    params.validate_against(lattice)
+    if basis.gamma != params.gamma:
+        raise ConfigurationError(
+            f"basis variance-matched to gamma={basis.gamma} but the operator "
+            f"requires gamma={params.gamma}; rebuild the basis"
         )
     acc: dict = {}
     _weak_terms(params, lattice, acc)
     _potential_terms(params, lattice, acc)
-    _cubic_terms(params.epsilon, lattice, acc)
-    matrix = _prune(_materialize(acc, basis))
-    return OperatorMatrix(matrix, -params.ebar_n, basis.dims, "full")
-
-
-def cubic_drift_operator(
-    params: ModelParams, lattice: ModeLattice, basis: HermiteBasis
-) -> OperatorMatrix:
-    """The unit-strength quadratic-drift matrix: d(assemble_full)/d(epsilon).
-
-    Equals assemble_full(epsilon=1) - assemble_full(epsilon=0) and carries a
-    zero offset; used as the perturbation in the epsilon series.
-    """
-    _check_setup(params, lattice, basis, params.gamma)
-    acc: dict = {}
-    _cubic_terms(1.0, lattice, acc)
-    matrix = _prune(_materialize(acc, basis))
-    return OperatorMatrix(matrix, 0.0, basis.dims, "cubic-drift")
+    l0 = OperatorMatrix(_prune(_materialize(acc, basis)), -params.ebar_n, basis.dims, "affine(epsilon=0)")
+    return AffineOperator(l0, basis)
 
 
 def scaled_params(params: ModelParams) -> ModelParams:
@@ -295,7 +302,9 @@ def scaled_params(params: ModelParams) -> ModelParams:
 
     kappa^p multiplies the quadratic drift (it becomes epsilon), kappa^(q-p)
     the potential and kappa^(1-2p) the diffusion coefficients; the basis of a
-    scaled operator is variance-matched to the returned gamma.
+    scaled operator is variance-matched to the returned gamma.  With
+    p = q = 1/2 (diffusion coefficient 1) the scaled operator is L at
+    epsilon = sqrt(kappa) on the unscaled basis.
     """
     kappa, p, q = params.kappa, params.p_exp, params.q_exp
     return replace(
@@ -304,37 +313,6 @@ def scaled_params(params: ModelParams) -> ModelParams:
         gamma_k=None if params.gamma_k is None else params.gamma_k * kappa ** (1.0 - 2.0 * p),
         u_k=None if params.u_k is None else params.u_k * kappa ** (q - p),
         epsilon=kappa ** p,
-    )
-
-
-def scaled_operator(params: ModelParams, basis: HermiteBasis) -> OperatorMatrix:
-    """Scaling family: kappa^p on the quadratic drift, kappa^(q-p) on u, kappa^(1-2p) on gamma.
-
-    Direct substitution of those three coefficients (`scaled_params`) into
-    assemble_full, on a basis variance-matched to the effective gamma; with
-    p = q = 1/2 (diffusion coefficient 1) this is assemble_full at
-    epsilon = sqrt(kappa) on the unscaled basis.
-    """
-    kappa, p, q = params.kappa, params.p_exp, params.q_exp
-    eff = scaled_params(params)
-    lattice = basis.lattice
-    _check_setup(eff, lattice, basis, eff.gamma)
-    if eff.epsilon != 0.0 and basis.n_max < 2:
-        warnings.warn(
-            f"n_max={basis.n_max} cannot resolve the quadratic-drift term",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    acc: dict = {}
-    _weak_terms(eff, lattice, acc)
-    _potential_terms(eff, lattice, acc)
-    _cubic_terms(eff.epsilon, lattice, acc)
-    matrix = _prune(_materialize(acc, basis))
-    return OperatorMatrix(
-        matrix,
-        -eff.ebar_n,
-        basis.dims,
-        f"scaled(kappa={kappa:.17g},p={p:.17g},q={q:.17g})",
     )
 
 
@@ -417,19 +395,13 @@ def drift_term(phi_modes, params: ModelParams, lattice: ModeLattice) -> np.ndarr
         raise ConfigurationError(
             f"phi_modes has shape {phi.shape}, lattice carries {lattice.num_modes} modes"
         )
-    unit2 = lattice.k_unit ** 2
+    conv = np.zeros(lattice.num_modes, dtype=complex)
+    for i, j, r, weight in _convolution(lattice):
+        conv[i] += weight * phi[j] * phi[r]
     out = np.zeros(lattice.num_modes, dtype=complex)
     for i, mode_k in enumerate(lattice.modes):
-        conv = 0.0 + 0.0j
-        for j, mode_q in enumerate(lattice.modes):
-            mode_kq = tuple(a - b for a, b in zip(mode_k, mode_q))
-            if not lattice.contains(mode_kq):
-                continue
-            weight = unit2 * float(sum(a * b for a, b in zip(mode_q, mode_kq)))
-            if weight != 0.0:
-                conv += weight * phi[j] * phi[lattice.index(mode_kq)]
         out[i] = -lattice.k_squared(mode_k) * phi[i] + 1j * (
-            params.u_at(i) - params.epsilon * conv
+            params.u_at(i) - params.epsilon * conv[i]
         )
     return out
 

@@ -72,16 +72,11 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
+from ._tables import csv_text
 from .errors import ConfigurationError, SolverError
 from .hermite import HermiteBasis
 from .lattice import ModeLattice
-from .operator import (
-    DENSE_DIM_LIMIT,
-    OperatorMatrix,
-    assemble_full,
-    hermite_degrees,
-    symmetry_weight,
-)
+from .operator import DENSE_DIM_LIMIT, OperatorMatrix, assemble, hermite_degrees, symmetry_weight
 from .params import ModelParams
 
 # Beyond this eigenvalue condition number half the digits of the eigenvalue
@@ -359,10 +354,11 @@ def _check_request(op: OperatorMatrix, count, method: str) -> None:
 def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
     """Validated head of the spectrum, one block of `connected_blocks` at a time.
 
-    Returns (values, pair): the `count` (all when None) leading eigenvalues of
-    matrix + offset, ground first, every one residual-checked on both sides,
-    and `pair(i)` expanding the i-th to an EigenPair with full-length vectors,
-    so a caller that reads only values and a few pairs never holds the rest.
+    Returns (values, residuals, pair): the `count` (all when None) leading
+    eigenvalues of matrix + offset, ground first, their two-sided residuals,
+    every one within `residual_tol`, and `pair(i)` expanding the i-th to an
+    EigenPair with full-length vectors, so a caller that reads only values
+    and a few pairs never holds the rest.
     Each block contributes its values to one slot range in block order, so
     the sort breaks exact ties by block order.  1x1 blocks are read off the
     diagonal; `method="arpack"` runs ARPACK on blocks of at least count + 2
@@ -441,6 +437,7 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
             f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
         )
     values = w[keep] + op.offset
+    residuals = residual[keep]
 
     def pair(i: int) -> EigenPair:
         slot = keep[i]
@@ -458,10 +455,10 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
             eigenvalue=complex(values[i]),
             right_vector=right,
             left_vector=left,
-            residual=float(residual[slot]),
+            residual=float(residuals[i]),
         )
 
-    return values, pair
+    return values, residuals, pair
 
 
 def eigen_spectrum(
@@ -487,10 +484,12 @@ def eigen_spectrum(
     the original complex block: L^H R = I enforced by one solve and verified,
     a (numerically) defective eigenbasis rejected, and every returned pair
     residual-validated on both sides; failure raises SolverError with the
-    worst value reported.  Only the `count` returned pairs are expanded to
-    full-length vectors.
+    worst value reported.  Every returned pair is expanded to full-length
+    left and right vectors, so with `count` None that is 2 D^2 complex
+    entries in all; a caller that needs only values and residuals (the CLI's
+    `spectrum`) reads them off `_solve` and expands just the pairs it uses.
     """
-    values, pair = _solve(op, count, method, residual_tol)
+    values, _, pair = _solve(op, count, method, residual_tol)
     return [pair(i) for i in range(values.size)]
 
 
@@ -501,13 +500,11 @@ def ground_state(op: OperatorMatrix, *, method: str = "dense", residual_tol: flo
     return eigen_spectrum(op, min(4, op.dim - 2), method="arpack", residual_tol=residual_tol)[0]
 
 
-def energy_from_eigenvalue(e, params: ModelParams | None = None, hbar2_over_2m: float = 1.0):
+def energy_from_eigenvalue(e, *, hbar2_over_2m: float = 1.0):
     """Physical energy from an operator eigenvalue: E = hbar2_over_2m * (-e).
 
     The ground state carries the largest operator eigenvalue, so energies come
-    out lowest-first under this sign convention.  `params` is accepted for
-    signature uniformity with the other pipeline stages; the conversion needs
-    only the scale constant.
+    out lowest-first under this sign convention.
     """
     if not (hbar2_over_2m > 0.0):
         raise ConfigurationError(f"hbar2_over_2m must be positive, got {hbar2_over_2m}")
@@ -537,7 +534,7 @@ def calibrate_mu(
     elif variant == "full":
         if lattice is None or basis is None:
             raise ConfigurationError("full-variant calibration needs lattice and basis")
-        op = assemble_full(params, lattice, basis)
+        op = assemble(params, basis).at(params.epsilon)
         gs = ground_state(op)
         lam_total = gs.eigenvalue
         scale = max(1.0, abs(lam_total))
@@ -581,7 +578,7 @@ def perturbation_series(
         raise ConfigurationError(
             f"operator dimensions differ: {op0.dim} vs {op1.dim}"
         )
-    values, pair = _solve(op0, None, "dense", residual_tol)
+    values, _, pair = _solve(op0, None, "dense", residual_tol)
     ground = pair(0)
     lam_g = ground.eigenvalue
     if values.size > 1:
@@ -699,17 +696,10 @@ def multiset_match_error(a, b) -> float:
 
 def spectrum_table(pairs) -> str:
     """CSV text (index, re, im, residual) with 17-significant-digit floats."""
-    lines = ["index,re,im,residual"]
-    for i, p in enumerate(pairs):
-        lines.append(
-            f"{i},{p.eigenvalue.real:.17g},{p.eigenvalue.imag:.17g},{p.residual:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(i, p.eigenvalue.real, p.eigenvalue.imag, p.residual) for i, p in enumerate(pairs)]
+    return csv_text(("index", "re", "im", "residual"), rows)
 
 
 def series_table(series: PerturbationSeries) -> str:
     """CSV text (order, re, im) of the expansion coefficients."""
-    lines = ["order,re,im"]
-    for j, c in enumerate(series.orders):
-        lines.append(f"{j},{c.real:.17g},{c.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("order", "re", "im"), [(j, c.real, c.imag) for j, c in enumerate(series.orders)])

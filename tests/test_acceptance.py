@@ -9,7 +9,6 @@ import cmath
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,12 +33,9 @@ from phasegas.fock import (
 from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
 from phasegas.operator import (
-    apply,
-    assemble_full,
-    assemble_weak,
-    cubic_drift_operator,
+    assemble,
     gaussian_ground_coeffs,
-    scaled_operator,
+    scaled_params,
 )
 from phasegas.params import ModelParams
 from phasegas.spectral import (
@@ -51,6 +47,12 @@ from phasegas.spectral import (
 )
 
 EPS = float(np.finfo(float).eps)
+
+
+def _scaled(params, basis):
+    """The scaling family: `scaled_params` substituted into `assemble`."""
+    eff = scaled_params(params)
+    return assemble(eff, basis).at(eff.epsilon)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> str:
@@ -133,9 +135,9 @@ def test_criterion_3_gaussian_ground_state():
         for gamma in (0.1, 0.5, 2.0):
             par = ModelParams(gamma=gamma, n_particles=3)
             bas = HermiteBasis(lat, gamma, n_max)
-            op = assemble_weak(par, lat, bas)
+            op = assemble(par, bas).at(0.0)
             v = gaussian_ground_coeffs(par, bas)
-            worst = max(worst, float(np.linalg.norm(apply(op, v) - (-par.ebar_n) * v)))
+            worst = max(worst, float(np.linalg.norm(op.apply(v) - (-par.ebar_n) * v)))
 
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
@@ -150,7 +152,7 @@ def test_criterion_4_ou_ladder_spectrum():
         lat = ModeLattice(d=1, box_len=TAU, m_per_dim=2 * n_pairs + 1)
         par = ModelParams(gamma=0.5, n_particles=2)
         bas = HermiteBasis(lat, 0.5, n_max)
-        op = assemble_weak(par, lat, bas)
+        op = assemble(par, bas).at(0.0)
         assert op.dim <= 4000
         computed = np.array([p.eigenvalue for p in eigen_spectrum(op, method="dense")])
         expected = np.array(
@@ -177,8 +179,8 @@ def test_criterion_5_conjugation_symmetry():
     entrywise_exact = True
     spec_err = 0.0
     for eps in (0.1, 0.5, 1.0):
-        mp = assemble_full(replace(par, epsilon=eps), lat, bas)
-        mm = assemble_full(replace(par, epsilon=-eps), lat, bas)
+        mp = assemble(par, bas).at(eps)
+        mm = assemble(par, bas).at(-eps)
         diff = (mm.matrix - mp.matrix.conj()).tocsr()
         diff.eliminate_zeros()
         if diff.nnz != 0 or mm.offset != mp.offset:
@@ -192,7 +194,7 @@ def test_criterion_5_conjugation_symmetry():
     fit_grid = np.array([-0.3, -0.2, -0.1, 0.1, 0.2, 0.3])
     ground_vals, excited_vals = [], []
     for eps in fit_grid:
-        pairs = eigen_spectrum(assemble_full(replace(par, epsilon=float(eps)), lat, bas), method="dense")
+        pairs = eigen_spectrum(assemble(par, bas).at(float(eps)), method="dense")
         ground_vals.append(pairs[0].eigenvalue.real)
         excited_vals.append(0.5 * (pairs[1].eigenvalue.real + pairs[2].eigenvalue.real))
     co_g = np.polyfit(fit_grid, ground_vals, 4)
@@ -217,8 +219,8 @@ def test_criterion_6_scaling_consistency():
     bas = HermiteBasis(lat, 0.5, 3)
     worst = 0.0
     for kappa in (0.04, 0.25, 1.0):
-        s = scaled_operator(ModelParams(gamma=0.5, n_particles=2, kappa=kappa), bas)
-        f = assemble_full(ModelParams(gamma=0.5, n_particles=2, epsilon=kappa**0.5), lat, bas)
+        s = _scaled(ModelParams(gamma=0.5, n_particles=2, kappa=kappa), bas)
+        f = assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=kappa**0.5), bas).at(kappa**0.5)
         d = (s.matrix - f.matrix).tocsr()
         d.eliminate_zeros()
         entry = 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
@@ -240,7 +242,7 @@ def test_criterion_7_mean_field_energy():
     gamma = u_int / lat1.volume
     par = ModelParams(gamma=gamma, n_particles=2)
     bas = HermiteBasis(lat1, gamma, 2)
-    e_func = energy_from_eigenvalue(ground_state(assemble_weak(par, lat1, bas)).eigenvalue)
+    e_func = energy_from_eigenvalue(ground_state(assemble(par, bas).at(0.0)).eigenvalue)
     pred = u_int * 2**2 / lat1.volume
     ok_func = e_func.real == pred and e_func.imag == 0.0
 
@@ -289,15 +291,15 @@ def test_criterion_8_perturbation_consistency():
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     par = ModelParams(gamma=0.5, n_particles=2)
     bas = HermiteBasis(lat, 0.5, 3)
-    op0 = assemble_weak(par, lat, bas)
-    series = perturbation_series(op0, cubic_drift_operator(par, lat, bas), max_order=2)
+    op0 = assemble(par, bas).at(0.0)
+    series = perturbation_series(op0, assemble(par, bas).l1, max_order=2)
     first_order = abs(series.orders[1])
 
     grid = (0.05, 0.1, 0.2, 0.4)
     spectra = {}
     for eps in grid + (0.0,):
         spectra[eps] = eigen_spectrum(
-            assemble_full(replace(par, epsilon=eps), lat, bas), method="dense"
+            assemble(par, bas).at(eps), method="dense"
         )
 
     # ground-level remainder |e(eps) - e0 - eps^2 e2|: the divergence-form

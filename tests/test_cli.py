@@ -134,20 +134,19 @@ def test_scan_solves_each_shared_real_form_once(tmp_path, monkeypatch):
 
 
 def test_scan_without_a_shared_real_form_solves_both_and_fails(tmp_path, monkeypatch, capsys):
-    from dataclasses import replace
+    from types import SimpleNamespace
 
     import phasegas.operator as operator
     import phasegas.spectral as spectral
 
-    assemble_full = operator.assemble_full
+    assemble = operator.assemble
 
-    def broken(params, lattice, basis):
+    def broken(params, basis):
+        affine = assemble(params, basis)
         # L(-eps) no longer conjugates L(eps)
-        if params.epsilon < 0:
-            params = replace(params, epsilon=1.01 * params.epsilon)
-        return assemble_full(params, lattice, basis)
+        return SimpleNamespace(at=lambda eps: affine.at(1.01 * eps if eps < 0 else eps))
 
-    monkeypatch.setattr(operator, "assemble_full", broken)
+    monkeypatch.setattr(operator, "assemble", broken)
     solves = _count_calls(monkeypatch, spectral, "_solve")
     cfg = _write_config(tmp_path)
     assert main(["--config", cfg, "--out", str(tmp_path / "sc"), "scan"]) == 1
@@ -282,3 +281,88 @@ def test_cli_commands_do_not_load_scipy_optimize(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_weak_variant_keeps_u0_and_drops_the_rest_of_the_potential(tmp_path):
+    u_k = [0.0, 0.3, 0.3, -0.2, -0.2]
+    cfg = _write_config(
+        tmp_path, params={"u_zero": -1.5, "u_k": u_k}, solver={"variant": "weak"}
+    )
+    out = tmp_path / "weak"
+    assert main(["--config", cfg, "--out", str(out), "spectrum"]) == 0
+    rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    # -ebar_N = -N (u_0 + gamma N), and with no drift and no u_{k != 0} the
+    # operator is the diagonal ladder, so every eigenvalue is real
+    assert float(rows[0][1]) == -2 * (-1.5 + 0.5 * 2)
+    assert all(float(row[2]) == 0.0 for row in rows)
+
+
+def test_scan_and_perturb_assemble_once_and_compare_never_builds_l1(tmp_path, monkeypatch):
+    import phasegas.operator as operator
+    from phasegas.config import load_config
+
+    cfg = load_config(str(_DEMO_CONFIG))
+    for command, expected in (
+        ("scan", 2),
+        ("perturb", 2),
+        ("compare", len(cfg.compare["couplings"])),
+    ):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, operator, "_materialize")
+            assert main(["--config", str(_DEMO_CONFIG), "--out", str(tmp_path), command]) == 0
+        # L0 and L1 once per run, whatever the length of the epsilon grid;
+        # compare reads only L(0), once per coupling
+        assert len(calls) == expected, command
+
+
+def test_table_functions_equal_the_cli_csv_files(tmp_path):
+    from phasegas.fock import COMPARISON_COLUMNS, comparison_table, mean_field_comparison
+    from phasegas.hermite import HermiteBasis
+    from phasegas.lattice import ModeLattice
+    from phasegas.operator import assemble
+    from phasegas.params import ModelParams
+    from phasegas.spectral import eigen_spectrum, perturbation_series, series_table, spectrum_table
+
+    lat = ModeLattice(d=1, m_per_dim=5)
+    affine = assemble(ModelParams(gamma=0.5, n_particles=2), HermiteBasis(lat, 0.5, 2))
+    pairs = eigen_spectrum(affine.at(0.3))
+    series = perturbation_series(affine.at(0.0), affine.l1, 3)
+    comparison = mean_field_comparison(lat, 2, [0.5, 0.05])
+    cases = [
+        (
+            spectrum_table(pairs),
+            ("index", "re", "im", "residual"),
+            [(i, p.eigenvalue.real, p.eigenvalue.imag, p.residual) for i, p in enumerate(pairs)],
+        ),
+        (
+            series_table(series),
+            ("order", "re", "im"),
+            [(j, c.real, c.imag) for j, c in enumerate(series.orders)],
+        ),
+        (
+            comparison_table(comparison),
+            COMPARISON_COLUMNS,
+            [tuple(r[c] for c in COMPARISON_COLUMNS) for r in comparison],
+        ),
+    ]
+    for n, (text, columns, rows) in enumerate(cases):
+        path = cli._write_table(str(tmp_path), f"table{n}", "csv", columns, rows)
+        assert Path(path).read_text() == text
+
+
+def test_spectrum_expands_only_the_ground_pair(tmp_path):
+    import tracemalloc
+
+    # dim 7^4 = 2401 at epsilon = 0: every block is 1x1, so expanding every
+    # pair to its two full-length vectors would take 2 D^2 16 B
+    cfg = _write_config(tmp_path, params={"epsilon": 0.0}, basis={"n_max": 6})
+    dim = 7**4
+    tracemalloc.start()
+    try:
+        assert main(["--config", cfg, "--out", str(tmp_path / "big"), "spectrum"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dim**2 * 16
+    lines = (tmp_path / "big" / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == dim + 1

@@ -8,24 +8,25 @@ assembly path) and compares values pointwise against the assembled matrix.
 import itertools
 import math
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial import hermite_e as he
 
+import phasegas.operator as operator
 from phasegas.errors import ConfigurationError, TruncationWarning
 from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
 from phasegas.operator import (
     OperatorMatrix,
-    apply,
-    assemble_full,
-    assemble_weak,
-    cubic_drift_operator,
+    assemble,
     drift_term,
     export_triplets,
     gaussian_ground_coeffs,
     load_triplets,
-    scaled_operator,
+    scaled_params,
 )
 from phasegas.params import ModelParams
 
@@ -37,6 +38,12 @@ def _setup(m=5, gamma=0.5, n_particles=2, epsilon=1.0, n_max=3, **kw):
     par = ModelParams(gamma=gamma, n_particles=n_particles, epsilon=epsilon, **kw)
     bas = HermiteBasis(lat, gamma, n_max)
     return lat, par, bas
+
+
+def _scaled(params, basis):
+    """The scaling family: `scaled_params` substituted into `assemble`."""
+    eff = scaled_params(params)
+    return assemble(eff, basis).at(eff.epsilon)
 
 
 def _symmetric_modes(lat, rng):
@@ -108,12 +115,157 @@ def test_drift_term_with_potential():
     assert np.max(np.abs(a - 1j * u_k)) == 0.0
 
 
+def _drift_term_loop(phi, par, lat):
+    """The double loop `drift_term` had before the convolution generator, kept as the reference."""
+    unit2 = lat.k_unit ** 2
+    out = np.zeros(lat.num_modes, dtype=complex)
+    for i, mode_k in enumerate(lat.modes):
+        conv = 0.0 + 0.0j
+        for j, mode_q in enumerate(lat.modes):
+            mode_kq = tuple(a - b for a, b in zip(mode_k, mode_q))
+            if not lat.contains(mode_kq):
+                continue
+            weight = unit2 * float(sum(a * b for a, b in zip(mode_q, mode_kq)))
+            if weight != 0.0:
+                conv += weight * phi[j] * phi[lat.index(mode_kq)]
+        out[i] = -lat.k_squared(mode_k) * phi[i] + 1j * (par.u_at(i) - par.epsilon * conv)
+    return out
+
+
+def test_drift_term_bit_identical_to_the_double_loop():
+    rng = np.random.default_rng(SEED)
+    for d, m in ((1, 3), (1, 5), (1, 7), (2, 3)):
+        lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+        for u in (None, 0.3):
+            u_k = None if u is None else np.full(lat.num_modes, u)
+            for eps in (1.0, -0.4):
+                par = ModelParams(gamma=0.5, n_particles=2, epsilon=eps, u_k=u_k)
+                for _ in range(20):
+                    phi = _symmetric_modes(lat, rng)
+                    got = drift_term(phi, par, lat)
+                    assert got.tobytes() == _drift_term_loop(phi, par, lat).tobytes()
+
+
+# -- the affine operator L0 + eps L1 ---------------------------------------------
+
+
+def _cubic_terms_loop(epsilon, lat, acc):
+    """The quadratic-drift loop of the one-dictionary assembly, epsilon in each coefficient."""
+    if epsilon == 0.0:
+        return
+    unit2 = lat.k_unit ** 2
+    for i in lat.nonzero_indices():
+        mode_k = lat.modes[i]
+        pk, sk = operator.pair_and_sign(i)
+        for j in lat.nonzero_indices():
+            mode_q = lat.modes[j]
+            mode_kq = tuple(a - b for a, b in zip(mode_k, mode_q))
+            if not any(mode_kq) or not lat.contains(mode_kq):
+                continue
+            weight = unit2 * float(sum(a * b for a, b in zip(mode_q, mode_kq)))
+            if weight == 0.0:
+                continue
+            pq, sq = operator.pair_and_sign(j)
+            pr, sr = operator.pair_and_sign(lat.index(mode_kq))
+            operator._expand(
+                1.0j * epsilon * weight,
+                [
+                    operator.deriv_factors(pk, sk),
+                    operator.phi_factors(pq, sq),
+                    operator.phi_factors(pr, sr),
+                ],
+                acc,
+            )
+
+
+def _single_dictionary(par, bas):
+    """The one-dictionary assembly `assemble` replaced, kept as the reference.
+
+    Every term goes into one dictionary, the quadratic drift's with epsilon
+    in its coefficient, and the sum is materialized and pruned once.
+    """
+    acc = {}
+    operator._weak_terms(par, bas.lattice, acc)
+    operator._potential_terms(par, bas.lattice, acc)
+    _cubic_terms_loop(par.epsilon, bas.lattice, acc)
+    matrix = operator._prune(operator._materialize(acc, bas))
+    return OperatorMatrix(matrix, -par.ebar_n, bas.dims, "reference")
+
+
+def _same_arrays(a, b):
+    a, b = a.tocsr(), b.tocsr()
+    return all(
+        getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+        for attr in ("indptr", "indices", "data")
+    )
+
+
+def test_affine_sum_matches_the_single_dictionary_assembly():
+    lat1 = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    u_k = np.zeros(lat1.num_modes, dtype=complex)
+    u_k[1:] = (0.3 + 0.1j, 0.3 - 0.1j, -0.2j, 0.2j)
+    cases = [
+        (ModelParams(gamma=0.5, n_particles=2), HermiteBasis(lat1, 0.5, 3)),
+        (ModelParams(gamma=0.5, n_particles=3, u_k=u_k), HermiteBasis(lat1, 0.5, 3)),
+        (ModelParams(gamma=0.8, n_particles=2), HermiteBasis(lat2, 0.8, 2)),
+    ]
+    for par, bas in cases:
+        affine = assemble(par, bas)
+        # L(0), and the weak operator of the parameters without a potential
+        for p in (par, replace(par, u_k=None)):
+            ref = _single_dictionary(replace(p, epsilon=0.0), bas)
+            got = assemble(p, bas).at(0.0)
+            assert _same_arrays(got.matrix, ref.matrix) and got.offset == ref.offset
+        for eps in (0.05, -0.05, 0.2, -0.2, 0.4):
+            ref = _single_dictionary(replace(par, epsilon=eps), bas).matrix
+            got = affine.at(eps)
+            assert np.array_equal(got.matrix.indptr, ref.indptr)
+            assert np.array_equal(got.matrix.indices, ref.indices)
+            rel = np.abs(got.matrix.data - ref.data) / np.abs(ref.data)
+            assert rel.max() <= 2e-15, (eps, rel.max())
+            assert got.offset == -par.ebar_n
+
+
+def test_l1_bit_identical_to_the_unit_strength_drift():
+    for d, m, n_max in ((1, 3, 3), (1, 5, 3), (1, 7, 2), (2, 3, 2)):
+        lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+        bas = HermiteBasis(lat, 0.5, n_max)
+        l1 = assemble(ModelParams(gamma=0.5, n_particles=2), bas).l1
+        acc = {}
+        _cubic_terms_loop(1.0, lat, acc)
+        assert _same_arrays(l1.matrix, operator._prune(operator._materialize(acc, bas)))
+        assert l1.offset == 0.0
+        # at m = 3 in d = 1 no q has both q and k - q nonzero on the lattice
+        assert (l1.matrix.nnz > 0) == ((d, m) != (1, 3))
+
+
+def test_at_zero_is_l0_and_never_builds_l1(monkeypatch):
+    lat, par, bas = _setup(n_max=1)
+    calls = []
+    materialize = operator._materialize
+    monkeypatch.setattr(
+        operator, "_materialize", lambda acc, b: calls.append(b) or materialize(acc, b)
+    )
+    affine = assemble(par, bas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a tiny basis warns only when L1 enters
+        assert affine.at(0.0) is affine.l0 and affine.at(-0.0) is affine.l0
+    assert len(calls) == 1
+    with pytest.warns(TruncationWarning):
+        affine.at(0.3)
+    with pytest.warns(TruncationWarning):
+        affine.at(-0.3)
+    assert len(calls) == 2
+    assert affine.l1 is affine.l1
+
+
 # -- weak operator ---------------------------------------------------------------
 
 
 def test_weak_matrix_is_diagonal_ladder():
     lat, par, bas = _setup(n_max=4)
-    op = assemble_weak(par, lat, bas)
+    op = assemble(par, bas).at(0.0)
     m = op.matrix.tocsr()
     # strictly diagonal after pruning; the all-zeros state contributes an
     # exact 0 that the pruning drops
@@ -132,24 +284,24 @@ def test_weak_annihilates_gaussian_ground_exactly():
     for gamma in (0.1, 0.5, 2.0):
         for m in (5, 9):
             lat, par, bas = _setup(m=m, gamma=gamma, n_particles=3, n_max=2)
-            op = assemble_weak(par, lat, bas)
+            op = assemble(par, bas).at(0.0)
             g = gaussian_ground_coeffs(par, bas)
-            resid = apply(op, g) - (-par.ebar_n) * g
+            resid = op.apply(g) - (-par.ebar_n) * g
             assert np.max(np.abs(resid)) == 0.0
 
 
 def test_offset_example():
     lat, par, bas = _setup(gamma=0.5, n_particles=3, n_max=1)
     assert par.ebar_n == 4.5
-    assert assemble_weak(par, lat, bas).offset == -4.5
+    assert assemble(par, bas).at(0.0).offset == -4.5
     par_u = ModelParams(gamma=0.5, n_particles=3, u_k=(0.2, 0.0, 0.0, 0.0, 0.0))
     assert par_u.ebar_n == 3 * (0.2 + 0.5 * 3)
 
 
 def test_weak_equals_full_at_zero_epsilon():
     lat, par, bas = _setup(epsilon=0.0)
-    w = assemble_weak(par, lat, bas)
-    f = assemble_full(par, lat, bas)
+    w = assemble(par, bas).at(0.0)
+    f = assemble(par, bas).at(par.epsilon)
     diff = (w.matrix - f.matrix).tocsr()
     diff.eliminate_zeros()
     assert diff.nnz == 0
@@ -162,8 +314,8 @@ def test_weak_equals_full_at_zero_epsilon():
 def test_sign_flip_conjugates_matrix_exactly():
     lat, _, bas = _setup(n_max=3)
     for eps in (0.1, 0.5, 1.0):
-        plus = assemble_full(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), lat, bas)
-        minus = assemble_full(ModelParams(gamma=0.5, n_particles=2, epsilon=-eps), lat, bas)
+        plus = assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), bas).at(eps)
+        minus = assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=-eps), bas).at(-eps)
         diff = (minus.matrix - plus.matrix.conj()).tocsr()
         diff.eliminate_zeros()
         assert diff.nnz == 0
@@ -173,12 +325,8 @@ def test_sign_flip_conjugates_matrix_exactly():
 def test_nonzero_potential_breaks_conjugation():
     lat, _, bas = _setup(n_max=2)
     u_k = (0.0, 0.3, 0.3, 0.0, 0.0)
-    plus = assemble_full(
-        ModelParams(gamma=0.5, n_particles=2, epsilon=0.4, u_k=u_k), lat, bas
-    )
-    minus = assemble_full(
-        ModelParams(gamma=0.5, n_particles=2, epsilon=-0.4, u_k=u_k), lat, bas
-    )
+    plus = assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=0.4, u_k=u_k), bas).at(0.4)
+    minus = assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=-0.4, u_k=u_k), bas).at(-0.4)
     diff = (minus.matrix - plus.matrix.conj()).tocsr()
     diff.eliminate_zeros()
     assert diff.nnz > 0
@@ -187,7 +335,7 @@ def test_nonzero_potential_breaks_conjugation():
 def test_cubic_entries_flip_total_parity():
     """Every cubic-drift entry connects opposite total-degree parities."""
     lat, par, bas = _setup(epsilon=1.0, n_max=3)
-    v = cubic_drift_operator(par, lat, bas).matrix.tocoo()
+    v = assemble(par, bas).l1.matrix.tocoo()
     parity = np.zeros(bas.dim, dtype=int)
     for flat, multi in enumerate(itertools.product(*(range(d) for d in bas.dims))):
         parity[flat] = sum(multi) % 2
@@ -200,7 +348,7 @@ def test_cubic_entries_flip_total_parity():
 def test_cubic_row_zero_vanishes():
     # divergence form: constant left functional annihilates the drift terms
     lat, par, bas = _setup(epsilon=1.0, n_max=4)
-    v = cubic_drift_operator(par, lat, bas).matrix.tocsr()
+    v = assemble(par, bas).l1.matrix.tocsr()
     assert np.max(np.abs(v[0].toarray())) == 0.0
 
 
@@ -225,7 +373,7 @@ def test_full_operator_matches_symbolic_mode_space_oracle():
     # the cubic term raises any one coordinate degree by at most 2, so a
     # basis with that much headroom holds the complete image of low columns
     lat, par, bas = _setup(gamma=gamma, n_particles=n_particles, epsilon=eps, n_max=4)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     dense = op.matrix.toarray() + op.offset * np.eye(op.dim)
 
     # complex mode symbols in lattice order [0, +1, -1, +2, -2]; the 0 mode
@@ -315,8 +463,8 @@ def test_full_operator_matches_symbolic_mode_space_oracle():
 def test_matrix_entries_nest_across_truncation():
     lat, par, bas_small = _setup(n_max=2)
     bas_big = HermiteBasis(lat, par.gamma, 4)
-    small = assemble_full(par, lat, bas_small).matrix.toarray()
-    big = assemble_full(par, lat, bas_big).matrix.toarray()
+    small = assemble(par, bas_small).at(par.epsilon).matrix.toarray()
+    big = assemble(par, bas_big).at(par.epsilon).matrix.toarray()
     idx = np.array(
         [
             np.ravel_multi_index(multi, bas_big.dims)
@@ -335,10 +483,8 @@ def test_scaled_operator_equals_full_at_sqrt_kappa():
     bas = HermiteBasis(lat, 0.5, 3)
     for kappa in (0.04, 0.25, 1.0):
         par = ModelParams(gamma=0.5, n_particles=2, kappa=kappa)
-        s = scaled_operator(par, bas)
-        f = assemble_full(
-            ModelParams(gamma=0.5, n_particles=2, epsilon=kappa**0.5), lat, bas
-        )
+        s = _scaled(par, bas)
+        f = assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=kappa**0.5), bas).at(kappa**0.5)
         diff = (s.matrix - f.matrix).tocsr()
         diff.eliminate_zeros()
         assert diff.nnz == 0
@@ -354,10 +500,8 @@ def test_scaled_operator_general_exponents():
     par = ModelParams(
         gamma=0.5, n_particles=2, kappa=kappa, p_exp=1.0, q_exp=0.0
     )
-    s = scaled_operator(par, bas)
-    f = assemble_full(
-        ModelParams(gamma=gamma, n_particles=2, epsilon=kappa), lat, bas
-    )
+    s = _scaled(par, bas)
+    f = assemble(ModelParams(gamma=gamma, n_particles=2, epsilon=kappa), bas).at(kappa)
     assert np.max(np.abs((s.matrix - f.matrix).toarray())) <= 1e-14
     assert abs(s.offset - f.offset) <= 1e-14 * abs(f.offset)
 
@@ -367,11 +511,11 @@ def test_scaled_operator_general_exponents():
 
 def test_apply_matches_dense_action():
     lat, par, bas = _setup(n_max=2)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     rng = np.random.default_rng(SEED + 2)
     v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
     ref = op.total_dense() @ v
-    assert np.max(np.abs(apply(op, v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(op.apply(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_gaussian_ground_requires_matching_width():
@@ -386,12 +530,12 @@ def test_truncation_warning_for_tiny_basis():
     lat, par, _ = _setup()
     tiny = HermiteBasis(lat, par.gamma, 1)
     with pytest.warns(TruncationWarning):
-        assemble_full(par, lat, tiny)
+        assemble(par, tiny).at(par.epsilon)
 
 
 def test_triplet_export_round_trip(tmp_path):
     lat, par, bas = _setup(n_max=2)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     path = tmp_path / "op.txt"
     text = export_triplets(op, path)
     assert path.read_text() == text
@@ -407,7 +551,7 @@ def test_triplet_export_round_trip(tmp_path):
 
 def _small_export():
     lat, par, bas = _setup(n_max=2)
-    return export_triplets(assemble_full(par, lat, bas))
+    return export_triplets(assemble(par, bas).at(par.epsilon))
 
 
 def test_triplet_missing_dim_line_rejected():
@@ -434,14 +578,12 @@ def test_two_dimensional_lattice_smoke():
     par = ModelParams(gamma=0.8, n_particles=2, epsilon=0.3)
     bas = HermiteBasis(lat, 0.8, 1)
     with pytest.warns(TruncationWarning):
-        op = assemble_full(par, lat, bas)
-    w = assemble_weak(par, lat, bas)
+        op = assemble(par, bas).at(par.epsilon)
+    w = assemble(par, bas).at(0.0)
     g = gaussian_ground_coeffs(par, bas)
-    assert np.max(np.abs(apply(w, g) - (-par.ebar_n) * g)) == 0.0
+    assert np.max(np.abs(w.apply(g) - (-par.ebar_n) * g)) == 0.0
     with pytest.warns(TruncationWarning):
-        minus = assemble_full(
-            ModelParams(gamma=0.8, n_particles=2, epsilon=-0.3), lat, bas
-        )
+        minus = assemble(ModelParams(gamma=0.8, n_particles=2, epsilon=-0.3), bas).at(-0.3)
     diff = (minus.matrix - op.matrix.conj()).tocsr()
     diff.eliminate_zeros()
     assert diff.nnz == 0
@@ -451,4 +593,4 @@ def test_gamma_mismatch_rejected():
     lat, par, _ = _setup(gamma=0.5)
     bas = HermiteBasis(lat, 0.9, 2)
     with pytest.raises(ConfigurationError):
-        assemble_weak(par, lat, bas)
+        assemble(par, bas).at(0.0)

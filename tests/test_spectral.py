@@ -21,10 +21,8 @@ from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
 from phasegas.operator import (
     OperatorMatrix,
-    assemble_full,
-    assemble_weak,
-    cubic_drift_operator,
-    scaled_operator,
+    assemble,
+    scaled_params,
     symmetry_weight,
 )
 from phasegas.params import ModelParams
@@ -55,6 +53,12 @@ def _setup(m=5, gamma=0.5, n_particles=2, epsilon=0.0, n_max=2):
     return lat, par, bas
 
 
+def _scaled(params, basis):
+    """The scaling family: `scaled_params` substituted into `assemble`."""
+    eff = scaled_params(params)
+    return assemble(eff, basis).at(eff.epsilon)
+
+
 def _random_op(dim, rng, scale=1.0):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return OperatorMatrix(
@@ -67,7 +71,7 @@ def _random_op(dim, rng, scale=1.0):
 
 def test_weak_spectrum_is_ou_ladder():
     lat, par, bas = _setup(n_max=2)
-    op = assemble_weak(par, lat, bas)
+    op = assemble(par, bas).at(0.0)
     pairs = eigen_spectrum(op)
     got = np.array([p.eigenvalue for p in pairs])
     ladder = []
@@ -82,7 +86,7 @@ def test_weak_spectrum_is_ou_ladder():
 
 def test_eigenpairs_satisfy_biorthogonality_and_residuals():
     lat, par, bas = _setup(epsilon=0.4, n_max=3)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     pairs = eigen_spectrum(op)
     r = np.column_stack([p.right_vector for p in pairs])
     l = np.column_stack([p.left_vector for p in pairs])
@@ -102,10 +106,10 @@ def test_spectrum_conjugation_pairing():
     lat, _, bas = _setup(n_max=3)
     for eps in (0.1, 0.5):
         sp_p = eigen_spectrum(
-            assemble_full(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), lat, bas)
+            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), bas).at(eps)
         )
         sp_m = eigen_spectrum(
-            assemble_full(ModelParams(gamma=0.5, n_particles=2, epsilon=-eps), lat, bas)
+            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=-eps), bas).at(-eps)
         )
         a = np.array([p.eigenvalue for p in sp_p])
         b = np.array([p.eigenvalue for p in sp_m])
@@ -114,7 +118,7 @@ def test_spectrum_conjugation_pairing():
 
 def test_ground_state_matches_spectrum_head():
     lat, par, bas = _setup(epsilon=0.3, n_max=3)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     g = ground_state(op)
     head = eigen_spectrum(op, 1)[0]
     assert g.eigenvalue == head.eigenvalue
@@ -123,7 +127,7 @@ def test_ground_state_matches_spectrum_head():
 
 def test_count_argument_truncates():
     lat, par, bas = _setup()
-    op = assemble_weak(par, lat, bas)
+    op = assemble(par, bas).at(0.0)
     pairs = eigen_spectrum(op, 5)
     assert len(pairs) == 5
 
@@ -147,7 +151,7 @@ def test_arpack_agrees_with_dense_on_separated_spectrum():
         assert a.residual <= 1e-8
     # arpack ground on the physical weak operator
     lat, par, bas = _setup(n_max=2)
-    w = assemble_weak(par, lat, bas)
+    w = assemble(par, bas).at(0.0)
     g_arp = eigen_spectrum(w, 1, method="arpack")[0]
     assert abs(g_arp.eigenvalue - (-par.ebar_n)) <= 1e-10
 
@@ -196,7 +200,7 @@ def test_blocked_solve_of_permuted_block_diagonal_operator():
 
 def test_blocked_spectrum_matches_unblocked_zgeev():
     lat, par, bas = _setup(epsilon=0.2, n_max=4)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     # the sectors of the half-box translation and the k <-> -k reflection
     sizes = sorted((b.size for b in connected_blocks(op.matrix)), reverse=True)
     assert sizes == [173, 150, 150, 150, 1, 1]
@@ -205,7 +209,7 @@ def test_blocked_spectrum_matches_unblocked_zgeev():
     assert multiset_match_error(got, ref) <= 1e-10
     # at epsilon = 0 the operator is diagonal: every state is its own block
     lat, par0, bas = _setup(epsilon=0.0, n_max=4)
-    assert len(connected_blocks(assemble_full(par0, lat, bas).matrix)) == op.dim
+    assert len(connected_blocks(assemble(par0, bas).at(par0.epsilon).matrix)) == op.dim
 
 
 # -- perturbation series -----------------------------------------------------------
@@ -302,11 +306,11 @@ def test_block_series_matches_bordered_lu_on_assembled_operators(u):
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
     par = ModelParams(gamma=0.5, n_particles=2, u_k=_potential(lat, u))
     bas = HermiteBasis(lat, 0.5, 3)
-    op0 = assemble_full(par, lat, bas)
+    op0 = assemble(par, bas).at(par.epsilon)
     assert max(b.size for b in connected_blocks(op0.matrix)) > 1
     rng = np.random.default_rng(SEED + 4)
     # the drift leaves the pinned ground's orders exactly 0; a random op1 does not
-    for op1 in (cubic_drift_operator(par, lat, bas), _random_op(op0.dim, rng, scale=0.05)):
+    for op1 in (assemble(par, bas).l1, _random_op(op0.dim, rng, scale=0.05)):
         got = perturbation_series(op0, op1, 6).orders
         ref = _series_bordered_lu(op0, op1, 6)
         for g, r in zip(got, ref, strict=True):
@@ -356,15 +360,15 @@ def test_cubic_series_vanishes_and_ground_is_pinned():
     """Divergence form pins the top eigenvalue: every order beyond 0 is zero
     and the direct eigenvalue does not move with epsilon."""
     lat, par, bas = _setup(epsilon=0.0, n_max=3)
-    op0 = assemble_full(par, lat, bas)
-    op1 = cubic_drift_operator(par, lat, bas)
+    op0 = assemble(par, bas).at(par.epsilon)
+    op1 = assemble(par, bas).l1
     series = perturbation_series(op0, op1, 4)
     assert series.orders[0] == -par.ebar_n
     for c in series.orders[1:]:
         assert c == 0.0
     for eps in (0.05, 0.2, 0.4):
         e = ground_state(
-            assemble_full(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), lat, bas)
+            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), bas).at(eps)
         ).eigenvalue
         assert e == -par.ebar_n
 
@@ -375,7 +379,7 @@ def test_truncation_stability_of_ground():
     for n_max in (2, 4):
         bas = HermiteBasis(lat, par.gamma, n_max)
         e[n_max] = ground_state(
-            assemble_full(ModelParams(gamma=0.5, n_particles=2, epsilon=0.3), lat, bas)
+            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=0.3), bas).at(0.3)
         ).eigenvalue
     assert abs(e[4] - e[2]) < 1e-8
 
@@ -393,7 +397,7 @@ def test_calibrate_mu_closed_form_example():
     par_cal = ModelParams(
         gamma=0.5, n_particles=3, u_k=(u0, 0.0, 0.0, 0.0, 0.0), epsilon=0.0
     )
-    e = ground_state(assemble_weak(par_cal, lat, bas)).eigenvalue
+    e = ground_state(assemble(par_cal, bas).at(0.0)).eigenvalue
     assert e == 0.0
 
 
@@ -413,14 +417,14 @@ def test_calibrate_mu_full_variant():
 
 def test_energy_conversion():
     par = ModelParams(gamma=0.5, n_particles=2)
-    assert energy_from_eigenvalue(-2.0, par) == 2.0
-    assert energy_from_eigenvalue(-2.0, par, hbar2_over_2m=0.5) == 1.0
+    assert energy_from_eigenvalue(-2.0) == 2.0
+    assert energy_from_eigenvalue(-2.0, hbar2_over_2m=0.5) == 1.0
     assert energy_from_eigenvalue(complex(-3.0, 0.25)) == complex(3.0, -0.25)
 
 
 def test_spectrum_table_round_trip():
     lat, par, bas = _setup(n_max=1)
-    pairs = eigen_spectrum(assemble_weak(par, lat, bas), 4)
+    pairs = eigen_spectrum(assemble(par, bas).at(0.0), 4)
     text = spectrum_table(pairs)
     lines = text.strip().splitlines()
     assert lines[0] == "index,re,im,residual"
@@ -636,7 +640,7 @@ def test_arpack_at_epsilon_zero_equals_dense():
     # every block is 1x1 at epsilon = 0, so no Arnoldi run can skip the
     # degenerate -3 level that a symmetric start vector never reaches
     lat, par, bas = _setup(m=5, n_max=4, epsilon=0.0)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     dense = eigen_spectrum(op, 6)
     arpack = eigen_spectrum(op, 6, method="arpack")
     assert [p.eigenvalue for p in arpack] == [-2, -3, -3, -4, -4, -4]
@@ -666,7 +670,7 @@ def test_arpack_heads_equal_dense_heads(m, n_max, epsilon, count, u):
     # u = 0 takes the weight-certified single run, u != 0 the adjoint run
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=m)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=epsilon, u_k=_potential(lat, u))
-    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, n_max))
+    op = assemble(par, HermiteBasis(lat, 0.5, n_max)).at(par.epsilon)
     count = min(count, op.dim - 2)
     full = np.array([p.eigenvalue for p in eigen_spectrum(op)])
     pairs = eigen_spectrum(op, count, method="arpack")
@@ -694,20 +698,20 @@ def test_weight_certificate_holds_exactly_for_constant_potential_in_one_dimensio
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     bas = HermiteBasis(lat, 0.5, 3)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2)
-    assert _weight_certified(assemble_weak(par, lat, bas))
-    assert _weight_certified(assemble_full(par, lat, bas))
-    assert _weight_certified(assemble_full(replace(par, epsilon=-0.45), lat, bas))
+    assert _weight_certified(assemble(par, bas).at(0.0))
+    assert _weight_certified(assemble(par, bas).at(par.epsilon))
+    assert _weight_certified(assemble(par, bas).at(-0.45))
     scaled = ModelParams(gamma=0.5, n_particles=2, kappa=0.04, p_exp=0.3)
     gamma_eff = 0.5 * 0.04 ** 0.4
-    assert _weight_certified(scaled_operator(scaled, HermiteBasis(lat, gamma_eff, 3)))
+    assert _weight_certified(_scaled(scaled, HermiteBasis(lat, gamma_eff, 3)))
     # the potential term is raising-only, and in d = 2 the Gram pairing no
     # longer makes the quadratic drift antisymmetric
     with_u = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, 0.3))
-    assert not _weight_certified(assemble_full(with_u, lat, bas))
+    assert not _weight_certified(assemble(with_u, bas).at(with_u.epsilon))
     lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
-    assert not _weight_certified(assemble_full(par, lat2, HermiteBasis(lat2, 0.5, 2)))
+    assert not _weight_certified(assemble(par, HermiteBasis(lat2, 0.5, 2)).at(par.epsilon))
     # a weight that does not fit the dimension, or overflows, certifies nothing
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     assert _weight_balance(op.matrix.tocsr(), (op.dim + 1,)) is None
     big = OperatorMatrix(sparse.identity(200, dtype=complex, format="csr"), 0.0, (200,), "t")
     assert not np.isfinite(symmetry_weight(big.basis_dims)).all()
@@ -718,7 +722,7 @@ def test_weight_certificate_holds_exactly_for_constant_potential_in_one_dimensio
 def test_arpack_runs_per_block_follow_the_certificate(monkeypatch, u, runs_per_block):
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, u))
-    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+    op = assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
     large = sum(b.size >= 6 for b in connected_blocks(op.matrix))
     checks, runs = [], []
     balance, eigs = spectral._weight_balance, spectral.spla.eigs
@@ -734,7 +738,7 @@ def test_arpack_with_a_false_certificate_raises(monkeypatch):
     # which the bi-orthonormalization and residual checks must reject
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, 0.3))
-    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+    op = assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
     eigen_spectrum(op, 4, method="arpack")  # the adjoint path passes
 
     def forged(matrix, basis_dims):
@@ -748,10 +752,11 @@ def test_arpack_with_a_false_certificate_raises(monkeypatch):
 
 def test_solve_returns_validated_values_and_expands_only_on_request():
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     pairs = eigen_spectrum(op)
-    values, pair = _solve(op, None, "dense", 1e-9)
+    values, residuals, pair = _solve(op, None, "dense", 1e-9)
     assert np.array_equal(values, np.array([p.eigenvalue for p in pairs]))
+    assert np.array_equal(residuals, np.array([p.residual for p in pairs]))
     for i in (0, 7, op.dim - 1):
         got = pair(i)
         assert got.eigenvalue == pairs[i].eigenvalue and got.residual == pairs[i].residual
@@ -781,13 +786,13 @@ def test_real_form_is_exact_for_every_assembled_operator():
     scaled = ModelParams(gamma=0.5, n_particles=2, kappa=0.04, p_exp=0.3)
     lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
     ops = [
-        assemble_weak(par, lat, bas),
-        *(assemble_full(replace(par, epsilon=e), lat, bas) for e in (0.2, -0.2, -0.37)),
-        scaled_operator(scaled, HermiteBasis(lat, 0.5 * 0.04**0.4, 3)),
-        cubic_drift_operator(par, lat, bas),
-        assemble_full(replace(par, u_k=_potential(lat, 0.3)), lat, bas),
-        assemble_full(replace(par, gamma_k=_even_gamma_k(lat)), lat, bas),
-        assemble_full(par, lat2, HermiteBasis(lat2, 0.5, 2)),
+        assemble(par, bas).at(0.0),
+        *(assemble(par, bas).at(e) for e in (0.2, -0.2, -0.37)),
+        _scaled(scaled, HermiteBasis(lat, 0.5 * 0.04**0.4, 3)),
+        assemble(par, bas).l1,
+        assemble(replace(par, u_k=_potential(lat, 0.3)), bas).at(par.epsilon),
+        assemble(replace(par, gamma_k=_even_gamma_k(lat)), bas).at(par.epsilon),
+        assemble(par, HermiteBasis(lat2, 0.5, 2)).at(par.epsilon),
     ]
     for op in ops:
         form, phase = _real_form_of(op)
@@ -803,8 +808,8 @@ def test_real_form_is_exact_for_every_assembled_operator():
 def test_conjugate_operators_have_the_same_real_form():
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     for eps in (0.2, 0.37):
-        plus, s_plus = _real_form_of(assemble_full(replace(par, epsilon=eps), lat, bas))
-        minus, s_minus = _real_form_of(assemble_full(replace(par, epsilon=-eps), lat, bas))
+        plus, s_plus = _real_form_of(assemble(par, bas).at(eps))
+        minus, s_minus = _real_form_of(assemble(par, bas).at(-eps))
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(plus, attr), getattr(minus, attr))
         assert np.array_equal(s_plus, s_minus.conj())
@@ -817,7 +822,7 @@ def test_generic_complex_operator_has_no_real_form():
     assert phase is None and form is not None and np.iscomplexobj(form)
     # a basis that does not match the dimension certifies nothing either
     lat, par, bas = _setup(epsilon=0.2)
-    full = assemble_full(par, lat, bas)
+    full = assemble(par, bas).at(par.epsilon)
     assert _real_form(full.matrix.tocsr(), (full.dim + 1,))[1] is None
 
 
@@ -828,10 +833,10 @@ def test_real_form_is_weight_certified_exactly_when_the_operator_is():
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2)
     lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
     cases = [
-        (assemble_full(par, lat, bas), True),
-        (assemble_full(replace(par, epsilon=-0.45), lat, bas), True),
-        (assemble_full(replace(par, u_k=_potential(lat, 0.3)), lat, bas), False),
-        (assemble_full(par, lat2, HermiteBasis(lat2, 0.5, 2)), False),
+        (assemble(par, bas).at(par.epsilon), True),
+        (assemble(par, bas).at(-0.45), True),
+        (assemble(replace(par, u_k=_potential(lat, 0.3)), bas).at(par.epsilon), False),
+        (assemble(par, HermiteBasis(lat2, 0.5, 2)).at(par.epsilon), False),
     ]
     for op, certified in cases:
         form = _real_form_of(op)[0]
@@ -843,7 +848,7 @@ def test_real_form_is_weight_certified_exactly_when_the_operator_is():
 def test_demo_spectrum_is_conjugation_closed_and_matches_global_zgeev(u):
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, u))
-    op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+    op = assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
     got = np.array([p.eigenvalue for p in eigen_spectrum(op)])
     # real arithmetic returns complex eigenvalues in exact conjugate pairs
     assert np.array_equal(np.sort(got), np.sort(got.conj()))
@@ -855,7 +860,7 @@ def test_demo_spectrum_is_conjugation_closed_and_matches_global_zgeev(u):
 @pytest.mark.parametrize("method", ["dense", "arpack"])
 def test_every_block_solver_runs_in_real_arithmetic(monkeypatch, method):
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     dtypes = []
     eig, eigs = spectral.sla.eig, spectral.spla.eigs
     monkeypatch.setattr(spectral.sla, "eig", lambda a, **k: dtypes.append(a.dtype) or eig(a, **k))
@@ -871,7 +876,7 @@ def test_forged_real_form_raises(monkeypatch, method):
     # the real form's phases are not trusted: every returned pair is checked
     # against the original complex block, so one wrong phase is caught
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     count = 4 if method == "arpack" else None
     eigen_spectrum(op, count, method=method)
     largest = max(connected_blocks(op.matrix), key=len)
@@ -915,7 +920,7 @@ def test_exact_duplicates_pair_without_loading_scipy_optimize():
 def test_dense_cap_applies_to_the_largest_block(monkeypatch):
     lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
     par = ModelParams(gamma=0.5, n_particles=2)
-    weak = assemble_weak(par, lat2, HermiteBasis(lat2, 0.5, 2))
+    weak = assemble(par, HermiteBasis(lat2, 0.5, 2)).at(0.0)
     assert weak.dim > spectral.DENSE_DIM_LIMIT
     # every block of the diagonal weak operator is 1x1
     assert ground_state(weak).eigenvalue == -par.ebar_n
@@ -926,7 +931,7 @@ def test_dense_cap_applies_to_the_largest_block(monkeypatch):
     series = perturbation_series(weak, weak, 1)
     assert series.orders == (-par.ebar_n, -par.ebar_n)
     lat, par, bas = _setup(epsilon=0.2, n_max=4)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 160)
     with pytest.raises(ConfigurationError, match="largest block 173"):
         eigen_spectrum(op)
@@ -965,7 +970,7 @@ def test_vectorized_phases_agree_with_the_column_loop():
     # LAPACK vectors of the real form: real for u = 0, complex pairs for u != 0
     for u in (0.0, 0.7):
         par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, u))
-        op = assemble_full(par, lat, HermiteBasis(lat, 0.5, 3))
+        op = assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
         form, phase = _real_form_of(op)
         for idx in connected_blocks(op.matrix):
             if idx.size > 1:
@@ -996,7 +1001,7 @@ def test_biorthonormalization_solves_in_real_arithmetic(monkeypatch):
     # every block of the u = 0 operator has a real spectrum, so dgeev returns
     # real vectors and the normalization solve stays in float64
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     dtypes = []
     solve = np.linalg.solve
     monkeypatch.setattr(
@@ -1026,9 +1031,9 @@ def test_conjugate_partner_shares_the_real_form_and_the_spectrum(m, n_max, epsil
     bas = HermiteBasis(lat, 0.5, n_max)
     u_k = _potential(lat, u)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=epsilon, u_k=u_k)
-    op = assemble_full(par, lat, bas)
+    op = assemble(par, bas).at(par.epsilon)
     partner_u = None if u_k is None else -np.conj(u_k)
-    partner = assemble_full(replace(par, epsilon=-epsilon, u_k=partner_u), lat, bas)
+    partner = assemble(replace(par, u_k=partner_u), bas).at(-epsilon)
     assert np.array_equal(partner.matrix.toarray(), op.matrix.toarray().conj())
     assert spectral._shared_real_form(op, partner)
     values = _solve(op, None, "dense", 1e-9)[0]
@@ -1036,7 +1041,7 @@ def test_conjugate_partner_shares_the_real_form_and_the_spectrum(m, n_max, epsil
     assert values.tobytes() == again.tobytes()
     # with a potential, L(-eps) is the partner only where the drift vanishes
     # (m = 3, or eps = 0); whenever the check passes, the values agree
-    flipped = assemble_full(replace(par, epsilon=-epsilon), lat, bas)
+    flipped = assemble(par, bas).at(-epsilon)
     if spectral._shared_real_form(op, flipped):
         assert _solve(flipped, None, "dense", 1e-9)[0].tobytes() == values.tobytes()
     else:
