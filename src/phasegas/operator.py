@@ -60,7 +60,7 @@ from .lattice import ModeLattice
 from .params import ModelParams
 
 PRUNE_REL = 1e-15
-# the largest side of a dense array: a block handed to LAPACK, or a D x D matrix
+# the largest side of a dense array: one symmetry block handed to LAPACK
 DENSE_DIM_LIMIT = 4096
 
 
@@ -167,15 +167,6 @@ class OperatorMatrix:
                 f"vector has shape {vec.shape}, operator dimension is {self.dim}"
             )
         return self.matrix @ vec + self.offset * vec
-
-    def total_dense(self) -> np.ndarray:
-        if self.dim > DENSE_DIM_LIMIT:
-            raise ConfigurationError(
-                f"dense matrix capped at dimension {DENSE_DIM_LIMIT} (got {self.dim})"
-            )
-        out = np.asarray(self.matrix.todense(), dtype=complex)
-        out[np.diag_indices_from(out)] += self.offset
-        return out
 
 
 # -- term generators -----------------------------------------------------------

@@ -49,6 +49,18 @@ arithmetic, with S = I.  Every eigenvalue is read off A, so two operators
 with one real form bit for bit (`_shared_real_form`, e.g. L(epsilon) and
 L(-epsilon) = conj L(epsilon)) have the same spectrum array.
 
+The weight certificate also serves the dense path.  W' has a constant sign
+on every block of a certified real form (the blocks split the reflection
+sectors, and sign W' = (-1)^(sum n_y)), so its balanced block B = D A D^-1 is
+exactly +-a real symmetric matrix: detailed balance, as for a Fokker-Planck
+operator.  Such a block goes to the symmetric `eigh` on sign(W') (B + B^T)/2,
+its right vectors map back through D^-1 and its left candidates are W' r.
+Mapping back amplifies eigh's backward error by max D / min D, so a block
+whose a-priori bound (max D / min D) u max|B| (u the unit roundoff) already
+exceeds the residual tolerance skips the attempt, and a block whose
+symmetric result fails any check is solved again by the general `eig`.
+Both go through the same phase choice, bi-orthonormalization and checks.
+
 The epsilon series for the ground eigenvalue uses the standard
 Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
 
@@ -75,13 +87,13 @@ import scipy.sparse.linalg as spla
 from ._tables import csv_text
 from .errors import ConfigurationError, SolverError
 from .hermite import HermiteBasis
-from .lattice import ModeLattice
 from .operator import DENSE_DIM_LIMIT, OperatorMatrix, assemble, hermite_degrees, symmetry_weight
 from .params import ModelParams
 
 # Beyond this eigenvalue condition number half the digits of the eigenvalue
 # are lost to roundoff, the signature of a (numerically) defective eigenvalue.
 CONDITION_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # seed of the ARPACK start vectors, one fresh generator per block
 _ARPACK_SEED = 20260816
 
@@ -243,6 +255,55 @@ def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
     return balanced, scale, sign
 
 
+def _symmetric_fits(balance, residual_tol: float) -> bool:
+    """Whether a block's (balanced block B, D, sign W') admits the symmetric solve.
+
+    sign(W') B is then a real symmetric matrix: B must be real and sign(W')
+    constant on the block.  `eigh`'s backward error, about u max|B| with u
+    the unit roundoff, reaches the block's vectors through D^-1 and grows by
+    max D / min D on the way, so a block whose a-priori bound
+    (max D / min D) u max|B| already exceeds `residual_tol` goes to the
+    general path without an attempt.
+    """
+    balanced, scale, sign = balance
+    return bool(
+        np.isrealobj(balanced.data)
+        and (sign == sign[0]).all()
+        and scale.max() / scale.min() * _UNIT_ROUNDOFF * abs(balanced).max() <= residual_tol
+    )
+
+
+def _dense_block(sub, block, s, balance, residual_tol: float):
+    """(values, R, L, two-sided residuals) of one block solved densely.
+
+    `sub` is the complex block, `block` the working block of `_real_form`
+    and s its unit phases diag S.  When `balance` holds the block's
+    (balanced block B, D, sign W') and `_symmetric_fits`, `eigh` (LAPACK's
+    divide-and-conquer driver) solves sign(W') (B + B^T) / 2: the values are
+    sign(W') times its eigenvalues, the right vectors its vectors mapped back
+    through D^-1, and the left candidates W' r, real like r, as in
+    `_arpack_block`'s balanced run.  If that result fails a check or
+    `residual_tol`, and for every other block, LAPACK `eig` supplies both
+    vector sets.  Either way the vectors go through `_fix_phases` and
+    `_biorthonormalize`, so every check runs against `sub`.
+    """
+    if balance is not None and _symmetric_fits(balance, residual_tol):
+        balanced, scale, sign = balance
+        dense = sign[0] * balanced.toarray()
+        try:
+            ev, v = sla.eigh(0.5 * (dense + dense.T), driver="evd")
+            wb = sign[0] * ev
+            vrb, c = _fix_phases(v / scale[:, None], s)
+            solved = _biorthonormalize(sub, wb, s, c, vrb, (sign * scale**2)[:, None] * vrb)
+            if solved[2].max() <= residual_tol:
+                return (wb, *solved)
+        except (SolverError, np.linalg.LinAlgError):
+            pass
+    wb, cand, vrb = sla.eig(block.toarray(), left=True, right=True)
+    vrb, c = _fix_phases(vrb, s)
+    return (wb, *_biorthonormalize(sub, wb, s, c, vrb, cand))
+
+
 def _arpack_block(sub, count: int, balance):
     """(values, right vectors, left candidates) of the `count` LR-most pairs of a block.
 
@@ -369,7 +430,9 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
     1x1 blocks included, are read off it.  Phases and the
     bi-orthonormalization solve stay in the working arithmetic; the vectors
     then map to L's basis, R = S v c and L = S l c, and every check runs
-    against the original complex block.
+    against the original complex block.  A dense block that the weight
+    certificate balances to +-a real symmetric matrix is solved by `eigh`,
+    with `eig` as its fallback (`_dense_block`).
     """
     _check_request(op, count, method)
     dim = op.dim
@@ -395,25 +458,22 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
         phase = np.ones(dim)
     # every value comes from the working matrix, so one real form gives one spectrum
     w[starts[sizes == 1]] = work.diagonal()[[b[0] for b in blocks if b.size == 1]]
-    balance = _weight_balance(work, op.basis_dims) if iterative.any() else None
+    balance = _weight_balance(work, op.basis_dims) if (sizes > 1).any() else None
     vectors, pending = {}, {}
     for n, (idx, start) in enumerate(zip(blocks, starts)):
         if idx.size == 1:
             continue
         sub, block = matrix[idx][:, idx], work[idx][:, idx]
+        local = None
+        if balance is not None:
+            local = (balance[0][idx][:, idx], balance[1][idx], balance[2][idx])
         if iterative[n]:
-            local = None
-            if balance is not None:
-                local = (balance[0][idx][:, idx], balance[1][idx], balance[2][idx])
             wb, vrb, cand = _arpack_block(block, count, local)
-        else:
-            wb, cand, vrb = sla.eig(block.toarray(), left=True, right=True)
-        vrb, c = _fix_phases(vrb, phase[idx])
-        if iterative[n]:
+            vrb, c = _fix_phases(vrb, phase[idx])
             pending[n] = (sub, c, vrb, cand)
         else:
-            right, left, residual[start : start + wb.size] = _biorthonormalize(
-                sub, wb, phase[idx], c, vrb, cand
+            wb, right, left, residual[start : start + wb.size] = _dense_block(
+                sub, block, phase[idx], local, residual_tol
             )
             vectors[n] = (right, left)
         w[start : start + wb.size] = wb
@@ -472,7 +532,12 @@ def eigen_spectrum(
 
     Both paths work on the blocks of `connected_blocks` (the symmetry sectors,
     see the module docstring) and read 1x1 blocks off the diagonal.  The
-    dense path solves the left/right problem of every other block.  The
+    dense path solves the left/right problem of every other block: by the
+    symmetric `eigh` on the balanced block when `operator.symmetry_weight`
+    certifies the real form and its sign is constant on the block, unless
+    the a-priori bound (max D / min D) u max|B| on the error mapped back
+    through the balance D^-1 exceeds `residual_tol`; by the general `eig`
+    otherwise, and for any block whose symmetric result fails a check.  The
     iterative path (`method="arpack"`, requires `count`) runs ARPACK for the
     `count` leading pairs of each block of at least count + 2 states -- once,
     on the balanced block, when `operator.symmetry_weight` certifies the
@@ -513,7 +578,6 @@ def energy_from_eigenvalue(e, *, hbar2_over_2m: float = 1.0):
 
 def calibrate_mu(
     params: ModelParams,
-    lattice: ModeLattice | None = None,
     basis: HermiteBasis | None = None,
     variant: str = "weak",
 ) -> float:
@@ -523,7 +587,7 @@ def calibrate_mu(
     -ebar_N = -N(u_0 + gamma_0 N), so the root-find in u_0 is exactly linear:
     with lam_mat the ground eigenvalue of the differential part,
     u_0 = lam_mat/N - gamma_0 N.  The weak variant has lam_mat = 0 by the
-    ladder structure; the full variant solves for it once.
+    ladder structure; the full variant solves for it once on `basis`.
     """
     n = params.n_particles
     if n == 0:
@@ -532,8 +596,8 @@ def calibrate_mu(
     if variant == "weak":
         lam_mat = 0.0
     elif variant == "full":
-        if lattice is None or basis is None:
-            raise ConfigurationError("full-variant calibration needs lattice and basis")
+        if basis is None:
+            raise ConfigurationError("full-variant calibration needs a basis")
         op = assemble(params, basis).at(params.epsilon)
         gs = ground_state(op)
         lam_total = gs.eigenvalue

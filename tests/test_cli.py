@@ -122,12 +122,13 @@ def test_scan_solves_each_shared_real_form_once(tmp_path, monkeypatch):
 
     solves = _count_calls(monkeypatch, spectral, "_solve")
     eigs = _count_calls(monkeypatch, spectral.sla, "eig")
+    eighs = _count_calls(monkeypatch, spectral.sla, "eigh")
     assert main(["--config", str(_DEMO_CONFIG), "--out", str(tmp_path), "scan"]) == 0
     eps_grid = load_config(str(_DEMO_CONFIG)).scan["eps_grid"]
-    # one solve per epsilon, of L(+eps), and one LAPACK call per block of it
+    # one solve per epsilon, of L(+eps), and one LAPACK call (eig or eigh) per block of it
     assert len(solves) == len(eps_grid)
     blocks = sum(sum(b.size > 1 for b in connected_blocks(op.matrix)) for op in solves)
-    assert len(eigs) == blocks
+    assert len(eigs) + len(eighs) == blocks
     for line in (tmp_path / "scan.csv").read_text().strip().splitlines()[1:]:
         fields = line.split(",")
         assert fields[1:3] == fields[3:5] and float(fields[5]) == 0.0

@@ -16,7 +16,7 @@ import scipy.optimize
 from scipy import sparse
 
 import phasegas.spectral as spectral
-from phasegas.errors import ConfigurationError, SolverError
+from phasegas.errors import ConfigurationError, SolverError, TruncationWarning
 from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
 from phasegas.operator import (
@@ -255,9 +255,9 @@ def _series_bordered_lu(op0, op1, max_order):
     lam_g, right = ground.eigenvalue, ground.right_vector
     left = ground.left_vector / np.conj(np.vdot(ground.left_vector, right))
     dim = op0.dim
-    v_mat = op1.total_dense()
+    v_mat = op1.matrix.toarray() + op1.offset * np.eye(dim)
     bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
-    bordered[:dim, :dim] = op0.total_dense()
+    bordered[:dim, :dim] = op0.matrix.toarray() + op0.offset * np.eye(dim)
     bordered[np.arange(dim), np.arange(dim)] -= lam_g
     bordered[:dim, dim] = right
     bordered[dim, :dim] = np.conj(left)
@@ -405,10 +405,10 @@ def test_calibrate_mu_full_variant():
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     bas = HermiteBasis(lat, 0.5, 3)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.3)
-    u0 = calibrate_mu(par, lattice=lat, basis=bas, variant="full")
+    u0 = calibrate_mu(par, basis=bas, variant="full")
     assert abs(u0 - (-1.0)) <= 1e-10  # pinned eigenvalue: same as weak answer
     with pytest.raises(ConfigurationError):
-        calibrate_mu(par, variant="full")  # lattice/basis required
+        calibrate_mu(par, variant="full")  # basis required
     with pytest.raises(ConfigurationError):
         calibrate_mu(ModelParams(gamma=0.5, n_particles=0))
     with pytest.raises(ConfigurationError):
@@ -862,8 +862,9 @@ def test_every_block_solver_runs_in_real_arithmetic(monkeypatch, method):
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
     dtypes = []
-    eig, eigs = spectral.sla.eig, spectral.spla.eigs
+    eig, eigh, eigs = spectral.sla.eig, spectral.sla.eigh, spectral.spla.eigs
     monkeypatch.setattr(spectral.sla, "eig", lambda a, **k: dtypes.append(a.dtype) or eig(a, **k))
+    monkeypatch.setattr(spectral.sla, "eigh", lambda a, **k: dtypes.append(a.dtype) or eigh(a, **k))
     monkeypatch.setattr(
         spectral.spla, "eigs", lambda a, **k: dtypes.append(a.dtype) or eigs(a, **k)
     )
@@ -924,9 +925,6 @@ def test_dense_cap_applies_to_the_largest_block(monkeypatch):
     assert weak.dim > spectral.DENSE_DIM_LIMIT
     # every block of the diagonal weak operator is 1x1
     assert ground_state(weak).eigenvalue == -par.ebar_n
-    # a D x D array stays capped at the total dimension
-    with pytest.raises(ConfigurationError, match="capped at dimension"):
-        weak.total_dense()
     # the series solves one block at a time, so it runs at dim 6561
     series = perturbation_series(weak, weak, 1)
     assert series.orders == (-par.ebar_n, -par.ebar_n)
@@ -1046,3 +1044,112 @@ def test_conjugate_partner_shares_the_real_form_and_the_spectrum(m, n_max, epsil
         assert _solve(flipped, None, "dense", 1e-9)[0].tobytes() == values.tobytes()
     else:
         assert u != 0.0 and epsilon != 0.0 and m == 5
+
+
+# -- symmetric solves of detailed-balance blocks -------------------------------------
+
+
+def _general_values(monkeypatch, op):
+    """Values of `_solve` with the weight certificate withheld, so every block takes `eig`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_weight_balance", lambda matrix, basis_dims: None)
+        return _solve(op, None, "dense", 1e-9)[0]
+
+
+def _lapack_calls(monkeypatch):
+    calls = {"eig": [], "eigh": []}
+    for name, seen in calls.items():
+        original = getattr(spectral.sla, name)
+        monkeypatch.setattr(
+            spectral.sla, name, lambda a, _f=original, _s=seen, **k: _s.append(a.shape) or _f(a, **k)
+        )
+    return calls
+
+
+def _multi_state_blocks(op):
+    return sum(b.size > 1 for b in connected_blocks(op.matrix))
+
+
+@pytest.mark.parametrize("n_max", [3, 4])  # the demo and `dense_spectra` configs
+def test_symmetric_path_matches_the_general_path(monkeypatch, n_max):
+    lat, par, bas = _setup(epsilon=0.2, n_max=n_max)
+    op = assemble(par, bas).at(par.epsilon)
+    calls = _lapack_calls(monkeypatch)
+    values, residuals, pair = _solve(op, None, "dense", 1e-9)
+    # every block is balanced to +-a real symmetric matrix and takes `eigh`
+    assert len(calls["eigh"]) == _multi_state_blocks(op) and not calls["eig"]
+    assert residuals.max() <= 1e-9
+    general = _general_values(monkeypatch, op)
+    assert len(calls["eig"]) == _multi_state_blocks(op)
+    assert multiset_match_error(values, general) <= 1e-11
+    assert np.array_equal(np.sort(values), np.sort(values.conj()))
+    ground = pair(0)
+    total = op.matrix + op.offset * sparse.identity(op.dim)
+    assert np.linalg.norm(total @ ground.right_vector - ground.eigenvalue * ground.right_vector) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(epsilon=st.floats(-1.0, 1.0))
+def test_symmetric_path_matches_the_general_path_at_any_coupling(epsilon):
+    lat, par, bas = _setup(epsilon=epsilon, n_max=3)
+    op = assemble(par, bas).at(epsilon)
+    values = _solve(op, None, "dense", 1e-9)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        assert multiset_match_error(values, _general_values(patch, op)) <= 1e-11
+
+
+def test_operators_without_the_weight_certificate_never_reach_eigh(monkeypatch):
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, 0.7))
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    with pytest.warns(TruncationWarning):
+        flat = assemble(replace(par, u_k=None), HermiteBasis(lat2, 0.5, 1)).at(par.epsilon)
+    for op in (assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon), flat):
+        assert not _weight_certified(op)
+        with monkeypatch.context() as patch:
+            calls = _lapack_calls(patch)
+            try:
+                _solve(op, None, "dense", 1e-9)
+            except SolverError:
+                pass  # d = 2 has no usable dense spectrum; only the path matters here
+        assert calls["eig"] and not calls["eigh"]
+
+
+@pytest.mark.parametrize("spoil", ["perturbed", "zero"])
+def test_a_failed_symmetric_block_falls_back_to_eig(monkeypatch, spoil):
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    general = _general_values(monkeypatch, op)
+    eigh = spectral.sla.eigh
+    rng = np.random.default_rng(SEED + 9)
+
+    def spoiled(a, **kw):
+        ev, v = eigh(a, **kw)
+        # vectors off by 1e-6 fail the residual check, zero vectors fail `_fix_phases`
+        return ev, (v + 1e-6 * rng.standard_normal(v.shape) if spoil == "perturbed" else 0.0 * v)
+
+    monkeypatch.setattr(spectral.sla, "eigh", spoiled)
+    calls = _lapack_calls(monkeypatch)
+    values, residuals, _ = _solve(op, None, "dense", 1e-9)
+    assert len(calls["eigh"]) == len(calls["eig"]) == _multi_state_blocks(op)
+    assert values.tobytes() == general.tobytes()
+    assert residuals.max() <= 1e-9
+
+
+def test_the_a_priori_bound_sends_wide_weights_to_the_general_path():
+    # at n_max = 7 eigh's error, mapped back through D^-1, reaches about
+    # 2e-9 on the complex block, above the default residual_tol of 1e-9
+    def fits(n_max, epsilon):
+        lat, par, bas = _setup(epsilon=epsilon, n_max=n_max)
+        op = assemble(par, bas).at(epsilon)
+        form, _ = _real_form_of(op)
+        balanced, scale, sign = _weight_balance(form, op.basis_dims)
+        return [
+            spectral._symmetric_fits((balanced[idx][:, idx], scale[idx], sign[idx]), 1e-9)
+            for idx in connected_blocks(op.matrix)
+            if idx.size > 1
+        ]
+
+    wide, narrow = fits(7, 0.3), fits(4, 0.2)
+    assert len(wide) == 4 and not any(wide)
+    assert len(narrow) == 4 and all(narrow)
