@@ -514,7 +514,7 @@ def test_apply_matches_dense_action():
     op = assemble(par, bas).at(par.epsilon)
     rng = np.random.default_rng(SEED + 2)
     v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-    ref = op.matrix.toarray() @ v + op.offset * v
+    ref = (op.matrix.toarray() + op.offset * np.eye(op.dim)) @ v
     assert np.max(np.abs(op.apply(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
