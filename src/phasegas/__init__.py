@@ -43,8 +43,9 @@ _EXPORTS = {
     "EigenPair": "spectral",
     "connected_blocks": "spectral",
     "PerturbationSeries": "spectral",
+    "Spectrum": "spectral",
+    "solve": "spectral",
     "eigen_spectrum": "spectral",
-    "ground_state": "spectral",
     "calibrate_mu": "spectral",
     "energy_from_eigenvalue": "spectral",
     "perturbation_series": "spectral",

@@ -207,18 +207,17 @@ def _assemble_variant(cfg, lattice, params):
 
 
 def _cmd_spectrum(cfg, out_dir: str, fmt: str) -> int:
-    from .spectral import _solve
+    from .spectral import solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
     op = _assemble_variant(cfg, lattice, params)
-    # only the ground pair is expanded to full-length vectors
-    values, residuals, pair = _solve(
-        op, cfg.solver["count"], cfg.solver["method"], cfg.solver["residual_tol"]
-    )
-    rows = [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(values, residuals))]
+    solver = cfg.solver
+    spectrum = solve(op, solver["count"], method=solver["method"], residual_tol=solver["residual_tol"])
+    rows = [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))]
     files = [_write_table(out_dir, "spectrum", fmt, ("index", "re", "im", "residual"), rows)]
-    ground = pair(0).right_vector
+    # only the ground pair is expanded to full-length vectors
+    ground = spectrum.pair(0).right_vector
     grows = [(i, c.real, c.imag) for i, c in enumerate(ground)]
     files.append(_write_table(out_dir, "spectrum_ground", fmt, ("index", "re", "im"), grows))
     _write_meta(out_dir, "spectrum", cfg.source, fmt, files)
@@ -244,18 +243,20 @@ def _cmd_compare(cfg, out_dir: str, fmt: str) -> int:
 
 def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
     from .operator import assemble
-    from .spectral import ground_state, perturbation_series
+    from .spectral import perturbation_series, solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
     affine = assemble(params, cfg.basis(lattice))
-    series = perturbation_series(affine.at(0.0), affine.l1, cfg.perturb["max_order"])
+    method, tol = cfg.solver["method"], cfg.solver["residual_tol"]
+    # the series needs every pair of L0, so it is dense whatever the method
+    series = perturbation_series(affine.at(0.0), affine.l1, cfg.perturb["max_order"], residual_tol=tol)
     srows = [(j, c.real, c.imag) for j, c in enumerate(series.orders)]
     files = [_write_table(out_dir, "perturb_series", fmt, ("order", "re", "im"), srows)]
 
     drows = []
     for eps in cfg.perturb["eps_grid"]:
-        direct = ground_state(affine.at(eps)).eigenvalue
+        direct = complex(solve(affine.at(eps), 1, method=method, residual_tol=tol).values[0])
         model = series.evaluate(eps)
         drows.append((eps, direct.real, direct.imag, model.real, model.imag, abs(direct - model)))
     files.append(
@@ -287,7 +288,7 @@ def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
     import numpy as np
 
     from .operator import assemble
-    from .spectral import _shared_real_form, _solve, multiset_match_error
+    from .spectral import multiset_match_error, solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
@@ -299,11 +300,11 @@ def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
         # full spectra are needed for the multiset pairing, so this is dense-only;
         # only the (validated) eigenvalues are read, so no pair is expanded
         plus, minus = affine.at(eps), affine.at(-eps)
-        sp = _solve(plus, None, "dense", tol)[0]
-        # a second solve of the same real form would return the same array
-        sm = sp if _shared_real_form(plus, minus) else _solve(minus, None, "dense", tol)[0]
-        pair_err = multiset_match_error(np.conj(sp), sm)
-        gp, gm = complex(sp[0]), complex(sm[0])
+        sp = solve(plus, None, residual_tol=tol)
+        # a second solve of the same real form would return the same values
+        sm = sp if sp.shares_form(minus) else solve(minus, None, residual_tol=tol)
+        pair_err = multiset_match_error(np.conj(sp.values), sm.values)
+        gp, gm = complex(sp.values[0]), complex(sm.values[0])
         rows.append((eps, gp.real, gp.imag, gm.real, gm.imag, pair_err))
         if pair_err > cfg.scan["pair_tol"]:
             failures += 1

@@ -411,7 +411,7 @@ def mean_field_comparison(
     from .hermite import HermiteBasis
     from .operator import assemble
     from .params import ModelParams
-    from .spectral import energy_from_eigenvalue, ground_state
+    from .spectral import energy_from_eigenvalue, solve
 
     n = int(n_particles)
     if n < 1:
@@ -435,9 +435,9 @@ def mean_field_comparison(
         gamma = u_val / (hbar2_over_2m * vol)
         params = ModelParams(gamma=gamma, n_particles=n)
         hbasis = HermiteBasis(lattice, gamma, n_max)
-        gs = ground_state(assemble(params, hbasis).at(0.0))
+        lam = solve(assemble(params, hbasis).at(0.0), 1).values[0]
         functional_epp = float(
-            np.real(energy_from_eigenvalue(gs.eigenvalue, hbar2_over_2m=hbar2_over_2m))
+            np.real(energy_from_eigenvalue(lam, hbar2_over_2m=hbar2_over_2m))
         ) / n
 
         prediction_epp = u_val * n / vol

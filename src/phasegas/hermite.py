@@ -124,10 +124,16 @@ class HermiteBasis:
         for i_plus, _ in self.lattice.pair_list():
             ksq = self.lattice.k_squared(self.lattice.modes[i_plus])
             k2.extend([ksq, ksq])  # x and y coordinate of the pair
+        # k^2 underflows to 0 on a huge box, and gamma / (2 k^2) overflows on a tiny k^2
+        sigmas = tuple(math.sqrt(self.gamma / (2.0 * v)) if v > 0.0 else math.inf for v in k2)
+        bad = [s for s in sigmas if not 0.0 < s < math.inf]
+        if bad:
+            raise ConfigurationError(
+                f"coordinate scale sigma = sqrt(gamma / (2 k^2)) must be finite and positive, "
+                f"got {bad[0]} (box_len or gamma out of range)"
+            )
         object.__setattr__(self, "coord_k2", tuple(k2))
-        object.__setattr__(
-            self, "sigmas", tuple(math.sqrt(self.gamma / (2.0 * v)) for v in k2)
-        )
+        object.__setattr__(self, "sigmas", sigmas)
 
     @property
     def n_coords(self) -> int:

@@ -60,6 +60,13 @@ class ModeLattice:
             raise ConfigurationError(f"lattice dimension must be >= 1, got {self.d}")
         if not (self.box_len > 0.0) or not math.isfinite(self.box_len):
             raise ConfigurationError(f"box_len must be positive and finite, got {self.box_len}")
+        try:
+            # a float power that does not fit raises, where a product would give inf
+            self.volume, self.k_unit**2
+        except OverflowError:
+            raise ConfigurationError(
+                f"box_len {self.box_len} overflows the volume L^d or (2 pi / L)^2"
+            ) from None
         if self.m_per_dim < 1 or self.m_per_dim % 2 == 0:
             raise ConfigurationError(
                 f"m_per_dim must be odd and >= 1 so modes pair as +-k, got {self.m_per_dim}"

@@ -47,6 +47,7 @@ bit-identical, and L(0) is L0 itself.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -431,7 +432,9 @@ def load_triplets(source) -> OperatorMatrix:
 
     A string that starts with the export header is the text itself; anything
     else is a path.  Unreadable paths and malformed exports raise
-    ConfigurationError.
+    ConfigurationError: among them a dim below 1 or too large to allocate,
+    basis_dims that do not multiply to dim, and a non-finite offset or
+    entry.
     """
     if isinstance(source, str) and source.lstrip().startswith(_TRIPLET_HEADER):
         text = source
@@ -470,11 +473,24 @@ def load_triplets(source) -> OperatorMatrix:
         dims = tuple(int(s) for s in meta.get("basis_dims", "").split())
         dim = int(meta["dim"])
         offset = float(meta["offset"])
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid triplet export: {exc}") from exc
+    mismatch = "basis_dims" in meta and (min(dims, default=0) < 1 or math.prod(dims) != dim)
+    if dim < 1 or mismatch:
+        raise ConfigurationError(
+            f"triplet export dim {dim} must be >= 1 and the product of basis_dims {dims}"
+        )
+    values = np.array(vals, dtype=complex)
+    if not (math.isfinite(offset) and np.isfinite(values).all()):
+        raise ConfigurationError("triplet export holds a non-finite offset or entry")
+    try:
         matrix = sparse.csr_matrix(
-            (np.array(vals, dtype=complex), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+            (values, (np.array(rows, dtype=int), np.array(cols, dtype=int))),
             shape=(dim, dim),
         )
     except ValueError as exc:
         raise ConfigurationError(f"invalid triplet export: {exc}") from exc
+    except MemoryError:
+        raise ConfigurationError(f"triplet export dim {dim} does not fit in memory") from None
     matrix.sort_indices()
     return OperatorMatrix(matrix, offset, dims, meta.get("provenance", "loaded"))

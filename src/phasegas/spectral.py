@@ -46,7 +46,7 @@ real spectrum; then they map to L's basis, R = S v c and L = S l c with
 unit column phases c, and every check runs against the original complex
 block.  An operator without a real form is solved the same way, in complex
 arithmetic, with S = I.  Every eigenvalue is read off A, so two operators
-with one real form bit for bit (`_shared_real_form`, e.g. L(epsilon) and
+with one real form bit for bit (`Spectrum.shares_form`, e.g. L(epsilon) and
 L(-epsilon) = conj L(epsilon)) have the same spectrum array.
 
 The weight certificate also serves the dense path.  W' has a constant sign
@@ -67,11 +67,14 @@ Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
     e_n   = <L_g| V |psi_{n-1}>,
     (H0 - lam_g) |psi_n> = -V |psi_{n-1}> + sum_{m=1..n} e_m |psi_{n-m}>,
 
-solved with a bordered system that pins <L_g|psi_n> = 0 (intermediate
-normalization).  The system splits over the blocks of H0 and only the
-ground's block carries the border, so each block is solved on its own and
-no D x D array is formed.  A near-degenerate ground level aborts with a
-diagnostic rather than returning unreliable coefficients.
+solved by the ground's reduced resolvent (Kato),
+psi_n = sum_{j != g} R_j <L_j|rhs> / (lam_j - lam_g), read off the validated
+eigendecomposition of H0 that `solve` returns.  Leaving the ground's own
+column out is the intermediate normalization <L_g|psi_n> = 0.  The sum
+splits over the blocks of H0: one vectorized division on the 1x1 blocks and
+R_b ((L_b^H rhs_b) / (lam_b - lam_g)) on the others, so no D x D array is
+formed.  A near-degenerate ground level aborts with a diagnostic rather than
+returning unreliable coefficients.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ from .params import ModelParams
 # are lost to roundoff, the signature of a (numerically) defective eigenvalue.
 CONDITION_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# the perturbation series refuses a ground level closer than this to another level
+DEGENERACY_TOL = 1e-8
 # seed of the ARPACK start vectors, one fresh generator per block
 _ARPACK_SEED = 20260816
 
@@ -110,10 +115,9 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class PerturbationSeries:
-    """Ground-eigenvalue expansion coefficients in the named parameter."""
+    """Ground-eigenvalue expansion coefficients in epsilon, order 0 first."""
 
     orders: tuple
-    epsilon_ref: str = "epsilon"
 
     def evaluate(self, eps: float) -> complex:
         total = 0.0 + 0.0j
@@ -202,26 +206,6 @@ def _real_form(matrix: sparse.csr_matrix, basis_dims):
         phase = phase.conj()
     form = sparse.csr_matrix((real, matrix.indices, matrix.indptr), shape=matrix.shape)
     return form, phase
-
-
-def _shared_real_form(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    """Whether two operators have one real form bit for bit and equal offsets.
-
-    `_solve` reads every eigenvalue off the working matrix of `_real_form`
-    and the offset, so for two such operators it returns the same values:
-    `scan` solves L(epsilon) once and uses its values for
-    L(-epsilon) = conj L(epsilon).  One O(nnz) pass per operator.
-    """
-    if a.offset != b.offset:
-        return False
-    form_a, phase_a = _real_form(a.matrix.tocsr(), a.basis_dims)
-    form_b, phase_b = _real_form(b.matrix.tocsr(), b.basis_dims)
-    if phase_a is None or phase_b is None:
-        return False
-    return all(
-        getattr(form_a, attr).tobytes() == getattr(form_b, attr).tobytes()
-        for attr in ("indptr", "indices", "data")
-    )
 
 
 def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
@@ -412,27 +396,106 @@ def _check_request(op: OperatorMatrix, count, method: str) -> None:
         raise ConfigurationError(f"unknown eigensolver method {method!r}")
 
 
-def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Validated head of an operator's spectrum, as `solve` returns it.
+
+    `values` (ground first, matrix + offset) and their two-sided `residuals`,
+    plus the block-local pieces the solve held: the `blocks` of
+    `connected_blocks`, the working matrix's `block_values` with block n
+    from slot `starts[n]` on, each value's slot (`slots`) and block
+    (`owners`), and the (R, L) `vectors`, L^H R = I, of each multi-state
+    block with a value here (1x1 blocks carry unit vectors).  `real_form` is
+    the real form the values were read off (None if the operator has none),
+    and `dim` and `offset` are the operator's.
+    """
+
+    values: np.ndarray
+    residuals: np.ndarray
+    dim: int
+    blocks: list
+    block_values: np.ndarray
+    starts: np.ndarray
+    slots: np.ndarray
+    owners: np.ndarray
+    vectors: dict
+    real_form: sparse.csr_matrix | None
+    offset: float
+
+    def pair(self, i: int) -> EigenPair:
+        """The i-th value's EigenPair, its vectors expanded to full length."""
+        n = self.owners[i]
+        col = self.slots[i] - self.starts[n]
+        right = np.zeros(self.dim, dtype=complex)
+        left = np.zeros(self.dim, dtype=complex)
+        if n in self.vectors:
+            vrb, vlb = self.vectors[n]
+            right[self.blocks[n]] = vrb[:, col]
+            left[self.blocks[n]] = vlb[:, col]
+        else:
+            right[self.blocks[n]] = 1.0
+            left[self.blocks[n]] = 1.0
+        return EigenPair(
+            eigenvalue=complex(self.values[i]),
+            right_vector=right,
+            left_vector=left,
+            residual=float(self.residuals[i]),
+        )
+
+    def shares_form(self, op: OperatorMatrix) -> bool:
+        """Whether `op` has this spectrum's real form bit for bit and its offset.
+
+        `solve` reads every value off the real form and the offset, so a solve
+        of `op` with the same settings would return these values: `scan`
+        solves L(epsilon) once and uses its values for
+        L(-epsilon) = conj L(epsilon).  One O(nnz) pass over `op`.
+        """
+        if self.real_form is None or op.offset != self.offset:
+            return False
+        form, phase = _real_form(op.matrix.tocsr(), op.basis_dims)
+        return phase is not None and all(
+            getattr(form, attr).tobytes() == getattr(self.real_form, attr).tobytes()
+            for attr in ("indptr", "indices", "data")
+        )
+
+
+def solve(
+    op: OperatorMatrix,
+    count: int | None = None,
+    *,
+    method: str = "dense",
+    residual_tol: float = 1e-9,
+) -> Spectrum:
     """Validated head of the spectrum, one block of `connected_blocks` at a time.
 
-    Returns (values, residuals, pair): the `count` (all when None) leading
-    eigenvalues of matrix + offset, ground first, their two-sided residuals,
-    every one within `residual_tol`, and `pair(i)` expanding the i-th to an
-    EigenPair with full-length vectors, so a caller that reads only values
-    and a few pairs never holds the rest.
+    Returns the `count` (all when None) leading eigenvalues of matrix +
+    offset as a `Spectrum`, ground first, with their two-sided residuals,
+    every one within `residual_tol`; `Spectrum.pair(i)` expands the i-th to
+    an EigenPair with full-length vectors, so a caller that reads only
+    values and a few pairs never holds the rest.
     Each block contributes its values to one slot range in block order, so
     the sort breaks exact ties by block order.  1x1 blocks are read off the
-    diagonal; `method="arpack"` runs ARPACK on blocks of at least count + 2
-    states (their `count` LR-most pairs) and solves smaller ones densely, up
-    to DENSE_DIM_LIMIT states a block.  Both solvers run on the working
-    matrix of `_real_form` -- the real A = S^-1 L S when it exists, so LAPACK
-    and ARPACK work in real arithmetic, else L itself -- and the values,
-    1x1 blocks included, are read off it.  Phases and the
-    bi-orthonormalization solve stay in the working arithmetic; the vectors
-    then map to L's basis, R = S v c and L = S l c, and every check runs
-    against the original complex block.  A dense block that the weight
-    certificate balances to +-a real symmetric matrix is solved by `eigh`,
-    with `eig` as its fallback (`_dense_block`).
+    diagonal.  The dense path solves every other block, up to
+    DENSE_DIM_LIMIT states: by the symmetric `eigh` on the balanced block
+    when `operator.symmetry_weight` certifies the real form and its sign is
+    constant on the block, unless the a-priori bound (max D / min D) u max|B|
+    on the error mapped back through the balance D^-1 exceeds
+    `residual_tol`; by the general `eig` otherwise, and for any block whose
+    symmetric result fails a check (`_dense_block`).  The iterative path
+    (`method="arpack"`, requires `count`) runs ARPACK for the `count`
+    LR-most pairs of each block of at least count + 2 states -- once, on the
+    balanced block, when the weight certifies the operator, otherwise on the
+    block and its adjoint -- and solves smaller blocks densely.  Both run on
+    the working matrix of `_real_form` -- the real A = S^-1 L S when it
+    exists, so LAPACK and ARPACK work in real arithmetic and complex values
+    come in exact conjugate pairs, else L itself -- and the values, 1x1
+    blocks included, are read off it.  Phases and the bi-orthonormalization
+    solve stay in the working arithmetic; the vectors then map to L's basis,
+    R = S v c and L = S l c, and every check runs against the original
+    complex block: L^H R = I enforced by one solve and verified, a
+    (numerically) defective eigenbasis rejected, and every returned pair
+    residual-validated on both sides; failure raises SolverError with the
+    worst value reported.
     """
     _check_request(op, count, method)
     dim = op.dim
@@ -454,6 +517,7 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
     w = np.empty(heads.sum(), dtype=complex)
     residual = np.zeros(w.size)  # exact for 1x1 blocks: both vectors are unit vectors
     work, phase = _real_form(matrix, op.basis_dims)
+    real_form = None if phase is None else work
     if phase is None:
         phase = np.ones(dim)
     # every value comes from the working matrix, so one real form gives one spectrum
@@ -496,29 +560,19 @@ def _solve(op: OperatorMatrix, count, method: str, residual_tol: float):
         raise SolverError(
             f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
         )
-    values = w[keep] + op.offset
-    residuals = residual[keep]
-
-    def pair(i: int) -> EigenPair:
-        slot = keep[i]
-        n = owner[slot]
-        right = np.zeros(dim, dtype=complex)
-        left = np.zeros(dim, dtype=complex)
-        if n in vectors:
-            vrb, vlb = vectors[n]
-            right[blocks[n]] = vrb[:, slot - starts[n]]
-            left[blocks[n]] = vlb[:, slot - starts[n]]
-        else:
-            right[blocks[n]] = 1.0
-            left[blocks[n]] = 1.0
-        return EigenPair(
-            eigenvalue=complex(values[i]),
-            right_vector=right,
-            left_vector=left,
-            residual=float(residuals[i]),
-        )
-
-    return values, residuals, pair
+    return Spectrum(
+        values=w[keep] + op.offset,
+        residuals=residual[keep],
+        dim=dim,
+        blocks=blocks,
+        block_values=w,
+        starts=starts,
+        slots=keep,
+        owners=owner[keep],
+        vectors=vectors,
+        real_form=real_form,
+        offset=op.offset,
+    )
 
 
 def eigen_spectrum(
@@ -530,39 +584,13 @@ def eigen_spectrum(
 ) -> list:
     """Eigenpairs of the total operator (matrix + offset), sorted ground-first.
 
-    Both paths work on the blocks of `connected_blocks` (the symmetry sectors,
-    see the module docstring) and read 1x1 blocks off the diagonal.  The
-    dense path solves the left/right problem of every other block: by the
-    symmetric `eigh` on the balanced block when `operator.symmetry_weight`
-    certifies the real form and its sign is constant on the block, unless
-    the a-priori bound (max D / min D) u max|B| on the error mapped back
-    through the balance D^-1 exceeds `residual_tol`; by the general `eig`
-    otherwise, and for any block whose symmetric result fails a check.  The
-    iterative path (`method="arpack"`, requires `count`) runs ARPACK for the
-    `count` leading pairs of each block of at least count + 2 states -- once,
-    on the balanced block, when `operator.symmetry_weight` certifies the
-    operator, otherwise on the block and its adjoint -- and solves smaller
-    blocks densely, up to DENSE_DIM_LIMIT states a block.  Both run in real
-    arithmetic on the operator's real form S^-1 L S when it has one (see the
-    module docstring), so the eigenvalues of such an operator come in exact
-    conjugate pairs.  Every block then goes through the same checks, against
-    the original complex block: L^H R = I enforced by one solve and verified,
-    a (numerically) defective eigenbasis rejected, and every returned pair
-    residual-validated on both sides; failure raises SolverError with the
-    worst value reported.  Every returned pair is expanded to full-length
-    left and right vectors, so with `count` None that is 2 D^2 complex
-    entries in all; a caller that needs only values and residuals (the CLI's
-    `spectrum`) reads them off `_solve` and expands just the pairs it uses.
+    Every pair of `solve`, expanded to full-length left and right vectors,
+    so with `count` None that is 2 D^2 complex entries in all; a caller that
+    needs only values and residuals (the CLI's `spectrum`) reads them off
+    `solve` and expands just the pairs it uses.
     """
-    values, _, pair = _solve(op, count, method, residual_tol)
-    return [pair(i) for i in range(values.size)]
-
-
-def ground_state(op: OperatorMatrix, *, method: str = "dense", residual_tol: float = 1e-9):
-    """The eigenpair with maximal real part (ties: smallest |imag|, then index)."""
-    if method == "dense" or op.dim < 3:
-        return eigen_spectrum(op, 1, method="dense", residual_tol=residual_tol)[0]
-    return eigen_spectrum(op, min(4, op.dim - 2), method="arpack", residual_tol=residual_tol)[0]
+    spectrum = solve(op, count, method=method, residual_tol=residual_tol)
+    return [spectrum.pair(i) for i in range(spectrum.values.size)]
 
 
 def energy_from_eigenvalue(e, *, hbar2_over_2m: float = 1.0):
@@ -599,8 +627,7 @@ def calibrate_mu(
         if basis is None:
             raise ConfigurationError("full-variant calibration needs a basis")
         op = assemble(params, basis).at(params.epsilon)
-        gs = ground_state(op)
-        lam_total = gs.eigenvalue
+        lam_total = solve(op, 1).values[0]
         scale = max(1.0, abs(lam_total))
         if abs(lam_total.imag) > 1e-9 * scale:
             raise SolverError(
@@ -617,24 +644,59 @@ def calibrate_mu(
     return u0
 
 
+def _reduced_resolvent(spectrum: Spectrum, i: int):
+    """rhs -> sum_{j != i} R_j (L_j^H rhs) / (lam_j - lam_i), level i's reduced resolvent.
+
+    The reduced resolvent (T. Kato, Perturbation Theory for Linear
+    Operators, 1966) is read off the block eigendecomposition of a complete
+    `spectrum` (a dense `solve` with count None): a vectorized division by
+    lam_j - lam_i on the 1x1 blocks, R_b ((L_b^H rhs_b) / (lam_b - lam_i)) on
+    every other block, with level i's own column left out, so the result is
+    bi-orthogonal to L_i.  No D x D array is formed.
+    """
+    lam = spectrum.block_values + spectrum.offset
+    lam_i = spectrum.values[i]
+    home = spectrum.owners[i]
+    sizes = np.array([b.size for b in spectrum.blocks])
+    singles = sizes == 1
+    singles[home] = False
+    rows = np.array([b[0] for b, single in zip(spectrum.blocks, singles) if single], dtype=int)
+    pivots = lam[spectrum.starts[singles]] - lam_i
+    solves = []
+    for n in np.flatnonzero(sizes > 1):
+        right, left = spectrum.vectors[n]
+        denom = lam[spectrum.starts[n] : spectrum.starts[n] + sizes[n]] - lam_i
+        if n == home:
+            others = np.arange(sizes[n]) != spectrum.slots[i] - spectrum.starts[n]
+            right, left, denom = right[:, others], left[:, others], denom[others]
+        solves.append((spectrum.blocks[n], right, left.conj().T, denom))
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        out = np.zeros(spectrum.dim, dtype=complex)
+        out[rows] = rhs[rows] / pivots
+        for idx, right, left_h, denom in solves:
+            out[idx] = right @ ((left_h @ rhs[idx]) / denom)
+        return out
+
+    return apply
+
+
 def perturbation_series(
     op0: OperatorMatrix,
     op1: OperatorMatrix,
     max_order: int,
     *,
-    degeneracy_tol: float = 1e-8,
     residual_tol: float = 1e-9,
 ) -> PerturbationSeries:
     """Rayleigh-Schrodinger coefficients e_0..e_max_order for op0 + eps*op1.
 
     op0 is the unperturbed operator (its total ground eigenvalue is e_0) and
     op1 the unit-strength perturbation matrix.  Aborts if the ground level of
-    op0 is degenerate within degeneracy_tol.  Each order solves
-    (H0 - lam_g) psi_n = rhs one block of `connected_blocks(op0)` at a time,
-    up to DENSE_DIM_LIMIT states a block: 1x1 blocks by one vectorized
-    division, other blocks by their own LU factors, and only the ground's
-    block bordered by <L|psi_n> = 0 (on a 1x1 ground block that pins
-    psi_n to 0).  op1 acts as a sparse matvec, so no D x D array is formed.
+    op0 is degenerate within DEGENERACY_TOL.  op0 is solved once, densely and
+    one block of `connected_blocks` at a time, up to DENSE_DIM_LIMIT states a
+    block; each order applies the ground's reduced resolvent read off that
+    eigendecomposition (`_reduced_resolvent`), and op1 acts as a sparse
+    matvec, so no D x D array is formed.
     """
     if not isinstance(max_order, (int, np.integer)) or max_order < 0:
         raise ConfigurationError(f"max_order must be a non-negative integer, got {max_order}")
@@ -642,15 +704,15 @@ def perturbation_series(
         raise ConfigurationError(
             f"operator dimensions differ: {op0.dim} vs {op1.dim}"
         )
-    values, _, pair = _solve(op0, None, "dense", residual_tol)
-    ground = pair(0)
+    spectrum = solve(op0, None, residual_tol=residual_tol)
+    ground = spectrum.pair(0)
     lam_g = ground.eigenvalue
-    if values.size > 1:
-        gap = np.abs(values[1:] - lam_g).min()
-        if gap < degeneracy_tol:
+    if spectrum.values.size > 1:
+        gap = np.abs(spectrum.values[1:] - lam_g).min()
+        if gap < DEGENERACY_TOL:
             raise SolverError(
                 f"ground level is (near-)degenerate: nearest gap {gap:.3e} < "
-                f"{degeneracy_tol:.1e}; series aborted"
+                f"{DEGENERACY_TOL:.1e}; series aborted"
             )
     orders = [complex(lam_g)]
     if max_order == 0:
@@ -663,32 +725,9 @@ def perturbation_series(
     if abs(d) < 1e-12:
         raise SolverError("ill-conditioned ground pair: <L|R> ~ 0")
     left = left / np.conj(d)
+    resolvent = _reduced_resolvent(spectrum, 0)
 
-    # the bordered system [[H0 - lam_g, R], [L^H, 0]] is block-diagonal over
-    # op0's blocks except for the border, which lives on the ground's block
-    matrix = op0.matrix.tocsr()
-    blocks = connected_blocks(matrix)
-    home = next(idx for idx in blocks if right[idx].any())
-    singles = np.array([idx[0] for idx in blocks if idx.size == 1 and idx is not home], dtype=int)
-    pivots = matrix.diagonal()[singles] + op0.offset - lam_g
-    factors, bordered = [], None
-    for idx in blocks:
-        if idx.size == 1:
-            continue
-        sub = np.asarray(matrix[idx][:, idx].todense(), dtype=complex)
-        diag = np.diag_indices_from(sub)
-        sub[diag] += op0.offset
-        sub[diag] -= lam_g
-        if idx is home:
-            border = np.zeros((idx.size + 1, idx.size + 1), dtype=complex)
-            border[:-1, :-1] = sub
-            border[:-1, -1] = right[idx]
-            border[-1, :-1] = np.conj(left[idx])
-            bordered = sla.lu_factor(border)
-        else:
-            factors.append((idx, sla.lu_factor(sub)))
-
-    psi = {0: right.astype(complex)}
+    psi = {0: right}
     for n in range(1, max_order + 1):
         w = op1.apply(psi[n - 1])
         e_n = complex(np.vdot(left, w))
@@ -696,13 +735,8 @@ def perturbation_series(
         rhs = -w
         for m in range(1, n + 1):
             rhs = rhs + orders[m] * psi[n - m]
-        nxt = np.zeros(op0.dim, dtype=complex)
-        nxt[singles] = rhs[singles] / pivots
-        for idx, lu in factors:
-            nxt[idx] = sla.lu_solve(lu, rhs[idx])
-        if bordered is not None:
-            nxt[home] = sla.lu_solve(bordered, np.append(rhs[home], 0.0))[:-1]
-        psi[n] = nxt
+        # <L|rhs> = 0 by the choice of e_n, so rhs is in the range of H0 - lam_g
+        psi[n] = resolvent(rhs)
     return PerturbationSeries(tuple(orders))
 
 

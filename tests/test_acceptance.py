@@ -41,9 +41,9 @@ from phasegas.params import ModelParams
 from phasegas.spectral import (
     eigen_spectrum,
     energy_from_eigenvalue,
-    ground_state,
     multiset_match_error,
     perturbation_series,
+    solve,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -242,7 +242,7 @@ def test_criterion_7_mean_field_energy():
     gamma = u_int / lat1.volume
     par = ModelParams(gamma=gamma, n_particles=2)
     bas = HermiteBasis(lat1, gamma, 2)
-    e_func = energy_from_eigenvalue(ground_state(assemble(par, bas).at(0.0)).eigenvalue)
+    e_func = energy_from_eigenvalue(solve(assemble(par, bas).at(0.0), 1).values[0])
     pred = u_int * 2**2 / lat1.volume
     ok_func = e_func.real == pred and e_func.imag == 0.0
 

@@ -120,7 +120,7 @@ def test_scan_solves_each_shared_real_form_once(tmp_path, monkeypatch):
     from phasegas.config import load_config
     from phasegas.spectral import connected_blocks
 
-    solves = _count_calls(monkeypatch, spectral, "_solve")
+    solves = _count_calls(monkeypatch, spectral, "solve")
     eigs = _count_calls(monkeypatch, spectral.sla, "eig")
     eighs = _count_calls(monkeypatch, spectral.sla, "eigh")
     assert main(["--config", str(_DEMO_CONFIG), "--out", str(tmp_path), "scan"]) == 0
@@ -132,6 +132,29 @@ def test_scan_solves_each_shared_real_form_once(tmp_path, monkeypatch):
     for line in (tmp_path / "scan.csv").read_text().strip().splitlines()[1:]:
         fields = line.split(",")
         assert fields[1:3] == fields[3:5] and float(fields[5]) == 0.0
+
+
+def test_scan_forms_each_real_form_once(tmp_path, monkeypatch):
+    import phasegas.spectral as spectral
+
+    forms = _count_calls(monkeypatch, spectral, "_real_form")
+    cfg = _write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path / "sc"), "scan"]) == 0
+    # L(+eps) once in its solve, L(-eps) once in `Spectrum.shares_form`
+    assert len(forms) == 2 * 2
+
+
+def test_cli_imports_no_private_spectral_name():
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "spectral"
+        for alias in node.names
+    ]
+    assert names and not [name for name in names if name.startswith("_")]
 
 
 def test_scan_without_a_shared_real_form_solves_both_and_fails(tmp_path, monkeypatch, capsys):
@@ -148,7 +171,7 @@ def test_scan_without_a_shared_real_form_solves_both_and_fails(tmp_path, monkeyp
         return SimpleNamespace(at=lambda eps: affine.at(1.01 * eps if eps < 0 else eps))
 
     monkeypatch.setattr(operator, "assemble", broken)
-    solves = _count_calls(monkeypatch, spectral, "_solve")
+    solves = _count_calls(monkeypatch, spectral, "solve")
     cfg = _write_config(tmp_path)
     assert main(["--config", cfg, "--out", str(tmp_path / "sc"), "scan"]) == 1
     assert len(solves) == 4  # both signs of both epsilon values
@@ -200,6 +223,40 @@ def test_perturb_degenerate_gap_exits_three(tmp_path):
         tmp_path, name="deg.json", lattice={"m_per_dim": 5, "box_len": 6.283185307179586e5}
     )
     assert main(["--config", cfg, "--out", str(tmp_path / "dg"), "perturb"]) == 3
+
+
+def test_perturb_honours_the_solver_residual_tolerance(tmp_path, capsys):
+    # with a potential L0 has multi-state blocks, whose residuals are not exactly 0
+    cfg = _write_config(
+        tmp_path,
+        name="tight.json",
+        params={"u_k": [0.0, 0.3, 0.3, -0.2, -0.2]},
+        solver={"residual_tol": 1e-300},
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path / "t"), "perturb"]) == 3
+    assert "exceeds tolerance 1.0e-300" in capsys.readouterr().err
+
+
+def test_perturb_with_arpack_matches_the_dense_run(tmp_path, monkeypatch):
+    import phasegas.spectral as spectral
+
+    data = json.loads(_DEMO_CONFIG.read_text())
+    dense = tmp_path / "dense"
+    assert main(["--config", str(_DEMO_CONFIG), "--out", str(dense), "perturb"]) == 0
+    data["solver"] = {"method": "arpack"}
+    cfg = tmp_path / "arpack.json"
+    cfg.write_text(json.dumps(data))
+    eigs = _count_calls(monkeypatch, spectral.spla, "eigs")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "arpack"), "perturb"]) == 0
+    assert eigs
+    for name in ("perturb_series.csv", "perturb_scan.csv"):
+        assert (tmp_path / "arpack" / name).read_bytes() == (dense / name).read_bytes()
+
+
+def test_box_whose_k_squared_underflows_is_exit_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path, name="huge.json", lattice={"box_len": 1e308})
+    assert main(["--config", cfg, "--out", str(tmp_path / "h"), "spectrum"]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
 
 
 def test_compare_table(tmp_path):

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasegas.config import SCHEMA_VERSION, load_config, parse_config
-from phasegas.errors import ConfigurationError
+from phasegas.errors import ConfigurationError, PhasegasError
+from phasegas.lattice import ModeLattice
 
 
 def test_defaults_from_minimal_config():
@@ -117,3 +119,61 @@ def test_sections_are_read_only():
     cfg = parse_config({"schema_version": 1})
     with pytest.raises(TypeError):
         cfg.solver["method"] = "arpack"
+
+
+def test_lattice_rejects_a_box_whose_geometry_overflows():
+    for d, box_len in ((1, 1e-300), (2, 1e200)):
+        with pytest.raises(ConfigurationError, match="overflows"):
+            ModeLattice(d=d, box_len=box_len, m_per_dim=3)
+
+
+# every finite float, subnormals and the extremes included
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]),
+    st.integers(-(10**6), 10**6),
+)
+_NUM_KEYS = {
+    "lattice": ("box_len",),
+    "params": ("gamma", "epsilon", "u_zero", "kappa", "p_exp", "q_exp", "r", "hbar2_over_2m"),
+}
+# integer keys stay small: the lattice enumerates m_per_dim^d modes
+_INT_KEYS = {
+    "lattice": {"d": (0, 3), "m_per_dim": (-1, 9)},
+    "params": {"n_particles": (-3, 10**6)},
+    "basis": {"n_max": (-2, 12)},
+}
+
+
+@st.composite
+def _configs(draw):
+    data = {"schema_version": 1}
+    for section, keys in _NUM_KEYS.items():
+        for key in keys:
+            if draw(st.booleans()):
+                data.setdefault(section, {})[key] = draw(_NUMBERS)
+    for section, keys in _INT_KEYS.items():
+        for key, (lo, hi) in keys.items():
+            if draw(st.booleans()):
+                data.setdefault(section, {})[key] = draw(st.integers(lo, hi))
+    for key in ("u_k", "gamma_k"):
+        if draw(st.booleans()):
+            # lengths that match the common lattices (m_per_dim 1, 3, 5, 9 at d = 1)
+            size = draw(st.sampled_from([1, 3, 5, 9]))
+            data.setdefault("params", {})[key] = draw(st.lists(_NUMBERS, min_size=size, max_size=size))
+    return data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=_configs())
+def test_config_builders_raise_only_phasegas_errors(data):
+    try:
+        cfg = parse_config(data)
+        lattice = cfg.lattice()
+    except PhasegasError:
+        return
+    for build in (cfg.params, cfg.basis):
+        try:
+            build(lattice)
+        except PhasegasError:
+            pass

@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.polynomial import hermite_e as he
 
+from phasegas.errors import ConfigurationError
 from phasegas.hermite import (
     HermiteBasis,
     coordinate_block,
@@ -143,3 +145,12 @@ def test_basis_blocks_are_cached_copies_consistent():
     b1 = basis.block(0, ("deriv", "mult"))
     b2 = coordinate_block(("deriv", "mult"), basis.sigmas[0], 4)
     assert np.array_equal(b1, b2)
+
+
+def test_basis_rejects_scales_that_are_not_finite_and_positive():
+    # k^2 underflows to 0 on a huge box (sigma = inf), and gamma / 2 to 0 for
+    # the smallest subnormal gamma (sigma = 0)
+    for box_len, gamma in ((1e308, 0.5), (TAU, 5e-324)):
+        lat = ModeLattice(d=1, box_len=box_len, m_per_dim=3)
+        with pytest.raises(ConfigurationError, match="must be finite and positive"):
+            HermiteBasis(lat, gamma, 2)

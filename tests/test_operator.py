@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite_e as he
 
 import phasegas.operator as operator
-from phasegas.errors import ConfigurationError, TruncationWarning
+from phasegas.errors import ConfigurationError, PhasegasError, TruncationWarning
 from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
 from phasegas.operator import (
@@ -29,6 +30,7 @@ from phasegas.operator import (
     scaled_params,
 )
 from phasegas.params import ModelParams
+from phasegas.spectral import eigen_spectrum
 
 SEED = 20260816
 
@@ -570,6 +572,77 @@ def test_triplet_malformed_entry_rejected():
 def test_triplet_missing_path_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="neither export text nor a readable file"):
         load_triplets(str(tmp_path / "absent.txt"))
+
+
+def _edit_header(text, key, value):
+    """The export text with its `# key:` header line set to `value`."""
+    return "\n".join(
+        f"# {key}: {value}" if ln.startswith(f"# {key}:") else ln for ln in text.splitlines()
+    )
+
+
+def test_triplet_nan_offset_rejected():
+    # the residuals exclude the offset, so a NaN offset would pass every check
+    with pytest.raises(ConfigurationError, match="non-finite offset or entry"):
+        load_triplets(_edit_header(_small_export(), "offset", "nan"))
+
+
+def test_triplet_nan_entry_rejected():
+    lines = _small_export().splitlines()
+    row, col, _, imag = lines[-1].split()
+    lines[-1] = f"{row} {col} nan {imag}"
+    with pytest.raises(ConfigurationError, match="non-finite offset or entry"):
+        load_triplets("\n".join(lines))
+
+
+def test_triplet_unallocatable_dim_rejected():
+    text = "\n".join(ln for ln in _small_export().splitlines() if not ln.startswith("# basis_dims:"))
+    with pytest.raises(ConfigurationError, match="does not fit in memory"):
+        load_triplets(_edit_header(text, "dim", "100000000000000000"))
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        load_triplets(_edit_header(text, "dim", "0"))
+
+
+def test_triplet_basis_dims_must_multiply_to_dim():
+    text = _small_export()
+    with pytest.raises(ConfigurationError, match="product of basis_dims"):
+        load_triplets(_edit_header(text, "basis_dims", "3 3 3 2"))
+    with pytest.raises(ConfigurationError, match="product of basis_dims"):
+        load_triplets(_edit_header(text, "basis_dims", "-3 -3 3 3"))
+
+
+_TRIPLET_FLOATS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "5e-324", "x"]),
+)
+
+
+@st.composite
+def _triplet_texts(draw):
+    """Export-like text of dimension <= 6, with headers and entries that may be invalid."""
+    dim = draw(st.one_of(st.integers(1, 6), st.sampled_from([0, -1, 10**17])))
+    lines = ["# phasegas sparse operator triplet v1"]
+    if draw(st.booleans()):
+        dims = draw(st.sampled_from([(dim,), (2, 3), (1, dim), (-2, -3), (2, 2)]))
+        lines.append(f"# basis_dims: {' '.join(str(n) for n in dims)}")
+    lines.append(f"# dim: {dim}")
+    lines.append(f"# offset: {draw(_TRIPLET_FLOATS)}")
+    for _ in range(draw(st.integers(0, 12))):
+        row, col = draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
+        lines.append(f"{row} {col} {draw(_TRIPLET_FLOATS)} {draw(_TRIPLET_FLOATS)}")
+    return "\n".join(lines) + "\n"
+
+
+# entries near 1e308 overflow the residual norms, which then fail the residual check
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=_triplet_texts())
+def test_triplet_text_raises_only_phasegas_errors(text):
+    try:
+        pairs = eigen_spectrum(load_triplets(text))
+    except PhasegasError:
+        return
+    assert np.isfinite([p.eigenvalue for p in pairs]).all()
 
 
 def test_two_dimensional_lattice_smoke():

@@ -30,16 +30,15 @@ from phasegas.spectral import (
     EigenPair,
     _min_sum_assignment,
     _real_form,
-    _solve,
     _weight_balance,
     calibrate_mu,
     connected_blocks,
     eigen_spectrum,
     energy_from_eigenvalue,
-    ground_state,
     multiset_match_error,
     perturbation_series,
     series_table,
+    solve,
     spectrum_table,
 )
 
@@ -119,7 +118,7 @@ def test_spectrum_conjugation_pairing():
 def test_ground_state_matches_spectrum_head():
     lat, par, bas = _setup(epsilon=0.3, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
-    g = ground_state(op)
+    g = solve(op, 1).pair(0)
     head = eigen_spectrum(op, 1)[0]
     assert g.eigenvalue == head.eigenvalue
     assert np.array_equal(g.right_vector, head.right_vector)
@@ -250,8 +249,8 @@ def test_series_recursion_matches_explicit_sums():
 
 
 def _series_bordered_lu(op0, op1, max_order):
-    """The (D+1) x (D+1) bordered-LU recursion the block solve replaced, kept as the reference."""
-    ground = ground_state(op0)
+    """The (D+1) x (D+1) bordered-LU recursion, kept as the reference for the block series."""
+    ground = solve(op0, 1).pair(0)
     lam_g, right = ground.eigenvalue, ground.right_vector
     left = ground.left_vector / np.conj(np.vdot(ground.left_vector, right))
     dim = op0.dim
@@ -317,6 +316,35 @@ def test_block_series_matches_bordered_lu_on_assembled_operators(u):
             assert abs(g - r) <= 1e-12 * abs(r)
 
 
+def test_series_finds_the_blocks_once(monkeypatch):
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
+    par = ModelParams(gamma=0.5, n_particles=2, u_k=_potential(lat, 0.3))
+    affine = assemble(par, HermiteBasis(lat, 0.5, 3))
+    calls = []
+    original = spectral.connected_blocks
+    monkeypatch.setattr(
+        spectral, "connected_blocks", lambda matrix: calls.append(matrix) or original(matrix)
+    )
+    perturbation_series(affine.at(0.0), affine.l1, 4)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 3, 1, 2, 5, 1), (4, 1, 1, 2, 3)])
+def test_reduced_resolvent_inverts_h0_off_any_level(sizes):
+    rng = np.random.default_rng(SEED + 10 + sum(sizes))
+    op0 = _permuted_block_operator(sizes, rng)
+    spectrum = solve(op0)
+    total = op0.matrix.toarray() + op0.offset * np.eye(op0.dim)
+    rhs = rng.normal(size=op0.dim) + 1j * rng.normal(size=op0.dim)
+    for i in (0, 1, op0.dim // 2, op0.dim - 1):
+        pair = spectrum.pair(i)
+        psi = spectral._reduced_resolvent(spectrum, i)(rhs)
+        # (H0 - lam_i) psi = rhs less its component along R_i, and <L_i|psi> = 0
+        projected = rhs - pair.right_vector * np.vdot(pair.left_vector, rhs)
+        assert np.abs((total - pair.eigenvalue * np.eye(op0.dim)) @ psi - projected).max() <= 1e-12
+        assert abs(np.vdot(pair.left_vector, psi)) <= 1e-12
+
+
 def test_series_evaluate_and_tables():
     series = perturbation_series(
         OperatorMatrix(
@@ -367,9 +395,9 @@ def test_cubic_series_vanishes_and_ground_is_pinned():
     for c in series.orders[1:]:
         assert c == 0.0
     for eps in (0.05, 0.2, 0.4):
-        e = ground_state(
-            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), bas).at(eps)
-        ).eigenvalue
+        e = solve(
+            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=eps), bas).at(eps), 1
+        ).values[0]
         assert e == -par.ebar_n
 
 
@@ -378,9 +406,9 @@ def test_truncation_stability_of_ground():
     e = {}
     for n_max in (2, 4):
         bas = HermiteBasis(lat, par.gamma, n_max)
-        e[n_max] = ground_state(
-            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=0.3), bas).at(0.3)
-        ).eigenvalue
+        e[n_max] = solve(
+            assemble(ModelParams(gamma=0.5, n_particles=2, epsilon=0.3), bas).at(0.3), 1
+        ).values[0]
     assert abs(e[4] - e[2]) < 1e-8
 
 
@@ -397,7 +425,7 @@ def test_calibrate_mu_closed_form_example():
     par_cal = ModelParams(
         gamma=0.5, n_particles=3, u_k=(u0, 0.0, 0.0, 0.0, 0.0), epsilon=0.0
     )
-    e = ground_state(assemble(par_cal, bas).at(0.0)).eigenvalue
+    e = solve(assemble(par_cal, bas).at(0.0), 1).values[0]
     assert e == 0.0
 
 
@@ -625,7 +653,7 @@ def test_dense_count_and_ground_state_are_heads_of_the_full_spectrum(op, data):
         assert got.residual == ref.residual
         assert np.array_equal(got.right_vector, ref.right_vector)
         assert np.array_equal(got.left_vector, ref.left_vector)
-    g = ground_state(op)
+    g = solve(op, 1).pair(0)
     assert g.eigenvalue == full[0].eigenvalue and g.residual == full[0].residual
     assert np.array_equal(g.right_vector, full[0].right_vector)
     assert np.array_equal(g.left_vector, full[0].left_vector)
@@ -754,17 +782,17 @@ def test_solve_returns_validated_values_and_expands_only_on_request():
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
     pairs = eigen_spectrum(op)
-    values, residuals, pair = _solve(op, None, "dense", 1e-9)
-    assert np.array_equal(values, np.array([p.eigenvalue for p in pairs]))
-    assert np.array_equal(residuals, np.array([p.residual for p in pairs]))
+    spectrum = solve(op)
+    assert np.array_equal(spectrum.values, np.array([p.eigenvalue for p in pairs]))
+    assert np.array_equal(spectrum.residuals, np.array([p.residual for p in pairs]))
     for i in (0, 7, op.dim - 1):
-        got = pair(i)
+        got = spectrum.pair(i)
         assert got.eigenvalue == pairs[i].eigenvalue and got.residual == pairs[i].residual
         assert np.array_equal(got.right_vector, pairs[i].right_vector)
         assert np.array_equal(got.left_vector, pairs[i].left_vector)
     # every returned value is residual-checked, read or not
     with pytest.raises(SolverError, match="exceeds tolerance"):
-        _solve(op, None, "dense", 1e-300)
+        solve(op, residual_tol=1e-300)
 
 
 # -- real form ---------------------------------------------------------------------
@@ -924,7 +952,7 @@ def test_dense_cap_applies_to_the_largest_block(monkeypatch):
     weak = assemble(par, HermiteBasis(lat2, 0.5, 2)).at(0.0)
     assert weak.dim > spectral.DENSE_DIM_LIMIT
     # every block of the diagonal weak operator is 1x1
-    assert ground_state(weak).eigenvalue == -par.ebar_n
+    assert solve(weak, 1).values[0] == -par.ebar_n
     # the series solves one block at a time, so it runs at dim 6561
     series = perturbation_series(weak, weak, 1)
     assert series.orders == (-par.ebar_n, -par.ebar_n)
@@ -1033,15 +1061,16 @@ def test_conjugate_partner_shares_the_real_form_and_the_spectrum(m, n_max, epsil
     partner_u = None if u_k is None else -np.conj(u_k)
     partner = assemble(replace(par, u_k=partner_u), bas).at(-epsilon)
     assert np.array_equal(partner.matrix.toarray(), op.matrix.toarray().conj())
-    assert spectral._shared_real_form(op, partner)
-    values = _solve(op, None, "dense", 1e-9)[0]
-    again = _solve(partner, None, "dense", 1e-9)[0]
+    spectrum = solve(op)
+    assert spectrum.shares_form(partner)
+    values = spectrum.values
+    again = solve(partner).values
     assert values.tobytes() == again.tobytes()
     # with a potential, L(-eps) is the partner only where the drift vanishes
     # (m = 3, or eps = 0); whenever the check passes, the values agree
     flipped = assemble(par, bas).at(-epsilon)
-    if spectral._shared_real_form(op, flipped):
-        assert _solve(flipped, None, "dense", 1e-9)[0].tobytes() == values.tobytes()
+    if spectrum.shares_form(flipped):
+        assert solve(flipped).values.tobytes() == values.tobytes()
     else:
         assert u != 0.0 and epsilon != 0.0 and m == 5
 
@@ -1050,10 +1079,10 @@ def test_conjugate_partner_shares_the_real_form_and_the_spectrum(m, n_max, epsil
 
 
 def _general_values(monkeypatch, op):
-    """Values of `_solve` with the weight certificate withheld, so every block takes `eig`."""
+    """Values of `solve` with the weight certificate withheld, so every block takes `eig`."""
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_weight_balance", lambda matrix, basis_dims: None)
-        return _solve(op, None, "dense", 1e-9)[0]
+        return solve(op).values
 
 
 def _lapack_calls(monkeypatch):
@@ -1075,7 +1104,8 @@ def test_symmetric_path_matches_the_general_path(monkeypatch, n_max):
     lat, par, bas = _setup(epsilon=0.2, n_max=n_max)
     op = assemble(par, bas).at(par.epsilon)
     calls = _lapack_calls(monkeypatch)
-    values, residuals, pair = _solve(op, None, "dense", 1e-9)
+    spectrum = solve(op)
+    values, residuals = spectrum.values, spectrum.residuals
     # every block is balanced to +-a real symmetric matrix and takes `eigh`
     assert len(calls["eigh"]) == _multi_state_blocks(op) and not calls["eig"]
     assert residuals.max() <= 1e-9
@@ -1083,7 +1113,7 @@ def test_symmetric_path_matches_the_general_path(monkeypatch, n_max):
     assert len(calls["eig"]) == _multi_state_blocks(op)
     assert multiset_match_error(values, general) <= 1e-11
     assert np.array_equal(np.sort(values), np.sort(values.conj()))
-    ground = pair(0)
+    ground = spectrum.pair(0)
     total = op.matrix + op.offset * sparse.identity(op.dim)
     assert np.linalg.norm(total @ ground.right_vector - ground.eigenvalue * ground.right_vector) <= 1e-9
 
@@ -1093,7 +1123,7 @@ def test_symmetric_path_matches_the_general_path(monkeypatch, n_max):
 def test_symmetric_path_matches_the_general_path_at_any_coupling(epsilon):
     lat, par, bas = _setup(epsilon=epsilon, n_max=3)
     op = assemble(par, bas).at(epsilon)
-    values = _solve(op, None, "dense", 1e-9)[0]
+    values = solve(op).values
     with pytest.MonkeyPatch.context() as patch:
         assert multiset_match_error(values, _general_values(patch, op)) <= 1e-11
 
@@ -1109,7 +1139,7 @@ def test_operators_without_the_weight_certificate_never_reach_eigh(monkeypatch):
         with monkeypatch.context() as patch:
             calls = _lapack_calls(patch)
             try:
-                _solve(op, None, "dense", 1e-9)
+                solve(op)
             except SolverError:
                 pass  # d = 2 has no usable dense spectrum; only the path matters here
         assert calls["eig"] and not calls["eigh"]
@@ -1130,7 +1160,8 @@ def test_a_failed_symmetric_block_falls_back_to_eig(monkeypatch, spoil):
 
     monkeypatch.setattr(spectral.sla, "eigh", spoiled)
     calls = _lapack_calls(monkeypatch)
-    values, residuals, _ = _solve(op, None, "dense", 1e-9)
+    spectrum = solve(op)
+    values, residuals = spectrum.values, spectrum.residuals
     assert len(calls["eigh"]) == len(calls["eig"]) == _multi_state_blocks(op)
     assert values.tobytes() == general.tobytes()
     assert residuals.max() <= 1e-9
