@@ -45,7 +45,6 @@ _EXPORTS = {
     "PerturbationSeries": "spectral",
     "Spectrum": "spectral",
     "solve": "spectral",
-    "eigen_spectrum": "spectral",
     "calibrate_mu": "spectral",
     "energy_from_eigenvalue": "spectral",
     "perturbation_series": "spectral",
@@ -59,7 +58,6 @@ _EXPORTS = {
     "shift_operator": "fock",
     "build_hamiltonian": "fock",
     "ground_pair": "fock",
-    "ground_energy": "fock",
     "condensate_expectation": "fock",
     "mean_field_comparison": "fock",
     "comparison_table": "fock",

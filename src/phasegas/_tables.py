@@ -8,8 +8,6 @@ from __future__ import annotations
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     if isinstance(x, str):

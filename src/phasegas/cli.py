@@ -109,26 +109,23 @@ def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
     import numpy as np
 
     from . import coherent
-    from .lattice import ModeLattice
 
     ov = cfg.overlaps
     for key in ("n_fields", "grid_m", "mq", "n_project"):
         if ov[key] < 1:
             raise ConfigurationError(f"config: overlaps.{key} must be >= 1")
-    lattice = ModeLattice(
-        d=1, box_len=cfg.lattice_cfg["box_len"], m_per_dim=cfg.lattice_cfg["m_per_dim"]
-    )
+    lattice = cfg.lattice()
     rng = np.random.default_rng(ov["seed"])
-    m = ov["grid_m"]
+    grid = (ov["grid_m"],) * lattice.d
     fields = [
-        coherent.CoherentField(lattice, cfg.r, rng.uniform(-np.pi, np.pi, size=m))
+        coherent.CoherentField(lattice, cfg.r, rng.uniform(-np.pi, np.pi, size=grid))
         for _ in range(ov["n_fields"])
     ]
     # a reduced magnitude keeps |G| <= 4 so projection identities sit in the
     # float-exact window of the quadrature
     r_proj = 0.99 * math.sqrt(4.0 / lattice.volume)
     proj_fields = [
-        coherent.CoherentField(lattice, r_proj, rng.uniform(-np.pi, np.pi, size=m))
+        coherent.CoherentField(lattice, r_proj, rng.uniform(-np.pi, np.pi, size=grid))
         for _ in range(8)
     ]
 
@@ -173,7 +170,7 @@ def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
     err = max(0.0, -float(eig[0])) / norm
     checks.append(("gram_positivity", err, 1e-10))
 
-    vac = coherent.CoherentField(lattice, 0.0, np.zeros(m))
+    vac = coherent.CoherentField(lattice, 0.0, np.zeros(grid))
     checks.append(("vacuum_overlap_is_one", abs(coherent.overlap(vac, vac).value - 1.0), 1e-15))
     zero = coherent.number_overlap_quadrature(vac, vac, 0, ov["mq"])
     checks.append(("projection_n0_is_one", abs(zero - 1.0), 1e-15))

@@ -37,6 +37,8 @@ from .lattice import ModeLattice
 
 # exp overflows double precision just above exp(709.78)
 _EXP_OVERFLOW = 709.0
+# `aliasing_tail` stops at a term below this, whatever the running total
+_TAIL_FLOOR = 1e-320
 
 
 class CoherentField:
@@ -210,7 +212,7 @@ def cross_sector_quadrature(
     return complex(np.sum(vals)) / (mq * math.factorial(n_ket))
 
 
-def aliasing_tail(g_abs: float, n_total: int, mq: int, rel_floor: float = 1e-320) -> float:
+def aliasing_tail(g_abs: float, n_total: int, mq: int) -> float:
     """sum_{j >= 1} |G|^(N + j*mq) / (N + j*mq)!  -- the quadrature aliasing bound."""
     _check_sector(n_total)
     if mq < 2:
@@ -223,7 +225,7 @@ def aliasing_tail(g_abs: float, n_total: int, mq: int, rel_floor: float = 1e-320
     while True:
         term = math.exp(m * math.log(g_abs) - math.lgamma(m + 1))
         total += term
-        if term < rel_floor or term < 1e-30 * total:
+        if term < _TAIL_FLOOR or term < 1e-30 * total:
             return total
         m += mq
 

@@ -22,7 +22,7 @@ from .params import ModelParams
 
 SCHEMA_VERSION = 1
 
-# key -> (kind, default); kinds: int, num, bool, str:<choices>, numlist, numlist?, int?
+# key -> (kind, default); kinds: int, num, str:<choices>, numlist, numlist?, int?
 _SCHEMA = {
     "lattice": {
         "d": ("int", 1),
@@ -98,10 +98,6 @@ def _check_value(path: str, kind: str, value):
         if not math.isfinite(value):
             raise ConfigurationError(f"config: {path} must be finite, got {value!r}")
         return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"config: {path} must be true/false, got {value!r}")
-        return value
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigurationError(f"config: {path} must be a string, got {value!r}")
@@ -173,7 +169,13 @@ class RunConfig:
                     f"lattice carries {n_modes} modes"
                 )
             u_k = np.array(c["u_k"], dtype=complex)
-            u_k[0] = c["u_zero"] if c["u_zero"] != 0.0 else u_k[0]
+            if c["u_zero"] != 0.0:
+                if u_k[0] != 0.0:
+                    raise ConfigurationError(
+                        "config: params.u_zero and params.u_k[0] both set the k = 0 "
+                        "potential; set one of them"
+                    )
+                u_k[0] = c["u_zero"]
         elif c["u_zero"] != 0.0:
             u_k = np.zeros(n_modes, dtype=complex)
             u_k[0] = c["u_zero"]

@@ -362,11 +362,6 @@ def ground_pair(h: FockHamiltonian):
     return energy, vec
 
 
-def ground_energy(h: FockHamiltonian) -> float:
-    """Smallest eigenvalue of the sector Hamiltonian."""
-    return ground_pair(h)[0]
-
-
 def condensate_expectation(h: FockHamiltonian) -> float:
     """<c|H|c> for the condensate state (all N particles in the zero mode)."""
     occ = [0] * len(h.lattice.modes)
@@ -425,11 +420,11 @@ def mean_field_comparison(
             raise ConfigurationError(f"couplings must be positive, got {u_val}")
         u_arr = np.full(lattice.num_modes, u_val)
         ham = build_hamiltonian(lattice, u_arr, 0.0, 0.0, basis, hbar2_over_2m=hbar2_over_2m)
-        oracle_epp = ground_energy(ham) / n
+        oracle_epp = ground_pair(ham)[0] / n
         ham_no = build_hamiltonian(
             lattice, u_arr, 0.0, 0.0, basis, hbar2_over_2m=hbar2_over_2m, normal_order=True
         )
-        oracle_normal_epp = ground_energy(ham_no) / n
+        oracle_normal_epp = ground_pair(ham_no)[0] / n
         condensate_epp = condensate_expectation(ham) / n
 
         gamma = u_val / (hbar2_over_2m * vol)

@@ -24,8 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigurationError
 
 TAU = 2.0 * math.pi
@@ -111,9 +109,6 @@ class ModeLattice:
 
     def contains(self, mode) -> bool:
         return tuple(mode) in self._index
-
-    def k_vector(self, mode) -> np.ndarray:
-        return self.k_unit * np.asarray(mode, dtype=float)
 
     def k_squared(self, mode) -> float:
         return self.k_unit ** 2 * float(sum(c * c for c in mode))

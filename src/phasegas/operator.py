@@ -149,13 +149,27 @@ class OperatorMatrix:
 
     The full action on a coefficient vector v is matrix @ v + offset * v;
     the offset (-ebar_n) is kept out of the matrix so exports and pruning
-    never touch it.
+    never touch it.  The matrix must be a square scipy sparse matrix of
+    dimension >= 1, and every stored entry and the offset finite, else
+    ConfigurationError: a NaN offset, or a NaN on a 1x1 block (whose value
+    is read off the diagonal with residual 0), would pass every residual
+    check of the solvers.
     """
 
     matrix: sparse.csr_matrix
     offset: float
     basis_dims: tuple
     provenance: str
+
+    def __post_init__(self):
+        m = self.matrix
+        if not (sparse.issparse(m) and m.ndim == 2 and m.shape[0] == m.shape[1] >= 1):
+            raise ConfigurationError(
+                "operator matrix must be a square scipy sparse matrix of dimension >= 1, "
+                f"got {type(m).__name__} of shape {getattr(m, 'shape', None)}"
+            )
+        if not (np.isfinite(self.offset) and np.isfinite(m.tocsr().data).all()):
+            raise ConfigurationError("operator holds a non-finite offset or entry")
 
     @property
     def dim(self) -> int:
@@ -433,8 +447,8 @@ def load_triplets(source) -> OperatorMatrix:
     A string that starts with the export header is the text itself; anything
     else is a path.  Unreadable paths and malformed exports raise
     ConfigurationError: among them a dim below 1 or too large to allocate,
-    basis_dims that do not multiply to dim, and a non-finite offset or
-    entry.
+    basis_dims that do not multiply to dim, and (through OperatorMatrix) a
+    non-finite offset or entry.
     """
     if isinstance(source, str) and source.lstrip().startswith(_TRIPLET_HEADER):
         text = source
@@ -481,8 +495,6 @@ def load_triplets(source) -> OperatorMatrix:
             f"triplet export dim {dim} must be >= 1 and the product of basis_dims {dims}"
         )
     values = np.array(vals, dtype=complex)
-    if not (math.isfinite(offset) and np.isfinite(values).all()):
-        raise ConfigurationError("triplet export holds a non-finite offset or entry")
     try:
         matrix = sparse.csr_matrix(
             (values, (np.array(rows, dtype=int), np.array(cols, dtype=int))),

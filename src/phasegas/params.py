@@ -12,8 +12,7 @@ which keeps the sector constant
 
     ebar_n = N (u_0 + gamma_0 N)
 
-computable without a lattice in hand.  rho = N/V is derived on demand, never
-stored.
+computable without a lattice in hand.
 """
 
 from __future__ import annotations
@@ -92,12 +91,6 @@ class ModelParams:
         """Sector constant N (u_0 + gamma_0 N) subtracted from the operator."""
         n = self.n_particles
         return n * (self.u_zero + self.gamma_zero * n)
-
-    def rho(self, volume: float) -> float:
-        """Number density N/V (derived, not stored)."""
-        if not (volume > 0.0):
-            raise ConfigurationError(f"volume must be positive, got {volume}")
-        return self.n_particles / volume
 
     # -- validation against a concrete lattice ------------------------------
 

@@ -26,7 +26,7 @@ from phasegas.coherent import (
 from phasegas.fock import (
     build_hamiltonian,
     enumerate_basis,
-    ground_energy,
+    ground_pair,
     mean_field_comparison,
     state_momentum,
 )
@@ -39,7 +39,6 @@ from phasegas.operator import (
 )
 from phasegas.params import ModelParams
 from phasegas.spectral import (
-    eigen_spectrum,
     energy_from_eigenvalue,
     multiset_match_error,
     perturbation_series,
@@ -154,7 +153,7 @@ def test_criterion_4_ou_ladder_spectrum():
         bas = HermiteBasis(lat, 0.5, n_max)
         op = assemble(par, bas).at(0.0)
         assert op.dim <= 4000
-        computed = np.array([p.eigenvalue for p in eigen_spectrum(op, method="dense")])
+        computed = solve(op, method="dense").values
         expected = np.array(
             [
                 -sum(n * k2 for n, k2 in zip(combo, bas.coord_k2)) - par.ebar_n
@@ -185,8 +184,8 @@ def test_criterion_5_conjugation_symmetry():
         diff.eliminate_zeros()
         if diff.nnz != 0 or mm.offset != mp.offset:
             entrywise_exact = False
-        sp = np.array([p.eigenvalue for p in eigen_spectrum(mp, method="dense")])
-        sm = np.array([p.eigenvalue for p in eigen_spectrum(mm, method="dense")])
+        sp = solve(mp, method="dense").values
+        sm = solve(mm, method="dense").values
         spec_err = max(spec_err, multiset_match_error(np.conj(sp), sm))
 
     # fitted odd orders of e(eps) must vanish: checked on the pinned ground
@@ -194,9 +193,9 @@ def test_criterion_5_conjugation_symmetry():
     fit_grid = np.array([-0.3, -0.2, -0.1, 0.1, 0.2, 0.3])
     ground_vals, excited_vals = [], []
     for eps in fit_grid:
-        pairs = eigen_spectrum(assemble(par, bas).at(float(eps)), method="dense")
-        ground_vals.append(pairs[0].eigenvalue.real)
-        excited_vals.append(0.5 * (pairs[1].eigenvalue.real + pairs[2].eigenvalue.real))
+        values = solve(assemble(par, bas).at(float(eps)), method="dense").values
+        ground_vals.append(values[0].real)
+        excited_vals.append(0.5 * (values[1].real + values[2].real))
     co_g = np.polyfit(fit_grid, ground_vals, 4)
     co_e = np.polyfit(fit_grid, excited_vals, 4)
     odd = max(abs(co_g[1]), abs(co_g[3]), abs(co_e[1]), abs(co_e[3]))
@@ -250,7 +249,7 @@ def test_criterion_7_mean_field_energy():
     latm1 = ModeLattice(d=1, box_len=TAU, m_per_dim=1)
     basis1 = enumerate_basis(1, 2, latm1)
     h1 = build_hamiltonian(latm1, np.array([0.8]), 0.0, 0.0, basis1)
-    ok_single = ground_energy(h1) / 2 == 0.8 * (1.0 / latm1.volume) * 4.0 / 2
+    ok_single = ground_pair(h1)[0] / 2 == 0.8 * (1.0 / latm1.volume) * 4.0 / 2
 
     # three modes, three particles, two-decade coupling scan.  The oracle keeps
     # the bare density-density interaction, so as U -> 0 its ground state tends
@@ -298,9 +297,7 @@ def test_criterion_8_perturbation_consistency():
     grid = (0.05, 0.1, 0.2, 0.4)
     spectra = {}
     for eps in grid + (0.0,):
-        spectra[eps] = eigen_spectrum(
-            assemble(par, bas).at(eps), method="dense"
-        )
+        spectra[eps] = solve(assemble(par, bas).at(eps), method="dense").values
 
     # ground-level remainder |e(eps) - e0 - eps^2 e2|: the divergence-form
     # operator pins the ground eigenvalue at -ebar_N for every eps, so the
@@ -309,7 +306,7 @@ def test_criterion_8_perturbation_consistency():
     resid = np.array(
         [
             abs(
-                spectra[eps][0].eigenvalue
+                spectra[eps][0]
                 - (series.orders[0] + eps**2 * series.orders[2])
             )
             for eps in grid
@@ -327,8 +324,8 @@ def test_criterion_8_perturbation_consistency():
     # the same quartic-remainder law carries real signal on the first excited
     # level; its eps^2 coefficient comes from Richardson extrapolation
     def excited(eps):
-        pairs = spectra[eps]
-        return 0.5 * (pairs[1].eigenvalue.real + pairs[2].eigenvalue.real)
+        values = spectra[eps]
+        return 0.5 * (values[1].real + values[2].real)
 
     e0 = excited(0.0)
     d1 = (excited(0.05) - e0) / 0.05**2

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phasegas
@@ -86,6 +87,48 @@ def test_overlaps_suite_passes(tmp_path):
     assert lines[0] == "check,max_error,tolerance,status"
     assert len(lines) > 5
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+def test_overlaps_runs_on_the_configured_lattice_dimension(tmp_path, monkeypatch):
+    from phasegas import coherent
+
+    grids = []
+    field = coherent.CoherentField
+
+    def spy(lattice, r, phi):
+        grids.append((lattice.d, np.shape(phi)))
+        return field(lattice, r, phi)
+
+    monkeypatch.setattr(coherent, "CoherentField", spy)
+    cfg = _write_config(tmp_path, lattice={"d": 2, "m_per_dim": 3}, overlaps={"n_fields": 5})
+    out = tmp_path / "ov2"
+    assert main(["--config", cfg, "--out", str(out), "overlaps"]) == 0
+    # the random fields, the projection fields and the vacuum
+    assert len(grids) == 5 + 8 + 1
+    assert set(grids) == {(2, (10, 10))}
+    lines = (out / "overlaps.csv").read_text().strip().splitlines()
+    assert len(lines) == 8 and all(line.endswith("pass") for line in lines[1:])
+
+
+def test_spectrum_arpack_with_count_up_to_the_dimension(tmp_path):
+    # m = 3, n_max = 2: dim 9, and count dim - 1 or dim solves every block densely
+    dense_cfg = _write_config(tmp_path, "dense.json", lattice={"m_per_dim": 3}, solver={"count": 9})
+    assert main(["--config", dense_cfg, "--out", str(tmp_path / "dense"), "spectrum"]) == 0
+    for count in (8, 9):
+        cfg = _write_config(
+            tmp_path, f"arpack{count}.json", lattice={"m_per_dim": 3},
+            solver={"method": "arpack", "count": count},
+        )
+        out = tmp_path / f"arpack{count}"
+        assert main(["--config", cfg, "--out", str(out), "spectrum"]) == 0
+        dense_rows = (tmp_path / "dense" / "spectrum.csv").read_text().splitlines()
+        assert (out / "spectrum.csv").read_text().splitlines() == dense_rows[: count + 1]
+
+
+def test_u_zero_and_u_k0_both_set_is_exit_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path, params={"u_zero": -1.5, "u_k": [0.5, 0.0, 0.0, 0.0, 0.0]})
+    assert main(["--config", cfg, "--out", str(tmp_path / "both"), "spectrum"]) == 2
+    assert "u_zero and params.u_k[0]" in capsys.readouterr().err
 
 
 def test_scan_checks_conjugation(tmp_path):
@@ -379,18 +422,18 @@ def test_table_functions_equal_the_cli_csv_files(tmp_path):
     from phasegas.lattice import ModeLattice
     from phasegas.operator import assemble
     from phasegas.params import ModelParams
-    from phasegas.spectral import eigen_spectrum, perturbation_series, series_table, spectrum_table
+    from phasegas.spectral import perturbation_series, series_table, solve, spectrum_table
 
     lat = ModeLattice(d=1, m_per_dim=5)
     affine = assemble(ModelParams(gamma=0.5, n_particles=2), HermiteBasis(lat, 0.5, 2))
-    pairs = eigen_spectrum(affine.at(0.3))
+    spectrum = solve(affine.at(0.3))
     series = perturbation_series(affine.at(0.0), affine.l1, 3)
     comparison = mean_field_comparison(lat, 2, [0.5, 0.05])
     cases = [
         (
-            spectrum_table(pairs),
+            spectrum_table(spectrum),
             ("index", "re", "im", "residual"),
-            [(i, p.eigenvalue.real, p.eigenvalue.imag, p.residual) for i, p in enumerate(pairs)],
+            [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))],
         ),
         (
             series_table(series),

@@ -79,6 +79,18 @@ def test_potential_construction():
         ).params(lat)
 
 
+def test_u_zero_and_u_k0_may_not_both_be_set():
+    lat = ModeLattice(d=1, m_per_dim=3)
+    # either one alone sets u_0
+    only_zero = parse_config({"schema_version": 1, "params": {"u_zero": -1.5, "u_k": [0.0, 0.0, 0.0]}})
+    assert only_zero.params(lat).u_zero == -1.5
+    only_k = parse_config({"schema_version": 1, "params": {"u_zero": 0.0, "u_k": [0.5, 0.0, 0.0]}})
+    assert only_k.params(lat).u_zero == 0.5
+    both = parse_config({"schema_version": 1, "params": {"u_zero": -1.5, "u_k": [0.5, 0.0, 0.0]}})
+    with pytest.raises(ConfigurationError, match=r"u_zero and params.u_k\[0\]"):
+        both.params(lat)
+
+
 def test_gamma_k_length_checked():
     cfg = parse_config(
         {"schema_version": 1, "params": {"gamma_k": [0.5, 0.5, 0.5]}}

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite_e as he
+from scipy import sparse
 
 import phasegas.operator as operator
 from phasegas.errors import ConfigurationError, PhasegasError, TruncationWarning
@@ -30,7 +31,7 @@ from phasegas.operator import (
     scaled_params,
 )
 from phasegas.params import ModelParams
-from phasegas.spectral import eigen_spectrum
+from phasegas.spectral import solve
 
 SEED = 20260816
 
@@ -611,6 +612,45 @@ def test_triplet_basis_dims_must_multiply_to_dim():
         load_triplets(_edit_header(text, "basis_dims", "-3 -3 3 3"))
 
 
+# -- the OperatorMatrix boundary --------------------------------------------------
+
+
+def test_operator_nan_diagonal_entry_rejected():
+    # a 1x1 block's value is read off the diagonal with residual 0, so the
+    # solver would return nan with a passing residual
+    matrix = sparse.csr_matrix(np.diag([0.0, np.nan]).astype(complex))
+    with pytest.raises(ConfigurationError, match="non-finite offset or entry"):
+        OperatorMatrix(matrix, 0.0, (2,), "test-nan-diagonal")
+
+
+def test_operator_nan_offset_rejected():
+    matrix = sparse.identity(2, dtype=complex, format="csr")
+    with pytest.raises(ConfigurationError, match="non-finite offset or entry"):
+        OperatorMatrix(matrix, float("nan"), (2,), "test-nan-offset")
+
+
+def test_operator_inf_off_diagonal_entry_rejected():
+    matrix = sparse.csr_matrix(np.array([[0.0, np.inf], [1.0, -1.0]], dtype=complex))
+    with pytest.raises(ConfigurationError, match="non-finite offset or entry"):
+        OperatorMatrix(matrix, 0.0, (2,), "test-inf-entry")
+
+
+def test_operator_non_square_matrix_rejected():
+    matrix = sparse.csr_matrix(np.ones((2, 3), dtype=complex))
+    with pytest.raises(ConfigurationError, match="square scipy sparse matrix"):
+        OperatorMatrix(matrix, 0.0, (2,), "test-2x3")
+
+
+def test_operator_dense_array_rejected():
+    with pytest.raises(ConfigurationError, match="square scipy sparse matrix"):
+        OperatorMatrix(np.eye(2, dtype=complex), 0.0, (2,), "test-dense")
+
+
+def test_operator_empty_matrix_rejected():
+    with pytest.raises(ConfigurationError, match="dimension >= 1"):
+        OperatorMatrix(sparse.csr_matrix((0, 0), dtype=complex), 0.0, (), "test-empty")
+
+
 _TRIPLET_FLOATS = st.one_of(
     st.floats(-1e3, 1e3),
     st.sampled_from(["nan", "inf", "-inf", "1e308", "5e-324", "x"]),
@@ -639,10 +679,10 @@ def _triplet_texts(draw):
 @given(text=_triplet_texts())
 def test_triplet_text_raises_only_phasegas_errors(text):
     try:
-        pairs = eigen_spectrum(load_triplets(text))
+        values = solve(load_triplets(text)).values
     except PhasegasError:
         return
-    assert np.isfinite([p.eigenvalue for p in pairs]).all()
+    assert np.isfinite(values).all()
 
 
 def test_two_dimensional_lattice_smoke():
