@@ -7,17 +7,24 @@ Imports nothing numeric, so the command-line front end can load it before
 from __future__ import annotations
 
 
-def _fmt(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
+def _template(row) -> str:
+    """The %-template of a row: `str` of an int or a str, 17 significant digits of anything else."""
+    return ",".join("%s" if isinstance(v, (int, str)) else "%.17g" for v in row)
 
 
 def csv_text(columns, rows) -> str:
-    """A header line of `columns`, then one line per row; floats round-trip exactly."""
+    """A header line of `columns`, then one line per row; floats round-trip exactly.
+
+    Each row is formatted by one %-template, built once per sequence of value
+    types.
+    """
+    templates = {}
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = _template(row)
+        lines.append(template % row)
     return "\n".join(lines) + "\n"

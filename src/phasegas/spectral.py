@@ -61,6 +61,14 @@ exceeds the residual tolerance skips the attempt, and a block whose
 symmetric result fails any check is solved again by the general `eig`.
 Both go through the same phase choice, bi-orthonormalization and checks.
 
+The same balance decides which blocks a request for the `count` leading
+values needs.  B is similar to the block of L, so by the Gershgorin circle
+theorem every eigenvalue of the block has real part at most
+max_i (B_ii + sum_{j != i} |B_ij|).  A block that goes to `eigh` is skipped
+when that bound, plus a margin for the solvers' rounding, lies below the
+count-th largest value already known; every other block is always solved,
+so each refusal fires as in a solve of every block (`solve`).
+
 The epsilon series for the ground eigenvalue uses the standard
 Rayleigh-Schrodinger recursion with bi-orthogonal projectors,
 
@@ -257,6 +265,12 @@ def _symmetric_fits(balance, residual_tol: float) -> bool:
     )
 
 
+def _gershgorin_bound(block) -> float:
+    """max_i (B_ii + sum_{j != i} |B_ij|) over the rows of a real sparse block B."""
+    diag = block.diagonal()
+    return float((diag - np.abs(diag) + np.asarray(abs(block).sum(axis=1)).ravel()).max())
+
+
 def _dense_block(sub, block, s, balance, residual_tol: float):
     """(values, R, L, two-sided residuals) of one block solved densely.
 
@@ -401,9 +415,13 @@ class Spectrum:
     `connected_blocks`, the working matrix's `block_values` with block n
     from slot `starts[n]` on, each value's slot (`slots`) and block
     (`owners`), and the (R, L) `vectors`, L^H R = I, of each multi-state
-    block with a value here (1x1 blocks carry unit vectors).  `real_form` is
-    the real form the values were read off (None if the operator has none),
-    and `dim` and `offset` are the operator's.
+    block with a value here (1x1 blocks carry unit vectors).  `solved`
+    marks the blocks that were solved: a block that `solve` proved unable to
+    hold a returned value is not, and has NaN slots in `block_values` and no
+    `vectors` entry; `values`, `residuals`, `slots`, `owners` and `pair`
+    only ever refer to solved blocks.  `real_form` is the real form the
+    values were read off (None if the operator has none), and `dim` and
+    `offset` are the operator's.
     """
 
     values: np.ndarray
@@ -415,6 +433,7 @@ class Spectrum:
     slots: np.ndarray
     owners: np.ndarray
     vectors: dict
+    solved: np.ndarray
     real_form: sparse.csr_matrix | None
     offset: float
 
@@ -471,7 +490,8 @@ def solve(
     values and a few pairs never holds the rest.
     Each block contributes its values to one slot range in block order, so
     the sort breaks exact ties by block order.  1x1 blocks are read off the
-    diagonal.  The dense path solves every other block, up to
+    diagonal.  The dense path solves the other blocks (given a `count`,
+    only those that can hold the head; see below), up to
     DENSE_DIM_LIMIT states: by the symmetric `eigh` on the balanced block
     when `operator.symmetry_weight` certifies the real form and its sign is
     constant on the block, unless the a-priori bound (max D / min D) u max|B|
@@ -493,6 +513,43 @@ def solve(
     (numerically) defective eigenbasis rejected, and every returned pair
     residual-validated on both sides; failure raises SolverError with the
     worst value reported.
+
+    Given a `count`, both paths solve only the blocks that can hold one of
+    the count leading values.  The result is the all-blocks answer bit for
+    bit -- values, residuals, slots, owners and pairs -- since the blocks
+    solved are solved as in a loop over all of them.  A block may be skipped
+    only if it passes `_symmetric_fits`, which holds exactly when the dense
+    path would send it to `eigh`: the weight certifies the real form, its
+    sign is constant on the block and (max D / min D) u max|B| <=
+    `residual_tol`.  Then sign(W') B, with B = D A D^-1 the balanced block, is
+    real symmetric up to the certificate's 1e-13 max|B| (max|B| over the
+    whole balanced matrix), and B is similar to the block of A and of L, so
+    by the Gershgorin circle theorem (S. Gershgorin, 1931) every eigenvalue
+    of the block has real part at most g = max_i (B_ii + sum_{j != i}
+    |B_ij|) over its rows.  The blocks that fail `_symmetric_fits` are
+    always solved, first and in block order; the others follow highest g
+    first, and the loop stops at the first block whose
+    g + CONDITION_LIMIT n^2 u (1 + max|B|) (n the largest block) lies
+    strictly below the count-th largest real part known so far, over the
+    1x1 diagonal values and the blocks already solved.  That margin
+    bounds how far a value the skipped block would have returned can lie
+    above g:
+    - `eigh` sees (B + B^T) / 2 up to the sign, whose largest eigenvalue
+      exceeds g by at most n 1e-13 max|B| / 2, the certificate's asymmetry
+      summed over a row, and its values are exact for a perturbation of
+      norm <= p(n) u |B|_2, with p(n) a modest function of n taken as n and
+      |B|_2 <= n max|B|, so by Weyl's theorem they move by n^2 u max|B|;
+    - the `eig` fallback, whose values move by at most the condition number
+      it accepts, CONDITION_LIMIT, times a backward error of the same size
+      (LAPACK balances the block before it solves it);
+    - ARPACK's Ritz values, which lie in the field of values of the balanced
+      block it runs on, and so at most n 1e-13 max|B| / 2 above g, and come
+      back through its shift by 1 + |B|_inf <= 1 + n max|B|, rounded at u
+      (the 1 in the margin covers the 1 in the shift).
+    So no skipped block holds a value of the all-blocks head.  A skipped
+    block reaches no solver and no check (it is similar to a symmetric
+    matrix, so its eigenbasis cannot be defective); its `block_values` slots
+    are NaN and `Spectrum.solved` marks it.
     """
     _check_request(op, count, method)
     dim = op.dim
@@ -511,7 +568,8 @@ def solve(
             f"{largest} of dimension {dim}); use method='arpack'"
         )
     starts = np.cumsum(heads) - heads
-    w = np.empty(heads.sum(), dtype=complex)
+    # slots of blocks never solved stay NaN, so they sort last
+    w = np.full(heads.sum(), np.nan, dtype=complex)
     residual = np.zeros(w.size)  # exact for 1x1 blocks: both vectors are unit vectors
     work, phase = _real_form(matrix, op.basis_dims)
     real_form = None if phase is None else work
@@ -520,10 +578,26 @@ def solve(
     # every value comes from the working matrix, so one real form gives one spectrum
     w[starts[sizes == 1]] = work.diagonal()[[b[0] for b in blocks if b.size == 1]]
     balance = _weight_balance(work, op.basis_dims) if (sizes > 1).any() else None
+    multi = np.flatnonzero(sizes > 1)
+    # Gershgorin bound of each block that may be skipped; +inf: always solved
+    bound = np.full(sizes.size, np.inf)
+    if count is not None and balance is not None and np.isrealobj(balance[0].data):
+        balanced, scale, sign = balance
+        for n in multi:
+            idx = blocks[n]
+            local = (balanced[idx][:, idx], scale[idx], sign[idx])
+            if _symmetric_fits(local, residual_tol):
+                bound[n] = _gershgorin_bound(local[0])
+        peak = max(balanced.data.max(), -balanced.data.min())
+        margin = CONDITION_LIMIT * float(sizes.max()) ** 2 * _UNIT_ROUNDOFF * (1.0 + peak)
+    solved = sizes == 1
     vectors, pending = {}, {}
-    for n, (idx, start) in enumerate(zip(blocks, starts)):
-        if idx.size == 1:
-            continue
+    for n in multi[np.argsort(-bound[multi], kind="stable")]:
+        if np.isfinite(bound[n]):
+            known = w.real[~np.isnan(w.real)]
+            if known.size >= count and bound[n] + margin < np.partition(known, -count)[-count]:
+                break
+        idx, start = blocks[n], starts[n]
         sub, block = matrix[idx][:, idx], work[idx][:, idx]
         local = None
         if balance is not None:
@@ -538,6 +612,7 @@ def solve(
             )
             vectors[n] = (right, left)
         w[start : start + wb.size] = wb
+        solved[n] = True
 
     keep = _sorted_order(w)[: w.size if count is None else count]
     owner = np.repeat(np.arange(len(blocks)), heads)
@@ -567,6 +642,7 @@ def solve(
         slots=keep,
         owners=owner[keep],
         vectors=vectors,
+        solved=solved,
         real_form=real_form,
         offset=op.offset,
     )
@@ -627,8 +703,12 @@ def _reduced_resolvent(spectrum: Spectrum, i: int):
     `spectrum` (a dense `solve` with count None): a vectorized division by
     lam_j - lam_i on the 1x1 blocks, R_b ((L_b^H rhs_b) / (lam_b - lam_i)) on
     every other block, with level i's own column left out, so the result is
-    bi-orthogonal to L_i.  No D x D array is formed.
+    bi-orthogonal to L_i.  No D x D array is formed.  A spectrum that lacks
+    any block's full eigendecomposition -- a block `solve` skipped, or the
+    heads of an ARPACK run -- raises SolverError.
     """
+    if not spectrum.solved.all() or spectrum.block_values.size != spectrum.dim:
+        raise SolverError("the reduced resolvent needs the eigendecomposition of every block")
     lam = spectrum.block_values + spectrum.offset
     lam_i = spectrum.values[i]
     home = spectrum.owners[i]

@@ -1204,3 +1204,123 @@ def test_the_a_priori_bound_sends_wide_weights_to_the_general_path():
     wide, narrow = fits(7, 0.3), fits(4, 0.2)
     assert len(wide) == 4 and not any(wide)
     assert len(narrow) == 4 and all(narrow)
+
+
+# -- blocks that cannot hold the head --------------------------------------------
+
+
+def _all_blocks(monkeypatch, op, count, method):
+    """`solve` with every block's bound withheld, so no block is skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_gershgorin_bound", lambda block: np.inf)
+        return solve(op, count, method=method)
+
+
+def _dense_solves(monkeypatch):
+    """Sizes of the blocks `_dense_block` is handed, in call order."""
+    sizes, dense_block = [], spectral._dense_block
+    monkeypatch.setattr(
+        spectral, "_dense_block", lambda sub, *a: sizes.append(sub.shape[0]) or dense_block(sub, *a)
+    )
+    return sizes
+
+
+@pytest.mark.parametrize("method", ["dense", "arpack"])
+@pytest.mark.parametrize("count", [1, 3, 6])
+@pytest.mark.parametrize(
+    "n_max, epsilon", [(4, 0.1), (3, 0.05), (3, 0.1), (3, 0.2), (3, 0.4)]
+)  # `dense_spectra` at its perturb point, then the demo's perturb grid
+def test_a_count_returns_the_head_of_the_all_blocks_solve(monkeypatch, n_max, epsilon, count, method):
+    lat, par, bas = _setup(epsilon=epsilon, n_max=n_max)
+    op = assemble(par, bas).at(epsilon)
+    got = solve(op, count, method=method)
+    refs = [_all_blocks(monkeypatch, op, count, method)]
+    if method == "dense":
+        refs.append(solve(op))
+    for ref in refs:
+        assert got.values.tobytes() == ref.values[:count].tobytes()
+        assert got.residuals.tobytes() == ref.residuals[:count].tobytes()
+        assert np.array_equal(got.slots, ref.slots[:count])
+        assert np.array_equal(got.owners, ref.owners[:count])
+        for i in range(count):
+            a, b = got.pair(i), ref.pair(i)
+            assert np.array_equal(a.right_vector, b.right_vector)
+            assert np.array_equal(a.left_vector, b.left_vector)
+    # the values of every block that was skipped stay NaN, and no other does
+    unsolved = np.repeat(~got.solved, np.diff(np.append(got.starts, got.block_values.size)))
+    assert np.array_equal(np.isnan(got.block_values), unsolved)
+
+
+def test_only_the_blocks_that_can_hold_the_ground_are_solved(monkeypatch):
+    sizes = _dense_solves(monkeypatch)
+    lat, par, bas = _setup(epsilon=0.1, n_max=4)
+    sp = solve(assemble(par, bas).at(0.1), 1)
+    # the four multi-state blocks are bounded far below the 1x1 ground at 0
+    assert sizes == [] and (~sp.solved).sum() == 4
+    lat, par, bas = _setup(epsilon=0.4, n_max=3)
+    op = assemble(par, bas).at(0.4)
+    sp = solve(op, 1)
+    assert len(sizes) == _multi_state_blocks(op) == 4 and sp.solved.all()
+
+
+def test_blocks_too_wide_for_eigh_are_never_skipped(monkeypatch):
+    # at n_max = 7 the a-priori bound sends every block to `eig`, so no
+    # block is bounded and the first one reaches the dense solver
+    lat, par, bas = _setup(epsilon=0.3, n_max=7)
+    op = assemble(par, bas).at(0.3)
+    bounds, gershgorin = [], spectral._gershgorin_bound
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(spectral, "_gershgorin_bound", lambda block: bounds.append(1) or gershgorin(block))
+    monkeypatch.setattr(spectral, "_dense_block", reached)
+    with pytest.raises(Reached):
+        solve(op, 1)
+    assert not bounds
+
+
+def _uncertified_operators():
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, 0.7))
+    yield assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    with pytest.warns(TruncationWarning):
+        flat = assemble(replace(par, u_k=None), HermiteBasis(lat2, 0.5, 1)).at(par.epsilon)
+    yield flat
+    rng = np.random.default_rng(SEED + 5)
+    yield _diagonal_with_block(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), dim=8)
+    for lam in (-2.0 + 0.5j, 0.0):
+        yield _diagonal_with_block(np.array([[lam, 1.0], [0.0, lam]]))
+
+
+def test_operators_without_a_symmetric_balance_solve_every_block(monkeypatch):
+    for op in _uncertified_operators():
+        outcomes = []
+        for count in (None, 1):
+            with monkeypatch.context() as patch:
+                sizes = _dense_solves(patch)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        values = solve(op, count).values[:1].tobytes()
+                except SolverError as exc:
+                    values = str(exc)  # d = 2 and the Jordan blocks are refused either way
+            outcomes.append((sizes, values))
+        assert outcomes[0] == outcomes[1]
+        if not isinstance(outcomes[1][1], str):
+            assert len(outcomes[1][0]) == _multi_state_blocks(op)
+
+
+def test_the_reduced_resolvent_refuses_a_partial_spectrum():
+    lat, par, bas = _setup(epsilon=0.1, n_max=4)
+    op = assemble(par, bas).at(0.1)
+    partial = solve(op, 1)
+    assert not partial.solved.all()
+    with pytest.raises(SolverError, match="every block"):
+        spectral._reduced_resolvent(partial, 0)
+    with pytest.raises(SolverError, match="every block"):
+        spectral._reduced_resolvent(solve(op, 6, method="arpack"), 0)
+    spectral._reduced_resolvent(solve(op), 0)  # a complete solve passes
