@@ -27,9 +27,9 @@ block gets ARPACK for its `count` leading pairs.  When the weight of
 matrix at every call -- one run on the balanced block D B D^-1 suffices: the
 left eigenvectors are conj(W R).  Otherwise (a nonzero potential u_k, or
 d = 2) a second run on the adjoint supplies them.  Left vectors of every
-source -- LAPACK `eig`, the weight, adjoint Ritz vectors -- go through the same
-bi-orthonormalization and checks, so a degenerate cluster cut inside a block
-raises SolverError instead of returning a wrong pair.
+source -- LAPACK `eig`, the weight, adjoint Ritz vectors, `eigh` on a balanced
+block -- go through the same checks, so a degenerate cluster cut inside a
+block raises SolverError instead of returning a wrong pair.
 
 Both solvers work in real arithmetic when the operator has a real form.  In
 the Hermite basis the entries of L that change the total degree by an even
@@ -40,26 +40,33 @@ quantum mechanics (C. M. Bender and S. Boettcher, Phys. Rev. Lett. 80, 5243,
 total Hermite degree of a basis state, A = S^-1 L S is then exactly real
 (`_real_form`, a certificate tested on every call).  LAPACK runs dgeev and
 ARPACK its real iteration on the blocks of A, and the weight certificate
-uses W' = (-1)^deg W on A.  The vectors stay in A's basis for the phase
-choice and the bi-orthonormalization solve, in float64 when dgeev returns a
-real spectrum; then they map to L's basis, R = S v c and L = S l c with
-unit column phases c, and every check runs against the original complex
-block.  An operator without a real form is solved the same way, in complex
-arithmetic, with S = I.  Every eigenvalue is read off A, so two operators
-with one real form bit for bit (`Spectrum.shares_form`, e.g. L(epsilon) and
-L(-epsilon) = conj L(epsilon)) have the same spectrum array.
+uses W' = (-1)^deg W on A.  The vectors never leave A's basis inside the
+solver: the phase choice `_fix_phases`, the bi-orthonormalization and every
+check run on the block of A, in float64 when dgeev returns a real spectrum.
+Checking there is exact, not a relaxation.  The pairs of L are R = S v c and
+L = S l c, with S and the column phases c diagonal with entries of unit
+modulus, so in exact arithmetic |L^H R - I| = |l^H v - I| entrywise, |L| =
+|l|, and the residuals on L's block M equal those on A's:
+|M R - R lam| = |A v - v lam| and |M^H L - L conj(lam)| = |A^H l - l conj(lam)|.
+A pair is mapped to L's basis only when `Spectrum.pair` or the reduced
+resolvent expands it.  An operator without a real form is solved the same
+way, in complex arithmetic, with S = I.  Every eigenvalue is read off A, so
+two operators with one real form bit for bit (`Spectrum.shares_form`, e.g.
+L(epsilon) and L(-epsilon) = conj L(epsilon)) have the same spectrum array.
 
 The weight certificate also serves the dense path.  W' has a constant sign
 on every block of a certified real form (the blocks split the reflection
 sectors, and sign W' = (-1)^(sum n_y)), so its balanced block B = D A D^-1 is
 exactly +-a real symmetric matrix: detailed balance, as for a Fokker-Planck
 operator.  Such a block goes to the symmetric `eigh` on sign(W') (B + B^T)/2,
-its right vectors map back through D^-1 and its left candidates are W' r.
+its right vectors map back through D^-1 and its left vectors are W' r scaled
+to l^H v = 1: the vectors of a symmetric matrix are orthonormal, so W' r is
+already bi-orthogonal to every other right vector and no solve is needed.
 Mapping back amplifies eigh's backward error by max D / min D, so a block
 whose a-priori bound (max D / min D) u max|B| (u the unit roundoff) already
 exceeds the residual tolerance skips the attempt, and a block whose
 symmetric result fails any check is solved again by the general `eig`.
-Both go through the same phase choice, bi-orthonormalization and checks.
+Both go through the same phase choice and checks.
 
 The same balance decides which blocks a request for the `count` leading
 values needs.  B is similar to the block of L, so by the Gershgorin circle
@@ -175,9 +182,12 @@ def connected_blocks(matrix) -> list:
     )
     n_blocks, labels = csgraph.connected_components(pattern, directed=True, connection="weak")
     members = np.argsort(labels, kind="stable")
-    blocks = np.split(members, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
-    blocks.sort(key=lambda b: b[0])
-    return blocks
+    sizes = np.bincount(labels, minlength=n_blocks)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # the argsort is stable, so a block's first member is its smallest index
+    order = np.argsort(members[starts]).tolist()
+    return [members[a:b] for a, b in zip(starts[order].tolist(), ends[order].tolist())]
 
 
 _UNIT_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -214,6 +224,25 @@ def _real_form(matrix: sparse.csr_matrix, basis_dims):
         phase = phase.conj()
     form = sparse.csr_matrix((real, matrix.indices, matrix.indptr), shape=matrix.shape)
     return form, phase
+
+
+def _form_matches(matrix: sparse.csr_matrix, form: sparse.csr_matrix, phase) -> bool:
+    """Whether `form` is S^-1 L S entry by entry for L = `matrix` and S = diag(phase).
+
+    The checks of `_check_pairs` run on the form and hold for L's pairs only
+    if this does, so `solve` tests it on every call instead of trusting the
+    pair `_real_form` returns: every phase must be one of 1, i, -1, -i, the
+    stored patterns equal, and conj(s_r) L_rc s_c equal to the form's entry,
+    a product by unit phases and so exact.  One pass over the stored entries.
+    """
+    if not (
+        np.isin(phase, _UNIT_PHASES).all()
+        and np.array_equal(matrix.indptr, form.indptr)
+        and np.array_equal(matrix.indices, form.indices)
+    ):
+        return False
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return bool((np.conj(phase[rows]) * matrix.data * phase[matrix.indices] == form.data).all())
 
 
 def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
@@ -271,19 +300,20 @@ def _gershgorin_bound(block) -> float:
     return float((diag - np.abs(diag) + np.asarray(abs(block).sum(axis=1)).ravel()).max())
 
 
-def _dense_block(sub, block, s, balance, residual_tol: float):
-    """(values, R, L, two-sided residuals) of one block solved densely.
+def _dense_block(block, s, balance, residual_tol: float):
+    """(values, v, l, c, two-sided residuals) of one block solved densely.
 
-    `sub` is the complex block, `block` the working block of `_real_form`
-    and s its unit phases diag S.  When `balance` holds the block's
-    (balanced block B, D, sign W') and `_symmetric_fits`, `eigh` (LAPACK's
-    divide-and-conquer driver) solves sign(W') (B + B^T) / 2: the values are
-    sign(W') times its eigenvalues, the right vectors its vectors mapped back
-    through D^-1, and the left candidates W' r, real like r, as in
-    `_arpack_block`'s balanced run.  If that result fails a check or
-    `residual_tol`, and for every other block, LAPACK `eig` supplies both
-    vector sets.  Either way the vectors go through `_fix_phases` and
-    `_biorthonormalize`, so every check runs against `sub`.
+    `block` is a block of the working matrix of `_real_form` and s its unit
+    phases diag S; v and l are the right and left vectors of `block`, and c
+    the column phases of `_fix_phases`, so the pairs of L are S v c and
+    S l c.  When `balance` holds the block's (balanced block B, D, sign W')
+    and `_symmetric_fits`, `eigh` (LAPACK's divide-and-conquer driver)
+    solves sign(W') (B + B^T) / 2: the values are sign(W') times its
+    eigenvalues, the right vectors its vectors mapped back through D^-1, and
+    the left vectors W' r scaled by `_balanced_left`, real like r.  If that
+    result fails a check or `residual_tol`, and for every other block,
+    LAPACK `eig` supplies both vector sets and `_biorthonormalize` solves
+    for l.  Either way `_check_pairs` checks the result on `block`.
     """
     if balance is not None and _symmetric_fits(balance, residual_tol):
         balanced, scale, sign = balance
@@ -292,14 +322,16 @@ def _dense_block(sub, block, s, balance, residual_tol: float):
             ev, v = sla.eigh(0.5 * (dense + dense.T), driver="evd")
             wb = sign[0] * ev
             vrb, c = _fix_phases(v / scale[:, None], s)
-            solved = _biorthonormalize(sub, wb, s, c, vrb, (sign * scale**2)[:, None] * vrb)
-            if solved[2].max() <= residual_tol:
-                return (wb, *solved)
+            left = _balanced_left(vrb, (sign * scale**2)[:, None] * vrb)
+            residual = _check_pairs(block, wb, vrb, left)
+            if residual.max() <= residual_tol:
+                return wb, vrb, left, c, residual
         except (SolverError, np.linalg.LinAlgError):
             pass
     wb, cand, vrb = sla.eig(block.toarray(), left=True, right=True)
     vrb, c = _fix_phases(vrb, s)
-    return (wb, *_biorthonormalize(sub, wb, s, c, vrb, cand))
+    left = _biorthonormalize(vrb, cand)
+    return wb, vrb, left, c, _check_pairs(block, wb, vrb, left)
 
 
 def _arpack_block(sub, count: int, balance):
@@ -356,28 +388,50 @@ def _arpack_block(sub, count: int, balance):
     return w, vr, vl[:, cols[np.argsort(rows)]]
 
 
-def _biorthonormalize(sub, wb, s, c, vrb, cand):
-    """(R, L, two-sided residuals) of a block, with L^H R = I from left candidates `cand`.
+def _biorthonormalize(vrb, cand):
+    """Left vectors l with l^H v = I for the unit right vectors `vrb`, from left candidates `cand`.
 
-    `vrb` (unit columns) and `cand` are vectors of the working matrix, s the
-    block's unit phases diag S and c the column phases of `_fix_phases`.
-    One solve serves every source of candidates (LAPACK `eig`'s left
-    vectors, the weight certificate, adjoint Ritz vectors), and it runs in
-    their arithmetic: float64 when LAPACK (`dgeev`) returns a real spectrum.
-    Then the vectors map to L's basis, R = S v c and L = S l c, and every
-    check runs against the original complex block `sub`: the eigenvalue
-    condition number against CONDITION_LIMIT, |L^H R - I| <= 1e-9, and
-    residuals on both sides.
+    Both are vectors of the working matrix.  One solve serves the candidates
+    of LAPACK `eig` and of ARPACK (the weight certificate or adjoint Ritz
+    vectors), in their arithmetic: float64 when LAPACK (`dgeev`) returns a
+    real spectrum.  `_check_pairs` verifies the result.
     """
     try:
         left_h = np.linalg.solve(cand.conj().T @ vrb, cand.conj().T)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"defective eigenbasis, cannot bi-orthonormalize: {exc}")
-    # with C = S cand and R = S v c, solve(C^H R, C^H) = c^-1 left_h S^H, so L = S l c
-    phases = s[:, None] * c
-    right = phases * vrb
-    left = phases * left_h.conj().T
-    # with unit right vectors and L^H R = I, |l| is the eigenvalue condition number
+    return left_h.conj().T
+
+
+def _balanced_left(vrb, cand):
+    """Left vectors cand / conj(diag(cand^H v)) of a symmetric balance, with no solve.
+
+    When `cand` is W' v for the right vectors v of a balanced block that is
+    +-a real symmetric matrix, cand^H v is diagonal up to rounding (the
+    vectors of `eigh` are orthonormal), so scaling each column is the
+    bi-orthonormalization solve in O(n^2).  `_check_pairs` verifies
+    L^H R = I to 1e-9 as for any other source, and a block that fails goes
+    to `eig`.
+    """
+    return cand / np.conj(np.einsum("ij,ij->j", cand.conj(), vrb))
+
+
+def _check_pairs(block, wb, vrb, left):
+    """Two-sided residuals of a block's pairs (wb, v, l), after the checks on l.
+
+    `block` is the working block A = S^-1 M S of `_real_form` (M the block of
+    L), v unit columns and l the left vectors, and the checks run in A's
+    arithmetic: real products for a real spectrum of a real form.  They
+    check M's pairs R = S v c, L = S l c exactly, since S and the phases c
+    of `_fix_phases` are diagonal with entries of unit modulus: with unit
+    right vectors and L^H R = I, |l| = |L| is the eigenvalue condition
+    number, held to CONDITION_LIMIT; |l^H v - I| = |L^H R - I| entrywise is
+    held to 1e-9; and the residuals |A v - v lam| and
+    |A^H l - l conj(lam)| / |l| are those on M.
+    """
+    # `eig` returns even a real spectrum as complex; real values keep the products real
+    if np.iscomplexobj(wb) and not wb.imag.any():
+        wb = wb.real
     lnorm = np.linalg.norm(left, axis=0)
     if not lnorm.max() <= CONDITION_LIMIT:
         raise SolverError(
@@ -385,13 +439,13 @@ def _biorthonormalize(sub, wb, s, c, vrb, cand):
             f"exceeds {CONDITION_LIMIT:.1e}"
         )
     # the supports of different blocks are disjoint, so their cross terms vanish
-    cross = np.abs(left.conj().T @ right - np.eye(wb.size)).max()
+    cross = np.abs(left.conj().T @ vrb - np.eye(wb.size)).max()
     if not cross <= 1e-9:
         raise SolverError(f"bi-orthonormalization failed, max |L^H R - I| = {cross:.3e}")
     # residuals on the matrix part (a scalar offset shifts values, not residuals)
-    right_res = np.linalg.norm(sub @ right - right * wb, axis=0)
-    left_res = np.linalg.norm(sub.conj().T @ left - left * wb.conj(), axis=0) / lnorm
-    return right, left, np.maximum(right_res, left_res)
+    right_res = np.linalg.norm(block @ vrb - vrb * wb, axis=0)
+    left_res = np.linalg.norm(block.conj().T @ left - left * wb.conj(), axis=0) / lnorm
+    return np.maximum(right_res, left_res)
 
 
 def _check_request(op: OperatorMatrix, count, method: str) -> None:
@@ -414,14 +468,18 @@ class Spectrum:
     plus the block-local pieces the solve held: the `blocks` of
     `connected_blocks`, the working matrix's `block_values` with block n
     from slot `starts[n]` on, each value's slot (`slots`) and block
-    (`owners`), and the (R, L) `vectors`, L^H R = I, of each multi-state
-    block with a value here (1x1 blocks carry unit vectors).  `solved`
-    marks the blocks that were solved: a block that `solve` proved unable to
-    hold a returned value is not, and has NaN slots in `block_values` and no
-    `vectors` entry; `values`, `residuals`, `slots`, `owners` and `pair`
-    only ever refer to solved blocks.  `real_form` is the real form the
-    values were read off (None if the operator has none), and `dim` and
-    `offset` are the operator's.
+    (`owners`), and the `vectors` (v, l, c) of each multi-state block with a
+    value here (1x1 blocks carry unit vectors): right and left vectors of
+    the working matrix, l^H v = I, and one unit phase per column.  With
+    `phases` = diag S of `_real_form` (all 1 without a real form), the pairs
+    of the operator are R = S v c and L = S l c; `pair` and the reduced
+    resolvent form them when they expand, so a real block keeps real
+    vectors.  `solved` marks the blocks that were solved: a block that
+    `solve` proved unable to hold a returned value is not, and has NaN slots
+    in `block_values` and no `vectors` entry; `values`, `residuals`,
+    `slots`, `owners` and `pair` only ever refer to solved blocks.
+    `real_form` is the real form the values were read off (None if the
+    operator has none), and `dim` and `offset` are the operator's.
     """
 
     values: np.ndarray
@@ -433,23 +491,26 @@ class Spectrum:
     slots: np.ndarray
     owners: np.ndarray
     vectors: dict
+    phases: np.ndarray
     solved: np.ndarray
     real_form: sparse.csr_matrix | None
     offset: float
 
     def pair(self, i: int) -> EigenPair:
-        """The i-th value's EigenPair, its vectors expanded to full length."""
+        """The i-th value's EigenPair, its vectors mapped to L's basis and expanded to full length."""
         n = self.owners[i]
-        col = self.slots[i] - self.starts[n]
+        idx = self.blocks[n]
         right = np.zeros(self.dim, dtype=complex)
         left = np.zeros(self.dim, dtype=complex)
         if n in self.vectors:
-            vrb, vlb = self.vectors[n]
-            right[self.blocks[n]] = vrb[:, col]
-            left[self.blocks[n]] = vlb[:, col]
+            v, l, c = self.vectors[n]
+            col = self.slots[i] - self.starts[n]
+            phase = self.phases[idx] * c[col]
+            right[idx] = phase * v[:, col]
+            left[idx] = phase * l[:, col]
         else:
-            right[self.blocks[n]] = 1.0
-            left[self.blocks[n]] = 1.0
+            right[idx] = 1.0
+            left[idx] = 1.0
         return EigenPair(
             eigenvalue=complex(self.values[i]),
             right_vector=right,
@@ -506,13 +567,16 @@ def solve(
     the working matrix of `_real_form` -- the real A = S^-1 L S when it
     exists, so LAPACK and ARPACK work in real arithmetic and complex values
     come in exact conjugate pairs, else L itself -- and the values, 1x1
-    blocks included, are read off it.  Phases and the bi-orthonormalization
-    solve stay in the working arithmetic; the vectors then map to L's basis,
-    R = S v c and L = S l c, and every check runs against the original
-    complex block: L^H R = I enforced by one solve and verified, a
+    blocks included, are read off it.  The vectors stay in the working
+    basis and arithmetic, and every check runs on the working block
+    (`_check_pairs`): L^H R = I -- by one solve for `eig` and ARPACK, by a
+    column scaling for `eigh` (`_balanced_left`) -- verified to 1e-9, a
     (numerically) defective eigenbasis rejected, and every returned pair
     residual-validated on both sides; failure raises SolverError with the
-    worst value reported.
+    worst value reported.  The checks hold for L's pairs R = S v c and
+    L = S l c exactly, as S and the column phases c are diagonal with
+    entries of unit modulus; `Spectrum.pair` forms them on expansion.  The
+    Spectrum keeps the vectors only of blocks that own a returned value.
 
     Given a `count`, both paths solve only the blocks that can hold one of
     the count leading values.  The result is the all-blocks answer bit for
@@ -572,6 +636,8 @@ def solve(
     w = np.full(heads.sum(), np.nan, dtype=complex)
     residual = np.zeros(w.size)  # exact for 1x1 blocks: both vectors are unit vectors
     work, phase = _real_form(matrix, op.basis_dims)
+    if phase is not None and not _form_matches(matrix, work, phase):
+        raise SolverError("the real form does not match the operator: S^-1 L S differs from it")
     real_form = None if phase is None else work
     if phase is None:
         phase = np.ones(dim)
@@ -598,35 +664,37 @@ def solve(
             if known.size >= count and bound[n] + margin < np.partition(known, -count)[-count]:
                 break
         idx, start = blocks[n], starts[n]
-        sub, block = matrix[idx][:, idx], work[idx][:, idx]
+        block = work[idx][:, idx]
         local = None
         if balance is not None:
             local = (balance[0][idx][:, idx], balance[1][idx], balance[2][idx])
         if iterative[n]:
             wb, vrb, cand = _arpack_block(block, count, local)
             vrb, c = _fix_phases(vrb, phase[idx])
-            pending[n] = (sub, c, vrb, cand)
+            pending[n] = (block, vrb, cand, c)
         else:
-            wb, right, left, residual[start : start + wb.size] = _dense_block(
-                sub, block, phase[idx], local, residual_tol
+            wb, vrb, left, c, residual[start : start + wb.size] = _dense_block(
+                block, phase[idx], local, residual_tol
             )
-            vectors[n] = (right, left)
+            vectors[n] = (vrb, left, c)
         w[start : start + wb.size] = wb
         solved[n] = True
 
     keep = _sorted_order(w)[: w.size if count is None else count]
     owner = np.repeat(np.arange(len(blocks)), heads)
+    owning = set(owner[keep].tolist())
+    vectors = {n: vlc for n, vlc in vectors.items() if n in owning}
     # an ARPACK block validates only the heads it returns: a cluster split by
     # the block's own cut at `count` can fail the checks only if returned
-    for n, (sub, c, vrb, cand) in pending.items():
+    for n, (block, vrb, cand, c) in pending.items():
         cols = keep[owner[keep] == n] - starts[n]
         if cols.size:
-            right = np.zeros((sub.shape[0], heads[n]), dtype=complex)
-            left = np.zeros_like(right)
-            right[:, cols], left[:, cols], residual[starts[n] + cols] = _biorthonormalize(
-                sub, w[starts[n] + cols], phase[blocks[n]], c[cols], vrb[:, cols], cand[:, cols]
+            left = np.zeros_like(vrb)
+            left[:, cols] = _biorthonormalize(vrb[:, cols], cand[:, cols])
+            residual[starts[n] + cols] = _check_pairs(
+                block, w[starts[n] + cols], vrb[:, cols], left[:, cols]
             )
-            vectors[n] = (right, left)
+            vectors[n] = (vrb, left, c)
     worst = residual[keep].max()
     if not worst <= residual_tol:
         raise SolverError(
@@ -642,6 +710,7 @@ def solve(
         slots=keep,
         owners=owner[keep],
         vectors=vectors,
+        phases=phase,
         solved=solved,
         real_form=real_form,
         offset=op.offset,
@@ -703,23 +772,28 @@ def _reduced_resolvent(spectrum: Spectrum, i: int):
     `spectrum` (a dense `solve` with count None): a vectorized division by
     lam_j - lam_i on the 1x1 blocks, R_b ((L_b^H rhs_b) / (lam_b - lam_i)) on
     every other block, with level i's own column left out, so the result is
-    bi-orthogonal to L_i.  No D x D array is formed.  A spectrum that lacks
-    any block's full eigendecomposition -- a block `solve` skipped, or the
-    heads of an ARPACK run -- raises SolverError.
+    bi-orthogonal to L_i.  Each block's pairs are mapped to L's basis here,
+    R_b = S v c and L_b = S l c, once per resolvent.  No D x D array is
+    formed.  A spectrum that lacks any block's full eigendecomposition -- a
+    block `solve` skipped or whose vectors it dropped (a `count` it owns no
+    value of), or the heads of an ARPACK run -- raises SolverError.
     """
-    if not spectrum.solved.all() or spectrum.block_values.size != spectrum.dim:
+    sizes = np.array([b.size for b in spectrum.blocks])
+    multi = np.flatnonzero(sizes > 1)
+    if spectrum.block_values.size != spectrum.dim or not all(n in spectrum.vectors for n in multi):
         raise SolverError("the reduced resolvent needs the eigendecomposition of every block")
     lam = spectrum.block_values + spectrum.offset
     lam_i = spectrum.values[i]
     home = spectrum.owners[i]
-    sizes = np.array([b.size for b in spectrum.blocks])
     singles = sizes == 1
     singles[home] = False
     rows = np.array([b[0] for b, single in zip(spectrum.blocks, singles) if single], dtype=int)
     pivots = lam[spectrum.starts[singles]] - lam_i
     solves = []
-    for n in np.flatnonzero(sizes > 1):
-        right, left = spectrum.vectors[n]
+    for n in multi:
+        v, l, c = spectrum.vectors[n]
+        phases = spectrum.phases[spectrum.blocks[n]][:, None] * c
+        right, left = phases * v, phases * l
         denom = lam[spectrum.starts[n] : spectrum.starts[n] + sizes[n]] - lam_i
         if n == home:
             others = np.arange(sizes[n]) != spectrum.slots[i] - spectrum.starts[n]

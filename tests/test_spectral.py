@@ -207,6 +207,37 @@ def test_blocked_spectrum_matches_unblocked_zgeev():
     assert len(connected_blocks(assemble(par0, bas).at(par0.epsilon).matrix)) == op.dim
 
 
+def _blocks_by_split(matrix):
+    """`connected_blocks` as it was written with `np.split`, kept as the reference."""
+    csr = sparse.csr_matrix(matrix)
+    pattern = sparse.csr_matrix(
+        (np.ones(csr.indices.size, dtype=np.int8), csr.indices, csr.indptr), shape=csr.shape
+    )
+    n_blocks, labels = sparse.csgraph.connected_components(pattern, directed=True, connection="weak")
+    members = np.argsort(labels, kind="stable")
+    blocks = np.split(members, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    blocks.sort(key=lambda b: b[0])
+    return blocks
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(1, 40),
+    density=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+    complex_data=st.booleans(),
+)
+def test_connected_blocks_slices_as_np_split_did(dim, density, seed, complex_data):
+    rng = np.random.default_rng(seed)
+    m = sparse.random(dim, dim, density=density, format="csr", random_state=rng)
+    if complex_data:
+        m = 1j * m  # purely imaginary data must not be cast away
+    got, ref = connected_blocks(m), _blocks_by_split(m)
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # -- perturbation series -----------------------------------------------------------
 
 
@@ -921,8 +952,8 @@ def test_every_block_solver_runs_in_real_arithmetic(monkeypatch, method):
 
 @pytest.mark.parametrize("method", ["dense", "arpack"])
 def test_forged_real_form_raises(monkeypatch, method):
-    # the real form's phases are not trusted: every returned pair is checked
-    # against the original complex block, so one wrong phase is caught
+    # the real form's phases are not trusted: `solve` checks S^-1 L S against
+    # the form entry by entry, so one wrong phase is caught
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
     count = 4 if method == "arpack" else None
@@ -1044,9 +1075,11 @@ def test_vectorized_phases_agree_with_the_column_loop():
 
 def test_biorthonormalization_solves_in_real_arithmetic(monkeypatch):
     # every block of the u = 0 operator has a real spectrum, so dgeev returns
-    # real vectors and the normalization solve stays in float64
+    # real vectors and the normalization solve stays in float64; the weight
+    # certificate is withheld, since blocks that take `eigh` need no solve
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
+    monkeypatch.setattr(spectral, "_weight_balance", lambda matrix, basis_dims: None)
     dtypes = []
     np_solve = np.linalg.solve
     monkeypatch.setattr(
@@ -1324,3 +1357,123 @@ def test_the_reduced_resolvent_refuses_a_partial_spectrum():
     with pytest.raises(SolverError, match="every block"):
         spectral._reduced_resolvent(solve(op, 6, method="arpack"), 0)
     spectral._reduced_resolvent(solve(op), 0)  # a complete solve passes
+
+
+# -- checks in the working form, phases on expansion --------------------------------
+
+
+def _checked_on_the_operator(op, spectrum, residual_tol=1e-9):
+    """Recompute every returned pair's checks from `pair(i)` on the complex matrix."""
+    matrix = op.matrix.tocsr()
+    adjoint = matrix.conj().T.tocsr()
+    # pairs of different blocks have disjoint supports, so L^H R = I block by block
+    for n in np.unique(spectrum.owners):
+        idx = spectrum.blocks[n]
+        outside = np.ones(op.dim, dtype=bool)
+        outside[idx] = False
+        # the operator does not couple the block to the other rows ...
+        assert matrix[outside][:, idx].nnz == 0 and adjoint[outside][:, idx].nnz == 0
+        mine = np.flatnonzero(spectrum.owners == n)
+        lam, r, l = [], [], []
+        for i in mine:
+            p = spectrum.pair(i)
+            # ... nor does the pair reach them
+            assert not p.right_vector[outside].any() and not p.left_vector[outside].any()
+            lam.append(p.eigenvalue - op.offset)
+            r.append(p.right_vector[idx])
+            l.append(p.left_vector[idx])
+        lam, r, l = np.array(lam), np.column_stack(r), np.column_stack(l)
+        assert np.abs(np.linalg.norm(r, axis=0) - 1.0).max() <= 1e-12
+        # the phase convention: each right vector's largest entry is real positive
+        top = r[np.argmax(np.abs(r), axis=0), np.arange(mine.size)]
+        assert (top.real > 0).all() and np.abs(top.imag).max() <= 4 * np.finfo(float).eps
+        right = np.linalg.norm(matrix[idx][:, idx] @ r - r * lam, axis=0)
+        left = np.linalg.norm(adjoint[idx][:, idx] @ l - l * lam.conj(), axis=0)
+        assert np.maximum(right, left / np.linalg.norm(l, axis=0)).max() <= residual_tol
+        assert np.abs(l.conj().T @ r - np.eye(mine.size)).max() <= 1e-9
+
+
+def test_pairs_expanded_from_the_working_form_pass_the_checks_on_the_operator(monkeypatch):
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    u_k = np.array([0.0, 0.3, 0.3, -0.2, -0.2], dtype=complex)  # the CI potential config
+    cases = [
+        ("eigh", None, "dense", 4, 0.2, None),  # `dense_spectra`
+        ("eigh", None, "dense", 5, 0.3, None),  # the widest balance `eigh` admits
+        ("eig", None, "dense", 7, 0.3, None),  # too wide for `eigh`
+        ("eig", None, "dense", 3, 0.2, u_k),  # no weight certificate
+        ("arpack", 6, "arpack", 4, 0.2, None),
+        ("arpack", 6, "arpack", 3, 0.2, u_k),
+    ]
+    for path, count, method, n_max, epsilon, u in cases:
+        par = ModelParams(gamma=0.5, n_particles=2, epsilon=epsilon, u_k=u)
+        op = assemble(par, HermiteBasis(lat, 0.5, n_max)).at(epsilon)
+        with monkeypatch.context() as patch:
+            calls = _lapack_calls(patch)
+            arpack, eigs = [], spectral.spla.eigs
+            patch.setattr(spectral.spla, "eigs", lambda a, **k: arpack.append(1) or eigs(a, **k))
+            solves, np_solve = [], np.linalg.solve
+            patch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or np_solve(a, b))
+            spectrum = solve(op, count, method=method)
+        taken = {"eigh": calls["eigh"], "eig": calls["eig"], "arpack": arpack}
+        assert taken[path] and not any(v for k, v in taken.items() if k != path), (path, n_max)
+        if path == "eigh":
+            # left vectors by column scaling, no solve; real blocks keep real
+            # vectors until they are expanded
+            assert not solves
+            assert all(np.isrealobj(v) and np.isrealobj(l) for v, l, _ in spectrum.vectors.values())
+        else:
+            assert len(solves) == len(spectrum.vectors)
+        _checked_on_the_operator(op, spectrum)
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-3])
+def test_a_perturbed_scaled_left_basis_fails_the_check_and_falls_back_to_eig(monkeypatch, size):
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    general = _general_values(monkeypatch, op)
+    balanced_left, rng = spectral._balanced_left, np.random.default_rng(SEED + 11)
+
+    def perturbed(vrb, cand):
+        left = balanced_left(vrb, cand)
+        return left + size * np.abs(left).max() * rng.standard_normal(left.shape)
+
+    # the check itself refuses it
+    form, phase = _real_form_of(op)
+    balanced, scale, sign = _weight_balance(form, op.basis_dims)
+    idx = max(connected_blocks(op.matrix), key=len)
+    block, scale, sign = form[idx][:, idx], scale[idx], sign[idx]
+    ev, v = sla.eigh(sign[0] * balanced[idx][:, idx].toarray())
+    vrb, _ = spectral._fix_phases(v / scale[:, None], phase[idx])
+    cand = (sign * scale**2)[:, None] * vrb
+    spectral._check_pairs(block, sign[0] * ev, vrb, balanced_left(vrb, cand))
+    with pytest.raises(SolverError, match="bi-orthonormalization failed"):
+        spectral._check_pairs(block, sign[0] * ev, vrb, perturbed(vrb, cand))
+    # and `solve` falls back to `eig` on every block, with the general answer
+    monkeypatch.setattr(spectral, "_balanced_left", perturbed)
+    calls = _lapack_calls(monkeypatch)
+    spectrum = solve(op)
+    assert len(calls["eigh"]) == len(calls["eig"]) == _multi_state_blocks(op)
+    assert spectrum.values.tobytes() == general.tobytes()
+    _checked_on_the_operator(op, spectrum)
+
+
+def test_a_count_keeps_the_vectors_of_the_blocks_it_returns_from_only():
+    # the demo operator at epsilon = 0.4: count 1 solves all four multi-state
+    # blocks, but the ground is a 1x1 block, so none of their vectors is kept
+    lat, par, bas = _setup(epsilon=0.4, n_max=3)
+    op = assemble(par, bas).at(0.4)
+    full = solve(op)
+    for count in (1, 3, 6, 40):
+        head = solve(op, count)
+        assert head.solved.all()
+        owned = set(head.owners.tolist())
+        assert set(head.vectors) == {n for n in owned if head.blocks[n].size > 1}
+        for i in range(count):
+            a, b = head.pair(i), full.pair(i)
+            assert np.array_equal(a.right_vector, b.right_vector)
+            assert np.array_equal(a.left_vector, b.left_vector)
+    assert solve(op, 1).vectors == {}
+    assert len(full.vectors) == _multi_state_blocks(op) == 4
+    # with blocks whose vectors were dropped the reduced resolvent refuses
+    with pytest.raises(SolverError, match="every block"):
+        spectral._reduced_resolvent(solve(op, 1), 0)
