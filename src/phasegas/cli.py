@@ -204,15 +204,14 @@ def _assemble_variant(cfg, lattice, params):
 
 
 def _cmd_spectrum(cfg, out_dir: str, fmt: str) -> int:
-    from .spectral import solve
+    from .spectral import SPECTRUM_COLUMNS, solve, spectrum_rows
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
     op = _assemble_variant(cfg, lattice, params)
     solver = cfg.solver
     spectrum = solve(op, solver["count"], method=solver["method"], residual_tol=solver["residual_tol"])
-    rows = [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))]
-    files = [_write_table(out_dir, "spectrum", fmt, ("index", "re", "im", "residual"), rows)]
+    files = [_write_table(out_dir, "spectrum", fmt, SPECTRUM_COLUMNS, spectrum_rows(spectrum))]
     # only the ground pair is expanded to full-length vectors
     ground = spectrum.pair(0).right_vector
     grows = [(i, c.real, c.imag) for i, c in enumerate(ground)]
@@ -240,7 +239,7 @@ def _cmd_compare(cfg, out_dir: str, fmt: str) -> int:
 
 def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
     from .operator import assemble
-    from .spectral import perturbation_series, solve
+    from .spectral import SERIES_COLUMNS, perturbation_series, series_rows, solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
@@ -248,8 +247,7 @@ def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
     method, tol = cfg.solver["method"], cfg.solver["residual_tol"]
     # the series needs every pair of L0, so it is dense whatever the method
     series = perturbation_series(affine.at(0.0), affine.l1, cfg.perturb["max_order"], residual_tol=tol)
-    srows = [(j, c.real, c.imag) for j, c in enumerate(series.orders)]
-    files = [_write_table(out_dir, "perturb_series", fmt, ("order", "re", "im"), srows)]
+    files = [_write_table(out_dir, "perturb_series", fmt, SERIES_COLUMNS, series_rows(series))]
 
     drows = []
     for eps in cfg.perturb["eps_grid"]:
@@ -284,19 +282,24 @@ def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
 def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
     import numpy as np
 
-    from .operator import assemble
+    from .operator import assemble, conjugate_params
     from .spectral import multiset_match_error, solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
-    affine = assemble(params, cfg.basis(lattice))
+    basis = cfg.basis(lattice)
+    affine = assemble(params, basis)
+    # conj L(eps, u) = L(-eps, -u), and without a potential beyond u_0 -u is u
+    mirror = affine
+    if params.u_k is not None and params.u_k[1:].any():
+        mirror = assemble(conjugate_params(params), basis)
     rows = []
     failures = 0
     tol = cfg.solver["residual_tol"]
     for eps in cfg.scan["eps_grid"]:
         # full spectra are needed for the multiset pairing, so this is dense-only;
         # only the (validated) eigenvalues are read, so no pair is expanded
-        plus, minus = affine.at(eps), affine.at(-eps)
+        plus, minus = affine.at(eps), mirror.at(-eps)
         sp = solve(plus, None, residual_tol=tol)
         # a second solve of the same real form would return the same values
         sm = sp if sp.shares_form(minus) else solve(minus, None, residual_tol=tol)

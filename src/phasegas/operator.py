@@ -38,10 +38,13 @@ entry.
 
 Determinism contract: L0 accumulates its terms in a fixed documented order --
 pair drift/diffusion in lattice mode order, then potential terms in mode
-order -- and L1 its quadratic-drift terms ordered by (k index, q index); each
-is materialized and pruned once, sequentially, and L(epsilon) is the one
-pruned sparse sum L0 + epsilon L1.  So rebuilding with identical inputs is
-bit-identical, and L(0) is L0 itself.
+order -- and L1 its quadratic-drift terms ordered by (k index, q index).
+Each is materialized once by a key-order fold (`_materialize`): every matrix
+entry, keyed row * dim + col, sums its terms' contributions in term order
+starting from +0.0, and an entry whose sum is exactly zero is dropped --
+bit for bit what adding the terms one sparse matrix at a time gives -- and
+then pruned once.  L(epsilon) is the one pruned sparse sum L0 + epsilon L1.
+So rebuilding with identical inputs is bit-identical, and L(0) is L0 itself.
 """
 
 from __future__ import annotations
@@ -102,33 +105,107 @@ def _expand(coeff, factor_lists, acc):
         acc[key] = acc.get(key, 0.0 + 0.0j) + c
 
 
+# contributions held before they are merged into the running sum
+_MERGE_CHUNK = 1 << 15
+
+
 def _materialize(acc, basis: HermiteBasis) -> sparse.csr_matrix:
+    """The sum of the keyed monomials of `acc` as a CSR matrix on `basis`.
+
+    Each term is a Kronecker product over the coordinates, built by index
+    arithmetic from the nonzeros of its per-coordinate blocks (cached for the
+    call): entries multiply left to right, identity factors by an exact 1.0,
+    and then by the term's coefficient.  Entries are keyed row-major,
+    row * dim + col, so one key names one matrix entry.  The sum folds every
+    entry's contributions in term order starting from +0.0 and drops the
+    entries that come out exactly zero at the end, which is bit for bit the
+    chain total = total + coeff * term of sparse adds: that chain computes
+    0 + b for an entry new to the total and drops an entry whose sum is
+    exactly zero, to be re-added as 0 + b by a later term.  Terms are merged
+    into the sorted running sum in chunks of about _MERGE_CHUNK
+    contributions (a stable sort keeps each entry's contributions in term
+    order), so the sum is never re-sorted and no more than one chunk is held
+    beside it.
+    """
     dim = basis.dim
     side = basis.n_max + 1
-    total = sparse.csr_matrix((dim, dim), dtype=complex)
-    eye = (np.arange(side), np.arange(side), np.ones(side))
+    key_type = np.int32 if dim * dim <= np.iinfo(np.int32).max else np.int64
+    eye = (np.arange(side, dtype=key_type) * (dim + 1), np.ones(side))
+    pieces: dict = {}
+    keys = np.zeros(0, dtype=key_type)
+    vals = np.zeros(0, dtype=complex)
+    chunk: list = []
+    held = 0
     for key, coeff in acc.items():
         if coeff == 0.0:
             continue
         blocks = dict(key)
-        # Kronecker product over the coordinates by index arithmetic; entries
-        # multiply left to right, identity factors by an exact 1.0, so the
-        # values equal those of chained sparse.kron calls
-        rows = cols = np.zeros(1, dtype=np.intp)
-        vals = np.ones(1)
+        # key = sum_c (r_c dim + c_c) side^(n_coords - 1 - c) = row * dim + col
+        term_keys = np.zeros(1, dtype=key_type)
+        term_vals = np.ones(1)
         for coord in range(basis.n_coords):
+            piece = eye
             if coord in blocks:
-                block = basis.block(coord, blocks[coord])
-                r, c = np.nonzero(block)
-                piece = (r, c, block[r, c])
-            else:
-                piece = eye
-            rows = (rows[:, None] * side + piece[0]).ravel()
-            cols = (cols[:, None] * side + piece[1]).ravel()
-            vals = (vals[:, None] * piece[2]).ravel()
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        total = total + coeff * mat
-    return total
+                piece = pieces.get((coord, blocks[coord]))
+                if piece is None:
+                    block = basis.block(coord, blocks[coord])
+                    r, c = np.nonzero(block)
+                    piece = (r * dim + c).astype(key_type), block[r, c]
+                    pieces[coord, blocks[coord]] = piece
+            term_keys = (term_keys[:, None] * side + piece[0]).ravel()
+            term_vals = (term_vals[:, None] * piece[1]).ravel()
+        chunk.append((term_keys, term_vals * coeff))
+        held += term_keys.size
+        if held >= _MERGE_CHUNK:
+            keys, vals = _merge_sorted(keys, vals, chunk)
+            held = 0
+    if chunk:
+        keys, vals = _merge_sorted(keys, vals, chunk)
+    nonzero = vals != 0.0
+    if not nonzero.all():
+        keys, vals = keys[nonzero], vals[nonzero]
+    indptr = np.searchsorted(keys, (np.arange(dim + 1, dtype=np.int64) * dim).astype(key_type))
+    np.remainder(keys, dim, out=keys)
+    return sparse.csr_matrix((vals, keys, indptr), shape=(dim, dim))
+
+
+def _merge_sorted(keys, vals, chunk):
+    """(keys, vals) of a sorted running sum with the contributions of `chunk` added in order.
+
+    `chunk` is a list of (keys, values) per term, in term order and with no
+    key twice within a term; it is emptied.  A stable sort puts each key's
+    contributions in term order; keys the sum already holds are added to it
+    in that order, and new keys fold from +0.0 and are inserted in place.
+    """
+    new_keys = np.concatenate([k for k, _ in chunk])
+    new_vals = np.concatenate([v for _, v in chunk])
+    chunk.clear()
+    order = np.argsort(new_keys, kind="stable")
+    new_keys, new_vals = new_keys[order], new_vals[order]
+    at = np.searchsorted(keys, new_keys)
+    known = at < keys.size
+    known[known] = keys[at[known]] == new_keys[known]
+    if known.any():
+        np.add.at(vals, at[known], new_vals[known])
+        fresh = ~known
+        new_keys, new_vals, at = new_keys[fresh], new_vals[fresh], at[fresh]
+    if not new_keys.size:
+        return keys, vals
+    first = np.ones(new_keys.size, dtype=bool)
+    first[1:] = new_keys[1:] != new_keys[:-1]
+    sums = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(sums, np.cumsum(first) - 1, new_vals)
+    # every new key goes before the first held key above it
+    place = at[first] + np.arange(sums.size)
+    old = np.ones(keys.size + sums.size, dtype=bool)
+    old[place] = False
+    merged_keys = np.empty(old.size, dtype=keys.dtype)
+    merged_keys[place] = new_keys[first]
+    merged_keys[old] = keys
+    merged_vals = np.empty(old.size, dtype=complex)
+    merged_vals[place] = sums
+    merged_vals[old] = vals
+    return merged_keys, merged_vals
 
 
 def _prune(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -320,6 +397,22 @@ def scaled_params(params: ModelParams) -> ModelParams:
         u_k=None if params.u_k is None else params.u_k * kappa ** (q - p),
         epsilon=kappa ** p,
     )
+
+
+def conjugate_params(params: ModelParams) -> ModelParams:
+    """The parameters of the conjugate operator: conj L(epsilon, u) = L(-epsilon, -u).
+
+    In the real Hermite basis conjugation flips the sign of i, which the
+    drift carries on both the quadratic term and the potential.  u_0 enters
+    only the real offset -ebar_N, so it keeps its sign; every u_k with
+    k != 0 flips, as does epsilon.  For a real potential (u_{-k} = u_k) the
+    two operators are equal entry for entry, so they have one real form bit
+    for bit.
+    """
+    u_k = params.u_k
+    if u_k is not None:
+        u_k = np.where(np.arange(u_k.size) == 0, u_k, -u_k)
+    return replace(params, u_k=u_k, epsilon=-params.epsilon)
 
 
 def gaussian_ground_coeffs(params: ModelParams, basis: HermiteBasis) -> np.ndarray:

@@ -68,6 +68,14 @@ exceeds the residual tolerance skips the attempt, and a block whose
 symmetric result fails any check is solved again by the general `eig`.
 Both go through the same phase choice and checks.
 
+No block is sliced by scipy.  Each multi-state block of the working matrix
+is gathered once from its CSR arrays, its columns renumbered within the
+block (`_diagonal_block`): the arrays of `work[idx][:, idx]` bit for bit,
+so every product and sum over a block runs as before.  The balance is
+formed on the stored entries, with the working matrix's pattern, so the
+same gather orders it; its symmetry certificate, the Gershgorin bounds and
+ARPACK's shift are passes over those arrays.
+
 The same balance decides which blocks a request for the `count` leading
 values needs.  B is similar to the block of L, so by the Gershgorin circle
 theorem every eigenvalue of the block has real part at most
@@ -212,13 +220,16 @@ def _real_form(matrix: sparse.csr_matrix, basis_dims):
         return matrix, None
     deg = hermite_degrees(basis_dims)
     rows = np.repeat(np.arange(dim), np.diff(matrix.indptr))
-    turn = (deg[matrix.indices] - deg[rows]) % 4
+    turn = (deg[matrix.indices] - deg[rows]) & 3
+    odd = (turn & 1).astype(bool)
     re, im = matrix.data.real, matrix.data.imag
-    if not (np.choose(turn, (im, re, -im, -re)) == 0.0).all():
+    # i^turn L_rc keeps the real part of L_rc for an even turn and the
+    # imaginary part for an odd one; the other part must be 0
+    if not (np.where(odd, re, im) == 0.0).all():
         return matrix, None
-    real = np.choose(turn, (re, -im, -re, im))
-    phase = _UNIT_PHASES[deg % 4]
-    odd = turn % 2 == 1
+    real = np.where(odd, im, re)
+    np.negative(real, out=real, where=(turn == 1) | (turn == 2))
+    phase = _UNIT_PHASES[deg & 3]
     if odd.any() and real[np.argmax(odd)] < 0.0:
         real[odd] = -real[odd]
         phase = phase.conj()
@@ -252,12 +263,17 @@ def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
     W' = (-1)^deg W for a real one, the real form A = S^-1 L S of
     `_real_form`: with s = diag S, s^2 = (-1)^deg, and W' A = (W' A)^T holds
     exactly when W L = (W L)^T does.  Either way the test decides.
-    D = sqrt(|W| / max|W|).  The weight symmetrizes M exactly when sign(W) B
-    is symmetric for B = D M D^-1, so the test runs on B, where every entry
-    is measured against the scale of the matrix the iteration sees:
-    max|sign(W) B - (sign(W) B)^T| <= 1e-13 max|B|, in one pass over the
-    stored entries.  A weight that does not match the dimension or overflows
-    certifies nothing.
+    D = sqrt(|W| / max|W|), and B = D M D^-1 is formed on the stored entries
+    of M, B_rc = M_rc D_r (1/D)_c, so it has M's pattern.  The weight
+    symmetrizes M exactly when sign(W) B is symmetric, so the test runs on
+    B, where every entry is measured against the scale of the matrix the
+    iteration sees: |sign(W)_r B_rc - sign(W)_c B_cr| <= 1e-13 max|B| for
+    every stored entry, in one pass.  The stored pattern must be symmetric:
+    an entry whose transpose position holds none certifies nothing, however
+    small (a sparse difference would hold it to the bound against 0).
+    `matrix` must be canonical CSR (sorted indices, no duplicates), as
+    `solve` holds it.  A weight that does not match the dimension or
+    overflows certifies nothing.
     """
     dim = matrix.shape[0]
     if int(np.prod(basis_dims)) != dim:
@@ -267,12 +283,25 @@ def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
         weight = np.where(hermite_degrees(basis_dims) % 2 == 0, weight, -weight)
     if not np.isfinite(weight).all():
         return None
+    cols = matrix.indices
+    # scipy's counting transpose carries the entry numbers: entry k of M^T in
+    # CSR order is the stored entry numbers.data[k] of M, transposed
+    numbers = sparse.csr_matrix((np.arange(cols.size), cols, matrix.indptr), shape=matrix.shape)
+    numbers = numbers.T.tocsr()
+    if not (np.array_equal(numbers.indptr, matrix.indptr) and np.array_equal(numbers.indices, cols)):
+        # an entry whose transpose position holds none certifies nothing
+        return None
     scale = np.sqrt(np.abs(weight) / np.abs(weight).max())
     sign = np.sign(weight)
-    balanced = (sparse.diags(scale) @ matrix @ sparse.diags(1.0 / scale)).tocsr()
-    signed = sparse.diags(sign) @ balanced
-    if not abs(signed - signed.T).max() <= 1e-13 * abs(balanced).max():
+    rows = np.repeat(np.arange(dim, dtype=cols.dtype), np.diff(matrix.indptr))
+    data = matrix.data * scale[rows]
+    data *= (1.0 / scale)[cols]
+    # M^T has M's pattern, so entry k's transpose partner is entry numbers.data[k]
+    gap = sign[rows] * data
+    gap -= gap[numbers.data]
+    if not np.abs(gap).max(initial=0.0) <= 1e-13 * np.abs(data).max(initial=0.0):
         return None
+    balanced = sparse.csr_matrix((data, cols, matrix.indptr), shape=matrix.shape)
     return balanced, scale, sign
 
 
@@ -290,14 +319,60 @@ def _symmetric_fits(balance, residual_tol: float) -> bool:
     return bool(
         np.isrealobj(balanced.data)
         and (sign == sign[0]).all()
-        and scale.max() / scale.min() * _UNIT_ROUNDOFF * abs(balanced).max() <= residual_tol
+        and scale.max() / scale.min() * _UNIT_ROUNDOFF * np.abs(balanced.data).max(initial=0.0)
+        <= residual_tol
     )
 
 
+def _row_abs_sums(matrix) -> np.ndarray:
+    """sum_j |M_ij| of every row of a CSR matrix, as scipy sums `abs(M).sum(axis=1)`.
+
+    One `np.add.reduceat` over the stored entries of the non-empty rows, in
+    stored order, so the sums are scipy's bit for bit.
+    """
+    sums = np.zeros(matrix.shape[0])
+    rows = np.flatnonzero(np.diff(matrix.indptr))
+    if rows.size:
+        sums[rows] = np.add.reduceat(np.abs(matrix.data), matrix.indptr[rows])
+    return sums
+
+
 def _gershgorin_bound(block) -> float:
-    """max_i (B_ii + sum_{j != i} |B_ij|) over the rows of a real sparse block B."""
-    diag = block.diagonal()
-    return float((diag - np.abs(diag) + np.asarray(abs(block).sum(axis=1)).ravel()).max())
+    """max_i (B_ii + sum_{j != i} |B_ij|) over the rows of a real canonical CSR block B."""
+    size = block.shape[0]
+    rows = np.repeat(np.arange(size), np.diff(block.indptr))
+    on = block.indices == rows
+    diag = np.zeros(size)
+    diag[rows[on]] = block.data[on]
+    return float((diag - np.abs(diag) + _row_abs_sums(block)).max())
+
+
+def _block_positions(blocks, dim: int) -> np.ndarray:
+    """Each state's position within its block of `connected_blocks`."""
+    sizes = np.array([b.size for b in blocks])
+    position = np.empty(dim, dtype=np.int64)
+    position[np.concatenate(blocks)] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return position
+
+
+def _diagonal_block(matrix: sparse.csr_matrix, idx, position):
+    """(`matrix[idx][:, idx]` for a block idx of `connected_blocks`, gather of its entries).
+
+    Every stored entry of a row in the block has its column in the block, so
+    the block's rows are gathered whole from the CSR arrays and their
+    columns renumbered by `position` (`_block_positions`).  The members ascend,
+    so renumbering keeps each row's entry order: the arrays are scipy's
+    fancy slice bit for bit, and every sum over a row runs in the same
+    order.  `data[gather]` orders any matrix on the same pattern (the
+    balance) in one more pass.
+    """
+    counts = np.diff(matrix.indptr)[idx]
+    indptr = np.zeros(idx.size + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    gather = np.repeat(matrix.indptr[idx] - indptr[:-1], counts) + np.arange(indptr[-1])
+    indices = position[matrix.indices[gather]].astype(matrix.indices.dtype)
+    block = sparse.csr_matrix((matrix.data[gather], indices, indptr), shape=(idx.size, idx.size))
+    return block, gather
 
 
 def _dense_block(block, s, balance, residual_tol: float):
@@ -357,7 +432,7 @@ def _arpack_block(sub, count: int, balance):
         # zero (the generator's stationary mode); a real positive diagonal
         # shift keeps the wanted values away from zero and leaves vectors and
         # LR ordering untouched
-        shift = 1.0 + float(np.abs(matrix).sum(axis=1).max())
+        shift = 1.0 + float(_row_abs_sums(matrix).max())
         shifted = (matrix + shift * sparse.identity(size, dtype=matrix.dtype, format="csr")).tocsr()
         try:
             try:
@@ -577,6 +652,10 @@ def solve(
     L = S l c exactly, as S and the column phases c are diagonal with
     entries of unit modulus; `Spectrum.pair` forms them on expansion.  The
     Spectrum keeps the vectors only of blocks that own a returned value.
+    The operator is brought to canonical CSR once; each multi-state block
+    of the working matrix and of its balance is gathered from the CSR
+    arrays once (`_diagonal_block`, the arrays of `work[idx][:, idx]`), so
+    no scipy slice or sparse product runs outside the solvers and checks.
 
     Given a `count`, both paths solve only the blocks that can hold one of
     the count leading values.  The result is the all-blocks answer bit for
@@ -618,6 +697,9 @@ def solve(
     _check_request(op, count, method)
     dim = op.dim
     matrix = op.matrix.tocsr()
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
     blocks = connected_blocks(matrix)
     sizes = np.array([b.size for b in blocks])
     heads = sizes.copy()
@@ -643,19 +725,32 @@ def solve(
         phase = np.ones(dim)
     # every value comes from the working matrix, so one real form gives one spectrum
     w[starts[sizes == 1]] = work.diagonal()[[b[0] for b in blocks if b.size == 1]]
-    balance = _weight_balance(work, op.basis_dims) if (sizes > 1).any() else None
     multi = np.flatnonzero(sizes > 1)
+    # each multi-state block of the working matrix and of its balance
+    parts = {}
     # Gershgorin bound of each block that may be skipped; +inf: always solved
     bound = np.full(sizes.size, np.inf)
-    if count is not None and balance is not None and np.isrealobj(balance[0].data):
-        balanced, scale, sign = balance
+    if multi.size:
+        balance = _weight_balance(work, op.basis_dims)
+        position = _block_positions(blocks, dim)
         for n in multi:
-            idx = blocks[n]
-            local = (balanced[idx][:, idx], scale[idx], sign[idx])
-            if _symmetric_fits(local, residual_tol):
-                bound[n] = _gershgorin_bound(local[0])
-        peak = max(balanced.data.max(), -balanced.data.min())
-        margin = CONDITION_LIMIT * float(sizes.max()) ** 2 * _UNIT_ROUNDOFF * (1.0 + peak)
+            block, gather = _diagonal_block(work, blocks[n], position)
+            sub = None
+            if balance is not None:
+                # the balance has the working matrix's pattern, so the same gather orders it
+                balanced = sparse.csr_matrix(
+                    (balance[0].data[gather], block.indices, block.indptr), shape=block.shape
+                )
+                sub = (balanced, balance[1][blocks[n]], balance[2][blocks[n]])
+            parts[n] = (block, sub)
+        if count is not None and balance is not None and np.isrealobj(balance[0].data):
+            for n in multi:
+                if _symmetric_fits(parts[n][1], residual_tol):
+                    bound[n] = _gershgorin_bound(parts[n][1][0])
+            peak = np.abs(balance[0].data).max(initial=0.0)
+            margin = CONDITION_LIMIT * float(sizes.max()) ** 2 * _UNIT_ROUNDOFF * (1.0 + peak)
+        # the blocks hold all the loop needs, so the whole balance is freed before it
+        del balance
     solved = sizes == 1
     vectors, pending = {}, {}
     for n in multi[np.argsort(-bound[multi], kind="stable")]:
@@ -664,10 +759,7 @@ def solve(
             if known.size >= count and bound[n] + margin < np.partition(known, -count)[-count]:
                 break
         idx, start = blocks[n], starts[n]
-        block = work[idx][:, idx]
-        local = None
-        if balance is not None:
-            local = (balance[0][idx][:, idx], balance[1][idx], balance[2][idx])
+        block, local = parts.pop(n)
         if iterative[n]:
             wb, vrb, cand = _arpack_block(block, count, local)
             vrb, c = _fix_phases(vrb, phase[idx])
@@ -918,12 +1010,25 @@ def multiset_match_error(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
+SPECTRUM_COLUMNS = ("index", "re", "im", "residual")
+SERIES_COLUMNS = ("order", "re", "im")
+
+
+def spectrum_rows(spectrum: Spectrum) -> list:
+    """Rows (index, re, im, residual) of a Spectrum's values, one per value, ground first."""
+    return [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))]
+
+
+def series_rows(series: PerturbationSeries) -> list:
+    """Rows (order, re, im) of the expansion coefficients."""
+    return [(j, c.real, c.imag) for j, c in enumerate(series.orders)]
+
+
 def spectrum_table(spectrum: Spectrum) -> str:
-    """CSV text (index, re, im, residual) of a Spectrum's values, 17-significant-digit floats."""
-    rows = [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))]
-    return csv_text(("index", "re", "im", "residual"), rows)
+    """CSV text of `spectrum_rows`, 17-significant-digit floats."""
+    return csv_text(SPECTRUM_COLUMNS, spectrum_rows(spectrum))
 
 
 def series_table(series: PerturbationSeries) -> str:
-    """CSV text (order, re, im) of the expansion coefficients."""
-    return csv_text(("order", "re", "im"), [(j, c.real, c.imag) for j, c in enumerate(series.orders)])
+    """CSV text of `series_rows`, 17-significant-digit floats."""
+    return csv_text(SERIES_COLUMNS, series_rows(series))

@@ -200,6 +200,28 @@ def test_cli_imports_no_private_spectral_name():
     assert names and not [name for name in names if name.startswith("_")]
 
 
+def test_scan_with_a_potential_pairs_with_the_conjugate_potential(tmp_path, monkeypatch):
+    # conj L(eps, u) = L(-eps, -u): with u_k != 0 the scan pairs L(eps, u)
+    # with L(-eps, -u), which shares its real form, so it passes with one
+    # solve per epsilon and a pairing error of exactly 0
+    import phasegas.spectral as spectral
+
+    solves = _count_calls(monkeypatch, spectral, "solve")
+    cfg = _write_config(
+        tmp_path,
+        params={"u_k": [0.1, 0.3, 0.3, -0.2, -0.2]},
+        basis={"n_max": 3},
+        scan={"eps_grid": [0.1, 0.2, 0.3]},
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path / "sc"), "scan"]) == 0
+    assert len(solves) == 3
+    lines = (tmp_path / "sc" / "scan.csv").read_text().strip().splitlines()
+    assert lines[0] == "epsilon,ground_re_plus,ground_im_plus,ground_re_minus,ground_im_minus,pair_error"
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert fields[1:3] == fields[3:5] and float(fields[5]) == 0.0
+
+
 def test_scan_without_a_shared_real_form_solves_both_and_fails(tmp_path, monkeypatch, capsys):
     from types import SimpleNamespace
 

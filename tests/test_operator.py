@@ -230,6 +230,112 @@ def test_affine_sum_matches_the_single_dictionary_assembly():
             assert got.offset == -par.ebar_n
 
 
+def _sparse_add_chain(acc, basis):
+    """`operator._materialize` as it was written, one scipy sparse add per term, kept as the reference."""
+    dim = basis.dim
+    side = basis.n_max + 1
+    total = sparse.csr_matrix((dim, dim), dtype=complex)
+    eye = (np.arange(side), np.arange(side), np.ones(side))
+    for key, coeff in acc.items():
+        if coeff == 0.0:
+            continue
+        blocks = dict(key)
+        rows = cols = np.zeros(1, dtype=np.intp)
+        vals = np.ones(1)
+        for coord in range(basis.n_coords):
+            if coord in blocks:
+                block = basis.block(coord, blocks[coord])
+                r, c = np.nonzero(block)
+                piece = (r, c, block[r, c])
+            else:
+                piece = eye
+            rows = (rows[:, None] * side + piece[0]).ravel()
+            cols = (cols[:, None] * side + piece[1]).ravel()
+            vals = (vals[:, None] * piece[2]).ravel()
+        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        total = total + coeff * mat
+    return total
+
+
+@st.composite
+def _small_models(draw, n_max_min=0):
+    """(params, basis) on a small d = 1 or d = 2 lattice with a random gamma and potential."""
+    d = draw(st.sampled_from([1, 1, 2]))
+    m = draw(st.sampled_from([3, 5, 7])) if d == 1 else 3
+    top = {(1, 3): 4, (1, 5): 4, (1, 7): 3, (2, 3): 2}[d, m]
+    n_max = draw(st.integers(n_max_min, top))
+    lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+    gamma = draw(st.floats(0.2, 2.0))
+    u_k = None
+    if draw(st.booleans()):
+        # a conjugate-symmetric potential: u_{-k} = conj(u_k)
+        u_k = np.zeros(lat.num_modes, dtype=complex)
+        u_k[0] = draw(st.floats(-1.0, 1.0))
+        for i_plus, i_minus in lat.pair_list():
+            u = complex(draw(st.floats(-1.0, 1.0)), draw(st.sampled_from([0.0, 0.25, -0.5])))
+            u_k[i_plus], u_k[i_minus] = u, u.conjugate()
+    return ModelParams(gamma=gamma, n_particles=2, u_k=u_k), HermiteBasis(lat, gamma, n_max)
+
+
+def _term_dictionaries(par, bas):
+    """The keyed monomials of L0 (drift, diffusion, potential) and of L1."""
+    acc0, acc1 = {}, {}
+    operator._weak_terms(par, bas.lattice, acc0)
+    operator._potential_terms(par, bas.lattice, acc0)
+    operator._cubic_terms(bas.lattice, acc1)
+    return acc0, acc1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_small_models(), chunk=st.sampled_from([1, 50, 1 << 15]))
+def test_materialize_folds_as_the_sparse_add_chain(case, chunk):
+    # one term per chunk, a few, and the default: held keys are added in
+    # order, new keys fold from +0.0, and the bits (signed zeros included,
+    # e.g. the -0.0 real part of a purely imaginary L1 contribution) are
+    # those of the chain
+    par, bas = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operator, "_MERGE_CHUNK", chunk)
+        for acc in _term_dictionaries(par, bas):
+            got, ref = operator._materialize(acc, bas), _sparse_add_chain(acc, bas)
+            assert _same_arrays(got, ref)
+            assert got.indices.dtype == ref.indices.dtype and got.indptr.dtype == ref.indptr.dtype
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(case=_small_models(n_max_min=1))
+def test_truncation_nests_bit_for_bit(case):
+    # the n_max - 1 operator is the crop of the n_max operator to the states
+    # with every n_c <= n_max - 1, L0 and L1 alike
+    par, big = case
+    small = HermiteBasis(big.lattice, big.gamma, big.n_max - 1)
+    degrees = np.array(np.unravel_index(np.arange(big.dim), big.dims))
+    crop = np.flatnonzero((degrees < big.n_max).all(axis=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        wide, narrow = assemble(par, big), assemble(par, small)
+    for a, b in ((wide.l0, narrow.l0), (wide.l1, narrow.l1)):
+        cropped = a.matrix[crop][:, crop]
+        cropped.sort_indices()
+        assert _same_arrays(cropped, b.matrix)
+
+
+def test_conjugate_params_give_the_conjugate_operator():
+    lat, par, bas = _setup(n_max=3, epsilon=0.3)
+    u_k = np.array([0.4, 0.3, 0.3, -0.2, -0.2], dtype=complex)
+    for p in (par, replace(par, u_k=u_k)):
+        conj = operator.conjugate_params(p)
+        assert conj.epsilon == -p.epsilon and conj.ebar_n == p.ebar_n
+        plus = assemble(p, bas).at(p.epsilon)
+        minus = assemble(conj, bas).at(conj.epsilon)
+        assert np.array_equal(minus.matrix.indptr, plus.matrix.indptr)
+        assert np.array_equal(minus.matrix.indices, plus.matrix.indices)
+        assert np.array_equal(minus.matrix.data, plus.matrix.data.conj())
+        assert minus.offset == plus.offset
+        # so both have one real form, and a scan solves once per epsilon
+        assert solve(plus).shares_form(minus)
+
+
 def test_l1_bit_identical_to_the_unit_strength_drift():
     for d, m, n_max in ((1, 3, 3), (1, 5, 3), (1, 7, 2), (2, 3, 2)):
         lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from phasegas.lattice import ModeLattice, TAU
 from phasegas.operator import (
     OperatorMatrix,
     assemble,
+    hermite_degrees,
     scaled_params,
     symmetry_weight,
 )
@@ -920,6 +922,133 @@ def test_real_form_is_weight_certified_exactly_when_the_operator_is():
         form = _real_form_of(op)[0]
         assert _weight_certified(op) == certified
         assert (_weight_balance(form, op.basis_dims) is not None) == certified
+
+
+def _balance_by_diags(matrix, basis_dims):
+    """`_weight_balance` as it was written with sparse `diags` products, kept as the reference."""
+    dim = matrix.shape[0]
+    if int(np.prod(basis_dims)) != dim:
+        return None
+    weight = symmetry_weight(basis_dims)
+    if not np.iscomplexobj(matrix):
+        weight = np.where(hermite_degrees(basis_dims) % 2 == 0, weight, -weight)
+    if not np.isfinite(weight).all():
+        return None
+    scale = np.sqrt(np.abs(weight) / np.abs(weight).max())
+    sign = np.sign(weight)
+    balanced = (sparse.diags(scale) @ matrix @ sparse.diags(1.0 / scale)).tocsr()
+    signed = sparse.diags(sign) @ balanced
+    if not abs(signed - signed.T).max() <= 1e-13 * abs(balanced).max():
+        return None
+    return balanced, scale, sign
+
+
+def _symmetric_pattern(matrix):
+    pattern = sparse.csr_matrix(
+        (np.ones(matrix.nnz), matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+    return (pattern - pattern.T).count_nonzero() == 0
+
+
+def _same_csr(a, b):
+    return all(
+        getattr(a, attr).dtype == getattr(b, attr).dtype
+        and getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+        for attr in ("indptr", "indices", "data")
+    )
+
+
+@st.composite
+def _small_operators(draw):
+    """L(epsilon) on a small d = 1 or d = 2 lattice with a random gamma and potential."""
+    d = draw(st.sampled_from([1, 1, 2]))
+    m = draw(st.sampled_from([3, 5])) if d == 1 else 3
+    n_max = draw(st.integers(0, 4 if d == 1 else 1))
+    lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+    gamma = draw(st.floats(0.2, 2.0))
+    u = draw(st.sampled_from([0.0, 0.0, 0.3, -0.7]))
+    par = ModelParams(gamma=gamma, n_particles=2, u_k=_potential(lat, u))
+    epsilon = draw(st.sampled_from([0.0, 0.1, -0.3, 0.45]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        return assemble(par, HermiteBasis(lat, gamma, n_max)).at(epsilon)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(op=_small_operators())
+def test_block_order_and_array_balance_match_the_sparse_references(op):
+    matrix = op.matrix.tocsr()
+    work, phase = _real_form(matrix, op.basis_dims)
+    blocks = connected_blocks(matrix)
+    position = spectral._block_positions(blocks, op.dim)
+    # the real form, and L itself as a complex matrix
+    for form in (work, matrix):
+        got, ref = _weight_balance(form, op.basis_dims), _balance_by_diags(form, op.basis_dims)
+        # the same decision, but that a pattern without its transpose certifies nothing
+        assert (got is None) == (ref is None or not _symmetric_pattern(form))
+        if got is not None:
+            assert _same_csr(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+        for idx in blocks:
+            block, gather = spectral._diagonal_block(form, idx, position)
+            assert _same_csr(block, form[idx][:, idx])
+            rows = np.asarray(abs(block).sum(axis=1)).ravel()
+            assert spectral._row_abs_sums(block).tobytes() == rows.tobytes()
+            if got is not None:
+                balanced = sparse.csr_matrix(
+                    (got[0].data[gather], block.indices, block.indptr), shape=block.shape
+                )
+                assert _same_csr(balanced, ref[0][idx][:, idx])
+                if np.isrealobj(balanced.data):
+                    # the bound as it was written on scipy's sparse block
+                    diag = balanced.diagonal()
+                    sums = np.asarray(abs(balanced).sum(axis=1)).ravel()
+                    assert spectral._gershgorin_bound(balanced) == (diag - np.abs(diag) + sums).max()
+
+
+def test_an_entry_without_a_transpose_partner_certifies_nothing():
+    # W' = (1, 1, 2) on basis_dims (3,), so D = (1/sqrt 2, 1/sqrt 2, 1) leaves
+    # entries (0, 1) and (1, 0) as they are and max|B| = 3.  The sparse
+    # difference held a lone entry to |B_01 - 0| <= 1e-13 max|B| and passed
+    # 2e-13; the certificate now refuses any entry whose transpose position
+    # holds none, and keeps the bound for every pair
+    def certified(entries):
+        m = np.diag([-1.0, -2.0, -3.0])
+        for (r, c), value in entries.items():
+            m[r, c] = value
+        matrix = sparse.csr_matrix(m)
+        return _weight_balance(matrix, (3,)) is not None, _balance_by_diags(matrix, (3,)) is not None
+
+    assert certified({(0, 1): 2e-13}) == (False, True)
+    assert certified({(0, 1): 4e-13}) == (False, False)
+    assert certified({(0, 1): 1.0, (1, 0): 1.0}) == (True, True)
+    assert certified({(0, 1): 1.0, (1, 0): 1.0 + 2e-13}) == (True, True)
+    assert certified({(0, 1): 1.0, (1, 0): 1.0 + 1e-12}) == (False, False)
+
+
+def test_a_matrix_with_duplicate_entries_solves_as_its_sum():
+    # `solve` sums duplicates before it reads a diagonal or gathers a block,
+    # so an entry split in two halves, each row stored twice over, gives the
+    # operator's own spectrum bit for bit (0.5 x + 0.5 x = x exactly)
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    m = op.matrix.tocsr()
+    spans = list(zip(m.indptr[:-1], m.indptr[1:]))
+    halves = sparse.csr_matrix(
+        (
+            np.concatenate([np.tile(0.5 * m.data[a:b], 2) for a, b in spans]),
+            np.concatenate([np.tile(m.indices[a:b], 2) for a, b in spans]),
+            2 * m.indptr,
+        ),
+        shape=m.shape,
+    )
+    assert not halves.has_canonical_format
+    split = OperatorMatrix(halves, op.offset, op.basis_dims, "split")
+    for count in (None, 1):
+        for method in ("dense", "arpack") if count else ("dense",):
+            got, ref = solve(split, count, method=method), solve(op, count, method=method)
+            assert got.values.tobytes() == ref.values.tobytes()
+            assert got.residuals.tobytes() == ref.residuals.tobytes()
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7])
