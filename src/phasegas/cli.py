@@ -18,6 +18,7 @@ the BLAS/OpenMP environment, so thread caps take effect.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,9 @@ _THREAD_VARS = (
 _COMMANDS = ("overlaps", "spectrum", "compare", "perturb", "scan")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="phasegas",
         description="coherent-expansion toolkit: overlap algebra, mode-operator "
@@ -289,10 +292,11 @@ def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
     params = cfg.params(lattice)
     basis = cfg.basis(lattice)
     affine = assemble(params, basis)
-    # conj L(eps, u) = L(-eps, -u), and without a potential beyond u_0 -u is u
+    # conj L(eps, u) = L(-eps, -u), and without a potential beyond u_0 -u is u;
+    # L1 does not depend on the potential, so the conjugate family shares it
     mirror = affine
     if params.u_k is not None and params.u_k[1:].any():
-        mirror = assemble(conjugate_params(params), basis)
+        mirror = affine.with_l0(assemble(conjugate_params(params), basis).l0)
     rows = []
     failures = 0
     tol = cfg.solver["residual_tol"]

@@ -43,8 +43,17 @@ Each is materialized once by a key-order fold (`_materialize`): every matrix
 entry, keyed row * dim + col, sums its terms' contributions in term order
 starting from +0.0, and an entry whose sum is exactly zero is dropped --
 bit for bit what adding the terms one sparse matrix at a time gives -- and
-then pruned once.  L(epsilon) is the one pruned sparse sum L0 + epsilon L1.
-So rebuilding with identical inputs is bit-identical, and L(0) is L0 itself.
+then pruned once.  L(epsilon) is the pruned sum L0 + epsilon L1, formed on
+the fixed union of the two patterns (`_union_pattern`, `_pruned_sum`) bit
+for bit as scipy's sparse add and `_prune` form it.  So rebuilding with
+identical inputs is bit-identical, and L(0) is L0 itself.
+
+With no potential the operator is invariant under translations of the box.
+In d = 1 the quarter-period translation T = T_{L/4} sends phi_k to
+i^n phi_k (n the mode number of the +-k pair), which permutes the tensor
+Hermite states up to sign (`quarter_translation`); every assembled operator
+carries that map, and `spectral.solve` certifies it block by block on the
+matrix before it reuses one block's eigensolve for its image.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -208,6 +217,71 @@ def _merge_sorted(keys, vals, chunk):
     return merged_keys, merged_vals
 
 
+def _union_pattern(a: sparse.csr_matrix, b: sparse.csr_matrix):
+    """(indptr, indices, b's slots, a's lone entries, their slots, shared entries) of the pattern a | b.
+
+    `a` and `b` are canonical CSR matrices of one shape, and the union
+    pattern is canonical too.  It is b's pattern with the entries a holds
+    alone inserted: `b_slots` marks b's slots, and a's lone entries (their
+    entry numbers and slots) fill the rest.  The entries both hold are
+    given as (their slots, a's entry numbers).  Both key lists,
+    row * dim + col, ascend, so one binary search of a's keys in b's places
+    every entry: a lone entry of a goes after the entries of b below it and
+    the lone entries of a before it.
+    """
+    dim = a.shape[1]
+
+    def keys(m):
+        return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr)) * dim + m.indices
+
+    keys_a, keys_b = keys(a), keys(b)
+    below = np.searchsorted(keys_b, keys_a)
+    shared = below < keys_b.size
+    shared[shared] = keys_b[below[shared]] == keys_a[shared]
+    lone, in_a = np.flatnonzero(~shared), np.flatnonzero(shared)
+    # the lone entries of a below entry k of a push it up by their number
+    passed = np.cumsum(~shared) - ~shared
+    slots_a = below + passed
+    b_slots = np.ones(keys_b.size + lone.size, dtype=bool)
+    b_slots[slots_a[lone]] = False
+    indices = np.empty(b_slots.size, dtype=a.indices.dtype)
+    indices[b_slots] = b.indices
+    indices[slots_a[lone]] = a.indices[lone]
+    indptr = b.indptr.astype(np.int64)
+    indptr[1:] += np.cumsum(np.bincount(keys_a[lone] // dim, minlength=a.shape[0]))
+    return indptr, indices, b_slots, lone, slots_a[lone], (slots_a[in_a], in_a)
+
+
+def _pruned_sum(a: sparse.csr_matrix, b: sparse.csr_matrix, scale, pattern) -> sparse.csr_matrix:
+    """`_prune(a + scale * b)` bit for bit, summed on the union `pattern` of `_union_pattern`.
+
+    scipy scales b's data by `data * scale` and adds entry by entry, a + b
+    where both hold an entry and a + 0 or 0 + b where one does (which clears
+    a negative zero), dropping exact zeros; `_prune` then drops the entries
+    below PRUNE_REL of the largest modulus.  Here each entry is formed in
+    place in one array of the union's size.
+    """
+    indptr, indices, b_slots, lone, lone_slots, (shared, in_a) = pattern
+    data = np.empty(indices.size, dtype=np.result_type(a.data, b.data, scale))
+    data[b_slots] = b.data
+    np.multiply(data, scale, out=data, where=b_slots)
+    data[lone_slots] = a.data[lone]
+    both = a.data[in_a] + data[shared]
+    data += 0.0
+    data[shared] = both
+    size = np.abs(data)
+    keep = ~(size < PRUNE_REL * size.max(initial=0.0)) & (size != 0.0)
+    if keep.all():
+        indptr, indices = indptr.copy(), indices.copy()
+    else:
+        kept = np.flatnonzero(keep)
+        indptr = np.searchsorted(kept, indptr)
+        data, indices = data[kept], indices[kept]
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=a.shape)
+    matrix.has_canonical_format = True
+    return matrix
+
+
 def _prune(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     matrix = matrix.tocsr()
     matrix.sum_duplicates()
@@ -230,13 +304,16 @@ class OperatorMatrix:
     dimension >= 1, and every stored entry and the offset finite, else
     ConfigurationError: a NaN offset, or a NaN on a 1x1 block (whose value
     is read off the diagonal with residual 0), would pass every residual
-    check of the solvers.
+    check of the solvers.  `translation` is the (perm, sign) of
+    `quarter_translation` on the basis when the operator was assembled on
+    one, else None; `spectral.solve` uses it only where it certifies it.
     """
 
     matrix: sparse.csr_matrix
     offset: float
     basis_dims: tuple
     provenance: str
+    translation: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -330,17 +407,36 @@ class AffineOperator:
     is the unit-strength quadratic drift dL/d(epsilon) with a zero offset,
     materialized on first use, so a caller that reads only L(0) never builds
     it.  For a constant potential L0 is real and L1 imaginary, so
-    conj(L(epsilon)) = L(-epsilon) entry for entry.
+    conj(L(epsilon)) = L(-epsilon) entry for entry.  L1 depends on the basis
+    alone, so `with_l0` gives another family on the basis that shares it.
     """
 
     l0: OperatorMatrix
     basis: HermiteBasis
+    # holds L1 once built; the families of `with_l0` share it
+    _drift: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def l1(self) -> OperatorMatrix:
+        if "l1" not in self._drift:
+            acc: dict = {}
+            _cubic_terms(self.basis.lattice, acc)
+            self._drift["l1"] = OperatorMatrix(
+                _prune(_materialize(acc, self.basis)),
+                0.0,
+                self.basis.dims,
+                "cubic-drift",
+                self.l0.translation,
+            )
+        return self._drift["l1"]
 
     @cached_property
-    def l1(self) -> OperatorMatrix:
-        acc: dict = {}
-        _cubic_terms(self.basis.lattice, acc)
-        return OperatorMatrix(_prune(_materialize(acc, self.basis)), 0.0, self.basis.dims, "cubic-drift")
+    def _pattern(self):
+        return _union_pattern(self.l0.matrix, self.l1.matrix)
+
+    def with_l0(self, l0: OperatorMatrix) -> AffineOperator:
+        """The family l0 + epsilon L1 on this basis, sharing this family's L1 (built at most once)."""
+        return replace(self, l0=l0)
 
     def at(self, epsilon: float) -> OperatorMatrix:
         """L(epsilon): L0 itself at epsilon = 0, else the pruned sum L0 + epsilon L1."""
@@ -353,8 +449,14 @@ class AffineOperator:
                 TruncationWarning,
                 stacklevel=2,
             )
-        matrix = _prune(self.l0.matrix + epsilon * self.l1.matrix)
-        return OperatorMatrix(matrix, self.l0.offset, self.basis.dims, f"affine(epsilon={epsilon:.17g})")
+        matrix = _pruned_sum(self.l0.matrix, self.l1.matrix, epsilon, self._pattern)
+        return OperatorMatrix(
+            matrix,
+            self.l0.offset,
+            self.basis.dims,
+            f"affine(epsilon={epsilon:.17g})",
+            self.l0.translation,
+        )
 
 
 def assemble(params: ModelParams, basis: HermiteBasis) -> AffineOperator:
@@ -376,7 +478,13 @@ def assemble(params: ModelParams, basis: HermiteBasis) -> AffineOperator:
     acc: dict = {}
     _weak_terms(params, lattice, acc)
     _potential_terms(params, lattice, acc)
-    l0 = OperatorMatrix(_prune(_materialize(acc, basis)), -params.ebar_n, basis.dims, "affine(epsilon=0)")
+    l0 = OperatorMatrix(
+        _prune(_materialize(acc, basis)),
+        -params.ebar_n,
+        basis.dims,
+        "affine(epsilon=0)",
+        quarter_translation(basis),
+    )
     return AffineOperator(l0, basis)
 
 
@@ -460,6 +568,44 @@ def symmetry_weight(basis_dims) -> np.ndarray:
             factor = np.where(n % 2 == 0, factor, -factor)
         w = np.outer(w, factor).ravel()
     return w
+
+
+def quarter_translation(basis: HermiteBasis):
+    """(perm, sign) of the quarter-period translation T = T_{L/4} on the basis, or None.
+
+    T sends phi_k to i^n phi_k, n the mode number of the +-k pair, so on the
+    pair's coordinates phi_k = x + i y it turns (x, y) by a quarter turn n
+    times.  On the pair's Hermite states b_{n_x}(x) b_{n_y}(y), with b_n of
+    parity (-1)^n, that is:
+      - n = 1 (mod 4): swap n_x and n_y, with sign (-1)^{n_x};
+      - n = 2: keep the state, with sign (-1)^{n_x + n_y};
+      - n = 3: swap, with sign (-1)^{n_y};
+      - n = 0: the identity.
+    State i maps to sign[i] times state perm[i], the basis order being the
+    first coordinate slowest.  T preserves the total degree, so it acts the
+    same way on the real form S^-1 L S.  With no potential beyond u_0 the
+    assembled operator commutes with it, and T^2, the half-box translation,
+    is diagonal, so T maps each symmetry block onto itself or onto one
+    partner.  That is a property of the exact operator, not of its rounding:
+    `spectral.solve` tests it entry for entry.  Returned for d = 1 only; in
+    d = 2 a quarter turn per lattice axis would serve, but no d = 2 operator
+    has a usable spectrum yet.
+    """
+    lattice = basis.lattice
+    if lattice.d != 1:
+        return None
+    side = basis.n_max + 1
+    n_x, n_y = np.divmod(np.arange(side * side), side)
+    swapped = n_y * side + n_x
+    perm = np.zeros(1, dtype=np.int64)
+    sign = np.ones(1)
+    for p in range(lattice.n_pairs):
+        turn = lattice.modes[2 * p + 1][0] % 4
+        target = swapped if turn % 2 else np.arange(side * side)
+        flips = {0: 0 * n_x, 1: n_x, 2: n_x + n_y, 3: n_y}[turn]
+        perm = (perm[:, None] * side * side + target).ravel()
+        sign = np.outer(sign, np.where(flips % 2, -1.0, 1.0)).ravel()
+    return perm, sign
 
 
 def hermite_degrees(basis_dims) -> np.ndarray:

@@ -76,6 +76,18 @@ formed on the stored entries, with the working matrix's pattern, so the
 same gather orders it; its symmetry certificate, the Gershgorin bounds and
 ARPACK's shift are passes over those arrays.
 
+Blocks that the quarter-period translation T = T_{L/4} maps onto each other
+are solved once.  With no potential the operator commutes with T, which
+permutes the Hermite states up to sign (`operator.quarter_translation`), so
+T maps a block onto itself or onto a partner that is similar to it by a
+signed permutation Q.  `solve` certifies each such pair on the gathered
+working blocks (`_translation_partners`): Q A_n Q^T must have A_p's pattern
+and data bit for bit.  The lower-indexed block of a certified pair is its
+representative: only it reaches `eigh`, `eig` or ARPACK, its Gershgorin
+bound serves both, and the partner takes its values as exact copies and
+the Q-images of its vectors, which then go through the phase choice and
+`_check_pairs` on the partner's own block like any solved block's.
+
 The same balance decides which blocks a request for the `count` leading
 values needs.  B is similar to the block of L, so by the Gershgorin circle
 theorem every eigenvalue of the block has real part at most
@@ -375,6 +387,64 @@ def _diagonal_block(matrix: sparse.csr_matrix, idx, position):
     return block, gather
 
 
+def _translation_partners(blocks, parts, position, translation) -> dict:
+    """{partner: (representative, local positions, signs)} of the block pairs the translation maps exactly.
+
+    `translation` is the (perm, sign) of `operator.quarter_translation`:
+    state i goes to sign[i] times state perm[i].  A multi-state block n and
+    the block p its first state goes to are a pair when the map sends p back
+    to n, n < p, and it maps block n onto block p entry for entry: the
+    states of n go onto those of p with signs +-1, and the image of the
+    gathered block of n (`parts`), Q A_n Q^T, has the gathered block of p's
+    pattern and data bit for bit.  Then A_p is similar to A_n by a signed
+    permutation, exactly: its values are A_n's, and A_p (Q v) = (Q v) lam
+    and A_p^T (Q l) = (Q l) lam hold for every pair (v, l) of A_n.  State a
+    of n goes to position `local[a]` of p, times `signs[a]`.  The
+    representative n is the lower index of the two, so it does not depend
+    on the order blocks are solved in.  A map that fails any test for a
+    pair (a potential u_k != 0, an operator it does not belong to) pairs
+    nothing there.
+    """
+    if translation is None:
+        return {}
+    perm, sign = (np.asarray(part) for part in translation)
+    dim = position.size
+    fits = perm.shape == sign.shape == (dim,) and perm.dtype.kind in "iu"
+    if not (fits and 0 <= perm.min() and perm.max() < dim):
+        return {}
+    label = np.empty(dim, dtype=np.int64)
+    label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
+    partners = {}
+    for n in parts:
+        p = int(label[perm[blocks[n][0]]])
+        if not (p > n and p in parts and label[perm[blocks[p][0]]] == n):
+            continue
+        image, signs = perm[blocks[n]], sign[blocks[n]]
+        if not (np.array_equal(np.sort(image), blocks[p]) and (np.abs(signs) == 1.0).all()):
+            continue
+        local = position[image]
+        a, b = parts[n][0], parts[p][0]
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        cols = local[a.indices]
+        # a canonical block stores each position once, so the keys are distinct
+        order = np.argsort(local[rows] * a.shape[0] + cols)
+        data = (a.data * signs[rows] * signs[a.indices])[order]
+        if (
+            np.array_equal(np.diff(b.indptr)[local], np.diff(a.indptr))
+            and np.array_equal(cols[order], b.indices)
+            and data.tobytes() == b.data.tobytes()
+        ):
+            partners[p] = (n, local, signs)
+    return partners
+
+
+def _mirror(vectors, local, signs):
+    """The image Q x of block-local columns x under a certified pair's map."""
+    out = np.empty_like(vectors)
+    out[local] = signs[:, None] * vectors
+    return out
+
+
 def _dense_block(block, s, balance, residual_tol: float):
     """(values, v, l, c, two-sided residuals) of one block solved densely.
 
@@ -409,6 +479,25 @@ def _dense_block(block, s, balance, residual_tol: float):
     return wb, vrb, left, c, _check_pairs(block, wb, vrb, left)
 
 
+class _BlockOperator(spla.LinearOperator):
+    """A sparse block as ARPACK's operator: `matvec` is the block's own `@`.
+
+    `eigs` calls `matvec` once per Arnoldi step; a sparse matrix handed to it
+    directly is wrapped so that each call first checks and reshapes its
+    argument.  The product is the same CSR kernel, so the Ritz pairs are
+    those of `eigs(matrix)` bit for bit.
+    """
+
+    def __init__(self, matrix):
+        super().__init__(matrix.dtype, matrix.shape)
+        self.matrix = matrix
+
+    def matvec(self, x):
+        return self.matrix @ x
+
+    _matvec = matvec
+
+
 def _arpack_block(sub, count: int, balance):
     """(values, right vectors, left candidates) of the `count` LR-most pairs of a block.
 
@@ -433,7 +522,9 @@ def _arpack_block(sub, count: int, balance):
         # shift keeps the wanted values away from zero and leaves vectors and
         # LR ordering untouched
         shift = 1.0 + float(_row_abs_sums(matrix).max())
-        shifted = (matrix + shift * sparse.identity(size, dtype=matrix.dtype, format="csr")).tocsr()
+        shifted = _BlockOperator(
+            (matrix + shift * sparse.identity(size, dtype=matrix.dtype, format="csr")).tocsr()
+        )
         try:
             try:
                 w, v = spla.eigs(shifted, k=k, which="LR", v0=v0)
@@ -657,6 +748,22 @@ def solve(
     arrays once (`_diagonal_block`, the arrays of `work[idx][:, idx]`), so
     no scipy slice or sparse product runs outside the solvers and checks.
 
+    Each block pair that the operator's quarter-period translation
+    (`OperatorMatrix.translation`) maps onto each other exactly is solved
+    once.  The map is certified on every call, pair by pair: the image
+    Q A_n Q^T of the gathered working block n under the signed permutation
+    Q must equal the gathered block p in pattern and data, bit for bit
+    (`_translation_partners`), so a map that does not hold -- a potential
+    u_k != 0, a hand-built operator -- only means no reuse.  The
+    representative of a pair is its lower-indexed block, whatever order
+    the loop visits blocks in; only it reaches `eigh`, `eig` or ARPACK.  The
+    partner gets its values as exact copies and its vectors as the images
+    Q v and Q l, which `_fix_phases` phases on the partner's basis and
+    `_check_pairs` checks on the partner's own block, as for a solved
+    block (an ARPACK partner solves for its own returned left vectors).
+    A partner takes its representative's Gershgorin bound, for the loop
+    order and for the skip below: its values are the representative's.
+
     Given a `count`, both paths solve only the blocks that can hold one of
     the count leading values.  The result is the all-blocks answer bit for
     bit -- values, residuals, slots, owners and pairs -- since the blocks
@@ -669,9 +776,11 @@ def solve(
     whole balanced matrix), and B is similar to the block of A and of L, so
     by the Gershgorin circle theorem (S. Gershgorin, 1931) every eigenvalue
     of the block has real part at most g = max_i (B_ii + sum_{j != i}
-    |B_ij|) over its rows.  The blocks that fail `_symmetric_fits` are
-    always solved, first and in block order; the others follow highest g
-    first, and the loop stops at the first block whose
+    |B_ij|) over its rows (a translation partner inherits its
+    representative's g, since it returns the same values; its own differs
+    in the last bits, as its rows sum in another order).  The blocks that
+    fail `_symmetric_fits` are always solved, first and in block order; the
+    others follow highest g first, and the loop stops at the first block whose
     g + CONDITION_LIMIT n^2 u (1 + max|B|) (n the largest block) lies
     strictly below the count-th largest real part known so far, over the
     1x1 diagonal values and the blocks already solved.  That margin
@@ -730,6 +839,7 @@ def solve(
     parts = {}
     # Gershgorin bound of each block that may be skipped; +inf: always solved
     bound = np.full(sizes.size, np.inf)
+    partners = {}
     if multi.size:
         balance = _weight_balance(work, op.basis_dims)
         position = _block_positions(blocks, dim)
@@ -743,16 +853,21 @@ def solve(
                 )
                 sub = (balanced, balance[1][blocks[n]], balance[2][blocks[n]])
             parts[n] = (block, sub)
+        partners = _translation_partners(blocks, parts, position, op.translation)
         if count is not None and balance is not None and np.isrealobj(balance[0].data):
             for n in multi:
-                if _symmetric_fits(parts[n][1], residual_tol):
+                if n not in partners and _symmetric_fits(parts[n][1], residual_tol):
                     bound[n] = _gershgorin_bound(parts[n][1][0])
+            for n, (rep, _, _) in partners.items():
+                bound[n] = bound[rep]
             peak = np.abs(balance[0].data).max(initial=0.0)
             margin = CONDITION_LIMIT * float(sizes.max()) ** 2 * _UNIT_ROUNDOFF * (1.0 + peak)
         # the blocks hold all the loop needs, so the whole balance is freed before it
         del balance
     solved = sizes == 1
     vectors, pending = {}, {}
+    # a partner shares its representative's bound and comes after it, so the
+    # stable order reaches the representative first
     for n in multi[np.argsort(-bound[multi], kind="stable")]:
         if np.isfinite(bound[n]):
             known = w.real[~np.isnan(w.real)]
@@ -760,7 +875,19 @@ def solve(
                 break
         idx, start = blocks[n], starts[n]
         block, local = parts.pop(n)
-        if iterative[n]:
+        if n in partners:
+            rep, mapped, signs = partners[n]
+            wb = w[starts[rep] : starts[rep] + heads[rep]]
+            # the representative's right vectors, and its left vectors or ARPACK's left candidates
+            vrb, left = pending[rep][1:3] if iterative[n] else vectors[rep][:2]
+            vrb, c = _fix_phases(_mirror(vrb, mapped, signs), phase[idx])
+            left = _mirror(left, mapped, signs)
+            if iterative[n]:
+                pending[n] = (block, vrb, left, c)
+            else:
+                residual[start : start + wb.size] = _check_pairs(block, wb, vrb, left)
+                vectors[n] = (vrb, left, c)
+        elif iterative[n]:
             wb, vrb, cand = _arpack_block(block, count, local)
             vrb, c = _fix_phases(vrb, phase[idx])
             pending[n] = (block, vrb, cand, c)

@@ -166,12 +166,16 @@ def test_scan_solves_each_shared_real_form_once(tmp_path, monkeypatch):
     solves = _count_calls(monkeypatch, spectral, "solve")
     eigs = _count_calls(monkeypatch, spectral.sla, "eig")
     eighs = _count_calls(monkeypatch, spectral.sla, "eigh")
+    pairs, certify = [], spectral._translation_partners
+    monkeypatch.setattr(spectral, "_translation_partners", lambda *a: pairs.append(certify(*a)) or pairs[-1])
     assert main(["--config", str(_DEMO_CONFIG), "--out", str(tmp_path), "scan"]) == 0
     eps_grid = load_config(str(_DEMO_CONFIG)).scan["eps_grid"]
-    # one solve per epsilon, of L(+eps), and one LAPACK call (eig or eigh) per block of it
-    assert len(solves) == len(eps_grid)
+    # one solve per epsilon, of L(+eps), and one LAPACK call (eig or eigh) per
+    # block of it, less one per certified translation pair
+    assert len(solves) == len(eps_grid) == len(pairs)
+    assert all(len(p) == 1 for p in pairs)
     blocks = sum(sum(b.size > 1 for b in connected_blocks(op.matrix)) for op in solves)
-    assert len(eigs) + len(eighs) == blocks
+    assert len(eigs) + len(eighs) == blocks - len(pairs)
     for line in (tmp_path / "scan.csv").read_text().strip().splitlines()[1:]:
         fields = line.split(",")
         assert fields[1:3] == fields[3:5] and float(fields[5]) == 0.0
@@ -489,3 +493,54 @@ def test_spectrum_expands_only_the_ground_pair(tmp_path):
     assert peak < 2 * dim**2 * 16
     lines = (tmp_path / "big" / "spectrum.csv").read_text().splitlines()
     assert len(lines) == dim + 1
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    help_text = cli._build_parser.__wrapped__().format_help()
+    prog, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **k: prog.append(k.get("prog")) or init(self, *a, **k)
+    )
+    cli._build_parser.cache_clear()
+    cfg = _write_config(tmp_path)
+    for _ in range(2):
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "spectrum"]) == 0
+    # one parser and its five subcommand parsers, for both calls
+    assert prog.count("phasegas") == 1 and len(prog) == 6
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_help:
+            main(["--help"])
+        assert exit_help.value.code == 0 and capsys.readouterr().out == help_text
+        with pytest.raises(SystemExit) as exit_usage:
+            main(["--config", cfg, "no-such-command"])
+        assert exit_usage.value.code == 2
+        assert main(["--threads", "0", "--config", cfg, "spectrum"]) == 2
+    assert len(prog) == 6
+
+
+def test_scan_with_a_potential_builds_l1_once(tmp_path, monkeypatch):
+    # L1 does not depend on the potential, so the conjugate family L(-eps, -u)
+    # shares the first family's L1: L0, L1 and the partner's L0 (the CI
+    # potential config)
+    import phasegas.operator as operator
+
+    cfg = tmp_path / "potential.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "lattice": {"d": 1, "m_per_dim": 5},
+        "params": {"gamma": 0.5, "n_particles": 2, "epsilon": 0.2, "u_k": [0.0, 0.3, 0.3, -0.2, -0.2]},
+        "basis": {"n_max": 3},
+    }))
+    tables = []
+    for shared in (True, False):
+        with monkeypatch.context() as patch:
+            if not shared:
+                # a partner family with its own L1, built afresh
+                patch.setattr(operator.AffineOperator, "with_l0", lambda self, l0: operator.AffineOperator(l0, self.basis))
+            calls = _count_calls(patch, operator, "_materialize")
+            assert main(["--config", str(cfg), "--out", str(tmp_path / str(shared)), "scan"]) == 0
+        assert len(calls) == (3 if shared else 4)
+        tables.append((tmp_path / str(shared) / "scan.csv").read_bytes())
+    assert tables[0] == tables[1]

@@ -28,6 +28,7 @@ from phasegas.operator import (
     export_triplets,
     gaussian_ground_coeffs,
     load_triplets,
+    quarter_translation,
     scaled_params,
 )
 from phasegas.params import ModelParams
@@ -813,3 +814,77 @@ def test_gamma_mismatch_rejected():
     bas = HermiteBasis(lat, 0.9, 2)
     with pytest.raises(ConfigurationError):
         assemble(par, bas).at(0.0)
+
+
+# real and imaginary parts: signed zeros, and moduli at the prune threshold
+# relative to a peak of 1 and one ulp either side of it
+_THRESHOLD = operator.PRUNE_REL
+_PARTS = [0.0, -0.0, 1.0, -1.0, 0.3, -7.0, 1e-300, _THRESHOLD, -_THRESHOLD]
+_PARTS += [np.nextafter(_THRESHOLD, 0.0), np.nextafter(_THRESHOLD, 1.0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_aligned_sum_is_the_pruned_scipy_sum(data):
+    # `at` sums L0 + eps L1 on their union pattern; that must be scipy's
+    # sparse add and `_prune` bit for bit, signed zeros, entries that cancel
+    # exactly and entries at the 1e-15 relative threshold included
+    dim = data.draw(st.integers(1, 6))
+    eps = data.draw(st.sampled_from([0.5, -0.25, 2.0, 0.1, -0.3, 1e-300]))
+    value = st.builds(complex, st.sampled_from(_PARTS), st.sampled_from(_PARTS))
+    masks = st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim)
+
+    def csr(mask, values):
+        slots = np.flatnonzero(mask)
+        indptr = np.searchsorted(slots, np.arange(dim + 1) * dim)
+        return sparse.csr_matrix((np.array(values, dtype=complex), slots % dim, indptr), shape=(dim, dim))
+
+    mask_a, mask_b = np.array(data.draw(masks)), np.array(data.draw(masks))
+    values_a = np.array(data.draw(st.lists(value, min_size=int(mask_a.sum()), max_size=int(mask_a.sum()))), dtype=complex)
+    values_b = np.array(data.draw(st.lists(value, min_size=int(mask_b.sum()), max_size=int(mask_b.sum()))), dtype=complex)
+    # b = -a / eps on some shared entries, so that eps b cancels a exactly
+    # when eps is a power of 2
+    shared = np.flatnonzero(mask_a & mask_b)
+    cancel = shared[np.array(data.draw(st.lists(st.booleans(), min_size=shared.size, max_size=shared.size)), dtype=bool)]
+    values_b[np.searchsorted(np.flatnonzero(mask_b), cancel)] = (
+        -values_a[np.searchsorted(np.flatnonzero(mask_a), cancel)] / eps
+    )
+    a, b = csr(mask_a, values_a), csr(mask_b, values_b)
+    got = operator._pruned_sum(a, b, eps, operator._union_pattern(a, b))
+    ref = operator._prune(a + eps * b)
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert got.has_canonical_format
+
+
+def test_the_quarter_translation_maps_the_operator_onto_itself():
+    # T = T_{L/4} permutes the Hermite states up to sign and commutes with
+    # the operator without a potential, bit for bit, at every epsilon
+    for m, n_max in ((3, 3), (5, 2), (7, 2), (9, 1)):
+        bas = HermiteBasis(ModeLattice(d=1, box_len=TAU, m_per_dim=m), 0.5, n_max)
+        affine = assemble(ModelParams(gamma=0.5, n_particles=2), bas)
+        perm, sign = quarter_translation(bas)
+        assert np.array_equal(np.sort(perm), np.arange(bas.dim)) and set(sign.tolist()) <= {1.0, -1.0}
+        # T^2, the half-box translation, is diagonal
+        assert np.array_equal(perm[perm], np.arange(bas.dim))
+        q = sparse.csr_matrix((sign, (perm, np.arange(bas.dim))), shape=(bas.dim, bas.dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            ops = (affine.l0, affine.l1, affine.at(0.3), affine.at(-0.1))
+        for op in ops:
+            assert op.translation is affine.l0.translation
+            image = (q @ op.matrix @ q.T).tocsr()
+            image.sort_indices()
+            assert _same_arrays(image, op.matrix)
+    # a potential u_k != 0 is not translation invariant; the map is still
+    # carried, and `solve` certifies it before any use
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    u_k = np.array([0.0, 0.3, 0.3, -0.2, -0.2], dtype=complex)
+    op = assemble(ModelParams(gamma=0.5, n_particles=2, u_k=u_k), HermiteBasis(lat, 0.5, 2)).at(0.2)
+    perm, sign = op.translation
+    q = sparse.csr_matrix((sign, (perm, np.arange(op.dim))), shape=(op.dim, op.dim))
+    assert not _same_arrays((q @ op.matrix @ q.T).tocsr(), op.matrix)
+    # d = 2 and loaded operators carry no map
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    assert quarter_translation(HermiteBasis(lat2, 0.5, 1)) is None
+    assert load_triplets(export_triplets(op)).translation is None

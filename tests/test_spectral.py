@@ -802,7 +802,8 @@ def test_arpack_runs_per_block_follow_the_certificate(monkeypatch, u, runs_per_b
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=_potential(lat, u))
     op = assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
-    large = sum(b.size >= 6 for b in connected_blocks(op.matrix))
+    # a certified translation partner reuses its representative's runs
+    large = sum(b.size >= 6 for b in connected_blocks(op.matrix)) - len(_translation_pairs(op))
     checks, runs = [], []
     balance, eigs = spectral._weight_balance, spectral.spla.eigs
     monkeypatch.setattr(spectral, "_weight_balance", lambda *a: checks.append(1) or balance(*a))
@@ -1043,7 +1044,7 @@ def test_a_matrix_with_duplicate_entries_solves_as_its_sum():
         shape=m.shape,
     )
     assert not halves.has_canonical_format
-    split = OperatorMatrix(halves, op.offset, op.basis_dims, "split")
+    split = OperatorMatrix(halves, op.offset, op.basis_dims, "split", op.translation)
     for count in (None, 1):
         for method in ("dense", "arpack") if count else ("dense",):
             got, ref = solve(split, count, method=method), solve(op, count, method=method)
@@ -1208,6 +1209,7 @@ def test_biorthonormalization_solves_in_real_arithmetic(monkeypatch):
     # certificate is withheld, since blocks that take `eigh` need no solve
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
+    orbits = _orbits(op)
     monkeypatch.setattr(spectral, "_weight_balance", lambda matrix, basis_dims: None)
     dtypes = []
     np_solve = np.linalg.solve
@@ -1216,7 +1218,7 @@ def test_biorthonormalization_solves_in_real_arithmetic(monkeypatch):
     )
     sp = solve(op)
     pairs = [sp.pair(i) for i in range(sp.values.size)]
-    assert len(dtypes) == sum(b.size > 1 for b in connected_blocks(op.matrix))
+    assert len(dtypes) == orbits
     assert set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
     # the vectors handed back are in L's basis and pass the complex checks
     right = np.array([p.right_vector for p in pairs]).T
@@ -1281,18 +1283,46 @@ def _multi_state_blocks(op):
     return sum(b.size > 1 for b in connected_blocks(op.matrix))
 
 
+class _Certified(Exception):
+    """Stops a `solve` once its translation pairs are known."""
+
+
+def _translation_pairs(op):
+    """{partner: (representative, positions, signs)} of the translation pairs `solve` certifies on `op`."""
+    seen, original = [], spectral._translation_partners
+
+    def certify(*args):
+        seen.append(original(*args))
+        raise _Certified
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_translation_partners", certify)
+        try:
+            solve(op, 1)
+        except _Certified:
+            pass
+    return seen[0] if seen else {}
+
+
+def _orbits(op):
+    """The multi-state blocks a solver is handed: one per orbit of the certified translation pairs."""
+    return _multi_state_blocks(op) - len(_translation_pairs(op))
+
+
 @pytest.mark.parametrize("n_max", [3, 4])  # the demo and `dense_spectra` configs
 def test_symmetric_path_matches_the_general_path(monkeypatch, n_max):
     lat, par, bas = _setup(epsilon=0.2, n_max=n_max)
     op = assemble(par, bas).at(par.epsilon)
+    orbits = _orbits(op)
     calls = _lapack_calls(monkeypatch)
     spectrum = solve(op)
     values, residuals = spectrum.values, spectrum.residuals
-    # every block is balanced to +-a real symmetric matrix and takes `eigh`
-    assert len(calls["eigh"]) == _multi_state_blocks(op) and not calls["eig"]
+    # every block is balanced to +-a real symmetric matrix and takes `eigh`,
+    # once per orbit of the translation pairs
+    assert len(calls["eigh"]) == orbits and not calls["eig"]
     assert residuals.max() <= 1e-9
     general = _general_values(monkeypatch, op)
-    assert len(calls["eig"]) == _multi_state_blocks(op)
+    assert len(calls["eig"]) == orbits
     assert multiset_match_error(values, general) <= 1e-11
     assert np.array_equal(np.sort(values), np.sort(values.conj()))
     ground = spectrum.pair(0)
@@ -1340,11 +1370,12 @@ def test_a_failed_symmetric_block_falls_back_to_eig(monkeypatch, spoil):
         # vectors off by 1e-6 fail the residual check, zero vectors fail `_fix_phases`
         return ev, (v + 1e-6 * rng.standard_normal(v.shape) if spoil == "perturbed" else 0.0 * v)
 
+    orbits = _orbits(op)
     monkeypatch.setattr(spectral.sla, "eigh", spoiled)
     calls = _lapack_calls(monkeypatch)
     spectrum = solve(op)
     values, residuals = spectrum.values, spectrum.residuals
-    assert len(calls["eigh"]) == len(calls["eig"]) == _multi_state_blocks(op)
+    assert len(calls["eigh"]) == len(calls["eig"]) == orbits
     assert values.tobytes() == general.tobytes()
     assert residuals.max() <= 1e-9
 
@@ -1422,7 +1453,8 @@ def test_only_the_blocks_that_can_hold_the_ground_are_solved(monkeypatch):
     lat, par, bas = _setup(epsilon=0.4, n_max=3)
     op = assemble(par, bas).at(0.4)
     sp = solve(op, 1)
-    assert len(sizes) == _multi_state_blocks(op) == 4 and sp.solved.all()
+    # four multi-state blocks, one translation pair of them solved once
+    assert _multi_state_blocks(op) == 4 and len(sizes) == _orbits(op) == 3 and sp.solved.all()
 
 
 def test_blocks_too_wide_for_eigh_are_never_skipped(monkeypatch):
@@ -1536,6 +1568,8 @@ def test_pairs_expanded_from_the_working_form_pass_the_checks_on_the_operator(mo
     for path, count, method, n_max, epsilon, u in cases:
         par = ModelParams(gamma=0.5, n_particles=2, epsilon=epsilon, u_k=u)
         op = assemble(par, HermiteBasis(lat, 0.5, n_max)).at(epsilon)
+        pairs = _translation_pairs(op)
+        assert len(pairs) == (u is None)
         with monkeypatch.context() as patch:
             calls = _lapack_calls(patch)
             arpack, eigs = [], spectral.spla.eigs
@@ -1551,7 +1585,11 @@ def test_pairs_expanded_from_the_working_form_pass_the_checks_on_the_operator(mo
             assert not solves
             assert all(np.isrealobj(v) and np.isrealobj(l) for v, l, _ in spectrum.vectors.values())
         else:
-            assert len(solves) == len(spectrum.vectors)
+            # a dense partner maps its representative's left vectors, with no
+            # solve; an ARPACK partner solves for its own returned heads
+            assert len(solves) == len(spectrum.vectors) - (len(pairs) if path == "eig" else 0)
+        # every value a partner owns is checked on the operator like any other
+        assert not pairs or set(pairs) & set(spectrum.owners.tolist())
         _checked_on_the_operator(op, spectrum)
 
 
@@ -1578,10 +1616,11 @@ def test_a_perturbed_scaled_left_basis_fails_the_check_and_falls_back_to_eig(mon
     with pytest.raises(SolverError, match="bi-orthonormalization failed"):
         spectral._check_pairs(block, sign[0] * ev, vrb, perturbed(vrb, cand))
     # and `solve` falls back to `eig` on every block, with the general answer
+    orbits = _orbits(op)
     monkeypatch.setattr(spectral, "_balanced_left", perturbed)
     calls = _lapack_calls(monkeypatch)
     spectrum = solve(op)
-    assert len(calls["eigh"]) == len(calls["eig"]) == _multi_state_blocks(op)
+    assert len(calls["eigh"]) == len(calls["eig"]) == orbits
     assert spectrum.values.tobytes() == general.tobytes()
     _checked_on_the_operator(op, spectrum)
 
@@ -1606,3 +1645,111 @@ def test_a_count_keeps_the_vectors_of_the_blocks_it_returns_from_only():
     # with blocks whose vectors were dropped the reduced resolvent refuses
     with pytest.raises(SolverError, match="every block"):
         spectral._reduced_resolvent(solve(op, 1), 0)
+
+
+# -- one eigensolve per translation pair -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m, n_max", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (9, 1), (9, 2), (11, 1)]
+)
+def test_the_quarter_translation_pairs_two_of_the_four_blocks(m, n_max):
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=m)
+    affine = assemble(ModelParams(gamma=0.5, n_particles=2), HermiteBasis(lat, 0.5, n_max))
+    for epsilon in (0.1, 0.4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            op = affine.at(epsilon)
+        blocks = connected_blocks(op.matrix)
+        pairs = _translation_pairs(op)
+        assert _multi_state_blocks(op) == 4 and len(pairs) == 1
+        ((partner, (rep, local, signs)),) = pairs.items()
+        assert rep < partner and blocks[rep].size == blocks[partner].size
+        # the map is a signed permutation of the block's states
+        assert np.array_equal(np.sort(local), np.arange(blocks[rep].size))
+        assert set(np.abs(signs).tolist()) == {1.0}
+
+
+def test_a_potential_pairs_no_blocks():
+    # u_k != 0 breaks the translation invariance: the CI potential config
+    # has two blocks of 128 states, which the map does not pair
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    u_k = np.array([0.0, 0.3, 0.3, -0.2, -0.2], dtype=complex)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=u_k)
+    op = assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
+    assert [b.size for b in connected_blocks(op.matrix) if b.size > 1] == [128, 128]
+    assert op.translation is not None and _translation_pairs(op) == {}
+
+
+def test_a_partner_takes_its_representatives_values_bit_for_bit():
+    cases = [("dense", None, 7, 2), ("dense", 3, 5, 3), ("arpack", 6, 7, 3)]
+    for method, count, m, n_max in cases:
+        lat = ModeLattice(d=1, box_len=TAU, m_per_dim=m)
+        op = assemble(ModelParams(gamma=0.5, n_particles=2), HermiteBasis(lat, 0.5, n_max)).at(0.2)
+        ((partner, (rep, _, _)),) = _translation_pairs(op).items()
+        sp = solve(op, count, method=method)
+        heads = np.diff(np.append(sp.starts, sp.block_values.size))
+        mine, theirs = (sp.block_values[sp.starts[n] : sp.starts[n] + heads[n]] for n in (partner, rep))
+        assert sp.solved[partner] and mine.tobytes() == theirs.tobytes()
+        # the first excited level is one value of each block of the pair
+        assert sp.values[1].tobytes() == sp.values[2].tobytes()
+        assert {sp.owners[1], sp.owners[2]} == {rep, partner}
+        _checked_on_the_operator(op, sp)
+
+
+def test_a_partner_one_ulp_off_is_solved_on_its_own(monkeypatch):
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    ((partner, _),) = _translation_pairs(op).items()
+    matrix = op.matrix.tocsr(copy=True)
+    # one stored entry of the partner block moves by one ulp in its nonzero part
+    k = matrix.indptr[connected_blocks(matrix)[partner][0]]
+    z = matrix.data[k]
+    if z.real:
+        matrix.data[k] = complex(np.nextafter(z.real, np.inf), z.imag)
+    else:
+        matrix.data[k] = complex(z.real, np.nextafter(z.imag, np.inf))
+    mutated = replace(op, matrix=matrix)
+    assert _translation_pairs(mutated) == {}
+    calls = _lapack_calls(monkeypatch)
+    spectrum = solve(mutated)
+    assert len(calls["eigh"]) + len(calls["eig"]) == _multi_state_blocks(mutated) == 4
+    # both blocks solved, as by a solve with no map at all, and right
+    assert spectrum.values.tobytes() == solve(replace(mutated, translation=None)).values.tobytes()
+    _checked_on_the_operator(mutated, spectrum)
+
+
+def test_a_map_that_does_not_fit_the_operator_pairs_nothing():
+    lat, par, bas = _setup(epsilon=0.2, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    perm, sign = op.translation
+    reference = solve(replace(op, translation=None))
+    for translation, certified in (
+        ((perm[:-1], sign[:-1]), 0),  # another dimension
+        ((np.roll(perm, 1), sign), 0),  # another permutation
+        ((perm, 2.0 * sign), 0),  # not a signed permutation
+        ((perm, -sign), 1),  # the same map up to a global sign: still exact
+    ):
+        forged = replace(op, translation=translation)
+        assert len(_translation_pairs(forged)) == certified
+        assert multiset_match_error(solve(forged).values, reference.values) <= 1e-12
+
+
+def test_arpack_runs_on_the_block_operator_bit_for_bit(monkeypatch):
+    # `eigs` on the block's own `@`, with no per-call checks, gives the Ritz
+    # pairs of `eigs` on the sparse matrix bit for bit
+    lat, par, bas = _setup(epsilon=0.1, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    form, _ = _real_form_of(op)
+    idx = max(connected_blocks(op.matrix), key=len)
+    block = form[idx][:, idx]
+    shifted = (block + 3.0 * sparse.identity(idx.size, format="csr")).tocsr()
+    v0 = np.random.default_rng(SEED).standard_normal(idx.size)
+    w, v = spectral.spla.eigs(shifted, k=4, which="LR", v0=v0)
+    wo, vo = spectral.spla.eigs(spectral._BlockOperator(shifted), k=4, which="LR", v0=v0)
+    assert w.tobytes() == wo.tobytes() and v.tobytes() == vo.tobytes()
+    # and `solve` hands ARPACK that operator
+    seen, eigs = [], spectral.spla.eigs
+    monkeypatch.setattr(spectral.spla, "eigs", lambda a, **k: seen.append(type(a)) or eigs(a, **k))
+    solve(op, 4, method="arpack")
+    assert seen and set(seen) == {spectral._BlockOperator}
