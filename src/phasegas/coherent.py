@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, RangeOverflowError
+from .errors import ConfigurationError, RangeOverflowError, is_integer
 from .lattice import ModeLattice
 
 # exp overflows double precision just above exp(709.78)
@@ -158,7 +158,7 @@ def overlap(a: CoherentField, b: CoherentField) -> OverlapResult:
 
 
 def _check_sector(n_total: int):
-    if not isinstance(n_total, (int, np.integer)) or n_total < 0:
+    if not is_integer(n_total) or n_total < 0:
         raise ConfigurationError(f"particle number must be a non-negative integer, got {n_total}")
 
 
@@ -175,7 +175,7 @@ def projected_exponent_quadrature(g: complex, n_total: int, mq: int) -> complex:
     rounding), hence approaches G^N/N! as mq grows.
     """
     _check_sector(n_total)
-    if not isinstance(mq, (int, np.integer)) or mq < 2:
+    if not is_integer(mq) or mq < 2:
         raise ConfigurationError(f"quadrature order mq must be an integer >= 2, got {mq}")
     phases = 2.0 * np.pi * np.arange(mq) / mq
     vals = np.exp(-1j * phases * n_total) * np.exp(g * np.exp(1j * phases))
@@ -203,7 +203,7 @@ def cross_sector_quadrature(
     """
     _check_sector(n_bra)
     _check_sector(n_ket)
-    if not isinstance(mq, (int, np.integer)) or mq < 2:
+    if not is_integer(mq) or mq < 2:
         raise ConfigurationError(f"quadrature order mq must be an integer >= 2, got {mq}")
     g = exponent_g(a, b)
     phases = 2.0 * np.pi * np.arange(mq) / mq

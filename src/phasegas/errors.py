@@ -8,7 +8,11 @@ should raise the most specific type available rather than bare ValueError:
   RangeOverflowError -> a requested value is representable only through its
                         exponent (e.g. exp(G) for large r^2 V); the exponent
                         is preserved on the exception.
+
+`is_integer` is the one integer test of the library's argument checks.
 """
+
+import numbers
 
 
 class PhasegasError(Exception):
@@ -39,3 +43,8 @@ class SolverError(PhasegasError):
 
 class TruncationWarning(UserWarning):
     """The requested basis truncation is too small to resolve a requested term."""
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, as the config schema has it."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -35,7 +35,7 @@ from scipy import sparse
 import scipy.sparse.linalg as spla
 
 from ._tables import csv_text
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SolverError, is_integer
 from .lattice import ModeLattice
 from .operator import DENSE_DIM_LIMIT
 from .spectral import connected_blocks
@@ -81,9 +81,9 @@ def enumerate_basis(m_modes: int, n_particles: int, lattice: ModeLattice | None 
     Ordering is descending lexicographic, so the condensate state
     (N, 0, ..., 0) sits at index 0 when the zero mode is listed first.
     """
-    if not isinstance(m_modes, (int, np.integer)) or m_modes < 1:
+    if not is_integer(m_modes) or m_modes < 1:
         raise ConfigurationError(f"m_modes must be a positive integer, got {m_modes}")
-    if not isinstance(n_particles, (int, np.integer)) or n_particles < 0:
+    if not is_integer(n_particles) or n_particles < 0:
         raise ConfigurationError(
             f"n_particles must be a non-negative integer, got {n_particles}"
         )

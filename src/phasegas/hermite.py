@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 from .lattice import ModeLattice
 
 
@@ -118,7 +118,7 @@ class HermiteBasis:
     def __post_init__(self):
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma}")
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
+        if not is_integer(self.n_max) or self.n_max < 0:
             raise ConfigurationError(f"n_max must be a non-negative integer, got {self.n_max}")
         k2 = []
         for i_plus, _ in self.lattice.pair_list():

@@ -43,10 +43,9 @@ Each is materialized once by a key-order fold (`_materialize`): every matrix
 entry, keyed row * dim + col, sums its terms' contributions in term order
 starting from +0.0, and an entry whose sum is exactly zero is dropped --
 bit for bit what adding the terms one sparse matrix at a time gives -- and
-then pruned once.  L(epsilon) is the pruned sum L0 + epsilon L1, formed on
-the fixed union of the two patterns (`_union_pattern`, `_pruned_sum`) bit
-for bit as scipy's sparse add and `_prune` form it.  So rebuilding with
-identical inputs is bit-identical, and L(0) is L0 itself.
+then pruned once.  L(epsilon) is scipy's sparse sum L0 + epsilon L1, pruned
+the same way.  So rebuilding with identical inputs is bit-identical, and
+L(0) is L0 itself.
 
 With no potential the operator is invariant under translations of the box.
 In d = 1 the quarter-period translation T = T_{L/4} sends phi_k to
@@ -62,7 +61,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -114,10 +112,6 @@ def _expand(coeff, factor_lists, acc):
         acc[key] = acc.get(key, 0.0 + 0.0j) + c
 
 
-# contributions held before they are merged into the running sum
-_MERGE_CHUNK = 1 << 15
-
-
 def _materialize(acc, basis: HermiteBasis) -> sparse.csr_matrix:
     """The sum of the keyed monomials of `acc` as a CSR matrix on `basis`.
 
@@ -125,26 +119,22 @@ def _materialize(acc, basis: HermiteBasis) -> sparse.csr_matrix:
     arithmetic from the nonzeros of its per-coordinate blocks (cached for the
     call): entries multiply left to right, identity factors by an exact 1.0,
     and then by the term's coefficient.  Entries are keyed row-major,
-    row * dim + col, so one key names one matrix entry.  The sum folds every
-    entry's contributions in term order starting from +0.0 and drops the
-    entries that come out exactly zero at the end, which is bit for bit the
-    chain total = total + coeff * term of sparse adds: that chain computes
-    0 + b for an entry new to the total and drops an entry whose sum is
-    exactly zero, to be re-added as 0 + b by a later term.  Terms are merged
-    into the sorted running sum in chunks of about _MERGE_CHUNK
-    contributions (a stable sort keeps each entry's contributions in term
-    order), so the sum is never re-sorted and no more than one chunk is held
-    beside it.
+    row * dim + col, so one key names one matrix entry.  One stable sort of
+    every term's keys puts each entry's contributions in term order, and a
+    bincount per real and imaginary part adds each run in that order from
+    +0.0; the entries that come out exactly zero are dropped at the end.
+    That is bit for bit the chain total = total + coeff * term of sparse
+    adds: the chain computes 0 + b for an entry new to the total and drops
+    an entry whose sum is exactly zero, to be re-added as 0 + b by a later
+    term.
     """
     dim = basis.dim
     side = basis.n_max + 1
     key_type = np.int32 if dim * dim <= np.iinfo(np.int32).max else np.int64
     eye = (np.arange(side, dtype=key_type) * (dim + 1), np.ones(side))
     pieces: dict = {}
-    keys = np.zeros(0, dtype=key_type)
-    vals = np.zeros(0, dtype=complex)
-    chunk: list = []
-    held = 0
+    all_keys = [np.zeros(0, dtype=key_type)]
+    all_vals = [np.zeros(0, dtype=complex)]
     for key, coeff in acc.items():
         if coeff == 0.0:
             continue
@@ -163,123 +153,29 @@ def _materialize(acc, basis: HermiteBasis) -> sparse.csr_matrix:
                     pieces[coord, blocks[coord]] = piece
             term_keys = (term_keys[:, None] * side + piece[0]).ravel()
             term_vals = (term_vals[:, None] * piece[1]).ravel()
-        chunk.append((term_keys, term_vals * coeff))
-        held += term_keys.size
-        if held >= _MERGE_CHUNK:
-            keys, vals = _merge_sorted(keys, vals, chunk)
-            held = 0
-    if chunk:
-        keys, vals = _merge_sorted(keys, vals, chunk)
-    nonzero = vals != 0.0
+        all_keys.append(term_keys)
+        all_vals.append(term_vals * coeff)
+    keys, vals = np.concatenate(all_keys), np.concatenate(all_vals)
+    # the transient, not the result, bounds memory: drop each array once used
+    del all_keys, all_vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    # the entry of each contribution, in key order
+    run = np.cumsum(first) - 1
+    del first
+    sums = np.empty(keys.size, dtype=complex)
+    sums.real = np.bincount(run, vals.real)
+    sums.imag = np.bincount(run, vals.imag)
+    nonzero = sums != 0.0
     if not nonzero.all():
-        keys, vals = keys[nonzero], vals[nonzero]
+        keys, sums = keys[nonzero], sums[nonzero]
     indptr = np.searchsorted(keys, (np.arange(dim + 1, dtype=np.int64) * dim).astype(key_type))
     np.remainder(keys, dim, out=keys)
-    return sparse.csr_matrix((vals, keys, indptr), shape=(dim, dim))
-
-
-def _merge_sorted(keys, vals, chunk):
-    """(keys, vals) of a sorted running sum with the contributions of `chunk` added in order.
-
-    `chunk` is a list of (keys, values) per term, in term order and with no
-    key twice within a term; it is emptied.  A stable sort puts each key's
-    contributions in term order; keys the sum already holds are added to it
-    in that order, and new keys fold from +0.0 and are inserted in place.
-    """
-    new_keys = np.concatenate([k for k, _ in chunk])
-    new_vals = np.concatenate([v for _, v in chunk])
-    chunk.clear()
-    order = np.argsort(new_keys, kind="stable")
-    new_keys, new_vals = new_keys[order], new_vals[order]
-    at = np.searchsorted(keys, new_keys)
-    known = at < keys.size
-    known[known] = keys[at[known]] == new_keys[known]
-    if known.any():
-        np.add.at(vals, at[known], new_vals[known])
-        fresh = ~known
-        new_keys, new_vals, at = new_keys[fresh], new_vals[fresh], at[fresh]
-    if not new_keys.size:
-        return keys, vals
-    first = np.ones(new_keys.size, dtype=bool)
-    first[1:] = new_keys[1:] != new_keys[:-1]
-    sums = np.zeros(np.count_nonzero(first), dtype=complex)
-    np.add.at(sums, np.cumsum(first) - 1, new_vals)
-    # every new key goes before the first held key above it
-    place = at[first] + np.arange(sums.size)
-    old = np.ones(keys.size + sums.size, dtype=bool)
-    old[place] = False
-    merged_keys = np.empty(old.size, dtype=keys.dtype)
-    merged_keys[place] = new_keys[first]
-    merged_keys[old] = keys
-    merged_vals = np.empty(old.size, dtype=complex)
-    merged_vals[place] = sums
-    merged_vals[old] = vals
-    return merged_keys, merged_vals
-
-
-def _union_pattern(a: sparse.csr_matrix, b: sparse.csr_matrix):
-    """(indptr, indices, b's slots, a's lone entries, their slots, shared entries) of the pattern a | b.
-
-    `a` and `b` are canonical CSR matrices of one shape, and the union
-    pattern is canonical too.  It is b's pattern with the entries a holds
-    alone inserted: `b_slots` marks b's slots, and a's lone entries (their
-    entry numbers and slots) fill the rest.  The entries both hold are
-    given as (their slots, a's entry numbers).  Both key lists,
-    row * dim + col, ascend, so one binary search of a's keys in b's places
-    every entry: a lone entry of a goes after the entries of b below it and
-    the lone entries of a before it.
-    """
-    dim = a.shape[1]
-
-    def keys(m):
-        return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr)) * dim + m.indices
-
-    keys_a, keys_b = keys(a), keys(b)
-    below = np.searchsorted(keys_b, keys_a)
-    shared = below < keys_b.size
-    shared[shared] = keys_b[below[shared]] == keys_a[shared]
-    lone, in_a = np.flatnonzero(~shared), np.flatnonzero(shared)
-    # the lone entries of a below entry k of a push it up by their number
-    passed = np.cumsum(~shared) - ~shared
-    slots_a = below + passed
-    b_slots = np.ones(keys_b.size + lone.size, dtype=bool)
-    b_slots[slots_a[lone]] = False
-    indices = np.empty(b_slots.size, dtype=a.indices.dtype)
-    indices[b_slots] = b.indices
-    indices[slots_a[lone]] = a.indices[lone]
-    indptr = b.indptr.astype(np.int64)
-    indptr[1:] += np.cumsum(np.bincount(keys_a[lone] // dim, minlength=a.shape[0]))
-    return indptr, indices, b_slots, lone, slots_a[lone], (slots_a[in_a], in_a)
-
-
-def _pruned_sum(a: sparse.csr_matrix, b: sparse.csr_matrix, scale, pattern) -> sparse.csr_matrix:
-    """`_prune(a + scale * b)` bit for bit, summed on the union `pattern` of `_union_pattern`.
-
-    scipy scales b's data by `data * scale` and adds entry by entry, a + b
-    where both hold an entry and a + 0 or 0 + b where one does (which clears
-    a negative zero), dropping exact zeros; `_prune` then drops the entries
-    below PRUNE_REL of the largest modulus.  Here each entry is formed in
-    place in one array of the union's size.
-    """
-    indptr, indices, b_slots, lone, lone_slots, (shared, in_a) = pattern
-    data = np.empty(indices.size, dtype=np.result_type(a.data, b.data, scale))
-    data[b_slots] = b.data
-    np.multiply(data, scale, out=data, where=b_slots)
-    data[lone_slots] = a.data[lone]
-    both = a.data[in_a] + data[shared]
-    data += 0.0
-    data[shared] = both
-    size = np.abs(data)
-    keep = ~(size < PRUNE_REL * size.max(initial=0.0)) & (size != 0.0)
-    if keep.all():
-        indptr, indices = indptr.copy(), indices.copy()
-    else:
-        kept = np.flatnonzero(keep)
-        indptr = np.searchsorted(kept, indptr)
-        data, indices = data[kept], indices[kept]
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=a.shape)
-    matrix.has_canonical_format = True
-    return matrix
+    return sparse.csr_matrix((sums, keys, indptr), shape=(dim, dim))
 
 
 def _prune(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -430,10 +326,6 @@ class AffineOperator:
             )
         return self._drift["l1"]
 
-    @cached_property
-    def _pattern(self):
-        return _union_pattern(self.l0.matrix, self.l1.matrix)
-
     def with_l0(self, l0: OperatorMatrix) -> AffineOperator:
         """The family l0 + epsilon L1 on this basis, sharing this family's L1 (built at most once)."""
         return replace(self, l0=l0)
@@ -449,9 +341,8 @@ class AffineOperator:
                 TruncationWarning,
                 stacklevel=2,
             )
-        matrix = _pruned_sum(self.l0.matrix, self.l1.matrix, epsilon, self._pattern)
         return OperatorMatrix(
-            matrix,
+            _prune(self.l0.matrix + epsilon * self.l1.matrix),
             self.l0.offset,
             self.basis.dims,
             f"affine(epsilon={epsilon:.17g})",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 from .lattice import ModeLattice
 
 
@@ -50,7 +50,7 @@ class ModelParams:
     def __post_init__(self):
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma}")
-        if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 0:
+        if not is_integer(self.n_particles) or self.n_particles < 0:
             raise ConfigurationError(
                 f"n_particles must be a non-negative integer, got {self.n_particles}"
             )

@@ -123,7 +123,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from ._tables import csv_text
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SolverError, is_integer
 from .hermite import HermiteBasis
 from .operator import DENSE_DIM_LIMIT, OperatorMatrix, assemble, hermite_degrees, symmetry_weight
 from .params import ModelParams
@@ -617,7 +617,7 @@ def _check_pairs(block, wb, vrb, left):
 def _check_request(op: OperatorMatrix, count, method: str) -> None:
     dim = op.dim
     if count is not None:
-        if not isinstance(count, (int, np.integer)) or not (1 <= count <= dim):
+        if not is_integer(count) or not (1 <= count <= dim):
             raise ConfigurationError(f"count must be in [1, {dim}], got {count}")
     if method == "arpack":
         if count is None:
@@ -1046,7 +1046,7 @@ def perturbation_series(
     eigendecomposition (`_reduced_resolvent`), and op1 acts as a sparse
     matvec, so no D x D array is formed.
     """
-    if not isinstance(max_order, (int, np.integer)) or max_order < 0:
+    if not is_integer(max_order) or max_order < 0:
         raise ConfigurationError(f"max_order must be a non-negative integer, got {max_order}")
     if op0.dim != op1.dim:
         raise ConfigurationError(

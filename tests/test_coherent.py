@@ -252,3 +252,15 @@ def test_negative_sector_rejected():
     a = CoherentField(lat, 0.3, np.zeros(8))
     with pytest.raises(ConfigurationError):
         number_overlap_closed(a, a, -1)
+
+
+def test_a_bool_is_not_a_sector_or_a_quadrature_order():
+    lat = _lattice()
+    a = CoherentField(lat, 0.3, np.zeros(8))
+    with pytest.raises(ConfigurationError, match="particle number"):
+        projected_exponent_closed(0.5, True)
+    with pytest.raises(ConfigurationError, match="mq"):
+        projected_exponent_quadrature(0.5, 2, True)
+    with pytest.raises(ConfigurationError, match="mq"):
+        cross_sector_quadrature(a, a, 2, 2, True)
+    assert projected_exponent_closed(0.5, np.int64(2)) == projected_exponent_closed(0.5, 2)

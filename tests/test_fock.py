@@ -52,6 +52,14 @@ def test_enumeration_guard():
         enumerate_basis(40, 40)  # ~5e22 states
 
 
+def test_a_bool_is_not_a_mode_or_particle_count():
+    with pytest.raises(ConfigurationError, match="m_modes"):
+        enumerate_basis(True, 2)
+    with pytest.raises(ConfigurationError, match="n_particles"):
+        enumerate_basis(3, True)
+    assert enumerate_basis(np.int64(3), np.int32(2)).states == enumerate_basis(3, 2).states
+
+
 def test_shift_operator_zero_mode_is_number():
     lat = _lat()
     b = enumerate_basis(lat.num_modes, 3, lat)

@@ -154,3 +154,14 @@ def test_basis_rejects_scales_that_are_not_finite_and_positive():
         lat = ModeLattice(d=1, box_len=box_len, m_per_dim=3)
         with pytest.raises(ConfigurationError, match="must be finite and positive"):
             HermiteBasis(lat, gamma, 2)
+
+
+def test_a_bool_is_not_a_truncation_or_a_particle_number():
+    from phasegas.params import ModelParams
+
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
+    with pytest.raises(ConfigurationError, match="n_max"):
+        HermiteBasis(lat, 0.5, True)
+    with pytest.raises(ConfigurationError, match="n_particles"):
+        ModelParams(gamma=0.5, n_particles=True)
+    assert HermiteBasis(lat, 0.5, np.int64(2)).dims == HermiteBasis(lat, 0.5, 2).dims

@@ -127,6 +127,20 @@ def test_count_argument_truncates():
     assert solve(op, 5).values.size == 5
 
 
+def test_a_bool_is_not_a_count_or_an_order():
+    # Python counts True as the int 1; the library refuses it, as the config
+    # schema does, and still takes numpy integers
+    lat, par, bas = _setup()
+    affine = assemble(par, bas)
+    op0, op1 = affine.at(0.0), affine.l1
+    with pytest.raises(ConfigurationError, match="count"):
+        solve(op0, True)
+    with pytest.raises(ConfigurationError, match="max_order"):
+        perturbation_series(op0, op1, True)
+    assert solve(op0, np.int64(2)).values.size == 2
+    assert len(perturbation_series(op0, op1, np.int32(1)).orders) == 2
+
+
 def test_arpack_agrees_with_dense_on_separated_spectrum():
     rng = np.random.default_rng(SEED)
     dim = 60
