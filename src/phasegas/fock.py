@@ -38,7 +38,7 @@ from ._tables import csv_text
 from .errors import ConfigurationError, SolverError, is_integer
 from .lattice import ModeLattice
 from .operator import DENSE_DIM_LIMIT
-from .spectral import connected_blocks
+from .spectral import _diagonal_block, connected_blocks
 
 STATE_LIMIT = 2_000_000
 
@@ -315,7 +315,11 @@ def ground_pair(h: FockHamiltonian):
     over all of them.
     """
     dim = h.dim
-    blocks = connected_blocks(h.matrix)
+    matrix = h.matrix.tocsr()
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    blocks = connected_blocks(matrix)
     sizes = np.array([idx.size for idx in blocks])
     if sizes.max() > DENSE_DIM_LIMIT:
         raise ConfigurationError(
@@ -326,8 +330,7 @@ def ground_pair(h: FockHamiltonian):
     # block's entries are one stretch of the CSR arrays, scattered into a
     # dense array without a sparse slice
     perm = np.concatenate(blocks)
-    grouped = h.matrix[perm][:, perm]
-    grouped.sum_duplicates()
+    grouped, _ = _diagonal_block(matrix, perm, np.argsort(perm))
     rows = np.repeat(np.arange(dim), np.diff(grouped.indptr))
     starts = np.cumsum(sizes) - sizes
     # Gershgorin bound of each block: the lower triangle (eigh's default)
@@ -353,8 +356,8 @@ def ground_pair(h: FockHamiltonian):
             energy, best, block_vec = float(vals[0]), n, vecs[:, 0]
     vec = np.zeros(dim, dtype=block_vec.dtype)
     vec[blocks[best]] = block_vec
-    resid = float(np.linalg.norm(h.matrix @ vec - energy * vec))
-    h_norm = float(spla.norm(h.matrix)) if h.matrix.nnz else 0.0
+    resid = float(np.linalg.norm(matrix @ vec - energy * vec))
+    h_norm = float(spla.norm(matrix)) if matrix.nnz else 0.0
     if resid > 1e-10 * max(h_norm, 1e-300):
         raise SolverError(
             f"ground-state residual {resid:.3e} exceeds 1e-10 * |H| = {1e-10 * h_norm:.3e}"
@@ -408,9 +411,9 @@ def mean_field_comparison(
     from .params import ModelParams
     from .spectral import energy_from_eigenvalue, solve
 
+    if not is_integer(n_particles) or n_particles < 1:
+        raise ConfigurationError(f"comparison needs an integer n_particles >= 1, got {n_particles!r}")
     n = int(n_particles)
-    if n < 1:
-        raise ConfigurationError("comparison needs n_particles >= 1")
     vol = lattice.volume
     basis = enumerate_basis(lattice.num_modes, n, lattice)
     rows = []

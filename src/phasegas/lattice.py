@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 
 TAU = 2.0 * math.pi
 
@@ -54,6 +54,10 @@ class ModeLattice:
     _index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not (is_integer(self.d) and is_integer(self.m_per_dim)):
+            raise ConfigurationError(
+                f"lattice d and m_per_dim must be integers, got {self.d!r} and {self.m_per_dim!r}"
+            )
         if self.d < 1:
             raise ConfigurationError(f"lattice dimension must be >= 1, got {self.d}")
         if not (self.box_len > 0.0) or not math.isfinite(self.box_len):

@@ -50,8 +50,8 @@ L(0) is L0 itself.
 With no potential the operator is invariant under translations of the box.
 In d = 1 the quarter-period translation T = T_{L/4} sends phi_k to
 i^n phi_k (n the mode number of the +-k pair), which permutes the tensor
-Hermite states up to sign (`quarter_translation`); every assembled operator
-carries that map, and `spectral.solve` certifies it block by block on the
+Hermite states up to sign (`quarter_translation`).  `spectral.solve` works
+that map out from `basis_dims` and certifies it block by block on the
 matrix before it reuses one block's eigensolve for its image.
 """
 
@@ -200,16 +200,13 @@ class OperatorMatrix:
     dimension >= 1, and every stored entry and the offset finite, else
     ConfigurationError: a NaN offset, or a NaN on a 1x1 block (whose value
     is read off the diagonal with residual 0), would pass every residual
-    check of the solvers.  `translation` is the (perm, sign) of
-    `quarter_translation` on the basis when the operator was assembled on
-    one, else None; `spectral.solve` uses it only where it certifies it.
+    check of the solvers.
     """
 
     matrix: sparse.csr_matrix
     offset: float
     basis_dims: tuple
     provenance: str
-    translation: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -322,7 +319,6 @@ class AffineOperator:
                 0.0,
                 self.basis.dims,
                 "cubic-drift",
-                self.l0.translation,
             )
         return self._drift["l1"]
 
@@ -346,7 +342,6 @@ class AffineOperator:
             self.l0.offset,
             self.basis.dims,
             f"affine(epsilon={epsilon:.17g})",
-            self.l0.translation,
         )
 
 
@@ -374,7 +369,6 @@ def assemble(params: ModelParams, basis: HermiteBasis) -> AffineOperator:
         -params.ebar_n,
         basis.dims,
         "affine(epsilon=0)",
-        quarter_translation(basis),
     )
     return AffineOperator(l0, basis)
 
@@ -461,8 +455,8 @@ def symmetry_weight(basis_dims) -> np.ndarray:
     return w
 
 
-def quarter_translation(basis: HermiteBasis):
-    """(perm, sign) of the quarter-period translation T = T_{L/4} on the basis, or None.
+def quarter_translation(basis_dims):
+    """(perm, sign) of the quarter-period translation T = T_{L/4} on the tensor basis, or None.
 
     T sends phi_k to i^n phi_k, n the mode number of the +-k pair, so on the
     pair's coordinates phi_k = x + i y it turns (x, y) by a quarter turn n
@@ -472,26 +466,26 @@ def quarter_translation(basis: HermiteBasis):
       - n = 2: keep the state, with sign (-1)^{n_x + n_y};
       - n = 3: swap, with sign (-1)^{n_y};
       - n = 0: the identity.
-    State i maps to sign[i] times state perm[i], the basis order being the
-    first coordinate slowest.  T preserves the total degree, so it acts the
-    same way on the real form S^-1 L S.  With no potential beyond u_0 the
-    assembled operator commutes with it, and T^2, the half-box translation,
-    is diagonal, so T maps each symmetry block onto itself or onto one
-    partner.  That is a property of the exact operator, not of its rounding:
-    `spectral.solve` tests it entry for entry.  Returned for d = 1 only; in
-    d = 2 a quarter turn per lattice axis would serve, but no d = 2 operator
-    has a usable spectrum yet.
+    Coordinates 2p and 2p+1 are the x and y of pair p, which has mode number
+    p + 1, the d = 1 lattice order; so the map is built for an even number
+    of equal sides and is None for any other `basis_dims`.  State i maps to
+    sign[i] times state perm[i], the basis order being the first coordinate
+    slowest.  T preserves the total degree, so it acts the same way on the
+    real form S^-1 L S.  With no potential beyond u_0 the d = 1 operator
+    commutes with it, and T^2, the half-box translation, is diagonal, so T
+    maps each symmetry block onto itself or onto one partner.  That is a
+    property of the exact operator, not of its rounding, and nothing here
+    knows the lattice: `spectral.solve` tests the map entry for entry.
     """
-    lattice = basis.lattice
-    if lattice.d != 1:
+    if len(basis_dims) % 2 or len(set(basis_dims)) != 1:
         return None
-    side = basis.n_max + 1
+    side = basis_dims[0]
     n_x, n_y = np.divmod(np.arange(side * side), side)
     swapped = n_y * side + n_x
     perm = np.zeros(1, dtype=np.int64)
     sign = np.ones(1)
-    for p in range(lattice.n_pairs):
-        turn = lattice.modes[2 * p + 1][0] % 4
+    for p in range(len(basis_dims) // 2):
+        turn = (p + 1) % 4
         target = swapped if turn % 2 else np.arange(side * side)
         flips = {0: 0 * n_x, 1: n_x, 2: n_x + n_y, 3: n_y}[turn]
         perm = (perm[:, None] * side * side + target).ravel()

@@ -78,15 +78,21 @@ ARPACK's shift are passes over those arrays.
 
 Blocks that the quarter-period translation T = T_{L/4} maps onto each other
 are solved once.  With no potential the operator commutes with T, which
-permutes the Hermite states up to sign (`operator.quarter_translation`), so
-T maps a block onto itself or onto a partner that is similar to it by a
-signed permutation Q.  `solve` certifies each such pair on the gathered
-working blocks (`_translation_partners`): Q A_n Q^T must have A_p's pattern
-and data bit for bit.  The lower-indexed block of a certified pair is its
-representative: only it reaches `eigh`, `eig` or ARPACK, its Gershgorin
-bound serves both, and the partner takes its values as exact copies and
-the Q-images of its vectors, which then go through the phase choice and
-`_check_pairs` on the partner's own block like any solved block's.
+permutes the Hermite states up to sign.  `solve` works that signed
+permutation Q out from `basis_dims` (`operator.quarter_translation`), as it
+does the phases S and the weight W, so an assembled, a loaded and a
+hand-built operator on one basis get the same map.  T maps a block onto
+itself or onto a partner similar to it by Q, and `solve` certifies each
+such pair on every call, on the gathered working blocks
+(`_translation_partners`): Q A_n Q^T must have A_p's pattern and data bit
+for bit, so a map that does not hold -- a potential u_k != 0, a pair of a
+d = 2 operator -- only means no reuse.  The lower-indexed block of a
+certified pair is its representative, whatever order the blocks are
+visited in: only it reaches `eigh`, `eig` or ARPACK, and its Gershgorin
+bound serves both, for the loop order and for the skip.  The partner takes
+the values as exact copies and the Q-images of the vectors, which then go
+through the phase choice and `_check_pairs` on the partner's own block like
+any solved block's (an ARPACK partner solves for its own left vectors).
 
 The same balance decides which blocks a request for the `count` leading
 values needs.  B is similar to the block of L, so by the Gershgorin circle
@@ -125,7 +131,8 @@ import scipy.sparse.linalg as spla
 from ._tables import csv_text
 from .errors import ConfigurationError, SolverError, is_integer
 from .hermite import HermiteBasis
-from .operator import DENSE_DIM_LIMIT, OperatorMatrix, assemble, hermite_degrees, symmetry_weight
+from .operator import DENSE_DIM_LIMIT, OperatorMatrix, assemble
+from .operator import hermite_degrees, quarter_translation, symmetry_weight
 from .params import ModelParams
 
 # Beyond this eigenvalue condition number half the digits of the eigenvalue
@@ -376,7 +383,8 @@ def _diagonal_block(matrix: sparse.csr_matrix, idx, position):
     so renumbering keeps each row's entry order: the arrays are scipy's
     fancy slice bit for bit, and every sum over a row runs in the same
     order.  `data[gather]` orders any matrix on the same pattern (the
-    balance) in one more pass.
+    balance) in one more pass.  idx may also be every block in turn, with
+    `position` its inverse (`fock.ground_pair`): `position` ascends in each block.
     """
     counts = np.diff(matrix.indptr)[idx]
     indptr = np.zeros(idx.size + 1, dtype=matrix.indptr.dtype)
@@ -390,29 +398,25 @@ def _diagonal_block(matrix: sparse.csr_matrix, idx, position):
 def _translation_partners(blocks, parts, position, translation) -> dict:
     """{partner: (representative, local positions, signs)} of the block pairs the translation maps exactly.
 
-    `translation` is the (perm, sign) of `operator.quarter_translation`:
-    state i goes to sign[i] times state perm[i].  A multi-state block n and
-    the block p its first state goes to are a pair when the map sends p back
-    to n, n < p, and it maps block n onto block p entry for entry: the
-    states of n go onto those of p with signs +-1, and the image of the
-    gathered block of n (`parts`), Q A_n Q^T, has the gathered block of p's
-    pattern and data bit for bit.  Then A_p is similar to A_n by a signed
-    permutation, exactly: its values are A_n's, and A_p (Q v) = (Q v) lam
-    and A_p^T (Q l) = (Q l) lam hold for every pair (v, l) of A_n.  State a
-    of n goes to position `local[a]` of p, times `signs[a]`.  The
-    representative n is the lower index of the two, so it does not depend
-    on the order blocks are solved in.  A map that fails any test for a
-    pair (a potential u_k != 0, an operator it does not belong to) pairs
-    nothing there.
+    `translation` is the (perm, sign) of `operator.quarter_translation` on
+    the operator's `basis_dims`, or None: state i goes to sign[i] times
+    state perm[i].  A multi-state block n and the block p its first state
+    goes to are a pair when the map sends p back to n, n < p, and it maps
+    block n onto block p entry for entry: the states of n go onto those of p
+    with signs +-1, and the image of the gathered block of n (`parts`),
+    Q A_n Q^T, has the gathered block of p's pattern and data bit for bit.
+    Then A_p is similar to A_n by a signed permutation, exactly: its values
+    are A_n's, and A_p (Q v) = (Q v) lam and A_p^T (Q l) = (Q l) lam hold
+    for every pair (v, l) of A_n.  State a of n goes to position `local[a]`
+    of p, times `signs[a]`.  The representative n is the lower index of the
+    two, so it does not depend on the order blocks are solved in.  A map
+    that fails any test for a pair (a potential u_k != 0, a d = 2 operator,
+    whose pairs the map numbers as in d = 1) pairs nothing there.
     """
     if translation is None:
         return {}
-    perm, sign = (np.asarray(part) for part in translation)
-    dim = position.size
-    fits = perm.shape == sign.shape == (dim,) and perm.dtype.kind in "iu"
-    if not (fits and 0 <= perm.min() and perm.max() < dim):
-        return {}
-    label = np.empty(dim, dtype=np.int64)
+    perm, sign = translation
+    label = np.empty(position.size, dtype=np.int64)
     label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
     partners = {}
     for n in parts:
@@ -748,21 +752,10 @@ def solve(
     arrays once (`_diagonal_block`, the arrays of `work[idx][:, idx]`), so
     no scipy slice or sparse product runs outside the solvers and checks.
 
-    Each block pair that the operator's quarter-period translation
-    (`OperatorMatrix.translation`) maps onto each other exactly is solved
-    once.  The map is certified on every call, pair by pair: the image
-    Q A_n Q^T of the gathered working block n under the signed permutation
-    Q must equal the gathered block p in pattern and data, bit for bit
-    (`_translation_partners`), so a map that does not hold -- a potential
-    u_k != 0, a hand-built operator -- only means no reuse.  The
-    representative of a pair is its lower-indexed block, whatever order
-    the loop visits blocks in; only it reaches `eigh`, `eig` or ARPACK.  The
-    partner gets its values as exact copies and its vectors as the images
-    Q v and Q l, which `_fix_phases` phases on the partner's basis and
-    `_check_pairs` checks on the partner's own block, as for a solved
-    block (an ARPACK partner solves for its own returned left vectors).
-    A partner takes its representative's Gershgorin bound, for the loop
-    order and for the skip below: its values are the representative's.
+    Each block pair that the quarter-period translation maps onto each
+    other exactly, as certified on every call, is solved once: the partner
+    takes its representative's values, vectors and Gershgorin bound (see
+    the module docstring).
 
     Given a `count`, both paths solve only the blocks that can hold one of
     the count leading values.  The result is the all-blocks answer bit for
@@ -853,7 +846,9 @@ def solve(
                 )
                 sub = (balanced, balance[1][blocks[n]], balance[2][blocks[n]])
             parts[n] = (block, sub)
-        partners = _translation_partners(blocks, parts, position, op.translation)
+        dims = op.basis_dims
+        translation = quarter_translation(dims) if int(np.prod(dims)) == dim else None
+        partners = _translation_partners(blocks, parts, position, translation)
         if count is not None and balance is not None and np.isrealobj(balance[0].data):
             for n in multi:
                 if n not in partners and _symmetric_fits(parts[n][1], residual_tol):

@@ -137,6 +137,11 @@ def test_lattice_rejects_a_box_whose_geometry_overflows():
     for d, box_len in ((1, 1e-300), (2, 1e200)):
         with pytest.raises(ConfigurationError, match="overflows"):
             ModeLattice(d=d, box_len=box_len, m_per_dim=3)
+    # nor may its sizes be anything but integers: a bool is not one
+    for d, m in ((1.5, 3), ("1", 3), (True, 3), (1, 5.0), (1, False)):
+        with pytest.raises(ConfigurationError, match="integers"):
+            ModeLattice(d=d, m_per_dim=m)
+    assert ModeLattice(d=np.int64(1), m_per_dim=np.int32(3)).num_modes == 3
 
 
 # every finite float, subnormals and the extremes included

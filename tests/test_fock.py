@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -437,6 +438,34 @@ def test_mirror_relabeling_is_exact_symmetry():
     # same terms accumulate in a different order on the mirrored side, so
     # agreement is to rounding rather than bit-exact
     assert np.max(np.abs(h[np.ix_(perm, perm)] - h)) <= 1e-14 * np.max(np.abs(h))
+
+
+def test_ground_pair_sums_split_duplicate_entries():
+    # a matrix that stores each entry as two halves is brought to canonical
+    # CSR first: its ground is that of the summed matrix, bit for bit
+    lat = _lat(5)
+    h = build_hamiltonian(lat, 0.7, 0.0, 0.0, enumerate_basis(lat.num_modes, 3, lat))
+    m = h.matrix
+    spans = list(zip(m.indptr[:-1], m.indptr[1:]))
+    halves = sparse.csr_matrix(
+        (
+            np.concatenate([np.tile(0.5 * m.data[a:b], 2) for a, b in spans]),
+            np.concatenate([np.tile(m.indices[a:b], 2) for a, b in spans]),
+            2 * m.indptr,
+        ),
+        shape=m.shape,
+    )
+    assert not halves.has_canonical_format
+    energy, vec = ground_pair(replace(h, matrix=halves))
+    ref_energy, ref_vec = ground_pair(h)
+    assert energy == ref_energy and vec.tobytes() == ref_vec.tobytes()
+
+
+def test_mean_field_comparison_refuses_a_count_that_is_not_an_integer():
+    # int() would take 2.7 as 2 and True as 1
+    for n in (2.7, True, 0, -1, "2"):
+        with pytest.raises(ConfigurationError, match="n_particles"):
+            mean_field_comparison(_lat(), n, (0.5,))
 
 
 def test_mean_field_comparison_rows():

@@ -875,9 +875,12 @@ def test_the_quarter_translation_maps_the_operator_onto_itself():
     # T = T_{L/4} permutes the Hermite states up to sign and commutes with
     # the operator without a potential, bit for bit, at every epsilon
     for m, n_max in ((3, 3), (5, 2), (7, 2), (9, 1)):
-        bas = HermiteBasis(ModeLattice(d=1, box_len=TAU, m_per_dim=m), 0.5, n_max)
+        lat = ModeLattice(d=1, box_len=TAU, m_per_dim=m)
+        bas = HermiteBasis(lat, 0.5, n_max)
+        # the map numbers pair p as mode p + 1, the d = 1 lattice order
+        assert lat.modes[1::2] == tuple((p + 1,) for p in range(lat.n_pairs))
         affine = assemble(ModelParams(gamma=0.5, n_particles=2), bas)
-        perm, sign = quarter_translation(bas)
+        perm, sign = quarter_translation(bas.dims)
         assert np.array_equal(np.sort(perm), np.arange(bas.dim)) and set(sign.tolist()) <= {1.0, -1.0}
         # T^2, the half-box translation, is diagonal
         assert np.array_equal(perm[perm], np.arange(bas.dim))
@@ -886,19 +889,17 @@ def test_the_quarter_translation_maps_the_operator_onto_itself():
             warnings.simplefilter("ignore", TruncationWarning)
             ops = (affine.l0, affine.l1, affine.at(0.3), affine.at(-0.1))
         for op in ops:
-            assert op.translation is affine.l0.translation
             image = (q @ op.matrix @ q.T).tocsr()
             image.sort_indices()
             assert _same_arrays(image, op.matrix)
-    # a potential u_k != 0 is not translation invariant; the map is still
-    # carried, and `solve` certifies it before any use
+    # a potential u_k != 0 is not translation invariant; the map of its
+    # dims is still formed, and `solve` certifies it before any use
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     u_k = np.array([0.0, 0.3, 0.3, -0.2, -0.2], dtype=complex)
     op = assemble(ModelParams(gamma=0.5, n_particles=2, u_k=u_k), HermiteBasis(lat, 0.5, 2)).at(0.2)
-    perm, sign = op.translation
+    perm, sign = quarter_translation(op.basis_dims)
     q = sparse.csr_matrix((sign, (perm, np.arange(op.dim))), shape=(op.dim, op.dim))
     assert not _same_arrays((q @ op.matrix @ q.T).tocsr(), op.matrix)
-    # d = 2 and loaded operators carry no map
-    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
-    assert quarter_translation(HermiteBasis(lat2, 0.5, 1)) is None
-    assert load_triplets(export_triplets(op)).translation is None
+    # dims that are not an even number of equal sides have no map
+    for dims in ((), (3,), (3, 3, 3), (3, 4), (2, 2, 2, 3)):
+        assert quarter_translation(dims) is None

@@ -23,7 +23,10 @@ from phasegas.lattice import ModeLattice, TAU
 from phasegas.operator import (
     OperatorMatrix,
     assemble,
+    export_triplets,
     hermite_degrees,
+    load_triplets,
+    quarter_translation,
     scaled_params,
     symmetry_weight,
 )
@@ -1058,7 +1061,7 @@ def test_a_matrix_with_duplicate_entries_solves_as_its_sum():
         shape=m.shape,
     )
     assert not halves.has_canonical_format
-    split = OperatorMatrix(halves, op.offset, op.basis_dims, "split", op.translation)
+    split = OperatorMatrix(halves, op.offset, op.basis_dims, "split")
     for count in (None, 1):
         for method in ("dense", "arpack") if count else ("dense",):
             got, ref = solve(split, count, method=method), solve(op, count, method=method)
@@ -1692,7 +1695,7 @@ def test_a_potential_pairs_no_blocks():
     par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2, u_k=u_k)
     op = assemble(par, HermiteBasis(lat, 0.5, 3)).at(par.epsilon)
     assert [b.size for b in connected_blocks(op.matrix) if b.size > 1] == [128, 128]
-    assert op.translation is not None and _translation_pairs(op) == {}
+    assert quarter_translation(op.basis_dims) is not None and _translation_pairs(op) == {}
 
 
 def test_a_partner_takes_its_representatives_values_bit_for_bit():
@@ -1729,24 +1732,70 @@ def test_a_partner_one_ulp_off_is_solved_on_its_own(monkeypatch):
     spectrum = solve(mutated)
     assert len(calls["eigh"]) + len(calls["eig"]) == _multi_state_blocks(mutated) == 4
     # both blocks solved, as by a solve with no map at all, and right
-    assert spectrum.values.tobytes() == solve(replace(mutated, translation=None)).values.tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "quarter_translation", lambda dims: None)
+        assert spectrum.values.tobytes() == solve(mutated).values.tobytes()
     _checked_on_the_operator(mutated, spectrum)
 
 
-def test_a_map_that_does_not_fit_the_operator_pairs_nothing():
+def test_a_map_that_does_not_fit_the_operator_pairs_nothing(monkeypatch):
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
-    perm, sign = op.translation
-    reference = solve(replace(op, translation=None))
+    perm, sign = quarter_translation(op.basis_dims)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "quarter_translation", lambda dims: None)
+        reference = solve(op)
     for translation, certified in (
-        ((perm[:-1], sign[:-1]), 0),  # another dimension
         ((np.roll(perm, 1), sign), 0),  # another permutation
         ((perm, 2.0 * sign), 0),  # not a signed permutation
         ((perm, -sign), 1),  # the same map up to a global sign: still exact
     ):
-        forged = replace(op, translation=translation)
-        assert len(_translation_pairs(forged)) == certified
-        assert multiset_match_error(solve(forged).values, reference.values) <= 1e-12
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "quarter_translation", lambda dims, _t=translation: _t)
+            assert len(_translation_pairs(op)) == certified
+            assert multiset_match_error(solve(op).values, reference.values) <= 1e-12
+    # dims of another dimension: no map is formed, and the solve has no real
+    # form or weight either
+    formed = []
+    monkeypatch.setattr(spectral, "quarter_translation", lambda dims: formed.append(dims))
+    other = replace(op, basis_dims=op.basis_dims[:-1])
+    assert _translation_pairs(other) == {} and not formed
+    assert multiset_match_error(solve(other).values, reference.values) <= 1e-12
+
+
+def test_a_loaded_export_solves_as_the_assembled_operator():
+    # the map comes from `basis_dims`, which the export keeps, so the
+    # reloaded operator pairs the same blocks and returns the same bytes
+    lat, par, bas = _setup(m=7, epsilon=0.1, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    loaded = load_triplets(export_triplets(op))
+    ((partner, (rep, local, signs)),) = _translation_pairs(op).items()
+    ((partner2, (rep2, local2, signs2)),) = _translation_pairs(loaded).items()
+    assert (partner2, rep2) == (partner, rep)
+    assert np.array_equal(local2, local) and np.array_equal(signs2, signs)
+    for count, method in ((None, "dense"), (6, "arpack")):
+        got, ref = solve(loaded, count, method=method), solve(op, count, method=method)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.residuals.tobytes() == ref.residuals.tobytes()
+
+
+def test_a_d2_operator_fails_as_with_no_map(monkeypatch):
+    # the map numbers the d = 2 pairs as in d = 1; where it holds it is
+    # certified like any other, and the solve still refuses the defective
+    # eigenbasis with the error of a solve with no map
+    lat = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
+    par = ModelParams(gamma=0.5, n_particles=2, epsilon=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        op = assemble(par, HermiteBasis(lat, 0.5, 1)).at(par.epsilon)
+    assert len(_translation_pairs(op)) == 2
+    with pytest.raises(SolverError, match="defective eigenbasis") as mapped:
+        solve(op)
+    monkeypatch.setattr(spectral, "quarter_translation", lambda dims: None)
+    assert _translation_pairs(op) == {}
+    with pytest.raises(SolverError) as unmapped:
+        solve(op)
+    assert str(mapped.value) == str(unmapped.value)
 
 
 def test_arpack_runs_on_the_block_operator_bit_for_bit(monkeypatch):
