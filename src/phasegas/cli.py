@@ -114,9 +114,10 @@ def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
     from . import coherent
 
     ov = cfg.overlaps
-    for key in ("n_fields", "grid_m", "mq", "n_project"):
-        if ov[key] < 1:
-            raise ConfigurationError(f"config: overlaps.{key} must be >= 1")
+    # a seed below 0 is refused by numpy, and one field pairs with nothing
+    for key, least in (("seed", 0), ("n_fields", 2), ("grid_m", 1), ("mq", 1), ("n_project", 1)):
+        if ov[key] < least:
+            raise ConfigurationError(f"config: overlaps.{key} must be >= {least}")
     lattice = cfg.lattice()
     rng = np.random.default_rng(ov["seed"])
     grid = (ov["grid_m"],) * lattice.d
@@ -292,11 +293,10 @@ def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
     params = cfg.params(lattice)
     basis = cfg.basis(lattice)
     affine = assemble(params, basis)
-    # conj L(eps, u) = L(-eps, -u), and without a potential beyond u_0 -u is u;
-    # L1 does not depend on the potential, so the conjugate family shares it
+    # conj L(eps, u) = L(-eps, -u), and without a potential beyond u_0 -u is u
     mirror = affine
     if params.u_k is not None and params.u_k[1:].any():
-        mirror = affine.with_l0(assemble(conjugate_params(params), basis).l0)
+        mirror = assemble(conjugate_params(params), basis)
     rows = []
     failures = 0
     tol = cfg.solver["residual_tol"]

@@ -213,17 +213,29 @@ def cross_sector_quadrature(
 
 
 def aliasing_tail(g_abs: float, n_total: int, mq: int) -> float:
-    """sum_{j >= 1} |G|^(N + j*mq) / (N + j*mq)!  -- the quadrature aliasing bound."""
+    """sum_{j >= 1} |G|^(N + j*mq) / (N + j*mq)!  -- the quadrature aliasing bound.
+
+    A non-finite |G| is a ConfigurationError; a partial sum past the double
+    range raises RangeOverflowError carrying its log as the exponent.
+    """
     _check_sector(n_total)
-    if mq < 2:
-        raise ConfigurationError(f"quadrature order mq must be >= 2, got {mq}")
+    if not is_integer(mq) or mq < 2:
+        raise ConfigurationError(f"quadrature order mq must be an integer >= 2, got {mq}")
     g_abs = abs(float(g_abs))
+    if not math.isfinite(g_abs):
+        raise ConfigurationError(f"|G| must be finite, got {g_abs}")
     if g_abs == 0.0:
         return 0.0
     total = 0.0
     m = n_total + mq
     while True:
-        term = math.exp(m * math.log(g_abs) - math.lgamma(m + 1))
+        log_term = m * math.log(g_abs) - math.lgamma(m + 1)
+        log_total = float(np.logaddexp(math.log(total), log_term)) if total else log_term
+        if log_total > _EXP_OVERFLOW:
+            raise RangeOverflowError(
+                f"aliasing tail overflows: a partial sum reaches exp({log_total:.6g})", log_total
+            )
+        term = math.exp(log_term)
         total += term
         if term < _TAIL_FLOOR or term < 1e-30 * total:
             return total

@@ -34,6 +34,9 @@ import numpy as np
 from .errors import ConfigurationError, is_integer
 from .lattice import ModeLattice
 
+# the most states a tensor Hermite basis or a Fock sector may hold
+STATE_LIMIT = 2_000_000
+
 
 def mult_matrix(size: int) -> np.ndarray:
     """Multiplication by xi in the He_n(xi) exp(-xi^2/2) basis (size x size block)."""
@@ -124,6 +127,12 @@ class HermiteBasis:
         for i_plus, _ in self.lattice.pair_list():
             ksq = self.lattice.k_squared(self.lattice.modes[i_plus])
             k2.extend([ksq, ksq])  # x and y coordinate of the pair
+        states = (self.n_max + 1) ** len(k2)
+        if states > STATE_LIMIT:
+            raise ConfigurationError(
+                f"basis of {states} states exceeds the {STATE_LIMIT} state guard "
+                "(lower n_max or m_per_dim)"
+            )
         # k^2 underflows to 0 on a huge box, and gamma / (2 k^2) overflows on a tiny k^2
         sigmas = tuple(math.sqrt(self.gamma / (2.0 * v)) if v > 0.0 else math.inf for v in k2)
         bad = [s for s in sigmas if not 0.0 < s < math.inf]

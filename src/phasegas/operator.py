@@ -57,10 +57,11 @@ matrix before it reuses one block's eigensolve for its image.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -298,33 +299,24 @@ class AffineOperator:
     `l0` holds the pair drift/diffusion and potential terms with the offset
     -ebar_n; it is L(0), the weak-coupling operator when u_{k!=0} = 0.  `l1`
     is the unit-strength quadratic drift dL/d(epsilon) with a zero offset,
-    materialized on first use, so a caller that reads only L(0) never builds
-    it.  For a constant potential L0 is real and L1 imaginary, so
-    conj(L(epsilon)) = L(-epsilon) entry for entry.  L1 depends on the basis
-    alone, so `with_l0` gives another family on the basis that shares it.
+    materialized on first use and kept, so a caller that reads only L(0)
+    never builds it.  For a constant potential L0 is real and L1 imaginary,
+    so conj(L(epsilon)) = L(-epsilon) entry for entry.
     """
 
     l0: OperatorMatrix
     basis: HermiteBasis
-    # holds L1 once built; the families of `with_l0` share it
-    _drift: dict = field(default_factory=dict, repr=False)
 
-    @property
+    @functools.cached_property
     def l1(self) -> OperatorMatrix:
-        if "l1" not in self._drift:
-            acc: dict = {}
-            _cubic_terms(self.basis.lattice, acc)
-            self._drift["l1"] = OperatorMatrix(
-                _prune(_materialize(acc, self.basis)),
-                0.0,
-                self.basis.dims,
-                "cubic-drift",
-            )
-        return self._drift["l1"]
-
-    def with_l0(self, l0: OperatorMatrix) -> AffineOperator:
-        """The family l0 + epsilon L1 on this basis, sharing this family's L1 (built at most once)."""
-        return replace(self, l0=l0)
+        acc: dict = {}
+        _cubic_terms(self.basis.lattice, acc)
+        return OperatorMatrix(
+            _prune(_materialize(acc, self.basis)),
+            0.0,
+            self.basis.dims,
+            "cubic-drift",
+        )
 
     def at(self, epsilon: float) -> OperatorMatrix:
         """L(epsilon): L0 itself at epsilon = 0, else the pruned sum L0 + epsilon L1."""

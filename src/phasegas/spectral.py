@@ -510,7 +510,8 @@ def _arpack_block(sub, count: int, balance):
     when the weight certificate holds: one Arnoldi run on the balanced
     block, whose right vectors map back through D^-1, and left candidates
     conj(W R).  Otherwise a second run on the adjoint supplies the left
-    candidates, paired to the right values by `_min_sum_assignment`.  The
+    candidates, paired to the right values by scipy's min-sum assignment
+    (`_min_sum_assignment`).  The
     start vector is seeded and non-symmetric, so no sign symmetry of the
     block hides a level from it.
     """
@@ -1081,24 +1082,11 @@ def perturbation_series(
 
 
 def _min_sum_assignment(cost: np.ndarray):
-    """(rows, cols) of a min-sum assignment of an n x m cost matrix, n <= m.
+    """(rows, cols) of `scipy.optimize.linear_sum_assignment` on an n x m cost matrix, n <= m.
 
-    Every row is assigned a distinct column.  Returns exactly what
-    `scipy.optimize.linear_sum_assignment` returns.  When every entry is
-    finite, every row minimum is strictly below the rest of its row and the
-    row argmins are distinct columns, the argmin assignment is the unique
-    optimum -- any other assignment leaves some row's minimum for a strictly
-    larger entry -- and scipy's shortest-augmenting-path solver takes
-    exactly these one-step paths, so it is returned without loading scipy's
-    solver.  Anything else (ties, repeated argmins, non-finite entries) goes to
-    scipy; a cost it rejects (NaN, or no finite assignment) raises SolverError.
+    scipy's solver is loaded on first use; a cost it rejects (NaN, or no
+    finite assignment) raises SolverError.
     """
-    n = cost.shape[0]
-    if np.isfinite(cost).all():
-        cols = np.argmin(cost, axis=1)
-        second = np.partition(cost, 1, axis=1)[:, 1] if cost.shape[1] > 1 else np.inf
-        if (cost[np.arange(n), cols] < second).all() and np.unique(cols).size == n:
-            return np.arange(n), cols
     from scipy.optimize import linear_sum_assignment
 
     try:
@@ -1114,10 +1102,9 @@ def multiset_match_error(a, b) -> float:
     permutations (`_min_sum_assignment`); the largest distance in that pairing
     is returned.  Two equal finite multisets (equal once sorted, e.g. a real
     operator's spectrum against its own conjugate) give 0.0 directly, which
-    is what every optimal pairing gives, even with exactly repeated values.
-    Multisets whose nearest partners are unique and distinct are paired
-    directly too; only ties or repeated nearest partners load scipy's
-    assignment solver.  Sizes that differ raise ConfigurationError.  A NaN or
+    is what every optimal pairing gives, even with exactly repeated values,
+    without loading scipy's assignment solver; any other pair of multisets
+    goes to that solver.  Sizes that differ raise ConfigurationError.  A NaN or
     infinite entry raises SolverError: its row of distances is all infinite or
     NaN, so no valid pairing exists.
     """

@@ -372,6 +372,24 @@ def test_invalid_config_is_exit_two(tmp_path, capsys):
     assert "solver.method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overlaps", [{"seed": -1}, {"n_fields": 1}])
+def test_overlaps_refuses_a_negative_seed_and_a_single_field(tmp_path, capsys, overlaps):
+    # numpy refuses a negative seed, and one field leaves the pairwise checks
+    # with no pair to check: neither may reach the suite
+    cfg = _write_config(tmp_path, overlaps=overlaps)
+    out = tmp_path / "ov"
+    assert main(["--config", cfg, "--out", str(out), "overlaps"]) == 2
+    assert f"overlaps.{next(iter(overlaps))}" in capsys.readouterr().err
+    assert not (out / "overlaps.csv").exists()
+
+
+def test_a_basis_past_the_state_guard_is_exit_two(tmp_path, capsys):
+    # d = 2, m = 5, n_max = 3: 4^24 states, refused before anything is allocated
+    cfg = _write_config(tmp_path, lattice={"d": 2, "m_per_dim": 5}, basis={"n_max": 3})
+    assert main(["--config", cfg, "--out", str(tmp_path / "big"), "spectrum"]) == 2
+    assert "state guard" in capsys.readouterr().err
+
+
 def test_config_from_environment(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     monkeypatch.setenv("PHASEGAS_CONFIG", cfg)
@@ -520,10 +538,10 @@ def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert len(prog) == 6
 
 
-def test_scan_with_a_potential_builds_l1_once(tmp_path, monkeypatch):
-    # L1 does not depend on the potential, so the conjugate family L(-eps, -u)
-    # shares the first family's L1: L0, L1 and the partner's L0 (the CI
-    # potential config)
+def test_scan_with_a_potential_assembles_the_partner_family(tmp_path, monkeypatch):
+    # the conjugate partner L(-eps, -u) is a family of its own: L0 and L1 of
+    # each (the CI potential config).  L1 does not depend on the potential,
+    # so a partner that takes the first family's L1 writes the same bytes
     import phasegas.operator as operator
 
     cfg = tmp_path / "potential.json"
@@ -533,14 +551,23 @@ def test_scan_with_a_potential_builds_l1_once(tmp_path, monkeypatch):
         "params": {"gamma": 0.5, "n_particles": 2, "epsilon": 0.2, "u_k": [0.0, 0.3, 0.3, -0.2, -0.2]},
         "basis": {"n_max": 3},
     }))
+    original = operator.assemble
+    families = []
+
+    def sharing(params, basis):
+        family = original(params, basis)
+        if families:
+            family.__dict__["l1"] = families[0].l1
+        families.append(family)
+        return family
+
     tables = []
-    for shared in (True, False):
+    for shared in (False, True):
         with monkeypatch.context() as patch:
-            if not shared:
-                # a partner family with its own L1, built afresh
-                patch.setattr(operator.AffineOperator, "with_l0", lambda self, l0: operator.AffineOperator(l0, self.basis))
+            if shared:
+                patch.setattr(operator, "assemble", sharing)
             calls = _count_calls(patch, operator, "_materialize")
             assert main(["--config", str(cfg), "--out", str(tmp_path / str(shared)), "scan"]) == 0
         assert len(calls) == (3 if shared else 4)
         tables.append((tmp_path / str(shared) / "scan.csv").read_bytes())
-    assert tables[0] == tables[1]
+    assert len(families) == 2 and tables[0] == tables[1]

@@ -207,6 +207,26 @@ def test_aliasing_tail_properties():
     assert aliasing_tail(4.0, 8, 64) < 1e-60
 
 
+@pytest.mark.parametrize(
+    "g_abs, mq", [(math.inf, 4), (math.nan, 4), (2.0, math.nan), (2.0, 2.5), (2.0, 4.0), (2.0, True)]
+)
+def test_aliasing_tail_refuses_a_non_finite_modulus_or_a_non_integer_order(g_abs, mq):
+    with pytest.raises(ConfigurationError):
+        aliasing_tail(g_abs, 2, mq)
+
+
+def test_aliasing_tail_overflow_keeps_exponent():
+    # the first term |G|^6 / 6! overflows
+    with pytest.raises(RangeOverflowError) as info:
+        aliasing_tail(1e300, 2, 4)
+    assert info.value.exponent == pytest.approx(6 * math.log(1e300) - math.log(720.0), rel=1e-15)
+    # every term fits, but their sum, about exp(711) / 2, does not
+    with pytest.raises(RangeOverflowError) as info:
+        aliasing_tail(711.0, 0, 2)
+    assert 709.0 < info.value.exponent < 711.0
+    assert aliasing_tail(700.0, 0, 2) == pytest.approx(math.exp(700.0) / 2, rel=1e-12)
+
+
 def test_kernel_gram_positive_semidefinite():
     lat = _lattice()
     rng = np.random.default_rng(RNG_SEED + 7)

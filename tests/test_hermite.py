@@ -8,6 +8,7 @@ from numpy.polynomial import hermite_e as he
 
 from phasegas.errors import ConfigurationError
 from phasegas.hermite import (
+    STATE_LIMIT,
     HermiteBasis,
     coordinate_block,
     deriv_matrix,
@@ -154,6 +155,21 @@ def test_basis_rejects_scales_that_are_not_finite_and_positive():
         lat = ModeLattice(d=1, box_len=box_len, m_per_dim=3)
         with pytest.raises(ConfigurationError, match="must be finite and positive"):
             HermiteBasis(lat, gamma, 2)
+
+
+def test_basis_refuses_more_states_than_the_guard():
+    # d = 2, m = 5 has 24 coordinates: 4^24 states at n_max = 3, whose
+    # operator keys alone would need gigabytes
+    lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=5)
+    with pytest.raises(ConfigurationError, match="state guard"):
+        HermiteBasis(lat2, 0.5, 3)
+    lat = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
+    # 37^4 states fit under the guard, 38^4 do not
+    assert 37**4 <= STATE_LIMIT < 38**4
+    assert HermiteBasis(lat, 0.5, 36).dim == 37**4
+    for n_max in (37, 10**6):
+        with pytest.raises(ConfigurationError, match="state guard"):
+            HermiteBasis(lat, 0.5, n_max)
 
 
 def test_a_bool_is_not_a_truncation_or_a_particle_number():

@@ -33,7 +33,6 @@ from phasegas.operator import (
 from phasegas.params import ModelParams
 from phasegas.spectral import (
     EigenPair,
-    _min_sum_assignment,
     _real_form,
     _weight_balance,
     calibrate_mu,
@@ -534,76 +533,6 @@ def test_multiset_match_error_behaviour():
 def test_multiset_match_error_rejects_non_finite_entries(a, b):
     with pytest.raises(SolverError, match="no valid assignment"):
         multiset_match_error(a, b)
-
-
-def test_min_sum_assignment_loads_scipy_only_without_a_certificate(monkeypatch):
-    def refuse(cost):
-        raise AssertionError("scipy's solver called")
-
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", refuse)
-    w = np.array([-1.0 + 0.5j, -1.0 - 0.5j, -2.0, -3.0 + 1j, -3.0 - 1j, -4.5])
-    rows, cols = _min_sum_assignment(np.abs(np.conj(w)[:, None] - w[None, :]))
-    assert np.array_equal(rows, np.arange(6))
-    assert np.array_equal(cols, [1, 0, 2, 4, 3, 5])
-    assert _min_sum_assignment(np.array([[7.0]]))[1].tolist() == [0]
-    for tied in ([[1.0, 1.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, 2.0]]):
-        with pytest.raises(AssertionError, match="solver called"):
-            _min_sum_assignment(np.array(tied))
-
-
-def _near_tie(x, rng):
-    """x with every real part moved 1 ulp towards a random side."""
-    side = np.where(rng.random(x.size) < 0.5, -np.inf, np.inf)
-    return np.nextafter(x.real, side) + 1j * x.imag
-
-
-@st.composite
-def _cost_matrices(draw):
-    """A maker of n x n assignment costs, mostly |a_i - b_j| of complex multisets."""
-    kind = draw(
-        st.sampled_from(
-            ["random", "permuted", "conjugate", "duplicates", "midpoints", "near_tie", "integer"]
-        )
-    )
-    seed = draw(st.integers(0, 2**32 - 1))
-
-    def make(n):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        perm = rng.permutation(n)
-        if kind == "random":
-            b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        elif kind == "permuted":
-            b = a[perm]
-        elif kind == "conjugate":
-            # a closed under conjugation, as a real operator's spectrum is
-            a[1::2] = np.conj(a[: n // 2 * 2 : 2])
-            b = np.conj(a)[perm]
-        elif kind == "duplicates":
-            a = a[rng.integers(0, max(1, n // 2), size=n)]
-            b = a[perm]
-        elif kind == "midpoints":
-            # each b_j equidistant from two entries of a: exact or rounding-level ties
-            b = 0.5 * (a + a[perm])
-        elif kind == "near_tie":
-            b = _near_tie(0.5 * (a + a[perm]), rng)
-        else:
-            cost = rng.integers(0, 3, size=(n, n)).astype(float)
-            return np.nextafter(cost, np.where(rng.random((n, n)) < 0.3, np.inf, cost))
-        return np.abs(a[:, None] - b[None, :])
-
-    return make
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(make=_cost_matrices())
-def test_min_sum_assignment_equals_linear_sum_assignment(make):
-    for n in (1, 2, 3, 6, 9):
-        cost = make(n)
-        ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(cost)
-        rows, cols = _min_sum_assignment(cost)
-        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
-        assert cost[rows, cols].max() == cost[ref_rows, ref_cols].max()
 
 
 # -- dense validation --------------------------------------------------------------
