@@ -1,13 +1,17 @@
 """Command-line front end: overlaps | spectrum | compare | perturb | scan.
 
-Output contract: every command writes its data tables into the output
-directory in the selected format (csv or json) plus a `<command>_meta.json`
-sidecar.  Data files are byte-identical across reruns of the same
-configuration -- all floats are printed with 17 significant digits and
+Run contract: a command returns its tables and failure count, and `main`
+alone writes output.  It creates the output directory before the command
+runs and, once the command has returned, writes each table in the selected
+format (csv or json), then a `<command>_meta.json` sidecar listing them, so a
+command that raises writes no data file.  Data files are
+byte-identical across reruns of the same configuration -- CSV floats carry 17
+significant digits, JSON floats Python's shortest round-trip repr -- and
 anything nondeterministic (timestamps, absolute paths) lives in the sidecar.
 
 Exit codes: 0 all checks passed; 1 a numerical check failed (including
-overlap-magnitude range overflows); 2 configuration error; 3 solver failure;
+overlap-magnitude range overflows); 2 configuration error, an output
+directory that cannot be created or written included; 3 solver failure;
 4 unexpected internal error (any other exception; its traceback goes to
 stderr).
 
@@ -34,8 +38,6 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-_COMMANDS = ("overlaps", "spectrum", "compare", "perturb", "scan")
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,11 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, help="cap BLAS/OpenMP threads before numerics load"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
-    sub.add_parser("overlaps", help="overlap / projection / Gram identity suite")
-    sub.add_parser("spectrum", help="assemble one operator variant and emit its spectrum")
-    sub.add_parser("compare", help="Fock-oracle vs mean-field vs functional energy table")
-    sub.add_parser("perturb", help="epsilon series and direct-vs-series deviation scan")
-    sub.add_parser("scan", help="symmetric +-epsilon spectra with conjugation pairing check")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
@@ -83,13 +82,15 @@ def _write_table(out_dir: str, name: str, fmt: str, columns, rows) -> str:
 def _write_meta(out_dir: str, command: str, cfg_source: str, fmt: str, files) -> None:
     import time
 
+    from . import __version__
+
     meta = {
         "command": command,
         "config": os.path.abspath(cfg_source),
         "format": fmt,
         "files": list(files),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "version": _package_version(),
+        "version": __version__,
     }
     path = os.path.join(out_dir, f"{command}_meta.json")
     with open(path, "w", encoding="ascii") as fh:
@@ -97,21 +98,16 @@ def _write_meta(out_dir: str, command: str, cfg_source: str, fmt: str, files) ->
         fh.write("\n")
 
 
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 # -- command bodies (numerics imported lazily) ----------------------------------
 
 
-def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
+def _cmd_overlaps(cfg):
     import math
 
     import numpy as np
 
     from . import coherent
+    from .lattice import STATE_LIMIT
 
     ov = cfg.overlaps
     # a seed below 0 is refused by numpy, and one field pairs with nothing
@@ -119,6 +115,12 @@ def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
         if ov[key] < least:
             raise ConfigurationError(f"config: overlaps.{key} must be >= {least}")
     lattice = cfg.lattice()
+    # the lattice guard keeps d small enough for this power whenever m_per_dim > 1
+    if ov["grid_m"] ** lattice.d > STATE_LIMIT:
+        raise ConfigurationError(
+            f"config: a phase grid of overlaps.grid_m ** d = {ov['grid_m']}^{lattice.d} points "
+            f"exceeds the {STATE_LIMIT} state guard"
+        )
     rng = np.random.default_rng(ov["seed"])
     grid = (ov["grid_m"],) * lattice.d
     fields = [
@@ -182,9 +184,8 @@ def _cmd_overlaps(cfg, out_dir: str, fmt: str) -> int:
     rows = [
         (name, e, tol, "pass" if e <= tol else "FAIL") for name, e, tol in checks
     ]
-    files = [_write_table(out_dir, "overlaps", fmt, ("check", "max_error", "tolerance", "status"), rows)]
-    _write_meta(out_dir, "overlaps", cfg.source, fmt, files)
-    return sum(1 for r in rows if r[3] == "FAIL")
+    columns = ("check", "max_error", "tolerance", "status")
+    return [("overlaps", columns, rows)], sum(1 for r in rows if r[3] == "FAIL")
 
 
 def _assemble_variant(cfg, lattice, params):
@@ -207,7 +208,7 @@ def _assemble_variant(cfg, lattice, params):
     return assemble(params, cfg.basis(lattice)).at(params.epsilon)
 
 
-def _cmd_spectrum(cfg, out_dir: str, fmt: str) -> int:
+def _cmd_spectrum(cfg):
     from .spectral import SPECTRUM_COLUMNS, solve, spectrum_rows
 
     lattice = cfg.lattice()
@@ -215,16 +216,16 @@ def _cmd_spectrum(cfg, out_dir: str, fmt: str) -> int:
     op = _assemble_variant(cfg, lattice, params)
     solver = cfg.solver
     spectrum = solve(op, solver["count"], method=solver["method"], residual_tol=solver["residual_tol"])
-    files = [_write_table(out_dir, "spectrum", fmt, SPECTRUM_COLUMNS, spectrum_rows(spectrum))]
     # only the ground pair is expanded to full-length vectors
     ground = spectrum.pair(0).right_vector
     grows = [(i, c.real, c.imag) for i, c in enumerate(ground)]
-    files.append(_write_table(out_dir, "spectrum_ground", fmt, ("index", "re", "im"), grows))
-    _write_meta(out_dir, "spectrum", cfg.source, fmt, files)
-    return 0
+    return [
+        ("spectrum", SPECTRUM_COLUMNS, spectrum_rows(spectrum)),
+        ("spectrum_ground", ("index", "re", "im"), grows),
+    ], 0
 
 
-def _cmd_compare(cfg, out_dir: str, fmt: str) -> int:
+def _cmd_compare(cfg):
     from .fock import COMPARISON_COLUMNS, mean_field_comparison
 
     lattice = cfg.lattice()
@@ -236,12 +237,10 @@ def _cmd_compare(cfg, out_dir: str, fmt: str) -> int:
         n_max=cfg.compare["n_max"],
     )
     table = [tuple(r[c] for c in COMPARISON_COLUMNS) for r in rows]
-    files = [_write_table(out_dir, "compare", fmt, COMPARISON_COLUMNS, table)]
-    _write_meta(out_dir, "compare", cfg.source, fmt, files)
-    return 0
+    return [("compare", COMPARISON_COLUMNS, table)], 0
 
 
-def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
+def _cmd_perturb(cfg):
     from .operator import assemble
     from .spectral import SERIES_COLUMNS, perturbation_series, series_rows, solve
 
@@ -251,23 +250,12 @@ def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
     method, tol = cfg.solver["method"], cfg.solver["residual_tol"]
     # the series needs every pair of L0, so it is dense whatever the method
     series = perturbation_series(affine.at(0.0), affine.l1, cfg.perturb["max_order"], residual_tol=tol)
-    files = [_write_table(out_dir, "perturb_series", fmt, SERIES_COLUMNS, series_rows(series))]
 
     drows = []
     for eps in cfg.perturb["eps_grid"]:
         direct = complex(solve(affine.at(eps), 1, method=method, residual_tol=tol).values[0])
         model = series.evaluate(eps)
         drows.append((eps, direct.real, direct.imag, model.real, model.imag, abs(direct - model)))
-    files.append(
-        _write_table(
-            out_dir,
-            "perturb_scan",
-            fmt,
-            ("epsilon", "direct_re", "direct_im", "model_re", "model_im", "abs_dev"),
-            drows,
-        )
-    )
-    _write_meta(out_dir, "perturb", cfg.source, fmt, files)
 
     failures = 0
     constant_potential = params.u_k is None or all(
@@ -280,10 +268,13 @@ def _cmd_perturb(cfg, out_dir: str, fmt: str) -> int:
             file=sys.stderr,
         )
         failures += 1
-    return failures
+    return [
+        ("perturb_series", SERIES_COLUMNS, series_rows(series)),
+        ("perturb_scan", ("epsilon", "direct_re", "direct_im", "model_re", "model_im", "abs_dev"), drows),
+    ], failures
 
 
-def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
+def _cmd_scan(cfg):
     import numpy as np
 
     from .operator import assemble, conjugate_params
@@ -312,31 +303,24 @@ def _cmd_scan(cfg, out_dir: str, fmt: str) -> int:
         rows.append((eps, gp.real, gp.imag, gm.real, gm.imag, pair_err))
         if pair_err > cfg.scan["pair_tol"]:
             failures += 1
-    files = [
-        _write_table(
-            out_dir,
-            "scan",
-            fmt,
-            ("epsilon", "ground_re_plus", "ground_im_plus", "ground_re_minus", "ground_im_minus", "pair_error"),
-            rows,
-        )
-    ]
-    _write_meta(out_dir, "scan", cfg.source, fmt, files)
     if failures:
         print(
             f"scan: {failures} epsilon value(s) violate conjugation pairing "
             f"beyond {cfg.scan['pair_tol']:.1e}",
             file=sys.stderr,
         )
-    return failures
+    columns = ("epsilon", "ground_re_plus", "ground_im_plus", "ground_re_minus", "ground_im_minus", "pair_error")
+    return [("scan", columns, rows)], failures
 
 
-_HANDLERS = {
-    "overlaps": _cmd_overlaps,
-    "spectrum": _cmd_spectrum,
-    "compare": _cmd_compare,
-    "perturb": _cmd_perturb,
-    "scan": _cmd_scan,
+# name -> (body, help); the body returns ([(table name, columns, rows)] in file
+# order, failure count)
+_COMMANDS = {
+    "overlaps": (_cmd_overlaps, "overlap / projection / Gram identity suite"),
+    "spectrum": (_cmd_spectrum, "assemble one operator variant and emit its spectrum"),
+    "compare": (_cmd_compare, "Fock-oracle vs mean-field vs functional energy table"),
+    "perturb": (_cmd_perturb, "epsilon series and direct-vs-series deviation scan"),
+    "scan": (_cmd_scan, "symmetric +-epsilon spectra with conjugation pairing check"),
 }
 
 
@@ -359,8 +343,17 @@ def main(argv=None) -> int:
         cfg = config_mod.load_config(cfg_path)
         out_dir = args.out or cfg.output["dir"]
         fmt = args.format or cfg.output["format"]
-        os.makedirs(out_dir, exist_ok=True)
-        failures = _HANDLERS[args.command](cfg, out_dir, fmt)
+        # an unusable output directory is refused before the command runs
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create output directory: {exc}") from None
+        tables, failures = _COMMANDS[args.command][0](cfg)
+        try:
+            files = [_write_table(out_dir, name, fmt, columns, rows) for name, columns, rows in tables]
+            _write_meta(out_dir, args.command, cfg.source, fmt, files)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write to the output directory: {exc}") from None
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -36,8 +36,7 @@ import scipy.sparse.linalg as spla
 
 from ._tables import csv_text
 from .errors import ConfigurationError, SolverError, is_integer
-from .hermite import STATE_LIMIT
-from .lattice import ModeLattice
+from .lattice import STATE_LIMIT, ModeLattice
 from .operator import DENSE_DIM_LIMIT
 from .spectral import _diagonal_block, connected_blocks
 

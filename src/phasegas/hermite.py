@@ -32,10 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, is_integer
-from .lattice import ModeLattice
-
-# the most states a tensor Hermite basis or a Fock sector may hold
-STATE_LIMIT = 2_000_000
+from .lattice import STATE_LIMIT, ModeLattice
 
 
 def mult_matrix(size: int) -> np.ndarray:

@@ -28,6 +28,10 @@ from .errors import ConfigurationError, is_integer
 
 TAU = 2.0 * math.pi
 
+# the most modes a lattice, points a phase grid, or states a tensor Hermite
+# basis or a Fock sector may hold
+STATE_LIMIT = 2_000_000
+
 
 def _negate(mode):
     return tuple(-c for c in mode)
@@ -72,6 +76,13 @@ class ModeLattice:
         if self.m_per_dim < 1 or self.m_per_dim % 2 == 0:
             raise ConfigurationError(
                 f"m_per_dim must be odd and >= 1 so modes pair as +-k, got {self.m_per_dim}"
+            )
+        # m_per_dim ** d, counted before any mode is listed; past the limit's bit
+        # length every power of a base >= 2 exceeds it, so d is capped there
+        if self.m_per_dim ** min(self.d, STATE_LIMIT.bit_length()) > STATE_LIMIT:
+            raise ConfigurationError(
+                f"lattice of {self.m_per_dim}^{self.d} modes exceeds the {STATE_LIMIT} state "
+                "guard (lower m_per_dim or d)"
             )
         half = (self.m_per_dim - 1) // 2
         rng = range(-half, half + 1)

@@ -260,15 +260,75 @@ def test_failed_numerical_check_is_exit_one(tmp_path):
 
 
 def test_unexpected_exception_is_exit_four(tmp_path, monkeypatch, capsys):
-    def broken(cfg, out_dir, fmt):
+    def broken(cfg):
         raise RuntimeError("handler defect")
 
-    monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", (broken, "spectrum"))
     cfg = _write_config(tmp_path)
     assert main(["--config", cfg, "--out", str(tmp_path / "x"), "spectrum"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert "RuntimeError: handler defect" in err
+
+
+def test_an_out_that_names_a_file_is_exit_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["--config", cfg, "--out", cfg, "spectrum"]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_a_failed_direct_solve_writes_no_data_file(tmp_path, monkeypatch, capsys):
+    # the series is complete before the direct ground solves; the run still
+    # writes neither its table nor a sidecar
+    import phasegas.spectral as spectral
+    from phasegas.errors import SolverError
+
+    solve = spectral.solve
+
+    def fails_the_ground(op, count=None, **kwargs):
+        if count == 1:
+            raise SolverError("forced direct-solve failure")
+        return solve(op, count, **kwargs)
+
+    monkeypatch.setattr(spectral, "solve", fails_the_ground)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "pt"
+    assert main(["--config", cfg, "--out", str(out), "perturb"]) == 3
+    assert "forced direct-solve failure" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_arpack_failure_is_exit_three(tmp_path, monkeypatch, capsys):
+    import phasegas.spectral as spectral
+
+    def fails(*args, **kwargs):
+        raise spectral.spla.ArpackError(-9)
+
+    monkeypatch.setattr(spectral.spla, "eigs", fails)
+    cfg = _write_config(tmp_path, basis={"n_max": 3}, solver={"method": "arpack", "count": 4})
+    out = tmp_path / "ar"
+    assert main(["--config", cfg, "--out", str(out), "spectrum"]) == 3
+    assert "iterative eigensolver failed" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_sidecar_lists_exactly_the_files_written(tmp_path, fmt):
+    tables = {
+        "overlaps": ["overlaps"],
+        "spectrum": ["spectrum", "spectrum_ground"],
+        "compare": ["compare"],
+        "perturb": ["perturb_series", "perturb_scan"],
+        "scan": ["scan"],
+    }
+    cfg = _write_config(tmp_path, lattice={"m_per_dim": 3})
+    for command, names in tables.items():
+        out = str(tmp_path / command)
+        assert main(["--config", cfg, "--out", out, "--format", fmt, command]) == 0
+        meta = json.loads(Path(out, f"{command}_meta.json").read_text())
+        assert list(meta) == ["command", "config", "format", "files", "timestamp", "version"]
+        assert meta["files"] == [os.path.join(out, f"{name}.{fmt}") for name in names]
+        assert sorted(os.listdir(out)) == sorted([f"{command}_meta.json"] + [f"{n}.{fmt}" for n in names])
 
 
 def test_perturb_outputs_series_and_scan(tmp_path):
@@ -388,6 +448,26 @@ def test_a_basis_past_the_state_guard_is_exit_two(tmp_path, capsys):
     cfg = _write_config(tmp_path, lattice={"d": 2, "m_per_dim": 5}, basis={"n_max": 3})
     assert main(["--config", cfg, "--out", str(tmp_path / "big"), "spectrum"]) == 2
     assert "state guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        # 999^3 modes, and 3^(10^9), whose power is never formed (a unit box
+        # keeps the volume finite)
+        ("spectrum", {"lattice": {"d": 3, "m_per_dim": 999}}),
+        ("overlaps", {"lattice": {"d": 10**9, "m_per_dim": 3, "box_len": 1.0}}),
+        # a phase grid of 1415^2 points on a 9-mode lattice
+        ("overlaps", {"lattice": {"d": 2, "m_per_dim": 3}, "overlaps": {"grid_m": 1415}}),
+    ],
+    ids=["modes", "huge-d", "phase-grid"],
+)
+def test_a_lattice_or_phase_grid_past_the_state_guard_is_exit_two(tmp_path, capsys, command, overrides):
+    # refused before the modes are listed or a field is drawn
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["--config", cfg, "--out", str(tmp_path / "big"), command]) == 2
+    assert "state guard" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "big") == []
 
 
 def test_config_from_environment(tmp_path, monkeypatch):

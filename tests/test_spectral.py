@@ -776,6 +776,28 @@ def test_arpack_with_a_false_certificate_raises(monkeypatch):
         solve(op, 4, method="arpack")
 
 
+def test_arpack_retries_once_with_a_wider_krylov_space(monkeypatch):
+    # a run that does not converge is repeated once with twice the default
+    # Krylov dimension, capped at the block size
+    lat, par, bas = _setup(epsilon=0.1, n_max=3)
+    op = assemble(par, bas).at(par.epsilon)
+    unforced = solve(op, 4, method="arpack")
+    calls, eigs = [], spectral.spla.eigs
+
+    def stalls_once(a, **k):
+        calls.append((a.shape[0], k))
+        if len(calls) == 1:
+            raise spectral.spla.ArpackNoConvergence("forced", np.empty(0), np.empty((a.shape[0], 0)))
+        return eigs(a, **k)
+
+    monkeypatch.setattr(spectral.spla, "eigs", stalls_once)
+    forced = solve(op, 4, method="arpack")
+    (size, first), (again, retry) = calls[:2]
+    assert again == size and "ncv" not in first
+    assert retry["ncv"] == min(size, 2 * max(2 * first["k"] + 1, 20))
+    assert np.abs(forced.values - unforced.values).max() <= 1e-9
+
+
 def test_solve_returns_validated_values_and_expands_only_on_request():
     lat, par, bas = _setup(epsilon=0.2, n_max=3)
     op = assemble(par, bas).at(par.epsilon)
