@@ -10,14 +10,16 @@ oracle keeps its full kinetic-exchange structure on a finite mode set.
 
 import numpy as np
 
-from phasegas import TAU, ModeLattice, comparison_table, mean_field_comparison
+from phasegas import TAU, ModeLattice, mean_field_comparison
 
 lat = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
 n_particles = 3
 couplings = np.geomspace(1.0, 0.01, 9)
 
 rows = mean_field_comparison(lat, n_particles, couplings, n_max=2)
-print(comparison_table(rows))
+print(" ".join(f"{name:>17}" for name in rows[0]))
+for row in rows:
+    print(" ".join(f"{value:17.10g}" for value in row.values()))
 print()
 print("functional_epp matches prediction_epp to rounding; rel_dev saturates")
 print(f"toward (M-1)/N = {(lat.num_modes - 1) / n_particles:.4f} as the coupling shrinks,")

@@ -49,8 +49,6 @@ _EXPORTS = {
     "energy_from_eigenvalue": "spectral",
     "perturbation_series": "spectral",
     "multiset_match_error": "spectral",
-    "spectrum_table": "spectral",
-    "series_table": "spectral",
     # Fock-space oracle
     "FockBasis": "fock",
     "FockHamiltonian": "fock",
@@ -60,7 +58,6 @@ _EXPORTS = {
     "ground_pair": "fock",
     "condensate_expectation": "fock",
     "mean_field_comparison": "fock",
-    "comparison_table": "fock",
     # configuration
     "RunConfig": "config",
     "load_config": "config",

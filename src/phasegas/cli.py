@@ -1,13 +1,16 @@
 """Command-line front end: overlaps | spectrum | compare | perturb | scan.
 
-Run contract: a command returns its tables and failure count, and `main`
-alone writes output.  It creates the output directory before the command
-runs and, once the command has returned, writes each table in the selected
-format (csv or json), then a `<command>_meta.json` sidecar listing them, so a
-command that raises writes no data file.  Data files are
-byte-identical across reruns of the same configuration -- CSV floats carry 17
-significant digits, JSON floats Python's shortest round-trip repr -- and
-anything nondeterministic (timestamps, absolute paths) lives in the sidecar.
+Run contract: a command returns its tables (name, columns and rows, all
+defined in its body here) and failure count, and `main` alone writes output.
+It creates the output directory before the command runs and, once the
+command has returned, writes each table in the selected format (csv or json),
+then a `<command>_meta.json` sidecar listing them, so a command that raises
+writes no data file.  Every file goes to a temporary file first and all are
+moved into place, the sidecar last, only once all are written, so a failed
+write leaves the output directory as it was.  Data files are byte-identical
+across reruns of the same configuration -- CSV floats carry 17 significant
+digits, JSON floats Python's shortest round-trip repr -- and anything
+nondeterministic (timestamps, absolute paths) lives in the sidecar.
 
 Exit codes: 0 all checks passed; 1 a numerical check failed (including
 overlap-magnitude range overflows); 2 configuration error, an output
@@ -22,13 +25,14 @@ the BLAS/OpenMP environment, so thread caps take effect.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
 import os
 import sys
 import traceback
 
-from ._tables import csv_text
 from .errors import ConfigurationError, RangeOverflowError, SolverError
 
 _THREAD_VARS = (
@@ -64,22 +68,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_table(out_dir: str, name: str, fmt: str, columns, rows) -> str:
-    """Write a table deterministically; rows are sequences aligned with columns."""
-    path = os.path.join(out_dir, f"{name}.{fmt}")
+def _template(row) -> str:
+    """The %-template of a row: `str` of an int or a str, 17 significant digits of anything else."""
+    return ",".join("%s" if isinstance(v, (int, str)) else "%.17g" for v in row)
+
+
+def csv_text(columns, rows) -> str:
+    """A header line of `columns`, then one line per row; floats round-trip exactly.
+
+    Each row is formatted by one %-template, built once per sequence of value
+    types.
+    """
+    templates = {}
+    lines = [",".join(columns)]
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = _template(row)
+        lines.append(template % row)
+    return "\n".join(lines) + "\n"
+
+
+def _table_text(fmt: str, columns, rows) -> str:
+    """A table in the selected format; rows are sequences aligned with columns."""
     if fmt == "csv":
-        text = csv_text(columns, rows)
-    else:
-        text = json.dumps(
-            {"columns": list(columns), "rows": [list(r) for r in rows]},
-            indent=1,
-        ) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    return path
+        return csv_text(columns, rows)
+    return json.dumps({"columns": list(columns), "rows": [list(r) for r in rows]}, indent=1) + "\n"
 
 
-def _write_meta(out_dir: str, command: str, cfg_source: str, fmt: str, files) -> None:
+def _meta_text(command: str, cfg_source: str, fmt: str, files) -> str:
     import time
 
     from . import __version__
@@ -92,10 +111,34 @@ def _write_meta(out_dir: str, command: str, cfg_source: str, fmt: str, files) ->
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "version": __version__,
     }
-    path = os.path.join(out_dir, f"{command}_meta.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
+    return json.dumps(meta, indent=1) + "\n"
+
+
+def _write_all(files) -> None:
+    """Write every (path, text) of `files`, or leave the directory as it was.
+
+    A path that is a directory is refused before anything is written.  Each
+    text goes to a new temporary file beside its path, and the temporaries
+    are moved into place, in order, only once all are written.  On an
+    OSError every temporary left is removed and the error is raised.
+    """
+    for path, _ in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    staged = []
+    try:
+        for path, text in files:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            with open(tmp, "x", encoding="ascii") as fh:
+                staged.append(tmp)
+                fh.write(text)
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+    except OSError:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 # -- command bodies (numerics imported lazily) ----------------------------------
@@ -209,7 +252,7 @@ def _assemble_variant(cfg, lattice, params):
 
 
 def _cmd_spectrum(cfg):
-    from .spectral import SPECTRUM_COLUMNS, solve, spectrum_rows
+    from .spectral import solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
@@ -218,15 +261,16 @@ def _cmd_spectrum(cfg):
     spectrum = solve(op, solver["count"], method=solver["method"], residual_tol=solver["residual_tol"])
     # only the ground pair is expanded to full-length vectors
     ground = spectrum.pair(0).right_vector
+    rows = [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))]
     grows = [(i, c.real, c.imag) for i, c in enumerate(ground)]
     return [
-        ("spectrum", SPECTRUM_COLUMNS, spectrum_rows(spectrum)),
+        ("spectrum", ("index", "re", "im", "residual"), rows),
         ("spectrum_ground", ("index", "re", "im"), grows),
     ], 0
 
 
 def _cmd_compare(cfg):
-    from .fock import COMPARISON_COLUMNS, mean_field_comparison
+    from .fock import mean_field_comparison
 
     lattice = cfg.lattice()
     rows = mean_field_comparison(
@@ -236,13 +280,22 @@ def _cmd_compare(cfg):
         hbar2_over_2m=cfg.hbar2_over_2m,
         n_max=cfg.compare["n_max"],
     )
-    table = [tuple(r[c] for c in COMPARISON_COLUMNS) for r in rows]
-    return [("compare", COMPARISON_COLUMNS, table)], 0
+    columns = (
+        "coupling",
+        "oracle_epp",
+        "oracle_normal_epp",
+        "condensate_epp",
+        "prediction_epp",
+        "functional_epp",
+        "abs_dev",
+        "rel_dev",
+    )
+    return [("compare", columns, [tuple(r[c] for c in columns) for r in rows])], 0
 
 
 def _cmd_perturb(cfg):
     from .operator import assemble
-    from .spectral import SERIES_COLUMNS, perturbation_series, series_rows, solve
+    from .spectral import perturbation_series, solve
 
     lattice = cfg.lattice()
     params = cfg.params(lattice)
@@ -268,8 +321,9 @@ def _cmd_perturb(cfg):
             file=sys.stderr,
         )
         failures += 1
+    srows = [(j, c.real, c.imag) for j, c in enumerate(series.orders)]
     return [
-        ("perturb_series", SERIES_COLUMNS, series_rows(series)),
+        ("perturb_series", ("order", "re", "im"), srows),
         ("perturb_scan", ("epsilon", "direct_re", "direct_im", "model_re", "model_im", "abs_dev"), drows),
     ], failures
 
@@ -349,9 +403,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigurationError(f"cannot create output directory: {exc}") from None
         tables, failures = _COMMANDS[args.command][0](cfg)
+        files = [
+            (os.path.join(out_dir, f"{name}.{fmt}"), _table_text(fmt, columns, rows))
+            for name, columns, rows in tables
+        ]
+        meta = _meta_text(args.command, cfg.source, fmt, [path for path, _ in files])
         try:
-            files = [_write_table(out_dir, name, fmt, columns, rows) for name, columns, rows in tables]
-            _write_meta(out_dir, args.command, cfg.source, fmt, files)
+            # the sidecar goes last, so it is never in place before a table it lists
+            _write_all(files + [(os.path.join(out_dir, f"{args.command}_meta.json"), meta)])
         except OSError as exc:
             raise ConfigurationError(f"cannot write to the output directory: {exc}") from None
     except ConfigurationError as exc:

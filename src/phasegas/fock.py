@@ -34,7 +34,6 @@ import numpy as np
 from scipy import sparse
 import scipy.sparse.linalg as spla
 
-from ._tables import csv_text
 from .errors import ConfigurationError, SolverError, is_integer
 from .lattice import STATE_LIMIT, ModeLattice
 from .operator import DENSE_DIM_LIMIT
@@ -53,7 +52,6 @@ class FockBasis:
     plus one scaled vector add per mode.
     """
 
-    modes: tuple
     n_particles: int
     states: tuple
     index: dict = field(repr=False)
@@ -90,18 +88,14 @@ def enumerate_basis(m_modes: int, n_particles: int, lattice: ModeLattice | None 
         raise ConfigurationError(
             f"sector dimension {count} exceeds the {STATE_LIMIT} state guard"
         )
-    if lattice is not None:
-        if lattice.num_modes != m_modes:
-            raise ConfigurationError(
-                f"lattice carries {lattice.num_modes} modes, basis asked for {m_modes}"
-            )
-        modes = lattice.modes
-    else:
-        modes = tuple(range(m_modes))
+    if lattice is not None and lattice.num_modes != m_modes:
+        raise ConfigurationError(
+            f"lattice carries {lattice.num_modes} modes, basis asked for {m_modes}"
+        )
     states = tuple(_occupations(m_modes, int(n_particles)))
     assert len(states) == count
     index = {s: i for i, s in enumerate(states)}
-    return FockBasis(modes=modes, n_particles=int(n_particles), states=states, index=index)
+    return FockBasis(n_particles=int(n_particles), states=states, index=index)
 
 
 def _shift_pairs(lattice: ModeLattice, k_mode):
@@ -201,10 +195,6 @@ class FockHamiltonian:
     matrix: sparse.csr_matrix
     basis: FockBasis
     lattice: ModeLattice
-    u_int_k: tuple
-    u0_ext: float
-    mu: float
-    hbar2_over_2m: float
     normal_order: bool
 
     @property
@@ -280,10 +270,6 @@ def build_hamiltonian(
         matrix=ham,
         basis=basis,
         lattice=lattice,
-        u_int_k=tuple(float(u) for u in u_int),
-        u0_ext=float(u0_ext),
-        mu=float(mu),
-        hbar2_over_2m=float(hbar2_over_2m),
         normal_order=bool(normal_order),
     )
 
@@ -387,7 +373,7 @@ def mean_field_comparison(
     hbar2_over_2m: float = 1.0,
     n_max: int = 2,
 ):
-    """Energy-per-particle table: oracle vs mean-field prediction vs functional side.
+    """Energy per particle, one dict per coupling: oracle vs mean field vs functional side.
 
     For each contact coupling U (the k-independent U^I_k), with U0 = mu = 0:
       - oracle_epp: exact ground E/N of the density-density Hamiltonian;
@@ -451,23 +437,6 @@ def mean_field_comparison(
             }
         )
     return rows
-
-
-COMPARISON_COLUMNS = (
-    "coupling",
-    "oracle_epp",
-    "oracle_normal_epp",
-    "condensate_epp",
-    "prediction_epp",
-    "functional_epp",
-    "abs_dev",
-    "rel_dev",
-)
-
-
-def comparison_table(rows) -> str:
-    """CSV text of mean_field_comparison rows, 17-significant-digit floats."""
-    return csv_text(COMPARISON_COLUMNS, [[row[c] for c in COMPARISON_COLUMNS] for row in rows])
 
 
 def export_hamiltonian(h: FockHamiltonian, path=None) -> str:

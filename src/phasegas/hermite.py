@@ -73,7 +73,7 @@ def coordinate_block(kinds, sigma: float, n_max: int) -> np.ndarray:
             out = out @ deriv_matrix(size)
             scale /= sigma
         else:
-            raise ValueError(f"unknown factor kind {kind!r}")
+            raise ConfigurationError(f"unknown factor kind {kind!r}")
     return scale * out[: n_max + 1, : n_max + 1]
 
 

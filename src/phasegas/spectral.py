@@ -128,7 +128,6 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from ._tables import csv_text
 from .errors import ConfigurationError, SolverError, is_integer
 from .hermite import HermiteBasis
 from .operator import DENSE_DIM_LIMIT, OperatorMatrix, assemble
@@ -1118,26 +1117,3 @@ def multiset_match_error(a, b) -> float:
     rows, cols = _min_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
-
-SPECTRUM_COLUMNS = ("index", "re", "im", "residual")
-SERIES_COLUMNS = ("order", "re", "im")
-
-
-def spectrum_rows(spectrum: Spectrum) -> list:
-    """Rows (index, re, im, residual) of a Spectrum's values, one per value, ground first."""
-    return [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))]
-
-
-def series_rows(series: PerturbationSeries) -> list:
-    """Rows (order, re, im) of the expansion coefficients."""
-    return [(j, c.real, c.imag) for j, c in enumerate(series.orders)]
-
-
-def spectrum_table(spectrum: Spectrum) -> str:
-    """CSV text of `spectrum_rows`, 17-significant-digit floats."""
-    return csv_text(SPECTRUM_COLUMNS, spectrum_rows(spectrum))
-
-
-def series_table(series: PerturbationSeries) -> str:
-    """CSV text of `series_rows`, 17-significant-digit floats."""
-    return csv_text(SERIES_COLUMNS, series_rows(series))

@@ -1,5 +1,6 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -257,6 +258,11 @@ def test_failed_numerical_check_is_exit_one(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "overlaps"]) == 1
     lines = (out / "overlaps.csv").read_text().strip().splitlines()
     assert any(line.endswith("FAIL") for line in lines[1:])
+    # an overlap past exp(709) is a range failure: exit 1, and no table
+    cfg = _write_config(tmp_path, name="wide.json", params={"r": 1000.0})
+    out = tmp_path / "ov2"
+    assert main(["--config", cfg, "--out", str(out), "overlaps"]) == 1
+    assert os.listdir(out) == []
 
 
 def test_unexpected_exception_is_exit_four(tmp_path, monkeypatch, capsys):
@@ -310,6 +316,44 @@ def test_arpack_failure_is_exit_three(tmp_path, monkeypatch, capsys):
     assert main(["--config", cfg, "--out", str(out), "spectrum"]) == 3
     assert "iterative eigensolver failed" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+def _listing(directory):
+    """Every entry of a directory: a file's bytes, or None for a subdirectory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in directory.iterdir()}
+
+
+def test_a_directory_at_a_table_path_leaves_the_output_directory_as_it_was(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "sp"
+    (out / "spectrum_ground.csv").mkdir(parents=True)
+    (out / "spectrum.csv").write_text("an earlier run\n")
+    before = _listing(out)
+    assert main(["--config", cfg, "--out", str(out), "spectrum"]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert _listing(out) == before
+    assert os.listdir(out / "spectrum_ground.csv") == []
+
+
+def test_an_oserror_on_the_second_write_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch, capsys):
+    opened = []
+
+    def fails_the_second(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 2:
+            raise OSError(errno.ENOSPC, "forced write failure", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fails_the_second, raising=False)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "sp"
+    out.mkdir()
+    (out / "spectrum.csv").write_text("an earlier run\n")
+    before = _listing(out)
+    assert main(["--config", cfg, "--out", str(out), "spectrum"]) == 2
+    assert "forced write failure" in capsys.readouterr().err
+    assert len(opened) == 2
+    assert _listing(out) == before
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -430,6 +474,15 @@ def test_invalid_config_is_exit_two(tmp_path, capsys):
     bad.write_text(json.dumps({"schema_version": 1, "solver": {"method": "qr"}}))
     assert main(["--config", str(bad), "spectrum"]) == 2
     assert "solver.method" in capsys.readouterr().err
+    for data, message in [
+        ({"schema_version": 1, "output": {"dir": 3}}, "output.dir must be a string"),
+        ({"schema_version": 1, "solver": ["dense"]}, "section solver must be an object"),
+        ({"schema_version": 1, "scan": {"eps_grid": 0.1}}, "scan.eps_grid must be a non-empty list"),
+        ([1], "top level must be a JSON object"),
+    ]:
+        bad.write_text(json.dumps(data))
+        assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "scan"]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overlaps", [{"seed": -1}, {"n_fields": 1}])
@@ -538,41 +591,6 @@ def test_scan_and_perturb_assemble_once_and_compare_never_builds_l1(tmp_path, mo
         # L0 and L1 once per run, whatever the length of the epsilon grid;
         # compare reads only L(0), once per coupling
         assert len(calls) == expected, command
-
-
-def test_table_functions_equal_the_cli_csv_files(tmp_path):
-    from phasegas.fock import COMPARISON_COLUMNS, comparison_table, mean_field_comparison
-    from phasegas.hermite import HermiteBasis
-    from phasegas.lattice import ModeLattice
-    from phasegas.operator import assemble
-    from phasegas.params import ModelParams
-    from phasegas.spectral import perturbation_series, series_table, solve, spectrum_table
-
-    lat = ModeLattice(d=1, m_per_dim=5)
-    affine = assemble(ModelParams(gamma=0.5, n_particles=2), HermiteBasis(lat, 0.5, 2))
-    spectrum = solve(affine.at(0.3))
-    series = perturbation_series(affine.at(0.0), affine.l1, 3)
-    comparison = mean_field_comparison(lat, 2, [0.5, 0.05])
-    cases = [
-        (
-            spectrum_table(spectrum),
-            ("index", "re", "im", "residual"),
-            [(i, v.real, v.imag, r) for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals))],
-        ),
-        (
-            series_table(series),
-            ("order", "re", "im"),
-            [(j, c.real, c.imag) for j, c in enumerate(series.orders)],
-        ),
-        (
-            comparison_table(comparison),
-            COMPARISON_COLUMNS,
-            [tuple(r[c] for c in COMPARISON_COLUMNS) for r in comparison],
-        ),
-    ]
-    for n, (text, columns, rows) in enumerate(cases):
-        path = cli._write_table(str(tmp_path), f"table{n}", "csv", columns, rows)
-        assert Path(path).read_text() == text
 
 
 def test_spectrum_expands_only_the_ground_pair(tmp_path):

@@ -16,7 +16,6 @@ from phasegas.fock import (
     FockBasis,
     FockHamiltonian,
     build_hamiltonian,
-    comparison_table,
     condensate_expectation,
     enumerate_basis,
     export_basis,
@@ -365,7 +364,7 @@ def _block_hamiltonians(draw):
         for n, x in enumerate(blocks):
             pos = np.flatnonzero(labels == n)
             dense[np.ix_(pos, pos)] = x
-        return FockHamiltonian(sparse.csr_matrix(dense), None, None, (), 0.0, 0.0, 1.0, False)
+        return FockHamiltonian(sparse.csr_matrix(dense), None, None, False)
 
     labels = rng.permutation(np.repeat(np.arange(len(blocks)), [x.shape[0] for x in blocks]))
     h = assemble(blocks, labels)
@@ -388,7 +387,7 @@ def test_ground_pair_equals_the_all_blocks_loop(h):
 
 def test_ground_pair_rejects_non_finite_entries():
     matrix = sparse.csr_matrix(np.array([[1.0, np.inf], [np.inf, 0.0]], dtype=complex))
-    h = FockHamiltonian(matrix, None, None, (), 0.0, 0.0, 1.0, False)
+    h = FockHamiltonian(matrix, None, None, False)
     with pytest.raises(SolverError, match="non-finite"):
         ground_pair(h)
 
@@ -468,13 +467,36 @@ def test_mean_field_comparison_refuses_a_count_that_is_not_an_integer():
             mean_field_comparison(_lat(), n, (0.5,))
 
 
+def test_mean_field_comparison_refuses_a_coupling_that_is_not_positive():
+    for u in (0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="couplings must be positive"):
+            mean_field_comparison(_lat(), 2, (0.5, u))
+
+
+def test_build_hamiltonian_refuses_a_zero_kinetic_scale_and_a_foreign_basis():
+    lat = _lat()
+    basis = enumerate_basis(lat.num_modes, 2, lat)
+    with pytest.raises(ConfigurationError, match="hbar2_over_2m must be positive"):
+        build_hamiltonian(lat, 0.5, 0.0, 0.0, basis, hbar2_over_2m=0.0)
+    with pytest.raises(ConfigurationError, match="basis width does not match"):
+        build_hamiltonian(_lat(5), 0.5, 0.0, 0.0, basis)
+
+
 def test_mean_field_comparison_rows():
     lat = _lat()
     rows = mean_field_comparison(lat, 3, (0.5, 0.05))
     assert len(rows) == 2
     for row in rows:
-        for col in fock.COMPARISON_COLUMNS:
-            assert col in row
+        assert list(row) == [
+            "coupling",
+            "oracle_epp",
+            "oracle_normal_epp",
+            "condensate_epp",
+            "prediction_epp",
+            "functional_epp",
+            "abs_dev",
+            "rel_dev",
+        ]
         assert row["prediction_epp"] == pytest.approx(
             row["coupling"] * 3 / lat.volume, rel=1e-15
         )
@@ -484,10 +506,6 @@ def test_mean_field_comparison_rows():
         assert row["abs_dev"] == pytest.approx(
             abs(row["oracle_epp"] - row["prediction_epp"]), rel=1e-12
         )
-    text = comparison_table(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == ",".join(fock.COMPARISON_COLUMNS)
-    assert len(lines) == 3
 
 
 def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):

@@ -148,6 +148,12 @@ def test_basis_blocks_are_cached_copies_consistent():
     assert np.array_equal(b1, b2)
 
 
+def test_block_refuses_an_unknown_factor_kind():
+    basis = HermiteBasis(ModeLattice(d=1, box_len=TAU, m_per_dim=3), 0.5, 2)
+    with pytest.raises(ConfigurationError, match="unknown factor kind 'foo'"):
+        basis.block(0, ("foo",))
+
+
 def test_basis_rejects_scales_that_are_not_finite_and_positive():
     # k^2 underflows to 0 on a huge box (sigma = inf), and gamma / 2 to 0 for
     # the smallest subnormal gamma (sigma = 0)

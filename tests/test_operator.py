@@ -392,6 +392,17 @@ def test_conjugate_params_give_the_conjugate_operator():
         assert solve(plus).shares_form(minus)
 
 
+def test_model_params_refuse_bad_values():
+    with pytest.raises(ConfigurationError, match="kappa must be positive"):
+        ModelParams(gamma=0.5, n_particles=2, kappa=0.0)
+    with pytest.raises(ConfigurationError, match="epsilon must be finite"):
+        ModelParams(gamma=0.5, n_particles=2, epsilon=math.nan)
+    # u_0 shifts the real sector constant, so an imaginary one is refused when read
+    par = ModelParams(gamma=0.5, n_particles=2, u_k=(0.3j, 0.0, 0.0))
+    with pytest.raises(ConfigurationError, match="u_0 must be real"):
+        par.ebar_n
+
+
 def test_l1_bit_identical_to_the_unit_strength_drift():
     for d, m, n_max in ((1, 3, 3), (1, 5, 3), (1, 7, 2), (2, 3, 2)):
         lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
@@ -735,6 +746,13 @@ def test_triplet_malformed_entry_rejected():
 def test_triplet_missing_path_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="neither export text nor a readable file"):
         load_triplets(str(tmp_path / "absent.txt"))
+
+
+def test_triplet_readable_file_that_is_not_an_export_rejected(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("row col re im\n0 0 1.0 0.0\n")
+    with pytest.raises(ConfigurationError, match="not a phasegas triplet export"):
+        load_triplets(path)
 
 
 def _edit_header(text, key, value):

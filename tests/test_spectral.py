@@ -1,6 +1,7 @@
 """Spectra, bi-orthogonal eigenpairs, perturbation recursion, calibration."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ import scipy.optimize
 from scipy import sparse
 
 import phasegas.spectral as spectral
+from phasegas.cli import csv_text, main
 from phasegas.errors import ConfigurationError, SolverError, TruncationWarning
 from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
@@ -40,9 +42,7 @@ from phasegas.spectral import (
     energy_from_eigenvalue,
     multiset_match_error,
     perturbation_series,
-    series_table,
     solve,
-    spectrum_table,
 )
 
 SEED = 13
@@ -141,6 +141,18 @@ def test_a_bool_is_not_a_count_or_an_order():
         perturbation_series(op0, op1, True)
     assert solve(op0, np.int64(2)).values.size == 2
     assert len(perturbation_series(op0, op1, np.int32(1)).orders) == 2
+
+
+def test_solve_and_series_refuse_bad_requests():
+    lat, par, bas = _setup()
+    op = assemble(par, bas).at(0.0)
+    with pytest.raises(ConfigurationError, match="requires an explicit count"):
+        solve(op, method="arpack")
+    with pytest.raises(ConfigurationError, match="unknown eigensolver method 'foo'"):
+        solve(op, 1, method="foo")
+    other = assemble(par, HermiteBasis(lat, par.gamma, 1)).at(0.0)
+    with pytest.raises(ConfigurationError, match="operator dimensions differ"):
+        perturbation_series(op, other, 2)
 
 
 def test_arpack_agrees_with_dense_on_separated_spectrum():
@@ -411,7 +423,7 @@ def test_series_evaluate_and_tables():
     assert abs(series.orders[1]) <= 1e-14
     assert abs(series.orders[2] - 0.5) <= 1e-12
     assert abs(series.evaluate(0.1) - (0.0 + 0.01 * 0.5)) <= 1e-13
-    text = series_table(series)
+    text = csv_text(("order", "re", "im"), [(j, c.real, c.imag) for j, c in enumerate(series.orders)])
     lines = text.strip().splitlines()
     assert lines[0] == "order,re,im"
     assert len(lines) == 4
@@ -496,15 +508,23 @@ def test_energy_conversion():
     assert energy_from_eigenvalue(complex(-3.0, 0.25)) == complex(3.0, -0.25)
 
 
-def test_spectrum_table_round_trip():
+def test_spectrum_table_round_trip(tmp_path):
+    # the CLI's spectrum.csv reloads to the solved values and residuals bit for bit
     lat, par, bas = _setup(n_max=1)
     sp = solve(assemble(par, bas).at(0.0), 4)
-    text = spectrum_table(sp)
-    lines = text.strip().splitlines()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "lattice": {"m_per_dim": 5},
+        "params": {"gamma": 0.5, "n_particles": 2, "epsilon": 0.0},
+        "basis": {"n_max": 1},
+        "solver": {"count": 4},
+    }))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "index,re,im,residual"
-    row = lines[1].split(",")
-    assert float(row[1]) == sp.values[0].real
-    assert len(lines) == 5
+    rows = [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
+    assert rows == [[v.real, v.imag, r] for v, r in zip(sp.values, sp.residuals)]
 
 
 def test_multiset_match_error_behaviour():

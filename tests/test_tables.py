@@ -6,7 +6,7 @@ import sys
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from phasegas._tables import csv_text
+from phasegas.cli import csv_text
 
 
 def _per_value(columns, rows) -> str:
