@@ -29,6 +29,7 @@ import contextlib
 import errno
 import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -144,9 +145,12 @@ def _write_all(files) -> None:
 # -- command bodies (numerics imported lazily) ----------------------------------
 
 
-def _cmd_overlaps(cfg):
-    import math
+def _worst(*errors):
+    """The largest error, or NaN if any is NaN: max() keeps its first argument against a NaN."""
+    return math.nan if any(e != e for e in errors) else max(errors)
 
+
+def _cmd_overlaps(cfg):
     import numpy as np
 
     from . import coherent
@@ -186,14 +190,14 @@ def _cmd_overlaps(cfg):
         g_ker = coherent.phase_kernel_exponent(a, b)
         v = coherent.overlap(a, b).value
         ref = np.exp(g_amp)
-        err = max(err, abs(v - ref) / abs(ref), abs(np.exp(g_ker) - ref) / abs(ref))
+        err = _worst(err, abs(v - ref) / abs(ref), abs(np.exp(g_ker) - ref) / abs(ref))
     checks.append(("overlap_vs_kernel", err, 1e-12))
 
     err = 0.0
     for a, b in zip(fields, fields[1:]):
         v = coherent.overlap(a, b).value
         w = coherent.overlap(b, a).value
-        err = max(err, abs(v - np.conj(w)) / abs(v))
+        err = _worst(err, abs(v - np.conj(w)) / abs(v))
     checks.append(("hermitian_symmetry", err, 1e-14))
 
     err = 0.0
@@ -201,7 +205,7 @@ def _cmd_overlaps(cfg):
         for n in range(ov["n_project"] + 1):
             quad = coherent.number_overlap_quadrature(a, b, n, ov["mq"])
             closed = coherent.number_overlap_closed(a, b, n)
-            err = max(err, abs(quad - closed))
+            err = _worst(err, abs(quad - closed))
     checks.append(("projection_quadrature_vs_closed", err, 1e-12))
 
     err = 0.0
@@ -210,13 +214,13 @@ def _cmd_overlaps(cfg):
         for n_ket in range(4):
             if n_bra == n_ket:
                 continue
-            err = max(err, abs(coherent.cross_sector_quadrature(a, b, n_bra, n_ket, ov["mq"])))
+            err = _worst(err, abs(coherent.cross_sector_quadrature(a, b, n_bra, n_ket, ov["mq"])))
     checks.append(("cross_sector_orthogonality", err, 1e-12))
 
     gram = coherent.kernel_gram(proj_fields)
     eig = np.linalg.eigvalsh(gram)
     norm = np.linalg.norm(gram, 2)
-    err = max(0.0, -float(eig[0])) / norm
+    err = _worst(0.0, -float(eig[0])) / norm
     checks.append(("gram_positivity", err, 1e-10))
 
     vac = coherent.CoherentField(lattice, 0.0, np.zeros(grid))

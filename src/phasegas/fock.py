@@ -18,6 +18,9 @@ The bridge to the mode-operator side is gamma_k = U^I_k / (hbar2_over_2m * V)
 and u_0 = (U0 - mu) / hbar2_over_2m; operator eigenvalues lam convert back to
 energies through E = hbar2_over_2m * (-lam).
 
+A `FockBasis` holds its lattice and one occupation array whose row 0 is the
+condensate, so the functions on a sector take the basis alone.
+
 The interaction conserves total momentum, so H splits into exact blocks
 (`spectral.connected_blocks`), each diagonalized densely by `eigh` up to
 `operator.DENSE_DIM_LIMIT` states.  `ground_pair` solves only the blocks
@@ -42,24 +45,29 @@ from .spectral import _diagonal_block, connected_blocks
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation-number basis of one fixed-N sector, descending-lex ordered.
+    """Occupation-number basis of the N-particle sector of one mode lattice.
+
+    `occupations` is one read-only (dim, modes) int64 array: row i holds the
+    occupation of every lattice mode, in lattice order, in state i.  Rows are
+    in descending lexicographic order and the lattice lists its zero mode
+    first, so row 0 is always the condensate (N, 0, ..., 0).
 
     `build_hamiltonian` keeps the coupling-independent interaction terms
     n~_k n~_{-k} (normal-ordered: minus their diagonal) in `_pair_terms`,
-    keyed by (lattice, normal_order): one union pattern of the diagonal and
-    every term, and each term's data aligned to it (`_interaction_terms`).
-    So Hamiltonians on one basis share them, and a build is the diagonal
-    plus one scaled vector add per mode.
+    keyed by normal_order: one union pattern of the diagonal and every term,
+    and each term's data aligned to it (`_interaction_terms`).  So
+    Hamiltonians on one basis share them, and a build is the diagonal plus
+    one scaled vector add per mode.
     """
 
+    lattice: ModeLattice
     n_particles: int
-    states: tuple
-    index: dict = field(repr=False)
+    occupations: np.ndarray = field(repr=False)
     _pair_terms: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occupations.shape[0]
 
 
 def _occupations(m: int, n: int):
@@ -71,31 +79,21 @@ def _occupations(m: int, n: int):
             yield (first,) + rest
 
 
-def enumerate_basis(m_modes: int, n_particles: int, lattice: ModeLattice | None = None) -> FockBasis:
-    """All occupation vectors of N particles over m_modes modes.
-
-    Ordering is descending lexicographic, so the condensate state
-    (N, 0, ..., 0) sits at index 0 when the zero mode is listed first.
-    """
-    if not is_integer(m_modes) or m_modes < 1:
-        raise ConfigurationError(f"m_modes must be a positive integer, got {m_modes}")
+def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
+    """All occupations of N particles over the lattice's modes, descending-lex ordered."""
     if not is_integer(n_particles) or n_particles < 0:
         raise ConfigurationError(
             f"n_particles must be a non-negative integer, got {n_particles}"
         )
-    count = math.comb(n_particles + m_modes - 1, m_modes - 1)
+    m_modes, n = lattice.num_modes, int(n_particles)
+    count = math.comb(n + m_modes - 1, m_modes - 1)
     if count > STATE_LIMIT:
         raise ConfigurationError(
             f"sector dimension {count} exceeds the {STATE_LIMIT} state guard"
         )
-    if lattice is not None and lattice.num_modes != m_modes:
-        raise ConfigurationError(
-            f"lattice carries {lattice.num_modes} modes, basis asked for {m_modes}"
-        )
-    states = tuple(_occupations(m_modes, int(n_particles)))
-    assert len(states) == count
-    index = {s: i for i, s in enumerate(states)}
-    return FockBasis(n_particles=int(n_particles), states=states, index=index)
+    occupations = np.array(list(_occupations(m_modes, n)), dtype=np.int64)
+    occupations.flags.writeable = False
+    return FockBasis(lattice, n, occupations)
 
 
 def _shift_pairs(lattice: ModeLattice, k_mode):
@@ -109,7 +107,7 @@ def _shift_pairs(lattice: ModeLattice, k_mode):
     return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
 
 
-def shift_operator(basis: FockBasis, lattice: ModeLattice, k_mode) -> sparse.csr_matrix:
+def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
     """Matrix of n~_k = sum_q a+_q a_{q+k}, sharp-cutoff, in the given basis.
 
     Diagonal (q = q+k) contributions use the integer occupation directly so
@@ -117,10 +115,8 @@ def shift_operator(basis: FockBasis, lattice: ModeLattice, k_mode) -> sparse.csr
     binary search over the occupation rows viewed as opaque byte strings.
     """
     k_mode = tuple(int(c) for c in k_mode)
-    if len(basis.states[0]) != lattice.num_modes:
-        raise ConfigurationError("basis width does not match the lattice mode count")
-    occ = np.array(basis.states, dtype=np.int64)
-    src, dst = _shift_pairs(lattice, k_mode)
+    occ = basis.occupations
+    src, dst = _shift_pairs(basis.lattice, k_mode)
     if not any(k_mode):
         # diagonal: the integer particle count, stored only where it is nonzero
         count = occ[:, src].sum(axis=1)
@@ -148,13 +144,13 @@ def shift_operator(basis: FockBasis, lattice: ModeLattice, k_mode) -> sparse.csr
     return mat
 
 
-def _pair_density_diagonal(basis: FockBasis, lattice: ModeLattice, k_mode) -> np.ndarray:
+def _pair_density_diagonal(basis: FockBasis, k_mode) -> np.ndarray:
     """Diagonal of sum_{q in S_k} n_q with S_k = {q : q and q+k on the lattice}."""
-    src, _ = _shift_pairs(lattice, k_mode)
-    return np.array(basis.states, dtype=np.int64)[:, src].sum(axis=1).astype(float)
+    src, _ = _shift_pairs(basis.lattice, k_mode)
+    return basis.occupations[:, src].sum(axis=1).astype(float)
 
 
-def _interaction_terms(basis: FockBasis, lattice: ModeLattice, normal_order: bool):
+def _interaction_terms(basis: FockBasis, normal_order: bool):
     """(indptr, indices, diagonal slots, aligned data) of the n~_k n~_{-k} of one convention.
 
     The pattern (indptr, indices) is the union, rows and columns sorted, of
@@ -162,16 +158,16 @@ def _interaction_terms(basis: FockBasis, lattice: ModeLattice, normal_order: boo
     entries of the term of mode i at their slots of that pattern and 0
     elsewhere; normal-ordered, the diagonal of `_pair_density_diagonal` is
     subtracted at the diagonal slots.  Both conventions are cached on the
-    basis per lattice at the first request, from one n~_k per mode; they
-    share the pattern and the products.
+    basis at the first request, from one n~_k per mode; they share the
+    pattern and the products.
     """
-    if (lattice, normal_order) not in basis._pair_terms:
-        dim = basis.dim
-        shifts = {mode: shift_operator(basis, lattice, mode) for mode in lattice.modes}
+    if normal_order not in basis._pair_terms:
+        dim, modes = basis.dim, basis.lattice.modes
+        shifts = {mode: shift_operator(basis, mode) for mode in modes}
         # entries as row-major keys row * dim + col, so the sorted union is the
         # sorted CSR pattern and each term's slots are one binary search
         terms = []
-        for mode in lattice.modes:
+        for mode in modes:
             coo = (shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo()
             terms.append((coo.row.astype(np.int64) * dim + coo.col, coo.data))
         diag_keys = np.arange(dim, dtype=np.int64) * (dim + 1)
@@ -181,20 +177,18 @@ def _interaction_terms(basis: FockBasis, lattice: ModeLattice, normal_order: boo
         for row, (keys, data) in zip(plain, terms):
             row[np.searchsorted(union, keys)] = data
         normal = plain.copy()
-        for row, mode in zip(normal, lattice.modes):
-            row[diag_slots] -= _pair_density_diagonal(basis, lattice, mode)
+        for row, mode in zip(normal, modes):
+            row[diag_slots] -= _pair_density_diagonal(basis, mode)
         rows, indices = np.divmod(union, dim)
         indptr = np.searchsorted(rows, np.arange(dim + 1))
         for convention, aligned in ((False, plain), (True, normal)):
-            basis._pair_terms[lattice, convention] = (indptr, indices, diag_slots, aligned)
-    return basis._pair_terms[lattice, normal_order]
+            basis._pair_terms[convention] = (indptr, indices, diag_slots, aligned)
+    return basis._pair_terms[normal_order]
 
 
 @dataclass(frozen=True, eq=False)
 class FockHamiltonian:
     matrix: sparse.csr_matrix
-    basis: FockBasis
-    lattice: ModeLattice
     normal_order: bool
 
     @property
@@ -203,16 +197,16 @@ class FockHamiltonian:
 
 
 def build_hamiltonian(
-    lattice: ModeLattice,
+    basis: FockBasis,
     u_int_k,
     u0_ext: float,
     mu: float,
-    basis: FockBasis,
     *,
     hbar2_over_2m: float = 1.0,
     normal_order: bool = False,
 ) -> FockHamiltonian:
     """Assemble the sector Hamiltonian; see the module docstring for the form."""
+    lattice = basis.lattice
     u_int = np.atleast_1d(np.asarray(u_int_k, dtype=float))
     if u_int.shape == (1,) and lattice.num_modes > 1:
         u_int = np.full(lattice.num_modes, u_int[0])
@@ -229,18 +223,15 @@ def build_hamiltonian(
             raise ConfigurationError(
                 "u_int_k must be conjugate-symmetric (even) across k -> -k"
             )
-    if len(basis.states[0]) != lattice.num_modes:
-        raise ConfigurationError("basis width does not match the lattice mode count")
-    if not (hbar2_over_2m > 0.0):
-        raise ConfigurationError(f"hbar2_over_2m must be positive, got {hbar2_over_2m}")
+    if not (0.0 < hbar2_over_2m < math.inf):
+        raise ConfigurationError(f"hbar2_over_2m must be positive and finite, got {hbar2_over_2m}")
 
     dim = basis.dim
     k2 = np.array([lattice.k_squared(m) for m in lattice.modes])
-    occ_arr = np.array(basis.states, dtype=float)
-    kinetic = hbar2_over_2m * (occ_arr @ k2)
+    kinetic = hbar2_over_2m * (basis.occupations.astype(float) @ k2)
     diag = kinetic + (u0_ext - mu) * float(basis.n_particles)
 
-    indptr, indices, diag_slots, aligned = _interaction_terms(basis, lattice, normal_order)
+    indptr, indices, diag_slots, aligned = _interaction_terms(basis, normal_order)
     # every entry is summed as a chain of scipy sparse adds would sum it, the
     # diagonal first and then one scaled term per mode in mode order, and an
     # entry that comes out exactly 0 is dropped as such an add drops it; with
@@ -251,6 +242,12 @@ def build_hamiltonian(
     active = np.flatnonzero(u_int != 0.0)
     for i in active:
         acc += (u_int[i] * inv_v) * aligned[i]
+    if not np.isfinite(acc).all():
+        # an input error (a non-finite u0_ext or mu, or an overflow), which
+        # ground_pair would report as a failed solve
+        raise ConfigurationError(
+            f"non-finite Hamiltonian entry from u_int_k, u0_ext={u0_ext} or mu={mu}"
+        )
     if active.size:
         keep = acc != 0.0
     else:
@@ -266,12 +263,7 @@ def build_hamiltonian(
         raise SolverError(
             f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}"
         )
-    return FockHamiltonian(
-        matrix=ham,
-        basis=basis,
-        lattice=lattice,
-        normal_order=bool(normal_order),
-    )
+    return FockHamiltonian(matrix=ham, normal_order=bool(normal_order))
 
 
 def ground_pair(h: FockHamiltonian):
@@ -350,19 +342,13 @@ def ground_pair(h: FockHamiltonian):
 
 
 def condensate_expectation(h: FockHamiltonian) -> float:
-    """<c|H|c> for the condensate state (all N particles in the zero mode)."""
-    occ = [0] * len(h.lattice.modes)
-    occ[h.lattice.index((0,) * h.lattice.d)] = h.basis.n_particles
-    ci = h.basis.index[tuple(occ)]
-    val = h.matrix[ci, ci]
-    return float(np.real(val))
+    """<c|H|c> for the condensate state (all N particles in the zero mode): state 0."""
+    return float(np.real(h.matrix[0, 0]))
 
 
-def state_momentum(basis: FockBasis, lattice: ModeLattice) -> np.ndarray:
+def state_momentum(basis: FockBasis) -> np.ndarray:
     """Total integer momentum (mode-unit vector) of every basis state."""
-    modes = np.array(lattice.modes, dtype=int)
-    occ = np.array(basis.states, dtype=int)
-    return occ @ modes
+    return basis.occupations @ np.array(basis.lattice.modes, dtype=int)
 
 
 def mean_field_comparison(
@@ -399,17 +385,17 @@ def mean_field_comparison(
         raise ConfigurationError(f"comparison needs an integer n_particles >= 1, got {n_particles!r}")
     n = int(n_particles)
     vol = lattice.volume
-    basis = enumerate_basis(lattice.num_modes, n, lattice)
+    basis = enumerate_basis(lattice, n)
     rows = []
     for u_val in coupling_scan:
         u_val = float(u_val)
         if not (u_val > 0.0):
             raise ConfigurationError(f"couplings must be positive, got {u_val}")
         u_arr = np.full(lattice.num_modes, u_val)
-        ham = build_hamiltonian(lattice, u_arr, 0.0, 0.0, basis, hbar2_over_2m=hbar2_over_2m)
+        ham = build_hamiltonian(basis, u_arr, 0.0, 0.0, hbar2_over_2m=hbar2_over_2m)
         oracle_epp = ground_pair(ham)[0] / n
         ham_no = build_hamiltonian(
-            lattice, u_arr, 0.0, 0.0, basis, hbar2_over_2m=hbar2_over_2m, normal_order=True
+            basis, u_arr, 0.0, 0.0, hbar2_over_2m=hbar2_over_2m, normal_order=True
         )
         oracle_normal_epp = ground_pair(ham_no)[0] / n
         condensate_epp = condensate_expectation(ham) / n
@@ -460,7 +446,7 @@ def export_basis(basis: FockBasis, path=None) -> str:
         f"# n_particles: {basis.n_particles}",
         f"# dim: {basis.dim}",
     ]
-    for i, occ in enumerate(basis.states):
+    for i, occ in enumerate(basis.occupations):
         lines.append(f"{i} " + " ".join(str(x) for x in occ))
     text = "\n".join(lines) + "\n"
     if path is not None:

@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigurationError, TruncationWarning
+from .errors import ConfigurationError, TruncationWarning, is_integer
 from .hermite import HermiteBasis
 from .lattice import ModeLattice
 from .params import ModelParams
@@ -191,6 +191,16 @@ def _prune(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     return matrix
 
 
+def _check_basis_dims(basis_dims, dim) -> None:
+    """Refuse a dim below 1, or basis_dims that are not positive integers multiplying to dim."""
+    positive = all(is_integer(s) and s >= 1 for s in basis_dims)
+    if not (dim >= 1 and positive and math.prod(basis_dims) == dim):
+        raise ConfigurationError(
+            f"dim {dim} must be >= 1 and the product of basis_dims {tuple(basis_dims)}, "
+            "each a positive integer"
+        )
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Assembled operator: sparse differential part plus a separate scalar offset.
@@ -198,10 +208,12 @@ class OperatorMatrix:
     The full action on a coefficient vector v is matrix @ v + offset * v;
     the offset (-ebar_n) is kept out of the matrix so exports and pruning
     never touch it.  The matrix must be a square scipy sparse matrix of
-    dimension >= 1, and every stored entry and the offset finite, else
+    dimension >= 1, `basis_dims` positive integers whose product is that
+    dimension, and every stored entry and the offset finite, else
     ConfigurationError: a NaN offset, or a NaN on a 1x1 block (whose value
     is read off the diagonal with residual 0), would pass every residual
-    check of the solvers.
+    check of the solvers.  So the solvers read the real form, the weight
+    and the translation off `basis_dims` without checking it again.
     """
 
     matrix: sparse.csr_matrix
@@ -216,6 +228,7 @@ class OperatorMatrix:
                 "operator matrix must be a square scipy sparse matrix of dimension >= 1, "
                 f"got {type(m).__name__} of shape {getattr(m, 'shape', None)}"
             )
+        _check_basis_dims(self.basis_dims, m.shape[0])
         if not (np.isfinite(self.offset) and np.isfinite(m.tocsr().data).all()):
             raise ConfigurationError("operator holds a non-finite offset or entry")
 
@@ -562,9 +575,10 @@ def load_triplets(source) -> OperatorMatrix:
 
     A string that starts with the export header is the text itself; anything
     else is a path.  Unreadable paths and malformed exports raise
-    ConfigurationError: among them a dim below 1 or too large to allocate,
-    basis_dims that do not multiply to dim, and (through OperatorMatrix) a
-    non-finite offset or entry.
+    ConfigurationError: among them a missing basis_dims, dim or offset line,
+    a dim below 1 or too large to allocate, basis_dims that do not multiply
+    to dim (refused before anything is allocated), and (through
+    OperatorMatrix) a non-finite offset or entry.
     """
     if isinstance(source, str) and source.lstrip().startswith(_TRIPLET_HEADER):
         text = source
@@ -596,20 +610,16 @@ def load_triplets(source) -> OperatorMatrix:
         rows.append(row)
         cols.append(col)
         vals.append(val)
-    for key in ("dim", "offset"):
+    for key in ("basis_dims", "dim", "offset"):
         if key not in meta:
             raise ConfigurationError(f"triplet export has no '# {key}:' header line")
     try:
-        dims = tuple(int(s) for s in meta.get("basis_dims", "").split())
+        dims = tuple(int(s) for s in meta["basis_dims"].split())
         dim = int(meta["dim"])
         offset = float(meta["offset"])
     except ValueError as exc:
         raise ConfigurationError(f"invalid triplet export: {exc}") from exc
-    mismatch = "basis_dims" in meta and (min(dims, default=0) < 1 or math.prod(dims) != dim)
-    if dim < 1 or mismatch:
-        raise ConfigurationError(
-            f"triplet export dim {dim} must be >= 1 and the product of basis_dims {dims}"
-        )
+    _check_basis_dims(dims, dim)
     values = np.array(vals, dtype=complex)
     try:
         matrix = sparse.csr_matrix(

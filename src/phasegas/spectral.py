@@ -230,12 +230,10 @@ def _real_form(matrix: sparse.csr_matrix, basis_dims):
     over the stored entries at every call.  When the first stored entry with
     an odd degree difference comes out negative, conj(S) is used instead,
     which negates every odd entry; so L(epsilon) and its conjugate
-    L(-epsilon) have the same real form bit for bit.  A dimension that does
-    not match `basis_dims`, or any nonzero imaginary part, leaves L as it is.
+    L(-epsilon) have the same real form bit for bit.  Any nonzero imaginary
+    part leaves L as it is.
     """
     dim = matrix.shape[0]
-    if int(np.prod(basis_dims)) != dim:
-        return matrix, None
     deg = hermite_degrees(basis_dims)
     rows = np.repeat(np.arange(dim), np.diff(matrix.indptr))
     turn = (deg[matrix.indices] - deg[rows]) & 3
@@ -290,12 +288,9 @@ def _weight_balance(matrix: sparse.csr_matrix, basis_dims):
     an entry whose transpose position holds none certifies nothing, however
     small (a sparse difference would hold it to the bound against 0).
     `matrix` must be canonical CSR (sorted indices, no duplicates), as
-    `solve` holds it.  A weight that does not match the dimension or
-    overflows certifies nothing.
+    `solve` holds it.  A weight that overflows certifies nothing.
     """
     dim = matrix.shape[0]
-    if int(np.prod(basis_dims)) != dim:
-        return None
     weight = symmetry_weight(basis_dims)
     if not np.iscomplexobj(matrix):
         weight = np.where(hermite_degrees(basis_dims) % 2 == 0, weight, -weight)
@@ -846,8 +841,7 @@ def solve(
                 )
                 sub = (balanced, balance[1][blocks[n]], balance[2][blocks[n]])
             parts[n] = (block, sub)
-        dims = op.basis_dims
-        translation = quarter_translation(dims) if int(np.prod(dims)) == dim else None
+        translation = quarter_translation(op.basis_dims)
         partners = _translation_partners(blocks, parts, position, translation)
         if count is not None and balance is not None and np.isrealobj(balance[0].data):
             for n in multi:
@@ -937,8 +931,8 @@ def energy_from_eigenvalue(e, *, hbar2_over_2m: float = 1.0):
     The ground state carries the largest operator eigenvalue, so energies come
     out lowest-first under this sign convention.
     """
-    if not (hbar2_over_2m > 0.0):
-        raise ConfigurationError(f"hbar2_over_2m must be positive, got {hbar2_over_2m}")
+    if not (0.0 < hbar2_over_2m < np.inf):
+        raise ConfigurationError(f"hbar2_over_2m must be positive and finite, got {hbar2_over_2m}")
     return -hbar2_over_2m * e
 
 

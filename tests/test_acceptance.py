@@ -247,8 +247,8 @@ def test_criterion_7_mean_field_energy():
 
     # single-mode oracle: E/N = U N^2 / (N V) with no kinetic term to truncate
     latm1 = ModeLattice(d=1, box_len=TAU, m_per_dim=1)
-    basis1 = enumerate_basis(1, 2, latm1)
-    h1 = build_hamiltonian(latm1, np.array([0.8]), 0.0, 0.0, basis1)
+    basis1 = enumerate_basis(latm1, 2)
+    h1 = build_hamiltonian(basis1, np.array([0.8]), 0.0, 0.0)
     ok_single = ground_pair(h1)[0] / 2 == 0.8 * (1.0 / latm1.volume) * 4.0 / 2
 
     # three modes, three particles, two-decade coupling scan.  The oracle keeps
@@ -349,17 +349,17 @@ def test_criterion_9_oracle_integrity():
     t0 = time.perf_counter()
 
     lat5 = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
-    b5 = enumerate_basis(5, 4, lat5)
-    h5 = build_hamiltonian(lat5, np.array([0.7, 0.4, 0.4, 0.2, 0.2]), 0.3, 0.1, b5)
+    b5 = enumerate_basis(lat5, 4)
+    h5 = build_hamiltonian(b5, np.array([0.7, 0.4, 0.4, 0.2, 0.2]), 0.3, 0.1)
     m = h5.matrix.toarray()
     herm = float(np.max(np.abs(m - m.conj().T))) / float(np.max(np.abs(m)))
 
     lat3 = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
     blocks_ok = True
     for n in range(1, 5):
-        b = enumerate_basis(3, n, lat3)
-        h = build_hamiltonian(lat3, 0.6, 0.0, 0.0, b)
-        p = state_momentum(b, lat3)[:, 0]
+        b = enumerate_basis(lat3, n)
+        h = build_hamiltonian(b, 0.6, 0.0, 0.0)
+        p = state_momentum(b)[:, 0]
         coo = h.matrix.tocoo()
         keep = coo.data != 0.0
         if not np.all(p[coo.row[keep]] == p[coo.col[keep]]):

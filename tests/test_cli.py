@@ -265,6 +265,33 @@ def test_failed_numerical_check_is_exit_one(tmp_path):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_an_overlap_error_that_cannot_be_evaluated_fails(tmp_path, seed):
+    # at r = 60 on three modes exp(G) underflows to 0 for a strongly negative
+    # Re G, so the relative errors are 0/0; a NaN error fails its check
+    # (max() would keep the error before it); seed 3's one pair overflows
+    # instead, a range failure that writes no table
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "lattice": {"d": 1, "m_per_dim": 3},
+        "params": {"r": 60},
+        "overlaps": {"n_fields": 2, "seed": seed},
+    }))
+    out = tmp_path / "ov"
+    with np.errstate(invalid="ignore"):
+        status = main(["--config", str(cfg), "--out", str(out), "--format", "json", "overlaps"])
+    assert status == 1
+    if seed == 3:
+        assert os.listdir(out) == []
+        return
+    text = (out / "overlaps.json").read_text()
+    rows = {row[0]: row[1:] for row in json.loads(text)["rows"]}
+    for check in ("overlap_vs_kernel", "hermitian_symmetry"):
+        assert np.isnan(rows[check][0]) and rows[check][2] == "FAIL"
+    assert '"overlap_vs_kernel",\n   NaN,' in text
+
+
 def test_unexpected_exception_is_exit_four(tmp_path, monkeypatch, capsys):
     def broken(cfg):
         raise RuntimeError("handler defect")

@@ -26,7 +26,7 @@ from phasegas.fock import (
     state_momentum,
 )
 from phasegas.lattice import ModeLattice, TAU
-from phasegas.spectral import connected_blocks
+from phasegas.spectral import connected_blocks, energy_from_eigenvalue
 
 SEED = 99
 
@@ -35,51 +35,86 @@ def _lat(m=3):
     return ModeLattice(d=1, box_len=TAU, m_per_dim=m)
 
 
+def _index(basis):
+    """State index of every occupation tuple of the basis."""
+    return {tuple(occ): i for i, occ in enumerate(basis.occupations.tolist())}
+
+
 def test_enumeration_examples():
-    b = enumerate_basis(2, 2)
-    assert b.states == ((2, 0), (1, 1), (0, 2))
-    assert b.dim == 3
-    b34 = enumerate_basis(3, 4)
-    assert b34.dim == math.comb(4 + 3 - 1, 3 - 1) == 15
-    assert all(sum(s) == 4 for s in b34.states)
-    assert len(set(b34.states)) == 15
-    for i, s in enumerate(b34.states):
-        assert b34.index[s] == i
+    # a lattice has 1 + 2 * pairs modes, so the mode counts are odd
+    b = enumerate_basis(_lat(), 2)
+    assert b.occupations.tolist() == [
+        [2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]
+    ]
+    assert b.occupations.dtype == np.int64 and b.dim == 6
+    b54 = enumerate_basis(_lat(5), 4)
+    assert b54.occupations.shape == (b54.dim, 5)
+    assert b54.dim == math.comb(4 + 5 - 1, 5 - 1) == 70
+    assert (b54.occupations.sum(axis=1) == 4).all()
+    rows = [tuple(occ) for occ in b54.occupations.tolist()]
+    assert rows == sorted(set(rows), reverse=True)  # distinct, descending-lex
+    assert enumerate_basis(ModeLattice(d=1, box_len=TAU, m_per_dim=1), 3).occupations.tolist() == [[3]]
 
 
 def test_enumeration_guard():
     with pytest.raises(ConfigurationError):
-        enumerate_basis(40, 40)  # ~5e22 states
+        enumerate_basis(_lat(41), 40)  # ~1e23 states
 
 
 def test_a_bool_is_not_a_mode_or_particle_count():
-    with pytest.raises(ConfigurationError, match="m_modes"):
-        enumerate_basis(True, 2)
+    # the mode count is the lattice's, which refuses a bool
+    with pytest.raises(ConfigurationError, match="m_per_dim"):
+        ModeLattice(d=1, box_len=TAU, m_per_dim=True)
     with pytest.raises(ConfigurationError, match="n_particles"):
-        enumerate_basis(3, True)
-    assert enumerate_basis(np.int64(3), np.int32(2)).states == enumerate_basis(3, 2).states
+        enumerate_basis(_lat(), True)
+    got = enumerate_basis(_lat(), np.int32(2))
+    assert got.n_particles == 2 and type(got.n_particles) is int
+    assert np.array_equal(got.occupations, enumerate_basis(_lat(), 2).occupations)
+
+
+@pytest.mark.parametrize("d, m, n", [(1, 1, 2), (1, 3, 3), (1, 5, 2), (2, 3, 3)])
+def test_condensate_is_state_zero(d, m, n):
+    lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
+    b = enumerate_basis(lat, n)
+    condensate = np.zeros(lat.num_modes, dtype=np.int64)
+    condensate[lat.index((0,) * d)] = n
+    assert np.array_equal(b.occupations[0], condensate)
+    (found,) = np.flatnonzero((b.occupations == condensate).all(axis=1))
+    assert found == 0
+    for normal_order in (False, True):
+        h = build_hamiltonian(b, 0.7, 0.2, 0.1, hbar2_over_2m=0.6, normal_order=normal_order)
+        assert condensate_expectation(h) == h.matrix[found, found].real
+
+
+def test_occupations_are_read_only():
+    b = enumerate_basis(_lat(), 2)
+    assert not b.occupations.flags.writeable
+    with pytest.raises(ValueError):
+        b.occupations[0, 0] = 0
+    assert b.occupations[0].tolist() == [2, 0, 0]
 
 
 def test_shift_operator_zero_mode_is_number():
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 3, lat)
-    s0 = shift_operator(b, lat, (0,)).toarray()
+    b = enumerate_basis(lat, 3)
+    s0 = shift_operator(b, (0,)).toarray()
     assert np.array_equal(s0, 3.0 * np.eye(b.dim))
 
 
 def test_shift_operator_adjoint_pairs():
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 2, lat)
+    b = enumerate_basis(lat, 2)
     for k in ((1,), (-1,)):
-        sk = shift_operator(b, lat, k).toarray()
-        smk = shift_operator(b, lat, (-k[0],)).toarray()
+        sk = shift_operator(b, k).toarray()
+        smk = shift_operator(b, (-k[0],)).toarray()
         assert np.max(np.abs(sk.T - smk)) == 0.0
 
 
-def _shift_operator_loop(basis, lattice, k_mode):
+def _shift_operator_loop(basis, k_mode):
     """Reference n~_k: one state and one mode at a time, dict lookup of each target."""
+    lattice, index = basis.lattice, _index(basis)
     rows, cols, vals = [], [], []
-    for si, occ in enumerate(basis.states):
+    for si, occ in enumerate(basis.occupations.tolist()):
         for qi, q in enumerate(lattice.modes):
             qk = tuple(a + b for a, b in zip(q, k_mode))
             if not lattice.contains(qk):
@@ -94,7 +129,7 @@ def _shift_operator_loop(basis, lattice, k_mode):
                 new = list(occ)
                 new[ti] -= 1
                 new[qi] += 1
-                rows.append(basis.index[tuple(new)])
+                rows.append(index[tuple(new)])
                 cols.append(si)
                 vals.append(math.sqrt(occ[ti]) * math.sqrt(occ[qi] + 1))
     mat = sparse.csr_matrix(
@@ -114,10 +149,10 @@ def _shift_operator_loop(basis, lattice, k_mode):
 def test_shift_operator_bit_identical_to_loop(d, m, shifts):
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
     for n in (0, 1, 3, 5):
-        b = enumerate_basis(lat.num_modes, n, lat)
+        b = enumerate_basis(lat, n)
         for k in shifts:
-            got = shift_operator(b, lat, k)
-            ref = _shift_operator_loop(b, lat, k)
+            got = shift_operator(b, k)
+            ref = _shift_operator_loop(b, k)
             assert got.shape == ref.shape
             for a, r in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
                 assert a.dtype == r.dtype
@@ -149,13 +184,13 @@ def test_single_particle_hamiltonian_matches_oracle():
     u_int[0] = vals[0]
     for p, (ip, im) in enumerate(lat.pair_list()):
         u_int[ip] = u_int[im] = vals[p + 1]
-    b = enumerate_basis(lat.num_modes, 1, lat)
-    h = build_hamiltonian(lat, u_int, 0.4, 0.1, b, hbar2_over_2m=0.7)
+    b = enumerate_basis(lat, 1)
+    h = build_hamiltonian(b, u_int, 0.4, 0.1, hbar2_over_2m=0.7)
     got = h.matrix.toarray()
     ref = _single_particle_oracle(lat, u_int, 0.4, 0.1, 0.7)
     # states are occupation tuples with a single 1; build the mapping explicitly
     state_to_mode = {}
-    for si, s in enumerate(b.states):
+    for si, s in enumerate(b.occupations.tolist()):
         state_to_mode[si] = s.index(1)
     remap = np.zeros_like(ref)
     for si in range(b.dim):
@@ -166,24 +201,24 @@ def test_single_particle_hamiltonian_matches_oracle():
 
 def test_single_mode_analytic_energy():
     lat = ModeLattice(d=1, box_len=TAU, m_per_dim=1)
-    b = enumerate_basis(1, 2, lat)
-    h = build_hamiltonian(lat, 0.8, 0.3, 0.1, b)
+    b = enumerate_basis(lat, 2)
+    h = build_hamiltonian(b, 0.8, 0.3, 0.1)
     ref = 2 * (0.3 - 0.1) + 0.8 * (1.0 / lat.volume) * 4.0
     assert ground_pair(h)[0] == ref
-    h_no = build_hamiltonian(lat, 0.8, 0.3, 0.1, b, normal_order=True)
+    h_no = build_hamiltonian(b, 0.8, 0.3, 0.1, normal_order=True)
     ref_no = 2 * (0.3 - 0.1) + 0.8 * (1.0 / lat.volume) * (4.0 - 2.0)
     assert ground_pair(h_no)[0] == ref_no
 
 
 def test_free_gas_is_diagonal_kinetic():
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 3, lat)
-    h = build_hamiltonian(lat, 0.0, 0.2, 0.0, b, hbar2_over_2m=0.5)
+    b = enumerate_basis(lat, 3)
+    h = build_hamiltonian(b, 0.0, 0.2, 0.0, hbar2_over_2m=0.5)
     m = h.matrix.toarray()
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) == 0.0
     k2 = np.array([lat.k_squared(mode) for mode in lat.modes])
-    for si, s in enumerate(b.states):
+    for si, s in enumerate(b.occupations):
         ref = 0.5 * float(np.dot(s, k2)) + 0.2 * 3
         assert abs(m[si, si] - ref) <= 1e-14 * max(1.0, abs(ref))
 
@@ -196,8 +231,8 @@ def test_hamiltonian_hermitian():
     u_int[0] = vals[0]
     for p, (ip, im) in enumerate(lat.pair_list()):
         u_int[ip] = u_int[im] = vals[p + 1]
-    b = enumerate_basis(lat.num_modes, 3, lat)
-    h = build_hamiltonian(lat, u_int, 0.0, 0.0, b)
+    b = enumerate_basis(lat, 3)
+    h = build_hamiltonian(b, u_int, 0.0, 0.0)
     m = h.matrix.tocsr()
     herm = (m - m.T.conj()).toarray()
     assert np.max(np.abs(herm)) <= 1e-13 * np.max(np.abs(m.toarray()))
@@ -206,29 +241,29 @@ def test_hamiltonian_hermitian():
 def test_asymmetric_interaction_rejected():
     lat = _lat()
     u_bad = np.array([0.5, 0.3, 0.4])  # U_{+1} != U_{-1}
-    b = enumerate_basis(lat.num_modes, 2, lat)
+    b = enumerate_basis(lat, 2)
     with pytest.raises(ConfigurationError):
-        build_hamiltonian(lat, u_bad, 0.0, 0.0, b)
+        build_hamiltonian(b, u_bad, 0.0, 0.0)
 
 
 def test_non_hermitian_assembly_raises(monkeypatch):
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 2, lat)
+    b = enumerate_basis(lat, 2)
 
-    def not_adjoint(basis, lattice, mode):
+    def not_adjoint(basis, mode):
         # the same upper-triangular matrix for k and -k: n~_k n~_{-k} is not Hermitian
         return sparse.csr_matrix(np.triu(np.ones((basis.dim, basis.dim))))
 
     monkeypatch.setattr(fock, "shift_operator", not_adjoint)
     with pytest.raises(SolverError, match="lost Hermiticity"):
-        build_hamiltonian(lat, 0.6, 0.0, 0.0, b)
+        build_hamiltonian(b, 0.6, 0.0, 0.0)
 
 
 def test_momentum_block_structure():
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 3, lat)
-    h = build_hamiltonian(lat, 0.6, 0.0, 0.0, b)
-    p = state_momentum(b, lat)[:, 0]
+    b = enumerate_basis(lat, 3)
+    h = build_hamiltonian(b, 0.6, 0.0, 0.0)
+    p = state_momentum(b)[:, 0]
     coo = h.matrix.tocoo()
     assert coo.nnz > b.dim  # interaction really couples states
     assert np.all(p[coo.row] == p[coo.col])
@@ -237,23 +272,23 @@ def test_momentum_block_structure():
 def test_condensate_expectations_both_orderings():
     lat = _lat()
     n = 3
-    b = enumerate_basis(lat.num_modes, n, lat)
+    b = enumerate_basis(lat, n)
     u = 0.7
-    h = build_hamiltonian(lat, u, 0.0, 0.0, b)
+    h = build_hamiltonian(b, u, 0.0, 0.0)
     # condensate diagonal: k = 0 contributes N^2, each k != 0 contributes N
     n_k_terms = lat.num_modes - 1
     ref = (u / lat.volume) * (n**2 + n_k_terms * n)
     assert abs(condensate_expectation(h) - ref) <= 1e-13 * ref
-    h_no = build_hamiltonian(lat, u, 0.0, 0.0, b, normal_order=True)
+    h_no = build_hamiltonian(b, u, 0.0, 0.0, normal_order=True)
     ref_no = (u / lat.volume) * (n**2 - n)
     assert abs(condensate_expectation(h_no) - ref_no) <= 1e-13 * max(ref_no, 1.0)
 
 
 def test_variational_bound():
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 4, lat)
+    b = enumerate_basis(lat, 4)
     for u in (0.05, 0.5, 2.0):
-        h = build_hamiltonian(lat, u, 0.0, 0.0, b)
+        h = build_hamiltonian(b, u, 0.0, 0.0)
         assert ground_pair(h)[0] <= condensate_expectation(h) + 1e-12
 
 
@@ -282,15 +317,15 @@ def _ground_pair_all_blocks(h):
 
 def test_ground_pair_residual_and_sparse_path():
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 3, lat)
-    h = build_hamiltonian(lat, 0.9, 0.0, 0.0, b)
+    b = enumerate_basis(lat, 3)
+    h = build_hamiltonian(b, 0.9, 0.0, 0.0)
     e_small, v_small = ground_pair(h)
     m = h.matrix.toarray()
     assert np.linalg.norm(m @ v_small - e_small * v_small) <= 1e-9 * np.linalg.norm(m)
     # m=9, N=6 (dim 3003, largest block 151) is solved block by block too,
     # checked against Lanczos on the whole sector
     lat9 = _lat(9)
-    h9 = build_hamiltonian(lat9, 0.9, 0.0, 0.0, enumerate_basis(lat9.num_modes, 6, lat9))
+    h9 = build_hamiltonian(enumerate_basis(lat9, 6), 0.9, 0.0, 0.0)
     assert h9.dim == 3003 and max(idx.size for idx in connected_blocks(h9.matrix)) == 151
     e9, v9 = ground_pair(h9)
     v0 = np.random.default_rng(SEED).standard_normal(h9.dim)
@@ -299,7 +334,7 @@ def test_ground_pair_residual_and_sparse_path():
     assert np.linalg.norm(h9.matrix @ v9 - e9 * v9) <= 1e-9 * spla.norm(h9.matrix)
     # the block-by-block dense solve against one eigh of the whole sector
     lat7 = _lat(7)
-    h7 = build_hamiltonian(lat7, 0.7, 0.0, 0.0, enumerate_basis(lat7.num_modes, 5, lat7))
+    h7 = build_hamiltonian(enumerate_basis(lat7, 5), 0.7, 0.0, 0.0)
     assert len(connected_blocks(h7.matrix)) == 31
     e_block, v_block = ground_pair(h7)
     e_full = np.linalg.eigh(h7.matrix.toarray())[0][0]
@@ -309,7 +344,7 @@ def test_ground_pair_residual_and_sparse_path():
 
 def test_ground_pair_caps_the_largest_block(monkeypatch):
     lat = _lat(7)
-    h = build_hamiltonian(lat, 0.7, 0.0, 0.0, enumerate_basis(lat.num_modes, 5, lat))
+    h = build_hamiltonian(enumerate_basis(lat, 5), 0.7, 0.0, 0.0)
     largest = max(idx.size for idx in connected_blocks(h.matrix))
     monkeypatch.setattr(fock, "DENSE_DIM_LIMIT", largest)
     ground_pair(h)
@@ -322,14 +357,14 @@ def test_ground_pair_solves_only_the_blocks_that_can_hold_the_ground(monkeypatch
     # compare's couplings at m=7, N=5: 31 blocks a Hamiltonian, so 310 eigh
     # calls when every block is solved
     lat = _lat(7)
-    b = enumerate_basis(lat.num_modes, 5, lat)
+    b = enumerate_basis(lat, 5)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     counts = []
     for u in (1.0, 0.3162, 0.1, 0.03162, 0.01):
         for normal_order in (False, True):
-            h = build_hamiltonian(lat, u, 0.0, 0.0, b, normal_order=normal_order)
+            h = build_hamiltonian(b, u, 0.0, 0.0, normal_order=normal_order)
             before = len(calls)
             energy, vec = ground_pair(h)
             counts.append(len(calls) - before)
@@ -364,7 +399,7 @@ def _block_hamiltonians(draw):
         for n, x in enumerate(blocks):
             pos = np.flatnonzero(labels == n)
             dense[np.ix_(pos, pos)] = x
-        return FockHamiltonian(sparse.csr_matrix(dense), None, None, False)
+        return FockHamiltonian(sparse.csr_matrix(dense), False)
 
     labels = rng.permutation(np.repeat(np.arange(len(blocks)), [x.shape[0] for x in blocks]))
     h = assemble(blocks, labels)
@@ -387,7 +422,7 @@ def test_ground_pair_equals_the_all_blocks_loop(h):
 
 def test_ground_pair_rejects_non_finite_entries():
     matrix = sparse.csr_matrix(np.array([[1.0, np.inf], [np.inf, 0.0]], dtype=complex))
-    h = FockHamiltonian(matrix, None, None, False)
+    h = FockHamiltonian(matrix, False)
     with pytest.raises(SolverError, match="non-finite"):
         ground_pair(h)
 
@@ -398,7 +433,7 @@ def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n)
     # each must equal the dense copy of the sparse slice of its own diagonal
     # square, bit for bit
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
-    h = build_hamiltonian(lat, 0.7, 0.0, 0.0, enumerate_basis(lat.num_modes, n, lat), normal_order=True)
+    h = build_hamiltonian(enumerate_basis(lat, n), 0.7, 0.0, 0.0, normal_order=True)
     seen = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
@@ -421,19 +456,20 @@ def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n)
 def test_mirror_relabeling_is_exact_symmetry():
     """k -> -k relabeling with even couplings permutes states and fixes H."""
     lat = _lat(5)
-    b = enumerate_basis(lat.num_modes, 3, lat)
+    b = enumerate_basis(lat, 3)
     rng = np.random.default_rng(SEED + 2)
     vals = rng.uniform(0.1, 0.8, size=lat.n_pairs + 1)
     u_int = np.empty(lat.num_modes)
     u_int[0] = vals[0]
     for p, (ip, im) in enumerate(lat.pair_list()):
         u_int[ip] = u_int[im] = vals[p + 1]
-    h = build_hamiltonian(lat, u_int, 0.2, 0.0, b, hbar2_over_2m=0.3).matrix.toarray()
+    h = build_hamiltonian(b, u_int, 0.2, 0.0, hbar2_over_2m=0.3).matrix.toarray()
     mirror_mode = [lat.index(tuple(-c for c in mode)) for mode in lat.modes]
+    index = _index(b)
     perm = np.empty(b.dim, dtype=int)
-    for si, s in enumerate(b.states):
+    for si, s in enumerate(b.occupations.tolist()):
         mirrored = tuple(s[mirror_mode[i]] for i in range(lat.num_modes))
-        perm[si] = b.index[mirrored]
+        perm[si] = index[mirrored]
     # same terms accumulate in a different order on the mirrored side, so
     # agreement is to rounding rather than bit-exact
     assert np.max(np.abs(h[np.ix_(perm, perm)] - h)) <= 1e-14 * np.max(np.abs(h))
@@ -443,7 +479,7 @@ def test_ground_pair_sums_split_duplicate_entries():
     # a matrix that stores each entry as two halves is brought to canonical
     # CSR first: its ground is that of the summed matrix, bit for bit
     lat = _lat(5)
-    h = build_hamiltonian(lat, 0.7, 0.0, 0.0, enumerate_basis(lat.num_modes, 3, lat))
+    h = build_hamiltonian(enumerate_basis(lat, 3), 0.7, 0.0, 0.0)
     m = h.matrix
     spans = list(zip(m.indptr[:-1], m.indptr[1:]))
     halves = sparse.csr_matrix(
@@ -473,13 +509,25 @@ def test_mean_field_comparison_refuses_a_coupling_that_is_not_positive():
             mean_field_comparison(_lat(), 2, (0.5, u))
 
 
-def test_build_hamiltonian_refuses_a_zero_kinetic_scale_and_a_foreign_basis():
+def test_build_hamiltonian_refuses_a_bad_kinetic_scale_and_non_finite_inputs():
+    # a non-finite input is a configuration error, not a failed solve
     lat = _lat()
-    basis = enumerate_basis(lat.num_modes, 2, lat)
-    with pytest.raises(ConfigurationError, match="hbar2_over_2m must be positive"):
-        build_hamiltonian(lat, 0.5, 0.0, 0.0, basis, hbar2_over_2m=0.0)
-    with pytest.raises(ConfigurationError, match="basis width does not match"):
-        build_hamiltonian(_lat(5), 0.5, 0.0, 0.0, basis)
+    basis = enumerate_basis(lat, 2)
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="hbar2_over_2m must be positive and finite"):
+            build_hamiltonian(basis, 0.5, 0.0, 0.0, hbar2_over_2m=scale)
+        with pytest.raises(ConfigurationError, match="hbar2_over_2m must be positive and finite"):
+            energy_from_eigenvalue(1.0, hbar2_over_2m=scale)
+    with pytest.raises(ConfigurationError, match="hbar2_over_2m must be positive and finite"):
+        mean_field_comparison(lat, 2, (0.5,), hbar2_over_2m=math.inf)
+    for u0_ext, mu in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308)):
+        with pytest.raises(ConfigurationError, match="non-finite Hamiltonian entry"):
+            build_hamiltonian(basis, 0.5, u0_ext, mu)
+    # finite inputs whose entries overflow
+    with np.errstate(over="ignore"):
+        for u_int, scale in ((0.5, 1e308), (1.7e308, 1.0)):
+            with pytest.raises(ConfigurationError, match="non-finite Hamiltonian entry"):
+                build_hamiltonian(basis, u_int, 0.0, 0.0, hbar2_over_2m=scale)
 
 
 def test_mean_field_comparison_rows():
@@ -512,17 +560,17 @@ def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
     lat = _lat(5)
     built = []
 
-    def counting(basis, lattice, k_mode):
+    def counting(basis, k_mode):
         built.append(k_mode)
-        return shift_operator(basis, lattice, k_mode)
+        return shift_operator(basis, k_mode)
 
     monkeypatch.setattr(fock, "shift_operator", counting)
-    shared = enumerate_basis(lat.num_modes, 3, lat)
+    shared = enumerate_basis(lat, 3)
     cases = list(itertools.product((1.0, 0.05), (False, True)))
     for u, normal_order in cases:
-        got = build_hamiltonian(lat, u, 0.0, 0.0, shared, normal_order=normal_order).matrix
-        fresh = enumerate_basis(lat.num_modes, 3, lat)
-        ref = build_hamiltonian(lat, u, 0.0, 0.0, fresh, normal_order=normal_order).matrix
+        got = build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order).matrix
+        fresh = enumerate_basis(lat, 3)
+        ref = build_hamiltonian(fresh, u, 0.0, 0.0, normal_order=normal_order).matrix
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(ref, attr))
     # the shared basis builds each n~_k once, every fresh basis builds all of them
@@ -537,33 +585,33 @@ def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
     corrections = []
     diagonal = fock._pair_density_diagonal
     monkeypatch.setattr(
-        fock, "_pair_density_diagonal", lambda *a: corrections.append(a[2]) or diagonal(*a)
+        fock, "_pair_density_diagonal", lambda *a: corrections.append(a[1]) or diagonal(*a)
     )
-    shared = enumerate_basis(lat.num_modes, 3, lat)
+    shared = enumerate_basis(lat, 3)
     for u in (1.0, 0.05, 0.3):
         for normal_order in (False, True):
-            build_hamiltonian(lat, u, 0.0, 0.0, shared, normal_order=normal_order)
+            build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order)
     # one aligned set of n~_k n~_{-k} per convention, one diagonal correction per mode
     assert len(shared._pair_terms) == 2
     assert len(corrections) == lat.num_modes
 
 
-def _build_matrix_loop(lattice, u_int, u0, mu, basis, hbar2_over_2m, normal_order):
+def _build_matrix_loop(basis, u_int, u0, mu, hbar2_over_2m, normal_order):
     """H by one sparse add per mode, as builds used to run, kept as the reference."""
-    dim = basis.dim
+    dim, lattice = basis.dim, basis.lattice
     k2 = np.array([lattice.k_squared(m) for m in lattice.modes])
-    diag = hbar2_over_2m * (np.array(basis.states, dtype=float) @ k2)
+    diag = hbar2_over_2m * (basis.occupations.astype(float) @ k2)
     diag = diag + (u0 - mu) * float(basis.n_particles)
     eye = (np.arange(dim), np.arange(dim))
     ham = sparse.csr_matrix((diag, eye), shape=(dim, dim))
     inv_v = 1.0 / lattice.volume
     for i, mode in enumerate(lattice.modes):
         if u_int[i] != 0.0:
-            term = shift_operator(basis, lattice, mode) @ shift_operator(
-                basis, lattice, tuple(-c for c in mode)
+            term = shift_operator(basis, mode) @ shift_operator(
+                basis, tuple(-c for c in mode)
             )
             if normal_order:
-                corr = fock._pair_density_diagonal(basis, lattice, mode)
+                corr = fock._pair_density_diagonal(basis, mode)
                 term = term - sparse.csr_matrix((corr, eye), shape=(dim, dim))
             ham = ham + (u_int[i] * inv_v) * term
     ham = ham.tocsr().astype(complex)
@@ -575,7 +623,7 @@ def _build_matrix_loop(lattice, u_int, u0, mu, basis, hbar2_over_2m, normal_orde
 @pytest.mark.parametrize("d, m, n", [(1, 3, 4), (1, 5, 3), (1, 7, 3), (2, 3, 2)])
 def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
-    basis = enumerate_basis(lat.num_modes, n, lat)
+    basis = enumerate_basis(lat, n)
     rng = np.random.default_rng(SEED + 3)
     vals = rng.uniform(0.1, 2.0, size=lat.n_pairs + 1)
     vals[1::2] = 0.0  # k-dependent, with zeros, the zero mode kept
@@ -589,8 +637,8 @@ def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
         ((0.0, 0.0), (0.4, 0.1), (0.25, 0.25)),
         (False, True),
     ):
-        got = build_hamiltonian(lat, u_int, u0, mu, basis, hbar2_over_2m=0.7, normal_order=normal_order)
-        ref = _build_matrix_loop(lat, u_int, u0, mu, basis, 0.7, normal_order)
+        got = build_hamiltonian(basis, u_int, u0, mu, hbar2_over_2m=0.7, normal_order=normal_order)
+        ref = _build_matrix_loop(basis, u_int, u0, mu, 0.7, normal_order)
         for attr in ("indptr", "indices", "data"):
             a, r = getattr(got.matrix, attr), getattr(ref, attr)
             assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
@@ -598,15 +646,15 @@ def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
 
 def test_non_finite_coupling_rejected():
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 2, lat)
+    b = enumerate_basis(lat, 2)
     with pytest.raises(ConfigurationError, match="finite"):
-        build_hamiltonian(lat, np.inf, 0.0, 0.0, b)
+        build_hamiltonian(b, np.inf, 0.0, 0.0)
 
 
 def test_exports(tmp_path):
     lat = _lat()
-    b = enumerate_basis(lat.num_modes, 2, lat)
-    h = build_hamiltonian(lat, 0.3, 0.0, 0.0, b)
+    b = enumerate_basis(lat, 2)
+    h = build_hamiltonian(b, 0.3, 0.0, 0.0)
     p1 = tmp_path / "h.txt"
     text = export_hamiltonian(h, p1)
     assert p1.read_text() == text

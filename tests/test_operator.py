@@ -731,9 +731,10 @@ def _small_export():
 
 
 def test_triplet_missing_dim_line_rejected():
-    text = "\n".join(ln for ln in _small_export().splitlines() if not ln.startswith("# dim:"))
-    with pytest.raises(ConfigurationError, match="no '# dim:' header line"):
-        load_triplets(text)
+    for key in ("dim", "basis_dims"):
+        text = "\n".join(ln for ln in _small_export().splitlines() if not ln.startswith(f"# {key}:"))
+        with pytest.raises(ConfigurationError, match=f"no '# {key}:' header line"):
+            load_triplets(text)
 
 
 def test_triplet_malformed_entry_rejected():
@@ -777,9 +778,10 @@ def test_triplet_nan_entry_rejected():
 
 
 def test_triplet_unallocatable_dim_rejected():
-    text = "\n".join(ln for ln in _small_export().splitlines() if not ln.startswith("# basis_dims:"))
+    text = _edit_header(_small_export(), "basis_dims", "100000000000000000")
     with pytest.raises(ConfigurationError, match="does not fit in memory"):
         load_triplets(_edit_header(text, "dim", "100000000000000000"))
+    text = _edit_header(_small_export(), "basis_dims", "")
     with pytest.raises(ConfigurationError, match="must be >= 1"):
         load_triplets(_edit_header(text, "dim", "0"))
 

@@ -755,9 +755,11 @@ def test_weight_certificate_holds_exactly_for_constant_potential_in_one_dimensio
     assert not _weight_certified(assemble(with_u, bas).at(with_u.epsilon))
     lat2 = ModeLattice(d=2, box_len=TAU, m_per_dim=3)
     assert not _weight_certified(assemble(par, HermiteBasis(lat2, 0.5, 2)).at(par.epsilon))
-    # a weight that does not fit the dimension, or overflows, certifies nothing
+    # a weight that does not fit the dimension cannot be written down, and
+    # one that overflows certifies nothing
     op = assemble(par, bas).at(par.epsilon)
-    assert _weight_balance(op.matrix.tocsr(), (op.dim + 1,)) is None
+    with pytest.raises(ConfigurationError, match="product of basis_dims"):
+        OperatorMatrix(op.matrix, op.offset, (op.dim + 1,), "t")
     big = OperatorMatrix(sparse.identity(200, dtype=complex, format="csr"), 0.0, (200,), "t")
     assert not np.isfinite(symmetry_weight(big.basis_dims)).all()
     assert not _weight_certified(big)
@@ -889,10 +891,13 @@ def test_generic_complex_operator_has_no_real_form():
     op = _random_op(6, rng)
     form, phase = _real_form_of(op)
     assert phase is None and form is not None and np.iscomplexobj(form)
-    # a basis that does not match the dimension certifies nothing either
+    # a basis that does not match the dimension is refused before any solve
     lat, par, bas = _setup(epsilon=0.2)
     full = assemble(par, bas).at(par.epsilon)
-    assert _real_form(full.matrix.tocsr(), (full.dim + 1,))[1] is None
+    dims = full.basis_dims
+    for bad in ((full.dim + 1,), dims[:-1], dims[:-1] + (0,), dims[:-1] + (float(dims[-1]),)):
+        with pytest.raises(ConfigurationError, match="product of basis_dims"):
+            OperatorMatrix(full.matrix, full.offset, bad, "t")
 
 
 def test_real_form_is_weight_certified_exactly_when_the_operator_is():
@@ -1725,13 +1730,9 @@ def test_a_map_that_does_not_fit_the_operator_pairs_nothing(monkeypatch):
             patch.setattr(spectral, "quarter_translation", lambda dims, _t=translation: _t)
             assert len(_translation_pairs(op)) == certified
             assert multiset_match_error(solve(op).values, reference.values) <= 1e-12
-    # dims of another dimension: no map is formed, and the solve has no real
-    # form or weight either
-    formed = []
-    monkeypatch.setattr(spectral, "quarter_translation", lambda dims: formed.append(dims))
-    other = replace(op, basis_dims=op.basis_dims[:-1])
-    assert _translation_pairs(other) == {} and not formed
-    assert multiset_match_error(solve(other).values, reference.values) <= 1e-12
+    # dims of another dimension cannot reach the solver: the operator refuses them
+    with pytest.raises(ConfigurationError, match="product of basis_dims"):
+        replace(op, basis_dims=op.basis_dims[:-1])
 
 
 def test_a_loaded_export_solves_as_the_assembled_operator():
