@@ -21,15 +21,20 @@ energies through E = hbar2_over_2m * (-lam).
 A `FockBasis` holds its lattice and one occupation array whose row 0 is the
 condensate, so the functions on a sector take the basis alone.
 
-The interaction conserves total momentum, so H splits into exact blocks
-(`spectral.connected_blocks`), each diagonalized densely by `eigh` up to
-`operator.DENSE_DIM_LIMIT` states.  `ground_pair` solves only the blocks
-whose Gershgorin bound leaves room for the ground level, lowest bound first,
-and returns what a solve of every block would.
+H is real symmetric, and a `FockHamiltonian` holds it in float64.  The
+interaction conserves total momentum, so H splits into exact blocks.  Each
+basis lays them out once (`_Layout`), as the connected components of the
+pattern that all its Hamiltonians share: the blocks of every H whose U^I_k
+are all nonzero, and unions of blocks otherwise.  `ground_pair` scatters
+each block straight from the entries of H on that pattern and diagonalizes
+it densely by a real `eigh`, up to `operator.DENSE_DIM_LIMIT` states.  It
+solves only the blocks whose Gershgorin bound leaves room for the ground
+level, lowest bound first, and returns what a solve of every block would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +45,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverError, is_integer
 from .lattice import STATE_LIMIT, ModeLattice
 from .operator import DENSE_DIM_LIMIT
-from .spectral import _diagonal_block, connected_blocks
+from .spectral import connected_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +59,11 @@ class FockBasis:
 
     `build_hamiltonian` keeps the coupling-independent interaction terms
     n~_k n~_{-k} (normal-ordered: minus their diagonal) in `_pair_terms`,
-    keyed by normal_order: one union pattern of the diagonal and every term,
-    and each term's data aligned to it (`_interaction_terms`).  So
-    Hamiltonians on one basis share them, and a build is the diagonal plus
-    one scaled vector add per mode.
+    keyed by normal_order: one `_Layout`, shared by both conventions, of the
+    pattern of every Hamiltonian on the basis and of its blocks, and each
+    term's data aligned to that pattern (`_interaction_terms`).  So a build
+    is the diagonal plus one scaled vector add per mode, and a solve finds
+    its blocks laid out.
     """
 
     lattice: ModeLattice
@@ -68,15 +74,6 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
-
-
-def _occupations(m: int, n: int):
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _occupations(m - 1, n - first):
-            yield (first,) + rest
 
 
 def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
@@ -91,9 +88,52 @@ def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
         raise ConfigurationError(
             f"sector dimension {count} exceeds the {STATE_LIMIT} state guard"
         )
-    occupations = np.array(list(_occupations(m_modes, n)), dtype=np.int64)
+    # one mode at a time, each prefix with r particles left branches into the
+    # occupations r, r-1, ..., 0 of the next mode; the last mode takes the rest
+    left = np.array([n], dtype=np.int64)
+    levels = []
+    for _ in range(m_modes - 1):
+        parent = np.repeat(np.arange(left.size), left + 1)
+        branch = np.arange(parent.size) - np.repeat(np.cumsum(left + 1) - (left + 1), left + 1)
+        value = left[parent] - branch
+        levels.append((parent, value))
+        left = branch
+    occupations = np.empty((left.size, m_modes), dtype=np.int64)
+    occupations[:, -1] = left
+    prefix = np.arange(left.size)
+    for j in range(m_modes - 2, -1, -1):
+        parent, value = levels[j]
+        occupations[:, j] = value[prefix]
+        prefix = parent[prefix]
     occupations.flags.writeable = False
     return FockBasis(lattice, n, occupations)
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_table(m_modes: int, n_particles: int) -> np.ndarray:
+    """table[a, j]: how many states precede a row and first differ from it at mode j.
+
+    The order is descending-lex.  For a row with a particles left after mode
+    j, these are the states that share its occupations of modes 0..j-1 and
+    put more particles in mode j: the C(a - 1 + p, p) occupations of a - 1
+    particles over the p + 1 modes from j on, p = m - 1 - j.  So the index
+    of a row is the sum of table[a_j, j] over j < m - 1, and every entry is
+    below the sector dimension.  One table serves every basis of m modes
+    and N particles.
+    """
+    table = np.zeros((n_particles + 1, max(m_modes - 1, 0)), dtype=np.int64)
+    for j in range(m_modes - 1):
+        p = m_modes - 1 - j
+        table[1:, j] = [math.comb(a - 1 + p, p) for a in range(1, n_particles + 1)]
+    table.flags.writeable = False
+    return table
+
+
+def _state_index(basis: FockBasis, occupations: np.ndarray) -> np.ndarray:
+    """Index in the basis of each row of occupations (a (rows, modes) array of sector states)."""
+    m_modes = basis.lattice.num_modes
+    left = basis.n_particles - np.cumsum(occupations[:, :-1], axis=1)
+    return _rank_table(m_modes, basis.n_particles)[left, np.arange(m_modes - 1)].sum(axis=1)
 
 
 def _shift_pairs(lattice: ModeLattice, k_mode):
@@ -112,7 +152,7 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
 
     Diagonal (q = q+k) contributions use the integer occupation directly so
     that n~_0 = N exactly in floating point.  Target states are located by
-    binary search over the occupation rows viewed as opaque byte strings.
+    their rank in the descending-lex order (`_state_index`), with no search.
     """
     k_mode = tuple(int(c) for c in k_mode)
     occ = basis.occupations
@@ -123,16 +163,13 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
         (states,) = np.nonzero(count)
         rows, cols, vals = states, states, count[states].astype(float)
     else:
-        key = np.dtype((np.void, occ.itemsize * occ.shape[1]))
-        order = np.argsort(occ.view(key).ravel())
-        sorted_keys = occ.view(key).ravel()[order]
         rows, cols, vals = [], [], []
         for qi, ti in zip(src, dst):
             (states,) = np.nonzero(occ[:, ti])
             new = occ[states]
             new[:, ti] -= 1
             new[:, qi] += 1
-            rows.append(order[np.searchsorted(sorted_keys, new.view(key).ravel())])
+            rows.append(_state_index(basis, new))
             cols.append(states)
             vals.append(np.sqrt(occ[states, ti].astype(float)) * np.sqrt(occ[states, qi] + 1.0))
         rows, cols, vals = (np.concatenate(x) if x else np.zeros(0) for x in (rows, cols, vals))
@@ -150,50 +187,125 @@ def _pair_density_diagonal(basis: FockBasis, k_mode) -> np.ndarray:
     return basis.occupations[:, src].sum(axis=1).astype(float)
 
 
-def _interaction_terms(basis: FockBasis, normal_order: bool):
-    """(indptr, indices, diagonal slots, aligned data) of the n~_k n~_{-k} of one convention.
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The coupling-independent pattern of every Hamiltonian on one basis, and its blocks.
 
-    The pattern (indptr, indices) is the union, rows and columns sorted, of
-    the diagonal and of every n~_k n~_{-k}.  Row i of `aligned` holds the
-    entries of the term of mode i at their slots of that pattern and 0
-    elsewhere; normal-ordered, the diagonal of `_pair_density_diagonal` is
-    subtracted at the diagonal slots.  Both conventions are cached on the
-    basis at the first request, from one n~_k per mode; they share the
-    pattern and the products.
+    The pattern is the CSR (indptr, indices), rows and columns sorted, of the
+    union of the diagonal, of every n~_k n~_{-k} and of their transposes, so
+    it is symmetric.  Slot s holds the entry (rows[s], indices[s]), and
+    `transpose[s]` is the slot of its mirror; `lower` lists the slots below
+    the diagonal.  `blocks` are the pattern's connected components
+    (`spectral.connected_blocks`: ascending states, ordered by smallest
+    state), of `sizes` states, and `members` their states block after block.
+    Block n holds the slots `slots[n]`, at the positions `flat[n]` of its
+    dense row-major array.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    diag_slots: np.ndarray
+    transpose: np.ndarray
+    lower: np.ndarray
+    blocks: list
+    sizes: np.ndarray
+    members: np.ndarray
+    slots: list
+    flat: list
+
+
+def _layout(dim: int, keys: np.ndarray) -> _Layout:
+    """`_Layout` of the pattern whose sorted row-major keys row * dim + col are `keys`."""
+    rows, indices = np.divmod(keys, dim)
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    blocks = connected_blocks(
+        sparse.csr_matrix((np.ones(keys.size, dtype=np.int8), indices, indptr), shape=(dim, dim))
+    )
+    sizes = np.array([idx.size for idx in blocks])
+    members = np.concatenate(blocks)
+    label, position = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.int64)
+    label[members] = np.repeat(np.arange(sizes.size), sizes)
+    position[members] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_block = np.argsort(label[rows], kind="stable")
+    cuts = np.cumsum(np.bincount(label[rows], minlength=sizes.size))[:-1]
+    flat = position[rows] * sizes[label[rows]] + position[indices]
+    return _Layout(
+        indptr=indptr,
+        indices=indices,
+        rows=rows,
+        diag_slots=np.searchsorted(keys, np.arange(dim, dtype=np.int64) * (dim + 1)),
+        # the pattern is symmetric, so its slots in column-major order are the
+        # mirrors of its slots in row-major order
+        transpose=np.argsort(indices, kind="stable"),
+        lower=np.flatnonzero(rows > indices),
+        blocks=blocks,
+        sizes=sizes,
+        members=members,
+        slots=np.split(by_block, cuts),
+        flat=np.split(flat[by_block], cuts),
+    )
+
+
+def _interaction_terms(basis: FockBasis, normal_order: bool):
+    """(`_Layout`, aligned data) of the n~_k n~_{-k} of one convention.
+
+    Row i of `aligned` holds the entries of the term of mode i at their slots
+    of the layout's pattern and 0 elsewhere; normal-ordered, the diagonal of
+    `_pair_density_diagonal` is subtracted at the diagonal slots.  Both
+    conventions are cached on the basis at the first request, from one n~_k
+    per mode; they share the layout and the products.
     """
     if normal_order not in basis._pair_terms:
         dim, modes = basis.dim, basis.lattice.modes
         shifts = {mode: shift_operator(basis, mode) for mode in modes}
         # entries as row-major keys row * dim + col, so the sorted union is the
-        # sorted CSR pattern and each term's slots are one binary search
+        # sorted CSR pattern and each term's slots are one binary search; the
+        # union takes in every term's transpose too, so the pattern is symmetric
         terms = []
         for mode in modes:
             coo = (shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo()
-            terms.append((coo.row.astype(np.int64) * dim + coo.col, coo.data))
-        diag_keys = np.arange(dim, dtype=np.int64) * (dim + 1)
-        union = np.unique(np.concatenate([diag_keys] + [keys for keys, _ in terms]))
-        diag_slots = np.searchsorted(union, diag_keys)
-        plain = np.zeros((len(terms), union.size))
-        for row, (keys, data) in zip(plain, terms):
-            row[np.searchsorted(union, keys)] = data
+            terms.append((coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data))
+        keys = np.sort(np.concatenate(
+            [np.arange(dim, dtype=np.int64) * (dim + 1)]
+            + [rows * dim + cols for rows, cols, _ in terms]
+            + [cols * dim + rows for rows, cols, _ in terms]
+        ))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        layout = _layout(dim, keys)
+        plain = np.zeros((len(terms), keys.size))
+        for row, (rows, cols, data) in zip(plain, terms):
+            row[np.searchsorted(keys, rows * dim + cols)] = data
         normal = plain.copy()
         for row, mode in zip(normal, modes):
-            row[diag_slots] -= _pair_density_diagonal(basis, mode)
-        rows, indices = np.divmod(union, dim)
-        indptr = np.searchsorted(rows, np.arange(dim + 1))
+            row[layout.diag_slots] -= _pair_density_diagonal(basis, mode)
         for convention, aligned in ((False, plain), (True, normal)):
-            basis._pair_terms[convention] = (indptr, indices, diag_slots, aligned)
+            basis._pair_terms[convention] = (layout, aligned)
     return basis._pair_terms[normal_order]
 
 
 @dataclass(frozen=True, eq=False)
 class FockHamiltonian:
+    """One sector Hamiltonian, real symmetric, built on `basis`.
+
+    `matrix` is the float64 CSR of H, with the entries that come out exactly
+    0 dropped.  `entries` holds H on every slot of the pattern of the
+    basis's `_Layout`, those zeros included: `ground_pair` solves from it.
+    """
+
+    basis: FockBasis
     matrix: sparse.csr_matrix
     normal_order: bool
+    entries: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_kinetic_scale(hbar2_over_2m) -> None:
+    if not (0.0 < hbar2_over_2m < math.inf):
+        raise ConfigurationError(f"hbar2_over_2m must be positive and finite, got {hbar2_over_2m}")
 
 
 def build_hamiltonian(
@@ -223,21 +335,20 @@ def build_hamiltonian(
             raise ConfigurationError(
                 "u_int_k must be conjugate-symmetric (even) across k -> -k"
             )
-    if not (0.0 < hbar2_over_2m < math.inf):
-        raise ConfigurationError(f"hbar2_over_2m must be positive and finite, got {hbar2_over_2m}")
+    _check_kinetic_scale(hbar2_over_2m)
 
     dim = basis.dim
     k2 = np.array([lattice.k_squared(m) for m in lattice.modes])
     kinetic = hbar2_over_2m * (basis.occupations.astype(float) @ k2)
     diag = kinetic + (u0_ext - mu) * float(basis.n_particles)
 
-    indptr, indices, diag_slots, aligned = _interaction_terms(basis, normal_order)
+    layout, aligned = _interaction_terms(basis, normal_order)
     # every entry is summed as a chain of scipy sparse adds would sum it, the
     # diagonal first and then one scaled term per mode in mode order, and an
     # entry that comes out exactly 0 is dropped as such an add drops it; with
     # no interaction term the whole diagonal is kept, zeros included
-    acc = np.zeros(indices.size)
-    acc[diag_slots] = diag
+    acc = np.zeros(layout.indices.size)
+    acc[layout.diag_slots] = diag
     inv_v = 1.0 / lattice.volume
     active = np.flatnonzero(u_int != 0.0)
     for i in active:
@@ -248,102 +359,98 @@ def build_hamiltonian(
         raise ConfigurationError(
             f"non-finite Hamiltonian entry from u_int_k, u0_ext={u0_ext} or mu={mu}"
         )
-    if active.size:
-        keep = acc != 0.0
-    else:
-        keep = np.zeros(indices.size, dtype=bool)
-        keep[diag_slots] = True
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    ham = sparse.csr_matrix(
-        (acc[keep].astype(complex), indices[keep], kept[indptr]), shape=(dim, dim)
-    )
-    herm_err = np.abs(ham - ham.getH()).max() if ham.nnz else 0.0
-    peak = np.abs(ham).max() if ham.nnz else 0.0
+    herm_err = np.abs(acc - acc[layout.transpose]).max(initial=0.0)
+    peak = np.abs(acc).max(initial=0.0)
     if herm_err > 1e-13 * max(peak, 1e-300):
         raise SolverError(
             f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}"
         )
-    return FockHamiltonian(matrix=ham, normal_order=bool(normal_order))
+    if active.size:
+        keep = acc != 0.0
+    else:
+        keep = np.zeros(acc.size, dtype=bool)
+        keep[layout.diag_slots] = True
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    ham = sparse.csr_matrix(
+        (acc[keep], layout.indices[keep], kept[layout.indptr]), shape=(dim, dim)
+    )
+    return FockHamiltonian(basis=basis, matrix=ham, normal_order=bool(normal_order), entries=acc)
 
 
 def ground_pair(h: FockHamiltonian):
-    """(lowest eigenvalue, eigenvector), residual-validated against 1e-10*|H|.
+    """(lowest eigenvalue, float64 eigenvector), residual-validated against 1e-10*|H|.
 
-    H is diagonalized one block of `spectral.connected_blocks` at a time --
-    the interaction conserves total momentum, so the blocks are (pieces of)
-    the momentum sectors -- up to `operator.DENSE_DIM_LIMIT` states a block.
+    H is diagonalized one block of its basis's `_Layout` at a time -- the
+    interaction conserves total momentum, so the blocks are (pieces of) the
+    momentum sectors -- by a real `eigh`, up to `operator.DENSE_DIM_LIMIT`
+    states a block.  Each block is scattered straight from `h.entries`.
     The result is the all-blocks answer, the lowest level over every block
     with a tie going to the block with the smallest state index, but only
     the blocks that can hold it reach `eigh`.  By the Gershgorin circle
     theorem (S. Gershgorin, 1931) every eigenvalue of a block lies above
     min_i (H_ii - sum_{j != i} |H_ij|) over its rows, where the sum runs over
-    the Hermitian matrix `eigh` sees, the lower triangle and its conjugate.
+    the symmetric matrix `eigh` sees, the lower triangle and its transpose.
     Blocks are solved lowest bound first, and the loop stops at the first
     block whose bound exceeds the lowest level found by more than
     4 n^2 eps max|H_ij|, n the largest block.  That margin covers the
     rounding of the bound's sum of at most n terms of size <= max|H_ij|
-    (n^2 eps max|H_ij|) and the backward error of LAPACK's Hermitian
+    (n^2 eps max|H_ij|) and the backward error of LAPACK's symmetric
     eigensolver, whose values are exact for a perturbation of norm
     <= p(n) eps |H|_2, with p(n) a modest function of n taken as n and
     |H|_2 <= n max|H_ij|.  So every
     skipped block's computed lowest value would lie strictly above the
     returned one, and the solved blocks get the same arrays as in a loop
-    over all of them.
+    over all of them.  The residual and |H| are taken on
+    `h.matrix` / max|H_ij|, so neither overflows at any scale of H.
     """
-    dim = h.dim
-    matrix = h.matrix.tocsr()
-    if not matrix.has_canonical_format:
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
-    blocks = connected_blocks(matrix)
-    sizes = np.array([idx.size for idx in blocks])
+    layout, values, dim = _interaction_terms(h.basis, h.normal_order)[0], h.entries, h.dim
+    sizes = layout.sizes
     if sizes.max() > DENSE_DIM_LIMIT:
         raise ConfigurationError(
             f"dense solve capped at block dimension {DENSE_DIM_LIMIT} (largest block "
             f"{sizes.max()} of dimension {dim})"
         )
-    # one permutation makes every block a contiguous diagonal slice, so a
-    # block's entries are one stretch of the CSR arrays, scattered into a
-    # dense array without a sparse slice
-    perm = np.concatenate(blocks)
-    grouped, _ = _diagonal_block(matrix, perm, np.argsort(perm))
-    rows = np.repeat(np.arange(dim), np.diff(grouped.indptr))
-    starts = np.cumsum(sizes) - sizes
     # Gershgorin bound of each block: the lower triangle (eigh's default)
     # enters the discs of its row and of its column
-    mag = np.abs(grouped.data)
-    on, low = rows == grouped.indices, rows > grouped.indices
-    radius = np.bincount(rows[low], mag[low], dim) + np.bincount(grouped.indices[low], mag[low], dim)
-    centre = np.bincount(rows[on], grouped.data.real[on], dim)
-    bound = np.minimum.reduceat(centre - radius, starts)
+    mag = np.abs(values)
+    low = mag[layout.lower]
+    radius = np.bincount(layout.rows[layout.lower], low, dim) + np.bincount(
+        layout.indices[layout.lower], low, dim
+    )
+    disc = (values[layout.diag_slots] - radius)[layout.members]
+    bound = np.minimum.reduceat(disc, np.cumsum(sizes) - sizes)
     if not np.isfinite(bound).all():
-        raise SolverError("Hamiltonian has non-finite entries")
-    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * mag.max(initial=0.0)
+        raise SolverError("Hamiltonian has non-finite Gershgorin bounds")
+    peak = mag.max(initial=0.0)
+    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * peak
     energy = None
     for n in np.argsort(bound, kind="stable"):
         if energy is not None and bound[n] - margin > energy:
             break
-        start, idx = starts[n], blocks[n]
-        lo, hi = grouped.indptr[start], grouped.indptr[start + idx.size]
-        block = np.zeros((idx.size, idx.size), dtype=grouped.dtype)
-        block[rows[lo:hi] - start, grouped.indices[lo:hi] - start] = grouped.data[lo:hi]
-        vals, vecs = np.linalg.eigh(block)
+        size = sizes[n]
+        block = np.zeros(size * size)
+        block[layout.flat[n]] = values[layout.slots[n]]
+        vals, vecs = np.linalg.eigh(block.reshape(size, size))
         if energy is None or vals[0] < energy or (vals[0] == energy and n < best):
             energy, best, block_vec = float(vals[0]), n, vecs[:, 0]
-    vec = np.zeros(dim, dtype=block_vec.dtype)
-    vec[blocks[best]] = block_vec
-    resid = float(np.linalg.norm(matrix @ vec - energy * vec))
-    h_norm = float(spla.norm(matrix)) if matrix.nnz else 0.0
+    vec = np.zeros(dim)
+    vec[layout.blocks[best]] = block_vec
+    scale = peak if peak > 0.0 else 1.0
+    m = h.matrix
+    scaled = sparse.csr_matrix((m.data / scale, m.indices, m.indptr), shape=m.shape)
+    resid = float(np.linalg.norm(scaled @ vec - (energy / scale) * vec))
+    h_norm = float(spla.norm(scaled)) if m.nnz else 0.0
     if resid > 1e-10 * max(h_norm, 1e-300):
         raise SolverError(
             f"ground-state residual {resid:.3e} exceeds 1e-10 * |H| = {1e-10 * h_norm:.3e}"
+            f" (both on H / max|H_ij| = H / {scale:.3e})"
         )
     return energy, vec
 
 
 def condensate_expectation(h: FockHamiltonian) -> float:
     """<c|H|c> for the condensate state (all N particles in the zero mode): state 0."""
-    return float(np.real(h.matrix[0, 0]))
+    return float(h.matrix[0, 0])
 
 
 def state_momentum(basis: FockBasis) -> np.ndarray:
@@ -383,14 +490,20 @@ def mean_field_comparison(
 
     if not is_integer(n_particles) or n_particles < 1:
         raise ConfigurationError(f"comparison needs an integer n_particles >= 1, got {n_particles!r}")
+    _check_kinetic_scale(hbar2_over_2m)
     n = int(n_particles)
     vol = lattice.volume
-    basis = enumerate_basis(lattice, n)
-    rows = []
+    # the weak bases first: one past the state guard is refused before the oracle's work
+    weak = []
     for u_val in coupling_scan:
         u_val = float(u_val)
         if not (u_val > 0.0):
             raise ConfigurationError(f"couplings must be positive, got {u_val}")
+        gamma = u_val / (hbar2_over_2m * vol)
+        weak.append((u_val, gamma, HermiteBasis(lattice, gamma, n_max)))
+    basis = enumerate_basis(lattice, n)
+    rows = []
+    for u_val, gamma, hbasis in weak:
         u_arr = np.full(lattice.num_modes, u_val)
         ham = build_hamiltonian(basis, u_arr, 0.0, 0.0, hbar2_over_2m=hbar2_over_2m)
         oracle_epp = ground_pair(ham)[0] / n
@@ -400,9 +513,7 @@ def mean_field_comparison(
         oracle_normal_epp = ground_pair(ham_no)[0] / n
         condensate_epp = condensate_expectation(ham) / n
 
-        gamma = u_val / (hbar2_over_2m * vol)
         params = ModelParams(gamma=gamma, n_particles=n)
-        hbasis = HermiteBasis(lattice, gamma, n_max)
         lam = solve(assemble(params, hbasis).at(0.0), 1).values[0]
         functional_epp = float(
             np.real(energy_from_eigenvalue(lam, hbar2_over_2m=hbar2_over_2m))

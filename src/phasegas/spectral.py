@@ -377,8 +377,7 @@ def _diagonal_block(matrix: sparse.csr_matrix, idx, position):
     so renumbering keeps each row's entry order: the arrays are scipy's
     fancy slice bit for bit, and every sum over a row runs in the same
     order.  `data[gather]` orders any matrix on the same pattern (the
-    balance) in one more pass.  idx may also be every block in turn, with
-    `position` its inverse (`fock.ground_pair`): `position` ascends in each block.
+    balance) in one more pass.
     """
     counts = np.diff(matrix.indptr)[idx]
     indptr = np.zeros(idx.size + 1, dtype=matrix.indptr.dtype)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,31 @@ def test_compare_caps_the_largest_block_not_the_total_dimension(tmp_path, capsys
     )
     lines = (tmp_path / "o" / "compare.csv").read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+def test_compare_at_couplings_near_the_float_range_raises_no_overflow(tmp_path, capsys):
+    # the oracle's residual check is taken on H / max|H_ij|, so no norm overflows
+    cfg = _write_config(
+        tmp_path, lattice={"d": 1, "m_per_dim": 3}, params={"n_particles": 3},
+        compare={"couplings": [1e300, 1e200]},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "compare"]) == 0, (
+            capsys.readouterr().err
+        )
+
+
+def test_compare_refuses_a_weak_basis_past_the_state_guard_before_the_oracle(
+    tmp_path, capsys, monkeypatch
+):
+    # 1201 modes: a Fock sector of 1201 states, but a weak basis of 3^1201
+    import phasegas.fock as fock
+
+    monkeypatch.setattr(fock, "enumerate_basis", lambda *a: pytest.fail("the oracle ran"))
+    cfg = _write_config(tmp_path, lattice={"d": 1, "m_per_dim": 1201}, params={"n_particles": 1})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "compare"]) == 2
+    assert "state guard" in capsys.readouterr().err
 
 
 def test_missing_config_is_exit_two(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,11 @@
 """Exact-diagonalization oracle: basis enumeration, Hamiltonian structure, scans."""
 
+import functools
 import itertools
 import math
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ import phasegas.fock as fock
 from phasegas.errors import ConfigurationError, SolverError
 from phasegas.fock import (
     FockBasis,
-    FockHamiltonian,
     build_hamiltonian,
     condensate_expectation,
     enumerate_basis,
@@ -54,6 +56,32 @@ def test_enumeration_examples():
     rows = [tuple(occ) for occ in b54.occupations.tolist()]
     assert rows == sorted(set(rows), reverse=True)  # distinct, descending-lex
     assert enumerate_basis(ModeLattice(d=1, box_len=TAU, m_per_dim=1), 3).occupations.tolist() == [[3]]
+
+
+def _occupations(m, n):
+    """The recursive generator `enumerate_basis` used to run, kept as the reference."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _occupations(m - 1, n - first):
+            yield (first,) + rest
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.sampled_from([1, 3, 5, 7, 9, 11, 13]), n=st.integers(0, 6))
+def test_enumeration_matches_the_recursive_generator(m, n):
+    got = enumerate_basis(_lat(m), n).occupations
+    ref = np.array(list(_occupations(m, n)), dtype=np.int64)
+    assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit():
+    # the recursive generator ran out of stack from about 990 modes
+    b = enumerate_basis(_lat(1201), 1)
+    assert b.dim == 1201
+    assert b.occupations[0].tolist() == [1] + [0] * 1200
+    assert np.array_equal(b.occupations, np.eye(1201, dtype=np.int64))
 
 
 def test_enumeration_guard():
@@ -259,6 +287,19 @@ def test_non_hermitian_assembly_raises(monkeypatch):
         build_hamiltonian(b, 0.6, 0.0, 0.0)
 
 
+def test_an_asymmetric_interaction_entry_raises(monkeypatch):
+    # one term entry below the diagonal loses its mirror's value: the build
+    # compares every slot with its transpose slot
+    b = enumerate_basis(_lat(5), 3)
+    layout, aligned = fock._interaction_terms(b, False)
+    term, j = np.argwhere(aligned[:, layout.lower] != 0.0)[0]
+    broken = aligned.copy()
+    broken[term, layout.lower[j]] *= 1.0 + 1e-11
+    monkeypatch.setattr(fock, "_interaction_terms", lambda basis, normal_order: (layout, broken))
+    with pytest.raises(SolverError, match="lost Hermiticity"):
+        build_hamiltonian(b, 0.6, 0.0, 0.0)
+
+
 def test_momentum_block_structure():
     lat = _lat()
     b = enumerate_basis(lat, 3)
@@ -293,24 +334,16 @@ def test_variational_bound():
 
 
 def _ground_pair_all_blocks(h):
-    """The loop that solved every block, kept as the reference: (energy, vector)."""
+    """The loop that solved every block of the basis, kept as the reference: (energy, vector).
+
+    Each block is the dense float64 copy of the sparse slice of `h.matrix` on it.
+    """
     energy = None
-    blocks = connected_blocks(h.matrix)
-    perm = np.concatenate(blocks)
-    grouped = h.matrix[perm][:, perm]
-    grouped.sum_duplicates()
-    rows = np.repeat(np.arange(h.dim), np.diff(grouped.indptr))
-    start = 0
-    for idx in blocks:
-        stop = start + idx.size
-        lo, hi = grouped.indptr[start], grouped.indptr[stop]
-        block = np.zeros((idx.size, idx.size), dtype=grouped.dtype)
-        block[rows[lo:hi] - start, grouped.indices[lo:hi] - start] = grouped.data[lo:hi]
-        vals, vecs = np.linalg.eigh(block)
-        start = stop
+    for idx in fock._interaction_terms(h.basis, h.normal_order)[0].blocks:
+        vals, vecs = np.linalg.eigh(h.matrix[idx][:, idx].toarray())
         if energy is None or vals[0] < energy:
             energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
-    vec = np.zeros(h.dim, dtype=block_vec.dtype)
+    vec = np.zeros(h.dim)
     vec[support] = block_vec
     return energy, vec
 
@@ -373,42 +406,34 @@ def test_ground_pair_solves_only_the_blocks_that_can_hold_the_ground(monkeypatch
     assert counts == [9, 9, 3, 3, 1, 1, 1, 1, 1, 1]
 
 
+@functools.lru_cache(maxsize=None)
+def _basis(d, m, n):
+    return enumerate_basis(ModeLattice(d=d, box_len=TAU, m_per_dim=m), n)
+
+
 @st.composite
 def _block_hamiltonians(draw):
-    """Permuted block-diagonal Hermitian H with exact ties between block minima.
+    """H from `build_hamiltonian` on a drawn sector, with even couplings of which some may vanish.
 
-    Each block keeps the row order it was drawn in, so `eigh` sees it as
-    drawn and a repeated block has the same lowest value bit for bit.  A 1x1
-    block at the lowest value of the others (when drawn) has its Gershgorin
-    bound exactly at the ground.  The upper triangle may carry a relative
-    error of 1e-13, as a build that passed the Hermiticity check may.
+    The k -> -k mirror sectors of a basis have the same spectrum.  At N = 1
+    every block is one state, and with strong couplings the ground is the
+    mirror pair of edge modes, two blocks whose values tie bit for bit.
     """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = []
-    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)):
-        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        blocks.append(x + x.conj().T + draw(st.sampled_from([0.0, 3.0, -2.5])) * np.eye(size))
-        if draw(st.booleans()):
-            blocks.append(blocks[-1])
-    if draw(st.booleans()):
-        for x in blocks:
-            x[np.triu_indices_from(x, 1)] *= 1.0 + 1e-13 * rng.standard_normal()
-
-    def assemble(blocks, labels):
-        dense = np.zeros((labels.size, labels.size), dtype=complex)
-        for n, x in enumerate(blocks):
-            pos = np.flatnonzero(labels == n)
-            dense[np.ix_(pos, pos)] = x
-        return FockHamiltonian(sparse.csr_matrix(dense), False)
-
-    labels = rng.permutation(np.repeat(np.arange(len(blocks)), [x.shape[0] for x in blocks]))
-    h = assemble(blocks, labels)
-    if draw(st.booleans()):
-        # inserting one state keeps every other block's row order
-        ground = _ground_pair_all_blocks(h)[0]
-        at = draw(st.integers(0, labels.size))
-        h = assemble(blocks + [np.array([[ground]])], np.insert(labels, at, len(blocks)))
-    return h
+    sectors = [(1, 3, 0), (1, 3, 1), (1, 5, 1), (2, 3, 1), (1, 3, 3), (1, 5, 3), (1, 7, 4), (2, 3, 2), (2, 3, 3)]
+    basis = _basis(*draw(st.sampled_from(sectors)))
+    lat = basis.lattice
+    size = lat.n_pairs + 1
+    values = draw(st.lists(st.sampled_from([0.0, 0.05, 0.7, -0.3, 2.0, 6.0]), min_size=size, max_size=size))
+    u_k = np.empty(lat.num_modes)
+    u_k[0] = values[0]
+    for p, (ip, im) in enumerate(lat.pair_list()):
+        u_k[ip] = u_k[im] = values[p + 1]
+    u0, mu = draw(st.sampled_from([(0.0, 0.0), (0.4, 0.1), (-0.2, 0.3)]))
+    return build_hamiltonian(
+        basis, u_k, u0, mu,
+        hbar2_over_2m=draw(st.sampled_from([1.0, 0.1])),
+        normal_order=draw(st.booleans()),
+    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -417,32 +442,83 @@ def test_ground_pair_equals_the_all_blocks_loop(h):
     energy, vec = ground_pair(h)
     ref_energy, ref_vec = _ground_pair_all_blocks(h)
     assert energy == ref_energy
-    assert vec.dtype == ref_vec.dtype and np.array_equal(vec, ref_vec)
+    assert vec.dtype == ref_vec.dtype == np.float64 and np.array_equal(vec, ref_vec)
+    # and a dense solve of the whole sector, within the backward error of eigh
+    # on a matrix of its dimension
+    peak = np.abs(h.matrix.data).max(initial=0.0)
+    whole = np.linalg.eigvalsh(h.matrix.toarray())[0]
+    assert abs(energy - whole) <= 4.0 * h.dim**2 * np.finfo(float).eps * peak
+
+
+def _lowering_eigh():
+    """`np.linalg.eigh` whose values err low, by more on each later copy of a block.
+
+    eigh's values are exact only for a perturbed matrix, so a computed value
+    may lie below the true one by about n^2 eps max|H_ij|, and a Gershgorin
+    bound may round up by as much.  The k-th copy of a block (k = 0, 1, ...)
+    in one solve has its values lowered by (k + 1) / (k + 2) of twice that:
+    within the skip margin, and unequal on equal blocks, so the tie of mirror
+    blocks at the ground is broken towards the later copy.
+    """
+    eigh, seen = np.linalg.eigh, {}
+
+    def lowered(a):
+        k = seen[a.tobytes()] = seen.get(a.tobytes(), -1) + 1
+        vals, vecs = eigh(a)
+        allowed = 2.0 * a.shape[0] ** 2 * np.finfo(float).eps * np.abs(a).max()
+        return vals - (k + 1) / (k + 2) * allowed, vecs
+
+    return lowered
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(h=_block_hamiltonians())
+def test_ground_pair_skips_no_block_that_eigh_rounding_could_make_the_ground(h):
+    # equal blocks are met in index order both here and in the all-blocks loop
+    with mock.patch.object(np.linalg, "eigh", _lowering_eigh()):
+        energy, vec = ground_pair(h)
+    with mock.patch.object(np.linalg, "eigh", _lowering_eigh()):
+        ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert energy == ref_energy and np.array_equal(vec, ref_vec)
 
 
 def test_ground_pair_rejects_non_finite_entries():
-    matrix = sparse.csr_matrix(np.array([[1.0, np.inf], [np.inf, 0.0]], dtype=complex))
-    h = FockHamiltonian(matrix, False)
-    with pytest.raises(SolverError, match="non-finite"):
+    # every entry is finite, but the Gershgorin discs of the k = 0 and k = +-1
+    # terms reach past the float range
+    u_k = np.array([-1.2e308, 1.4e308, 1.4e308])
+    h = build_hamiltonian(enumerate_basis(_lat(), 3), u_k, 0.0, 0.0)
+    assert np.isfinite(h.entries).all() and np.isfinite(h.matrix.data).all()
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite"):
+        ground_pair(h)
+
+
+def test_ground_pair_checks_the_residual_at_any_scale(monkeypatch):
+    # at u = 1e307 every entry is finite, but |H| and the residual of a wrong
+    # vector overflow unless they are taken on H / max|H_ij|
+    h = build_hamiltonian(enumerate_basis(_lat(), 3), 1e307, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        energy, vec = ground_pair(h)
+    assert np.isfinite(energy) and np.isclose(np.linalg.norm(vec), 1.0)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.roll(eigh(a)[1], 1, axis=0)))
+    with pytest.raises(SolverError, match="residual"):
         ground_pair(h)
 
 
 @pytest.mark.parametrize("d, m, n", [(1, 7, 5), (1, 5, 3), (2, 3, 2)])
 def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n):
-    # the blocks handed to eigh are scattered from the permuted CSR arrays;
-    # each must equal the dense copy of the sparse slice of its own diagonal
-    # square, bit for bit
+    # the blocks handed to eigh are scattered from the basis's slots; each
+    # must equal the dense copy of the sparse slice of `h.matrix` on one of the
+    # basis's blocks, bit for bit
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
     h = build_hamiltonian(enumerate_basis(lat, n), 0.7, 0.0, 0.0, normal_order=True)
     seen = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
     ground_pair(h)
-    blocks = connected_blocks(h.matrix)
-    perm = np.concatenate(blocks)
-    grouped = h.matrix[perm][:, perm]
-    stops = np.cumsum([b.size for b in blocks])
-    refs = [grouped[stop - b.size : stop, stop - b.size : stop].toarray() for b, stop in zip(blocks, stops)]
+    blocks = fock._interaction_terms(h.basis, True)[0].blocks
+    refs = [h.matrix[idx][:, idx].toarray() for idx in blocks]
     assert len(blocks) > 1 and 1 <= len(seen) <= len(blocks)
     # each solved array is the slice of a block not matched before (equal
     # blocks are interchangeable)
@@ -476,8 +552,9 @@ def test_mirror_relabeling_is_exact_symmetry():
 
 
 def test_ground_pair_sums_split_duplicate_entries():
-    # a matrix that stores each entry as two halves is brought to canonical
-    # CSR first: its ground is that of the summed matrix, bit for bit
+    # the blocks come from the basis's slots and the residual is checked on
+    # `h.matrix` as stored: a matrix that stores each entry as two halves
+    # gives the ground of the summed matrix, bit for bit
     lat = _lat(5)
     h = build_hamiltonian(enumerate_basis(lat, 3), 0.7, 0.0, 0.0)
     m = h.matrix
@@ -614,7 +691,7 @@ def _build_matrix_loop(basis, u_int, u0, mu, hbar2_over_2m, normal_order):
                 corr = fock._pair_density_diagonal(basis, mode)
                 term = term - sparse.csr_matrix((corr, eye), shape=(dim, dim))
             ham = ham + (u_int[i] * inv_v) * term
-    ham = ham.tocsr().astype(complex)
+    ham = ham.tocsr()
     ham.sum_duplicates()
     ham.sort_indices()
     return ham
