@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverError, is_integer
 from .lattice import STATE_LIMIT, ModeLattice
 from .operator import DENSE_DIM_LIMIT
-from .spectral import connected_blocks
+from .spectral import BlockPartition, connected_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,8 @@ class FockBasis:
     pattern of every Hamiltonian on the basis and of its blocks, and each
     term's data aligned to that pattern (`_interaction_terms`).  So a build
     is the diagonal plus one scaled vector add per mode, and a solve finds
-    its blocks laid out.
+    its blocks laid out.  `_moves`, computed once on first use, locates the
+    target of every one-particle move of the `shift_operator` calls.
     """
 
     lattice: ModeLattice
@@ -74,6 +75,33 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
+
+    @functools.cached_property
+    def _moves(self):
+        """(states, modes, down, up): what `shift_operator` needs to move one particle.
+
+        `states` and `modes` list every occupied (state, mode), state by
+        state.  A state's index is the sum over modes j < M - 1 of
+        `_rank_table`[left_j, j], left_j its particles after mode j.  Moving
+        one particle from mode t to mode q < t lowers left_j by one for
+        q <= j < t, and moving it to q > t raises left_j by one for t <= j < q.
+        So the index of the state it gives is the old index plus
+        down[state, t] - down[state, q], or plus up[state, q] - up[state, t]:
+        column j of down (up) sums over the modes before j the change of each
+        term when left_j drops (grows) by one.  No move lowers a left_j of 0
+        or raises one of N, so the table row is clipped there and the change
+        reads 0.
+        """
+        m_modes, n = self.lattice.num_modes, self.n_particles
+        table, cols = _rank_table(m_modes, n), np.arange(m_modes - 1)
+        left = n - np.cumsum(self.occupations[:, :-1], axis=1)
+        here = table[left, cols]
+        steps = []
+        for row in (np.maximum(left - 1, 0), np.minimum(left + 1, n)):
+            total = np.zeros((self.dim, m_modes), dtype=np.int64)
+            np.cumsum(table[row, cols] - here, axis=1, out=total[:, 1:])
+            steps.append(total)
+        return (*np.nonzero(self.occupations), *steps)
 
 
 def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
@@ -129,32 +157,41 @@ def _rank_table(m_modes: int, n_particles: int) -> np.ndarray:
     return table
 
 
-def _state_index(basis: FockBasis, occupations: np.ndarray) -> np.ndarray:
-    """Index in the basis of each row of occupations (a (rows, modes) array of sector states)."""
-    m_modes = basis.lattice.num_modes
-    left = basis.n_particles - np.cumsum(occupations[:, :-1], axis=1)
-    return _rank_table(m_modes, basis.n_particles)[left, np.arange(m_modes - 1)].sum(axis=1)
+@functools.lru_cache(maxsize=None)
+def _mode_grid(lattice: ModeLattice):
+    """(modes as a (modes, d) array, grid): grid[c + h] is the lattice index of mode c.
+
+    h = (m - 1) / 2, so grid is the m^d cube, and every point of it is a mode.
+    """
+    coords = np.array(lattice.modes, dtype=np.int64).reshape(lattice.num_modes, lattice.d)
+    grid = np.empty((lattice.m_per_dim,) * lattice.d, dtype=np.intp)
+    grid[tuple((coords + (lattice.m_per_dim - 1) // 2).T)] = np.arange(lattice.num_modes)
+    return coords, grid
 
 
 def _shift_pairs(lattice: ModeLattice, k_mode):
     """Index arrays (q, q+k) over the modes q with q+k also on the lattice."""
-    src, dst = [], []
-    for qi, q in enumerate(lattice.modes):
-        qk = tuple(a + b for a, b in zip(q, k_mode))
-        if lattice.contains(qk):
-            src.append(qi)
-            dst.append(lattice.index(qk))
-    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+    coords, grid = _mode_grid(lattice)
+    # each q + k + h, a point of the cube exactly when q + k is a mode
+    shifted = coords + np.asarray(k_mode, dtype=np.int64) + (lattice.m_per_dim - 1) // 2
+    (src,) = np.nonzero(((shifted >= 0) & (shifted < lattice.m_per_dim)).all(axis=1))
+    return src, grid[tuple(shifted[src].T)]
 
 
 def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
     """Matrix of n~_k = sum_q a+_q a_{q+k}, sharp-cutoff, in the given basis.
 
     Diagonal (q = q+k) contributions use the integer occupation directly so
-    that n~_0 = N exactly in floating point.  Target states are located by
-    their rank in the descending-lex order (`_state_index`), with no search.
+    that n~_0 = N exactly in floating point.  Otherwise every occupied
+    (state, q+k) with q on the lattice gives one entry, all in one pass; its
+    target state is located by its rank in the descending-lex order
+    (`FockBasis._moves`), with no search.
     """
     k_mode = tuple(int(c) for c in k_mode)
+    if len(k_mode) != basis.lattice.d:
+        raise ConfigurationError(
+            f"k_mode {k_mode} does not have the lattice's {basis.lattice.d} components"
+        )
     occ = basis.occupations
     src, dst = _shift_pairs(basis.lattice, k_mode)
     if not any(k_mode):
@@ -163,16 +200,16 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
         (states,) = np.nonzero(count)
         rows, cols, vals = states, states, count[states].astype(float)
     else:
-        rows, cols, vals = [], [], []
-        for qi, ti in zip(src, dst):
-            (states,) = np.nonzero(occ[:, ti])
-            new = occ[states]
-            new[:, ti] -= 1
-            new[:, qi] += 1
-            rows.append(_state_index(basis, new))
-            cols.append(states)
-            vals.append(np.sqrt(occ[states, ti].astype(float)) * np.sqrt(occ[states, qi] + 1.0))
-        rows, cols, vals = (np.concatenate(x) if x else np.zeros(0) for x in (rows, cols, vals))
+        states, modes, down, up = basis._moves
+        # the mode q that a particle of mode t = q+k goes to, -1 off the lattice
+        target = np.full(basis.lattice.num_modes, -1)
+        target[dst] = src
+        on = target[modes] >= 0
+        states, t = states[on], modes[on]
+        q = target[t]
+        moved = np.where(q < t, down[states, t] - down[states, q], up[states, q] - up[states, t])
+        rows, cols = states + moved, states
+        vals = np.sqrt(occ[states, t].astype(float)) * np.sqrt(occ[states, q] + 1.0)
     mat = sparse.csr_matrix(
         (vals, (rows.astype(int), cols.astype(int))), shape=(basis.dim, basis.dim)
     )
@@ -184,7 +221,11 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
 def _pair_density_diagonal(basis: FockBasis, k_mode) -> np.ndarray:
     """Diagonal of sum_{q in S_k} n_q with S_k = {q : q and q+k on the lattice}."""
     src, _ = _shift_pairs(basis.lattice, k_mode)
-    return basis.occupations[:, src].sum(axis=1).astype(float)
+    states, modes = basis._moves[:2]
+    on = np.isin(modes, src)
+    return np.bincount(
+        states[on], basis.occupations[states[on], modes[on]].astype(float), minlength=basis.dim
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,11 +236,10 @@ class _Layout:
     union of the diagonal, of every n~_k n~_{-k} and of their transposes, so
     it is symmetric.  Slot s holds the entry (rows[s], indices[s]), and
     `transpose[s]` is the slot of its mirror; `lower` lists the slots below
-    the diagonal.  `blocks` are the pattern's connected components
-    (`spectral.connected_blocks`: ascending states, ordered by smallest
-    state), of `sizes` states, and `members` their states block after block.
-    Block n holds the slots `slots[n]`, at the positions `flat[n]` of its
-    dense row-major array.
+    the diagonal.  `blocks` is the `spectral.BlockPartition` of the pattern's
+    connected components.  `slots` lists the slots block after block, block
+    n's from `slot_offsets[n]` to `slot_offsets[n + 1]`, and `flat` the
+    position of each in its block's dense row-major array.
     """
 
     indptr: np.ndarray
@@ -208,11 +248,10 @@ class _Layout:
     diag_slots: np.ndarray
     transpose: np.ndarray
     lower: np.ndarray
-    blocks: list
-    sizes: np.ndarray
-    members: np.ndarray
-    slots: list
-    flat: list
+    blocks: BlockPartition
+    slots: np.ndarray
+    slot_offsets: np.ndarray
+    flat: np.ndarray
 
 
 def _layout(dim: int, keys: np.ndarray) -> _Layout:
@@ -222,14 +261,10 @@ def _layout(dim: int, keys: np.ndarray) -> _Layout:
     blocks = connected_blocks(
         sparse.csr_matrix((np.ones(keys.size, dtype=np.int8), indices, indptr), shape=(dim, dim))
     )
-    sizes = np.array([idx.size for idx in blocks])
-    members = np.concatenate(blocks)
-    label, position = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.int64)
-    label[members] = np.repeat(np.arange(sizes.size), sizes)
-    position[members] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    by_block = np.argsort(label[rows], kind="stable")
-    cuts = np.cumsum(np.bincount(label[rows], minlength=sizes.size))[:-1]
-    flat = position[rows] * sizes[label[rows]] + position[indices]
+    label, position = blocks.label[rows], blocks.position
+    slots = np.argsort(label, kind="stable")
+    slot_offsets = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(blocks)))))
+    flat = position[rows] * blocks.sizes[label] + position[indices]
     return _Layout(
         indptr=indptr,
         indices=indices,
@@ -240,10 +275,9 @@ def _layout(dim: int, keys: np.ndarray) -> _Layout:
         transpose=np.argsort(indices, kind="stable"),
         lower=np.flatnonzero(rows > indices),
         blocks=blocks,
-        sizes=sizes,
-        members=members,
-        slots=np.split(by_block, cuts),
-        flat=np.split(flat[by_block], cuts),
+        slots=slots,
+        slot_offsets=slot_offsets,
+        flat=flat[slots],
     )
 
 
@@ -390,51 +424,61 @@ def ground_pair(h: FockHamiltonian):
     theorem (S. Gershgorin, 1931) every eigenvalue of a block lies above
     min_i (H_ii - sum_{j != i} |H_ij|) over its rows, where the sum runs over
     the symmetric matrix `eigh` sees, the lower triangle and its transpose.
-    Blocks are solved lowest bound first, and the loop stops at the first
-    block whose bound exceeds the lowest level found by more than
-    4 n^2 eps max|H_ij|, n the largest block.  That margin covers the
-    rounding of the bound's sum of at most n terms of size <= max|H_ij|
-    (n^2 eps max|H_ij|) and the backward error of LAPACK's symmetric
-    eigensolver, whose values are exact for a perturbation of norm
-    <= p(n) eps |H|_2, with p(n) a modest function of n taken as n and
-    |H|_2 <= n max|H_ij|.  So every
+    The bounds are taken on H / 2^e, with 2^e the power of two just above
+    max|H_ij|, so no disc overflows at any scale of H; dividing by a power of
+    two is exact but where an entry falls into the subnormal range, which
+    moves it by at most 2^-1075.  Blocks are solved lowest bound first, and
+    the loop stops at the first block whose bound exceeds the lowest level
+    found, over 2^e, by more than 4 n^2 eps max|H_ij| / 2^e, n the largest
+    block.  That margin covers the rounding of the bound's sum of at most n
+    terms of size <= max|H_ij| / 2^e (n^2 eps max|H_ij| / 2^e), the
+    backward error of LAPACK's symmetric eigensolver, whose values are
+    exact for a perturbation of norm <= p(n) eps |H|_2, with p(n) a modest
+    function of n taken as n and |H|_2 <= n max|H_ij|, and the subnormal
+    moves of the bound's at most 2n terms and of the level, at most
+    (2n + 1) 2^-1075 against the 2 n^2 eps max|H_ij| / 2^e >= n^2 2^-52
+    left over.  So every
     skipped block's computed lowest value would lie strictly above the
     returned one, and the solved blocks get the same arrays as in a loop
-    over all of them.  The residual and |H| are taken on
-    `h.matrix` / max|H_ij|, so neither overflows at any scale of H.
+    over all of them.  Without a subnormal the scaled bounds, margin and
+    comparisons are those on H exactly, so the same blocks are solved.
+    The residual and |H| are taken on `h.matrix` / max|H_ij|, so neither
+    overflows at any scale of H.
     """
     layout, values, dim = _interaction_terms(h.basis, h.normal_order)[0], h.entries, h.dim
-    sizes = layout.sizes
+    blocks, sizes = layout.blocks, layout.blocks.sizes
     if sizes.max() > DENSE_DIM_LIMIT:
         raise ConfigurationError(
             f"dense solve capped at block dimension {DENSE_DIM_LIMIT} (largest block "
             f"{sizes.max()} of dimension {dim})"
         )
-    # Gershgorin bound of each block: the lower triangle (eigh's default)
-    # enters the discs of its row and of its column
+    # Gershgorin bound of each block, on H / 2^e with max|H_ij| = f 2^e and
+    # f in [1/2, 1): the lower triangle (eigh's default) enters the discs of
+    # its row and of its column
     mag = np.abs(values)
-    low = mag[layout.lower]
+    peak = mag.max(initial=0.0)
+    exponent = int(np.frexp(peak)[1])
+    low = np.ldexp(mag[layout.lower], -exponent)
     radius = np.bincount(layout.rows[layout.lower], low, dim) + np.bincount(
         layout.indices[layout.lower], low, dim
     )
-    disc = (values[layout.diag_slots] - radius)[layout.members]
-    bound = np.minimum.reduceat(disc, np.cumsum(sizes) - sizes)
+    disc = (np.ldexp(values[layout.diag_slots], -exponent) - radius)[blocks.members]
+    bound = np.minimum.reduceat(disc, blocks.offsets[:-1])
     if not np.isfinite(bound).all():
         raise SolverError("Hamiltonian has non-finite Gershgorin bounds")
-    peak = mag.max(initial=0.0)
-    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * peak
+    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * np.ldexp(peak, -exponent)
     energy = None
     for n in np.argsort(bound, kind="stable"):
-        if energy is not None and bound[n] - margin > energy:
+        if energy is not None and bound[n] - margin > np.ldexp(energy, -exponent):
             break
-        size = sizes[n]
+        size, own = sizes[n], slice(layout.slot_offsets[n], layout.slot_offsets[n + 1])
         block = np.zeros(size * size)
-        block[layout.flat[n]] = values[layout.slots[n]]
+        block[layout.flat[own]] = values[layout.slots[own]]
         vals, vecs = np.linalg.eigh(block.reshape(size, size))
         if energy is None or vals[0] < energy or (vals[0] == energy and n < best):
             energy, best, block_vec = float(vals[0]), n, vecs[:, 0]
     vec = np.zeros(dim)
-    vec[layout.blocks[best]] = block_vec
+    vec[blocks[best]] = block_vec
     scale = peak if peak > 0.0 else 1.0
     m = h.matrix
     scaled = sparse.csr_matrix((m.data / scale, m.indices, m.indptr), shape=m.shape)

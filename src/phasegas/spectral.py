@@ -191,15 +191,42 @@ def _fix_phases(v: np.ndarray, s: np.ndarray):
     return v, c
 
 
-def connected_blocks(matrix) -> list:
-    """Index sets of the weakly connected components of a square matrix's pattern.
+@dataclass(frozen=True, eq=False)
+class BlockPartition:
+    """The blocks of `connected_blocks`: a partition of the states 0..dim-1, built once.
+
+    Blocks are numbered by their smallest state.  `label[i]` is state i's
+    block and `position[i]` its place within that block; `members` lists
+    the states block after block, each block ascending, and block n is
+    `members[offsets[n]:offsets[n + 1]]`, of `sizes[n]` states.  `offsets`
+    count states, unlike `Spectrum.starts`, which count value slots.  The
+    arrays are read-only.  `len` is the number of blocks, and `[n]` (so
+    also iteration) gives block n as a view of `members`.
+    """
+
+    label: np.ndarray
+    members: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    position: np.ndarray
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, n) -> np.ndarray:
+        n = range(self.sizes.size)[n]
+        return self.members[self.offsets[n] : self.offsets[n + 1]]
+
+
+def connected_blocks(matrix) -> BlockPartition:
+    """The weakly connected components of a square matrix's pattern, as a `BlockPartition`.
 
     Two indices share a block when a stored entry links them in either
-    direction, so the matrix is block-diagonal over the returned sets: every
-    stored entry has its row and column in the same block.  Each set is an
-    ascending index array, and the sets are ordered by their smallest index.
-    The graph has unit weights on the stored positions, so complex (even
-    purely imaginary) data is never cast.
+    direction, so the matrix is block-diagonal over the blocks: every
+    stored entry has its row and column in the same block.  Each block is
+    an ascending index array, and the blocks are ordered by their smallest
+    index.  The graph has unit weights on the stored positions, so complex
+    (even purely imaginary) data is never cast.
     """
     csr = sparse.csr_matrix(matrix)
     pattern = sparse.csr_matrix(
@@ -207,13 +234,18 @@ def connected_blocks(matrix) -> list:
         shape=csr.shape,
     )
     n_blocks, labels = csgraph.connected_components(pattern, directed=True, connection="weak")
-    members = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n_blocks)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    # the argsort is stable, so a block's first member is its smallest index
-    order = np.argsort(members[starts]).tolist()
-    return [members[a:b] for a, b in zip(starts[order].tolist(), ends[order].tolist())]
+    # renumber the components by the rank of their smallest state
+    label = np.argsort(np.argsort(np.unique(labels, return_index=True)[1]))[labels]
+    # the argsort is stable, so each block's states ascend
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=n_blocks)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    # argsort inverts the permutation `members`: each state's place in it,
+    # less its block's offset
+    position = np.argsort(members) - offsets[label]
+    for a in (label, members, offsets, sizes, position):
+        a.flags.writeable = False
+    return BlockPartition(label, members, offsets, sizes, position)
 
 
 _UNIT_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -360,24 +392,16 @@ def _gershgorin_bound(block) -> float:
     return float((diag - np.abs(diag) + _row_abs_sums(block)).max())
 
 
-def _block_positions(blocks, dim: int) -> np.ndarray:
-    """Each state's position within its block of `connected_blocks`."""
-    sizes = np.array([b.size for b in blocks])
-    position = np.empty(dim, dtype=np.int64)
-    position[np.concatenate(blocks)] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return position
-
-
 def _diagonal_block(matrix: sparse.csr_matrix, idx, position):
     """(`matrix[idx][:, idx]` for a block idx of `connected_blocks`, gather of its entries).
 
     Every stored entry of a row in the block has its column in the block, so
     the block's rows are gathered whole from the CSR arrays and their
-    columns renumbered by `position` (`_block_positions`).  The members ascend,
-    so renumbering keeps each row's entry order: the arrays are scipy's
-    fancy slice bit for bit, and every sum over a row runs in the same
-    order.  `data[gather]` orders any matrix on the same pattern (the
-    balance) in one more pass.
+    columns renumbered by `position`, each state's place within its block
+    (`BlockPartition.position`).  The members ascend, so renumbering keeps
+    each row's entry order: the arrays are scipy's fancy slice bit for bit,
+    and every sum over a row runs in the same order.  `data[gather]` orders
+    any matrix on the same pattern (the balance) in one more pass.
     """
     counts = np.diff(matrix.indptr)[idx]
     indptr = np.zeros(idx.size + 1, dtype=matrix.indptr.dtype)
@@ -388,13 +412,14 @@ def _diagonal_block(matrix: sparse.csr_matrix, idx, position):
     return block, gather
 
 
-def _translation_partners(blocks, parts, position, translation) -> dict:
+def _translation_partners(blocks, parts, translation) -> dict:
     """{partner: (representative, local positions, signs)} of the block pairs the translation maps exactly.
 
-    `translation` is the (perm, sign) of `operator.quarter_translation` on
-    the operator's `basis_dims`, or None: state i goes to sign[i] times
-    state perm[i].  A multi-state block n and the block p its first state
-    goes to are a pair when the map sends p back to n, n < p, and it maps
+    `blocks` is the operator's `BlockPartition` and `translation` the
+    (perm, sign) of `operator.quarter_translation` on its `basis_dims`, or
+    None: state i goes to sign[i] times state perm[i].  A multi-state block
+    n and the block p its first state goes to (`label`) are a pair when the
+    map sends p back to n, n < p, and it maps
     block n onto block p entry for entry: the states of n go onto those of p
     with signs +-1, and the image of the gathered block of n (`parts`),
     Q A_n Q^T, has the gathered block of p's pattern and data bit for bit.
@@ -409,17 +434,15 @@ def _translation_partners(blocks, parts, position, translation) -> dict:
     if translation is None:
         return {}
     perm, sign = translation
-    label = np.empty(position.size, dtype=np.int64)
-    label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
     partners = {}
     for n in parts:
-        p = int(label[perm[blocks[n][0]]])
-        if not (p > n and p in parts and label[perm[blocks[p][0]]] == n):
+        p = int(blocks.label[perm[blocks[n][0]]])
+        if not (p > n and p in parts and blocks.label[perm[blocks[p][0]]] == n):
             continue
         image, signs = perm[blocks[n]], sign[blocks[n]]
         if not (np.array_equal(np.sort(image), blocks[p]) and (np.abs(signs) == 1.0).all()):
             continue
-        local = position[image]
+        local = blocks.position[image]
         a, b = parts[n][0], parts[p][0]
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
         cols = local[a.indices]
@@ -629,10 +652,11 @@ class Spectrum:
     """Validated head of an operator's spectrum, as `solve` returns it.
 
     `values` (ground first, matrix + offset) and their two-sided `residuals`,
-    plus the block-local pieces the solve held: the `blocks` of
-    `connected_blocks`, the working matrix's `block_values` with block n
-    from slot `starts[n]` on, each value's slot (`slots`) and block
-    (`owners`), and the `vectors` (v, l, c) of each multi-state block with a
+    plus the block-local pieces the solve held: the `blocks`, the
+    `BlockPartition` of `connected_blocks` (its `offsets` count states), the
+    working matrix's `block_values` with block n from value slot
+    `starts[n]` on, each value's slot (`slots`) and block (`owners`), and
+    the `vectors` (v, l, c) of each multi-state block with a
     value here (1x1 blocks carry unit vectors): right and left vectors of
     the working matrix, l^H v = I, and one unit phase per column.  With
     `phases` = diag S of `_real_form` (all 1 without a real form), the pairs
@@ -649,7 +673,7 @@ class Spectrum:
     values: np.ndarray
     residuals: np.ndarray
     dim: int
-    blocks: list
+    blocks: BlockPartition
     block_values: np.ndarray
     starts: np.ndarray
     slots: np.ndarray
@@ -797,7 +821,7 @@ def solve(
         matrix = matrix.copy()
         matrix.sum_duplicates()
     blocks = connected_blocks(matrix)
-    sizes = np.array([b.size for b in blocks])
+    sizes = blocks.sizes
     heads = sizes.copy()
     iterative = np.zeros(sizes.size, dtype=bool)
     if method == "arpack":
@@ -820,7 +844,7 @@ def solve(
     if phase is None:
         phase = np.ones(dim)
     # every value comes from the working matrix, so one real form gives one spectrum
-    w[starts[sizes == 1]] = work.diagonal()[[b[0] for b in blocks if b.size == 1]]
+    w[starts[sizes == 1]] = work.diagonal()[blocks.members[blocks.offsets[:-1][sizes == 1]]]
     multi = np.flatnonzero(sizes > 1)
     # each multi-state block of the working matrix and of its balance
     parts = {}
@@ -829,9 +853,8 @@ def solve(
     partners = {}
     if multi.size:
         balance = _weight_balance(work, op.basis_dims)
-        position = _block_positions(blocks, dim)
         for n in multi:
-            block, gather = _diagonal_block(work, blocks[n], position)
+            block, gather = _diagonal_block(work, blocks[n], blocks.position)
             sub = None
             if balance is not None:
                 # the balance has the working matrix's pattern, so the same gather orders it
@@ -841,7 +864,7 @@ def solve(
                 sub = (balanced, balance[1][blocks[n]], balance[2][blocks[n]])
             parts[n] = (block, sub)
         translation = quarter_translation(op.basis_dims)
-        partners = _translation_partners(blocks, parts, position, translation)
+        partners = _translation_partners(blocks, parts, translation)
         if count is not None and balance is not None and np.isrealobj(balance[0].data):
             for n in multi:
                 if n not in partners and _symmetric_fits(parts[n][1], residual_tol):
@@ -985,7 +1008,7 @@ def _reduced_resolvent(spectrum: Spectrum, i: int):
     block `solve` skipped or whose vectors it dropped (a `count` it owns no
     value of), or the heads of an ARPACK run -- raises SolverError.
     """
-    sizes = np.array([b.size for b in spectrum.blocks])
+    blocks, sizes = spectrum.blocks, spectrum.blocks.sizes
     multi = np.flatnonzero(sizes > 1)
     if spectrum.block_values.size != spectrum.dim or not all(n in spectrum.vectors for n in multi):
         raise SolverError("the reduced resolvent needs the eigendecomposition of every block")
@@ -994,18 +1017,18 @@ def _reduced_resolvent(spectrum: Spectrum, i: int):
     home = spectrum.owners[i]
     singles = sizes == 1
     singles[home] = False
-    rows = np.array([b[0] for b, single in zip(spectrum.blocks, singles) if single], dtype=int)
+    rows = blocks.members[blocks.offsets[:-1][singles]]
     pivots = lam[spectrum.starts[singles]] - lam_i
     solves = []
     for n in multi:
         v, l, c = spectrum.vectors[n]
-        phases = spectrum.phases[spectrum.blocks[n]][:, None] * c
+        phases = spectrum.phases[blocks[n]][:, None] * c
         right, left = phases * v, phases * l
         denom = lam[spectrum.starts[n] : spectrum.starts[n] + sizes[n]] - lam_i
         if n == home:
             others = np.arange(sizes[n]) != spectrum.slots[i] - spectrum.starts[n]
             right, left, denom = right[:, others], left[:, others], denom[others]
-        solves.append((spectrum.blocks[n], right, left.conj().T, denom))
+        solves.append((blocks[n], right, left.conj().T, denom))
 
     def apply(rhs: np.ndarray) -> np.ndarray:
         out = np.zeros(spectrum.dim, dtype=complex)

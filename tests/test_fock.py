@@ -129,6 +129,13 @@ def test_shift_operator_zero_mode_is_number():
     assert np.array_equal(s0, 3.0 * np.eye(b.dim))
 
 
+def test_shift_operator_refuses_a_mode_of_another_dimension():
+    b = enumerate_basis(ModeLattice(d=2, box_len=TAU, m_per_dim=3), 2)
+    for k in ((1,), (1, 0, 0)):
+        with pytest.raises(ConfigurationError, match="2 components"):
+            shift_operator(b, k)
+
+
 def test_shift_operator_adjoint_pairs():
     lat = _lat()
     b = enumerate_basis(lat, 2)
@@ -173,6 +180,8 @@ def _shift_operator_loop(basis, k_mode):
     (1, 5, [(k,) for k in range(-6, 7)]),
     # every lattice mode, partly-off shifts such as (2, -1), and shifts off entirely
     (2, 3, list(itertools.product(range(-2, 3), repeat=2)) + [(3, 0), (0, -3), (3, 3)]),
+    # moves across many modes, either way
+    (1, 11, [(k,) for k in (1, -3, 7, -10, 10)]),
 ])
 def test_shift_operator_bit_identical_to_loop(d, m, shifts):
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
@@ -482,14 +491,23 @@ def test_ground_pair_skips_no_block_that_eigh_rounding_could_make_the_ground(h):
     assert energy == ref_energy and np.array_equal(vec, ref_vec)
 
 
-def test_ground_pair_rejects_non_finite_entries():
+def test_ground_pair_solves_finite_entries_whose_gershgorin_discs_overflow():
     # every entry is finite, but the Gershgorin discs of the k = 0 and k = +-1
-    # terms reach past the float range
+    # terms reach past the float range unless they are taken on H / 2^e
     u_k = np.array([-1.2e308, 1.4e308, 1.4e308])
     h = build_hamiltonian(enumerate_basis(_lat(), 3), u_k, 0.0, 0.0)
     assert np.isfinite(h.entries).all() and np.isfinite(h.matrix.data).all()
-    with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite"):
-        ground_pair(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        energy, vec = ground_pair(h)
+    ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert energy == ref_energy and np.array_equal(vec, ref_vec)
+    assert math.isclose(energy, -1.496e308, rel_tol=1e-3)
+    # a non-finite entry still leaves no bound to skip by
+    entries = h.entries.copy()
+    entries[0] = math.inf
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite"):
+        ground_pair(replace(h, entries=entries))
 
 
 def test_ground_pair_checks_the_residual_at_any_scale(monkeypatch):

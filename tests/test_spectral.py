@@ -262,10 +262,58 @@ def test_connected_blocks_slices_as_np_split_did(dim, density, seed, complex_dat
     m = sparse.random(dim, dim, density=density, format="csr", random_state=rng)
     if complex_data:
         m = 1j * m  # purely imaginary data must not be cast away
+    _check_partition(m)
+
+
+def _check_partition(m):
+    """`connected_blocks(m)` against `_blocks_by_split(m)`: every block and every field."""
     got, ref = connected_blocks(m), _blocks_by_split(m)
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got[-1], ref[-1])
+    with pytest.raises(IndexError):
+        got[len(ref)]
+    sizes = np.array([b.size for b in ref])
+    label, position = np.empty(m.shape[0], dtype=int), np.empty(m.shape[0], dtype=int)
+    for n, b in enumerate(ref):
+        label[b], position[b] = n, np.arange(b.size)
+    assert np.array_equal(got.sizes, sizes)
+    assert np.array_equal(got.offsets, np.concatenate(([0], np.cumsum(sizes))))
+    assert np.array_equal(got.members, np.concatenate(ref))
+    assert np.array_equal(got.label, label) and np.array_equal(got.position, position)
+    for field in ("label", "members", "offsets", "sizes", "position"):
+        assert not getattr(got, field).flags.writeable
+    return got
+
+
+def test_connected_blocks_renumber_components_by_their_smallest_state(monkeypatch):
+    # scipy happens to number the components in that order; the partition
+    # must not rest on it
+    rng = np.random.default_rng(SEED)
+    m = sparse.random(30, 30, density=0.04, format="csr", random_state=rng)
+    components = sparse.csgraph.connected_components
+
+    def shifted_numbers(*args, **kwargs):
+        # a cyclic shift, not an involution: a map confused with its inverse shows
+        n, labels = components(*args, **kwargs)
+        return n, (labels + 1) % n
+
+    monkeypatch.setattr(spectral.csgraph, "connected_components", shifted_numbers)
+    assert len(_check_partition(m)) > 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_connected_blocks_of_a_diagonal_and_of_a_single_block(dim):
+    # every state alone: a stored diagonal, and no stored entry at all
+    for m in (sparse.diags(np.arange(1.0, dim + 1)), sparse.csr_matrix((dim, dim))):
+        blocks = _check_partition(sparse.csr_matrix(m))
+        assert len(blocks) == dim and (blocks.sizes == 1).all()
+    # one block: a chain through a shuffled order of the states, stored one way
+    perm = np.random.default_rng(SEED).permutation(dim)
+    chain = sparse.csr_matrix((np.ones(dim - 1), (perm[:-1], perm[1:])), shape=(dim, dim))
+    blocks = _check_partition(chain)
+    assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(dim))
 
 
 # -- perturbation series -----------------------------------------------------------
@@ -974,7 +1022,6 @@ def test_block_order_and_array_balance_match_the_sparse_references(op):
     matrix = op.matrix.tocsr()
     work, phase = _real_form(matrix, op.basis_dims)
     blocks = connected_blocks(matrix)
-    position = spectral._block_positions(blocks, op.dim)
     # the real form, and L itself as a complex matrix
     for form in (work, matrix):
         got, ref = _weight_balance(form, op.basis_dims), _balance_by_diags(form, op.basis_dims)
@@ -984,7 +1031,7 @@ def test_block_order_and_array_balance_match_the_sparse_references(op):
             assert _same_csr(got[0], ref[0])
             assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
         for idx in blocks:
-            block, gather = spectral._diagonal_block(form, idx, position)
+            block, gather = spectral._diagonal_block(form, idx, blocks.position)
             assert _same_csr(block, form[idx][:, idx])
             rows = np.asarray(abs(block).sum(axis=1)).ravel()
             assert spectral._row_abs_sums(block).tobytes() == rows.tobytes()
