@@ -7,7 +7,10 @@ command has returned, writes each table in the selected format (csv or json),
 then a `<command>_meta.json` sidecar listing them, so a command that raises
 writes no data file.  Every file goes to a temporary file first and all are
 moved into place, the sidecar last, only once all are written, so a failed
-write leaves the output directory as it was.  Data files are byte-identical
+write leaves the output directory as it was.  Only after that does it remove
+the other-format twin of each table written (`compare.csv` beside a new
+`compare.json`), and only a twin that the earlier sidecar of the same command
+lists, so it never removes a file it did not write.  Data files are byte-identical
 across reruns of the same configuration -- CSV floats carry 17 significant
 digits, JSON floats Python's shortest round-trip repr -- and anything
 nondeterministic (timestamps, absolute paths) lives in the sidecar.
@@ -140,6 +143,20 @@ def _write_all(files) -> None:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         raise
+
+
+def _listed_names(meta_path) -> set:
+    """Basenames an earlier sidecar lists; none if it is missing, unreadable or malformed."""
+    if not os.path.isfile(meta_path):
+        return set()
+    try:
+        with open(meta_path, encoding="ascii") as fh:
+            files = json.load(fh)["files"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return set()
+    if not isinstance(files, list):
+        return set()
+    return {os.path.basename(f) for f in files if isinstance(f, str)}
 
 
 # -- command bodies (numerics imported lazily) ----------------------------------
@@ -412,11 +429,19 @@ def main(argv=None) -> int:
             for name, columns, rows in tables
         ]
         meta = _meta_text(args.command, cfg.source, fmt, [path for path, _ in files])
+        meta_path = os.path.join(out_dir, f"{args.command}_meta.json")
+        earlier = _listed_names(meta_path)
         try:
             # the sidecar goes last, so it is never in place before a table it lists
-            _write_all(files + [(os.path.join(out_dir, f"{args.command}_meta.json"), meta)])
+            _write_all(files + [(meta_path, meta)])
         except OSError as exc:
             raise ConfigurationError(f"cannot write to the output directory: {exc}") from None
+        # a table the earlier run wrote in the other format is stale now
+        other = "json" if fmt == "csv" else "csv"
+        for name, _, _ in tables:
+            if f"{name}.{other}" in earlier:
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(out_dir, f"{name}.{other}"))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

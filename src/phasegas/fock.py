@@ -16,7 +16,10 @@ Hermitian for real even U^I_k.
 
 The bridge to the mode-operator side is gamma_k = U^I_k / (hbar2_over_2m * V)
 and u_0 = (U0 - mu) / hbar2_over_2m; operator eigenvalues lam convert back to
-energies through E = hbar2_over_2m * (-lam).
+energies through E = hbar2_over_2m * (-lam).  The weak operator is the
+diagonal ladder -sum_c n_c k_c^2 - ebar_N (see `operator`), whose ground value
+is -ebar_N at every Hermite cap, so `mean_field_comparison` takes its
+functional column in that closed form and builds no operator.
 
 A `FockBasis` holds its lattice and one occupation array whose row 0 is the
 condensate, so the functions on a sector take the basis alone.
@@ -517,8 +520,9 @@ def mean_field_comparison(
       - oracle_normal_epp: same with the normal-ordered (textbook) interaction;
       - condensate_epp: <c|H|c>/N for the all-in-zero-mode state;
       - prediction_epp: the mean-field U * N/V;
-      - functional_epp: E/N from the weak-coupling operator ground eigenvalue
-        through the gamma = U/(hbar2_over_2m * V) bridge.
+      - functional_epp: E/N of the weak operator's ground value -ebar_N, in closed
+        form, through the gamma = U/(hbar2_over_2m * V) bridge; `n_max` is
+        checked, state guard included, but changes no output.
     Both interaction conventions are reported so the constant in the
     mean-field law is visible rather than assumed.  As U -> 0, with M the
     number of modes:
@@ -528,26 +532,30 @@ def mean_field_comparison(
       - oracle_normal_epp -> U (N-1)/V.
     """
     from .hermite import HermiteBasis
-    from .operator import assemble
     from .params import ModelParams
-    from .spectral import energy_from_eigenvalue, solve
+    from .spectral import energy_from_eigenvalue
 
     if not is_integer(n_particles) or n_particles < 1:
         raise ConfigurationError(f"comparison needs an integer n_particles >= 1, got {n_particles!r}")
     _check_kinetic_scale(hbar2_over_2m)
     n = int(n_particles)
     vol = lattice.volume
-    # the weak bases first: one past the state guard is refused before the oracle's work
-    weak = []
+    # the functional column first, so every refusal comes before the oracle's work
+    functional = []
     for u_val in coupling_scan:
         u_val = float(u_val)
         if not (u_val > 0.0):
             raise ConfigurationError(f"couplings must be positive, got {u_val}")
         gamma = u_val / (hbar2_over_2m * vol)
-        weak.append((u_val, gamma, HermiteBasis(lattice, gamma, n_max)))
+        k2 = HermiteBasis(lattice, gamma, n_max).coord_k2  # n_max's checks and state guard
+        ebar = ModelParams(gamma=gamma, n_particles=n).ebar_n
+        # L_W's ladder -sum_c n_c k_c^2 - ebar_N must be finite, as its matrix had to be
+        if not (math.isfinite(ebar) and math.isfinite(sum(n_max * v for v in k2))):
+            raise ConfigurationError(f"the weak ladder overflows at coupling {u_val}, n_max {n_max}")
+        functional.append((u_val, energy_from_eigenvalue(-ebar, hbar2_over_2m=hbar2_over_2m) / n))
     basis = enumerate_basis(lattice, n)
     rows = []
-    for u_val, gamma, hbasis in weak:
+    for u_val, functional_epp in functional:
         u_arr = np.full(lattice.num_modes, u_val)
         ham = build_hamiltonian(basis, u_arr, 0.0, 0.0, hbar2_over_2m=hbar2_over_2m)
         oracle_epp = ground_pair(ham)[0] / n
@@ -556,12 +564,6 @@ def mean_field_comparison(
         )
         oracle_normal_epp = ground_pair(ham_no)[0] / n
         condensate_epp = condensate_expectation(ham) / n
-
-        params = ModelParams(gamma=gamma, n_particles=n)
-        lam = solve(assemble(params, hbasis).at(0.0), 1).values[0]
-        functional_epp = float(
-            np.real(energy_from_eigenvalue(lam, hbar2_over_2m=hbar2_over_2m))
-        ) / n
 
         prediction_epp = u_val * n / vol
         abs_dev = abs(oracle_epp - prediction_epp)

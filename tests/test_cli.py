@@ -384,6 +384,62 @@ def test_an_oserror_on_the_second_write_leaves_the_output_directory_as_it_was(tm
     assert _listing(out) == before
 
 
+def _compare_in(cfg, out, fmt):
+    return main(["--config", cfg, "--out", str(out), "--format", fmt, "compare"])
+
+
+def test_a_rerun_in_the_other_format_removes_the_table_its_sidecar_listed(tmp_path):
+    cfg = _write_config(tmp_path, lattice={"m_per_dim": 3})
+    out = tmp_path / "cmp"
+    assert _compare_in(cfg, out, "csv") == 0
+    assert _compare_in(cfg, out, "json") == 0
+    assert sorted(os.listdir(out)) == ["compare.json", "compare_meta.json"]
+    assert _compare_in(cfg, out, "csv") == 0
+    assert sorted(os.listdir(out)) == ["compare.csv", "compare_meta.json"]
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        None,
+        b"not json",
+        b"\xff\xfe",
+        b"[]",
+        b'{"files": 3}',
+        b'{"files": "compare.csv"}',
+        b'{"format": "csv"}',
+        b'{"files": ["spectrum.csv", "compare.json"]}',
+    ],
+)
+def test_a_table_no_readable_sidecar_lists_is_kept(tmp_path, sidecar):
+    cfg = _write_config(tmp_path, lattice={"m_per_dim": 3})
+    out = tmp_path / "cmp"
+    out.mkdir()
+    (out / "compare.csv").write_text("the user's own table\n")
+    if sidecar is not None:
+        (out / "compare_meta.json").write_bytes(sidecar)
+    assert _compare_in(cfg, out, "json") == 0
+    assert (out / "compare.csv").read_text() == "the user's own table\n"
+    assert sorted(os.listdir(out)) == ["compare.csv", "compare.json", "compare_meta.json"]
+
+
+def test_a_failed_write_removes_no_earlier_table(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path, lattice={"m_per_dim": 3})
+    out = tmp_path / "cmp"
+    assert _compare_in(cfg, out, "csv") == 0
+    before = _listing(out)
+
+    def fails_on_a_temporary(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise OSError(errno.ENOSPC, "forced write failure", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fails_on_a_temporary, raising=False)
+    assert _compare_in(cfg, out, "json") == 2
+    assert "forced write failure" in capsys.readouterr().err
+    assert _listing(out) == before
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_each_sidecar_lists_exactly_the_files_written(tmp_path, fmt):
     tables = {
@@ -470,8 +526,8 @@ def test_compare_table(tmp_path):
 
 
 def test_compare_caps_the_largest_block_not_the_total_dimension(tmp_path, capsys):
-    # at d = 2, m = 3 the functional side's weak operator has dimension
-    # 6561, above the dense cap, but every one of its blocks is 1x1
+    # at d = 2, m = 3 the functional side's weak basis has 6561 states, above
+    # the dense cap, but its column is the closed form: no weak matrix is built
     path = tmp_path / "d2.json"
     path.write_text(
         json.dumps(
@@ -630,19 +686,13 @@ def test_weak_variant_keeps_u0_and_drops_the_rest_of_the_potential(tmp_path):
 
 def test_scan_and_perturb_assemble_once_and_compare_never_builds_l1(tmp_path, monkeypatch):
     import phasegas.operator as operator
-    from phasegas.config import load_config
 
-    cfg = load_config(str(_DEMO_CONFIG))
-    for command, expected in (
-        ("scan", 2),
-        ("perturb", 2),
-        ("compare", len(cfg.compare["couplings"])),
-    ):
+    for command, expected in (("scan", 2), ("perturb", 2), ("compare", 0)):
         with monkeypatch.context() as patch:
             calls = _count_calls(patch, operator, "_materialize")
             assert main(["--config", str(_DEMO_CONFIG), "--out", str(tmp_path), command]) == 0
         # L0 and L1 once per run, whatever the length of the epsilon grid;
-        # compare reads only L(0), once per coupling
+        # compare's functional column is the closed form -ebar_N, so no operator
         assert len(calls) == expected, command
 
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 import scipy.sparse.linalg as spla
 
@@ -27,8 +27,11 @@ from phasegas.fock import (
     shift_operator,
     state_momentum,
 )
+from phasegas.hermite import HermiteBasis
 from phasegas.lattice import ModeLattice, TAU
-from phasegas.spectral import connected_blocks, energy_from_eigenvalue
+from phasegas.operator import assemble
+from phasegas.params import ModelParams
+from phasegas.spectral import connected_blocks, energy_from_eigenvalue, solve
 
 SEED = 99
 
@@ -649,6 +652,56 @@ def test_mean_field_comparison_rows():
         assert row["abs_dev"] == pytest.approx(
             abs(row["oracle_epp"] - row["prediction_epp"]), rel=1e-12
         )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([(1, 3), (1, 5), (1, 7), (1, 9), (2, 3)]),
+    n=st.integers(1, 7),
+    couplings=st.lists(
+        st.one_of(st.floats(1e-3, 30.0), st.sampled_from([1e200, 1e300])), min_size=1, max_size=3
+    ),
+    scale=st.sampled_from([0.5, 1.0, 3.0]),
+    n_max=st.integers(0, 2),
+)
+def test_the_functional_column_is_the_assembled_weak_ground(shape, n, couplings, scale, n_max):
+    lat = ModeLattice(d=shape[0], box_len=TAU, m_per_dim=shape[1])
+    assume((n_max + 1) ** (lat.num_modes - 1) <= 5000)
+    rows = mean_field_comparison(lat, n, couplings, hbar2_over_2m=scale, n_max=n_max)
+    for u, row in zip(couplings, rows):
+        # the reference: the top eigenvalue of the assembled weak operator
+        gamma = u / (scale * lat.volume)
+        weak = assemble(ModelParams(gamma=gamma, n_particles=n), HermiteBasis(lat, gamma, n_max))
+        lam = solve(weak.at(0.0), 1).values[0]
+        ref = float(np.real(energy_from_eigenvalue(lam, hbar2_over_2m=scale))) / n
+        assert row["functional_epp"].hex() == ref.hex()
+
+
+def test_mean_field_comparison_neither_assembles_nor_solves(monkeypatch):
+    import phasegas.operator
+    import phasegas.spectral
+
+    lat = _lat(5)
+    rows = mean_field_comparison(lat, 3, (0.5, 0.05), n_max=2)
+    monkeypatch.setattr(phasegas.operator, "assemble", lambda *a, **k: pytest.fail("assembled"))
+    monkeypatch.setattr(phasegas.spectral, "solve", lambda *a, **k: pytest.fail("solved"))
+    assert mean_field_comparison(lat, 3, (0.5, 0.05), n_max=2) == rows
+
+
+def test_mean_field_comparison_refuses_an_overflowing_weak_ladder_before_the_oracle(monkeypatch):
+    one_mode = ModeLattice(d=1, box_len=TAU, m_per_dim=1)
+    # k^2 = 5e307 on the +-1 pair: the ladder's top state -4 k^2 overflows at n_max 2 only
+    tiny = ModeLattice(d=1, box_len=TAU / math.sqrt(5e307), m_per_dim=3)
+    row = mean_field_comparison(tiny, 1, (1.0,), hbar2_over_2m=1e-3, n_max=1)[0]
+    assert math.isfinite(row["functional_epp"])
+    monkeypatch.setattr(fock, "enumerate_basis", lambda *a: pytest.fail("the oracle ran"))
+    # ebar_N = N^2 gamma overflows on one mode, though the oracle's H = N^2 U / V does not
+    for lattice, n, u, scale, n_max in (
+        (one_mode, 2, 1e308 * 0.25 * TAU, 0.25, 0),
+        (tiny, 1, 1.0, 1e-3, 2),
+    ):
+        with pytest.raises(ConfigurationError, match="weak ladder overflows"):
+            mean_field_comparison(lattice, n, (0.5, u), hbar2_over_2m=scale, n_max=n_max)
 
 
 def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
