@@ -11,8 +11,10 @@ The interaction is density-density exactly as written -- NOT normal-ordered --
 so diagonal self-interaction terms are present; `normal_order=True` switches
 to :n~_k n~_{-k}: = n~_k n~_{-k} - sum_{q in S_k} n_q (S_k the set of q with
 both q and q+k on the lattice) for diagnostic comparison against the textbook
-contact form.  Even with the cutoff, n~_k+ = n~_{-k} holds exactly, so H is
-Hermitian for real even U^I_k.
+contact form.  Both conventions share one table of the n~_k n~_{-k} per basis:
+a normal-ordered build subtracts each term's diagonal as it adds the term.
+Even with the cutoff, n~_k+ = n~_{-k} holds exactly, so H is Hermitian for
+real even U^I_k.
 
 The bridge to the mode-operator side is gamma_k = U^I_k / (hbar2_over_2m * V)
 and u_0 = (U0 - mu) / hbar2_over_2m; operator eigenvalues lam convert back to
@@ -60,20 +62,19 @@ class FockBasis:
     in descending lexicographic order and the lattice lists its zero mode
     first, so row 0 is always the condensate (N, 0, ..., 0).
 
-    `build_hamiltonian` keeps the coupling-independent interaction terms
-    n~_k n~_{-k} (normal-ordered: minus their diagonal) in `_pair_terms`,
-    keyed by normal_order: one `_Layout`, shared by both conventions, of the
-    pattern of every Hamiltonian on the basis and of its blocks, and each
-    term's data aligned to that pattern (`_interaction_terms`).  So a build
-    is the diagonal plus one scaled vector add per mode, and a solve finds
-    its blocks laid out.  `_moves`, computed once on first use, locates the
+    `_terms`, computed once on first use, holds the coupling-independent
+    interaction terms n~_k n~_{-k} for both conventions: one `_Layout` of the
+    pattern of every Hamiltonian on the basis and of its blocks, one table of
+    each term's data aligned to that pattern, and each term's diagonal
+    correction, which a normal-ordered build subtracts.  So a build is the
+    diagonal plus one scaled vector add per mode, and a solve finds its
+    blocks laid out.  `_moves`, computed once on first use, locates the
     target of every one-particle move of the `shift_operator` calls.
     """
 
     lattice: ModeLattice
     n_particles: int
     occupations: np.ndarray = field(repr=False)
-    _pair_terms: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -105,6 +106,36 @@ class FockBasis:
             np.cumsum(table[row, cols] - here, axis=1, out=total[:, 1:])
             steps.append(total)
         return (*np.nonzero(self.occupations), *steps)
+
+    @functools.cached_property
+    def _terms(self):
+        """(`_Layout`, aligned, diagonals): the n~_k n~_{-k} of every Hamiltonian here.
+
+        Row i of `aligned` holds the entries of the term of mode i at their
+        slots of the layout's pattern and 0 elsewhere, and row i of
+        `diagonals` its `_pair_density_diagonal`, which normal ordering
+        subtracts at the diagonal slots.  Built from one n~_k per mode.
+        """
+        dim, modes = self.dim, self.lattice.modes
+        shifts = {mode: shift_operator(self, mode) for mode in modes}
+        # entries as row-major keys row * dim + col, so the sorted union is the
+        # sorted CSR pattern and each term's slots are one binary search; the
+        # union takes in every term's transpose too, so the pattern is symmetric
+        terms = []
+        for mode in modes:
+            coo = (shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo()
+            terms.append((coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data))
+        keys = np.sort(np.concatenate(
+            [np.arange(dim, dtype=np.int64) * (dim + 1)]
+            + [rows * dim + cols for rows, cols, _ in terms]
+            + [cols * dim + rows for rows, cols, _ in terms]
+        ))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        aligned = np.zeros((len(terms), keys.size))
+        for row, (rows, cols, data) in zip(aligned, terms):
+            row[np.searchsorted(keys, rows * dim + cols)] = data
+        diagonals = np.array([_pair_density_diagonal(self, mode) for mode in modes])
+        return _layout(dim, keys), aligned, diagonals
 
 
 def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
@@ -284,43 +315,6 @@ def _layout(dim: int, keys: np.ndarray) -> _Layout:
     )
 
 
-def _interaction_terms(basis: FockBasis, normal_order: bool):
-    """(`_Layout`, aligned data) of the n~_k n~_{-k} of one convention.
-
-    Row i of `aligned` holds the entries of the term of mode i at their slots
-    of the layout's pattern and 0 elsewhere; normal-ordered, the diagonal of
-    `_pair_density_diagonal` is subtracted at the diagonal slots.  Both
-    conventions are cached on the basis at the first request, from one n~_k
-    per mode; they share the layout and the products.
-    """
-    if normal_order not in basis._pair_terms:
-        dim, modes = basis.dim, basis.lattice.modes
-        shifts = {mode: shift_operator(basis, mode) for mode in modes}
-        # entries as row-major keys row * dim + col, so the sorted union is the
-        # sorted CSR pattern and each term's slots are one binary search; the
-        # union takes in every term's transpose too, so the pattern is symmetric
-        terms = []
-        for mode in modes:
-            coo = (shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo()
-            terms.append((coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data))
-        keys = np.sort(np.concatenate(
-            [np.arange(dim, dtype=np.int64) * (dim + 1)]
-            + [rows * dim + cols for rows, cols, _ in terms]
-            + [cols * dim + rows for rows, cols, _ in terms]
-        ))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        layout = _layout(dim, keys)
-        plain = np.zeros((len(terms), keys.size))
-        for row, (rows, cols, data) in zip(plain, terms):
-            row[np.searchsorted(keys, rows * dim + cols)] = data
-        normal = plain.copy()
-        for row, mode in zip(normal, modes):
-            row[layout.diag_slots] -= _pair_density_diagonal(basis, mode)
-        for convention, aligned in ((False, plain), (True, normal)):
-            basis._pair_terms[convention] = (layout, aligned)
-    return basis._pair_terms[normal_order]
-
-
 @dataclass(frozen=True, eq=False)
 class FockHamiltonian:
     """One sector Hamiltonian, real symmetric, built on `basis`.
@@ -379,7 +373,7 @@ def build_hamiltonian(
     kinetic = hbar2_over_2m * (basis.occupations.astype(float) @ k2)
     diag = kinetic + (u0_ext - mu) * float(basis.n_particles)
 
-    layout, aligned = _interaction_terms(basis, normal_order)
+    layout, aligned, diagonals = basis._terms
     # every entry is summed as a chain of scipy sparse adds would sum it, the
     # diagonal first and then one scaled term per mode in mode order, and an
     # entry that comes out exactly 0 is dropped as such an add drops it; with
@@ -389,7 +383,11 @@ def build_hamiltonian(
     inv_v = 1.0 / lattice.volume
     active = np.flatnonzero(u_int != 0.0)
     for i in active:
-        acc += (u_int[i] * inv_v) * aligned[i]
+        term = aligned[i]
+        if normal_order:
+            term = term.copy()
+            term[layout.diag_slots] -= diagonals[i]
+        acc += (u_int[i] * inv_v) * term
     if not np.isfinite(acc).all():
         # an input error (a non-finite u0_ext or mu, or an overflow), which
         # ground_pair would report as a failed solve
@@ -448,7 +446,7 @@ def ground_pair(h: FockHamiltonian):
     The residual and |H| are taken on `h.matrix` / max|H_ij|, so neither
     overflows at any scale of H.
     """
-    layout, values, dim = _interaction_terms(h.basis, h.normal_order)[0], h.entries, h.dim
+    layout, values, dim = h.basis._terms[0], h.entries, h.dim
     blocks, sizes = layout.blocks, layout.blocks.sizes
     if sizes.max() > DENSE_DIM_LIMIT:
         raise ConfigurationError(

@@ -525,25 +525,22 @@ def test_compare_table(tmp_path):
     assert len(lines) == 3
 
 
-def test_compare_caps_the_largest_block_not_the_total_dimension(tmp_path, capsys):
-    # at d = 2, m = 3 the functional side's weak basis has 6561 states, above
-    # the dense cap, but its column is the closed form: no weak matrix is built
-    path = tmp_path / "d2.json"
-    path.write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "lattice": {"d": 2, "m_per_dim": 3},
-                "params": {"gamma": 0.5, "n_particles": 2},
-                "compare": {"couplings": [1.0]},
-            }
-        )
+def test_compare_caps_the_largest_block_not_the_total_dimension(tmp_path, capsys, monkeypatch):
+    # at m = 7, N = 5 the oracle's sector has 462 states in 31 momentum blocks,
+    # the largest of 32: the dense cap is read against that block alone
+    import phasegas.fock as fock
+
+    cfg = _write_config(
+        tmp_path, lattice={"d": 1, "m_per_dim": 7}, params={"n_particles": 5},
+        compare={"couplings": [1.0]},
     )
-    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "compare"]) == 0, (
+    monkeypatch.setattr(fock, "DENSE_DIM_LIMIT", 32)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "compare"]) == 0, (
         capsys.readouterr().err
     )
-    lines = (tmp_path / "o" / "compare.csv").read_text().strip().splitlines()
-    assert len(lines) == 2
+    monkeypatch.setattr(fock, "DENSE_DIM_LIMIT", 31)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "compare"]) == 2
+    assert "largest block 32 of dimension 462" in capsys.readouterr().err
 
 
 def test_compare_at_couplings_near_the_float_range_raises_no_overflow(tmp_path, capsys):

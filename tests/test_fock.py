@@ -301,15 +301,16 @@ def test_non_hermitian_assembly_raises(monkeypatch):
 
 def test_an_asymmetric_interaction_entry_raises(monkeypatch):
     # one term entry below the diagonal loses its mirror's value: the build
-    # compares every slot with its transpose slot
+    # compares every slot with its transpose slot, the diagonal subtracted or not
     b = enumerate_basis(_lat(5), 3)
-    layout, aligned = fock._interaction_terms(b, False)
+    layout, aligned, diagonals = b._terms
     term, j = np.argwhere(aligned[:, layout.lower] != 0.0)[0]
     broken = aligned.copy()
     broken[term, layout.lower[j]] *= 1.0 + 1e-11
-    monkeypatch.setattr(fock, "_interaction_terms", lambda basis, normal_order: (layout, broken))
-    with pytest.raises(SolverError, match="lost Hermiticity"):
-        build_hamiltonian(b, 0.6, 0.0, 0.0)
+    monkeypatch.setitem(b.__dict__, "_terms", (layout, broken, diagonals))
+    for normal_order in (False, True):
+        with pytest.raises(SolverError, match="lost Hermiticity"):
+            build_hamiltonian(b, 0.6, 0.0, 0.0, normal_order=normal_order)
 
 
 def test_momentum_block_structure():
@@ -351,7 +352,7 @@ def _ground_pair_all_blocks(h):
     Each block is the dense float64 copy of the sparse slice of `h.matrix` on it.
     """
     energy = None
-    for idx in fock._interaction_terms(h.basis, h.normal_order)[0].blocks:
+    for idx in h.basis._terms[0].blocks:
         vals, vecs = np.linalg.eigh(h.matrix[idx][:, idx].toarray())
         if energy is None or vals[0] < energy:
             energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
@@ -538,7 +539,7 @@ def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n)
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
     ground_pair(h)
-    blocks = fock._interaction_terms(h.basis, True)[0].blocks
+    blocks = h.basis._terms[0].blocks
     refs = [h.matrix[idx][:, idx].toarray() for idx in blocks]
     assert len(blocks) > 1 and 1 <= len(seen) <= len(blocks)
     # each solved array is the slice of a block not matched before (equal
@@ -730,18 +731,45 @@ def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
 
 def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
     lat = _lat(5)
-    corrections = []
+    corrections, tables = [], []
     diagonal = fock._pair_density_diagonal
     monkeypatch.setattr(
         fock, "_pair_density_diagonal", lambda *a: corrections.append(a[1]) or diagonal(*a)
     )
+    layout = fock._layout
+    monkeypatch.setattr(fock, "_layout", lambda *a: tables.append(a[0]) or layout(*a))
     shared = enumerate_basis(lat, 3)
     for u in (1.0, 0.05, 0.3):
         for normal_order in (False, True):
             build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order)
-    # one aligned set of n~_k n~_{-k} per convention, one diagonal correction per mode
-    assert len(shared._pair_terms) == 2
+    # one aligned table of n~_k n~_{-k} for both conventions, built once, and
+    # one diagonal correction per mode
+    assert tables == [shared.dim]
     assert len(corrections) == lat.num_modes
+
+
+def _float_arrays(value):
+    """The float64 arrays in a value, through tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype == np.float64 else []
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [a for v in value for a in _float_arrays(v)]
+    return []
+
+
+def test_both_orderings_share_one_table_of_interaction_terms():
+    # after a build in each convention the basis holds the terms once, plus
+    # one diagonal correction per mode, not one table per convention
+    lat = _lat(21)
+    basis = enumerate_basis(lat, 3)
+    for normal_order in (False, True):
+        h = build_hamiltonian(basis, 0.7, 0.0, 0.0, normal_order=normal_order)
+    held = _float_arrays(tuple(vars(basis).values()))
+    assert [a.shape for a in held] == [
+        (lat.num_modes, h.entries.size), (lat.num_modes, basis.dim)
+    ]
 
 
 def _build_matrix_loop(basis, u_int, u0, mu, hbar2_over_2m, normal_order):
