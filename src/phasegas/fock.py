@@ -11,8 +11,8 @@ The interaction is density-density exactly as written -- NOT normal-ordered --
 so diagonal self-interaction terms are present; `normal_order=True` switches
 to :n~_k n~_{-k}: = n~_k n~_{-k} - sum_{q in S_k} n_q (S_k the set of q with
 both q and q+k on the lattice) for diagnostic comparison against the textbook
-contact form.  Both conventions share one table of the n~_k n~_{-k} per basis:
-a normal-ordered build subtracts each term's diagonal as it adds the term.
+contact form.  Each basis stores every n~_k n~_{-k} once, on its own slots:
+its entries, and the same entries less the correction on the diagonal ones.
 Even with the cutoff, n~_k+ = n~_{-k} holds exactly, so H is Hermitian for
 real even U^I_k.
 
@@ -50,7 +50,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverError, is_integer
 from .lattice import STATE_LIMIT, ModeLattice
 from .operator import DENSE_DIM_LIMIT
-from .spectral import BlockPartition, connected_blocks
+from .spectral import BlockPartition, check_kinetic_scale, connected_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +64,12 @@ class FockBasis:
 
     `_terms`, computed once on first use, holds the coupling-independent
     interaction terms n~_k n~_{-k} for both conventions: one `_Layout` of the
-    pattern of every Hamiltonian on the basis and of its blocks, one table of
-    each term's data aligned to that pattern, and each term's diagonal
-    correction, which a normal-ordered build subtracts.  So a build is the
-    diagonal plus one scaled vector add per mode, and a solve finds its
-    blocks laid out.  `_moves`, computed once on first use, locates the
-    target of every one-particle move of the `shift_operator` calls.
+    pattern of every Hamiltonian on the basis and of its blocks, and per
+    mode the term's slots of that pattern, its entries there, and those
+    entries normal-ordered.  So a build is the diagonal plus one scaled add
+    per mode on that term's slots, and a solve finds its blocks laid out.
+    `_moves`, computed once on first use, locates the target of every
+    one-particle move of the `shift_operator` calls.
     """
 
     lattice: ModeLattice
@@ -109,12 +109,12 @@ class FockBasis:
 
     @functools.cached_property
     def _terms(self):
-        """(`_Layout`, aligned, diagonals): the n~_k n~_{-k} of every Hamiltonian here.
+        """(`_Layout`, terms): the n~_k n~_{-k} of every Hamiltonian here.
 
-        Row i of `aligned` holds the entries of the term of mode i at their
-        slots of the layout's pattern and 0 elsewhere, and row i of
-        `diagonals` its `_pair_density_diagonal`, which normal ordering
-        subtracts at the diagonal slots.  Built from one n~_k per mode.
+        terms[i] is the term of mode i as (slots, values, normal): the layout
+        slots of its stored entries, those entries, and the same entries
+        with `_pair_density_diagonal` subtracted on the diagonal ones, as
+        normal ordering asks.  Built from one n~_k per mode.
         """
         dim, modes = self.dim, self.lattice.modes
         shifts = {mode: shift_operator(self, mode) for mode in modes}
@@ -131,11 +131,13 @@ class FockBasis:
             + [cols * dim + rows for rows, cols, _ in terms]
         ))
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        aligned = np.zeros((len(terms), keys.size))
-        for row, (rows, cols, data) in zip(aligned, terms):
-            row[np.searchsorted(keys, rows * dim + cols)] = data
-        diagonals = np.array([_pair_density_diagonal(self, mode) for mode in modes])
-        return _layout(dim, keys), aligned, diagonals
+        for i, (mode, (rows, cols, data)) in enumerate(zip(modes, terms)):
+            # every nonzero correction sits on a stored diagonal entry: the
+            # term's (s, s) entry, sum_{q in S_k} n_q (n_{q+k} + 1) (N^2 for
+            # k = 0), is at least the correction
+            correction = np.where(rows == cols, _pair_density_diagonal(self, mode)[rows], 0.0)
+            terms[i] = (np.searchsorted(keys, rows * dim + cols), data, data - correction)
+        return _layout(dim, keys), terms
 
 
 def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
@@ -334,11 +336,6 @@ class FockHamiltonian:
         return self.matrix.shape[0]
 
 
-def _check_kinetic_scale(hbar2_over_2m) -> None:
-    if not (0.0 < hbar2_over_2m < math.inf):
-        raise ConfigurationError(f"hbar2_over_2m must be positive and finite, got {hbar2_over_2m}")
-
-
 def build_hamiltonian(
     basis: FockBasis,
     u_int_k,
@@ -366,14 +363,14 @@ def build_hamiltonian(
             raise ConfigurationError(
                 "u_int_k must be conjugate-symmetric (even) across k -> -k"
             )
-    _check_kinetic_scale(hbar2_over_2m)
+    check_kinetic_scale(hbar2_over_2m)
 
     dim = basis.dim
     k2 = np.array([lattice.k_squared(m) for m in lattice.modes])
     kinetic = hbar2_over_2m * (basis.occupations.astype(float) @ k2)
     diag = kinetic + (u0_ext - mu) * float(basis.n_particles)
 
-    layout, aligned, diagonals = basis._terms
+    layout, terms = basis._terms
     # every entry is summed as a chain of scipy sparse adds would sum it, the
     # diagonal first and then one scaled term per mode in mode order, and an
     # entry that comes out exactly 0 is dropped as such an add drops it; with
@@ -383,11 +380,8 @@ def build_hamiltonian(
     inv_v = 1.0 / lattice.volume
     active = np.flatnonzero(u_int != 0.0)
     for i in active:
-        term = aligned[i]
-        if normal_order:
-            term = term.copy()
-            term[layout.diag_slots] -= diagonals[i]
-        acc += (u_int[i] * inv_v) * term
+        slots, values, normal = terms[i]
+        acc[slots] += (u_int[i] * inv_v) * (normal if normal_order else values)
     if not np.isfinite(acc).all():
         # an input error (a non-finite u0_ext or mu, or an overflow), which
         # ground_pair would report as a failed solve
@@ -535,7 +529,7 @@ def mean_field_comparison(
 
     if not is_integer(n_particles) or n_particles < 1:
         raise ConfigurationError(f"comparison needs an integer n_particles >= 1, got {n_particles!r}")
-    _check_kinetic_scale(hbar2_over_2m)
+    check_kinetic_scale(hbar2_over_2m)
     n = int(n_particles)
     vol = lattice.volume
     # the functional column first, so every refusal comes before the oracle's work

@@ -576,9 +576,10 @@ def load_triplets(source) -> OperatorMatrix:
     A string that starts with the export header is the text itself; anything
     else is a path.  Unreadable paths and malformed exports raise
     ConfigurationError: among them a missing basis_dims, dim or offset line,
-    a dim below 1 or too large to allocate, basis_dims that do not multiply
-    to dim (refused before anything is allocated), and (through
-    OperatorMatrix) a non-finite offset or entry.
+    entry lines that miscount a `# nnz:` line (a truncated export), a dim
+    below 1 or too large to allocate, basis_dims that do not multiply to dim
+    (refused before anything is allocated), and (through OperatorMatrix) a
+    non-finite offset or entry.
     """
     if isinstance(source, str) and source.lstrip().startswith(_TRIPLET_HEADER):
         text = source
@@ -617,8 +618,11 @@ def load_triplets(source) -> OperatorMatrix:
         dims = tuple(int(s) for s in meta["basis_dims"].split())
         dim = int(meta["dim"])
         offset = float(meta["offset"])
+        nnz = int(meta.get("nnz", len(vals)))
     except ValueError as exc:
         raise ConfigurationError(f"invalid triplet export: {exc}") from exc
+    if nnz != len(vals):
+        raise ConfigurationError(f"triplet export has {len(vals)} entry lines, '# nnz:' says {nnz}")
     _check_basis_dims(dims, dim)
     values = np.array(vals, dtype=complex)
     try:

@@ -458,13 +458,6 @@ def _translation_partners(blocks, parts, translation) -> dict:
     return partners
 
 
-def _mirror(vectors, local, signs):
-    """The image Q x of block-local columns x under a certified pair's map."""
-    out = np.empty_like(vectors)
-    out[local] = signs[:, None] * vectors
-    return out
-
-
 def _dense_block(block, s, balance, residual_tol: float):
     """(values, v, l, c, two-sided residuals) of one block solved densely.
 
@@ -763,8 +756,12 @@ def solve(
     residual-validated on both sides; failure raises SolverError with the
     worst value reported.  The checks hold for L's pairs R = S v c and
     L = S l c exactly, as S and the column phases c are diagonal with
-    entries of unit modulus; `Spectrum.pair` forms them on expansion.  The
-    Spectrum keeps the vectors only of blocks that own a returned value.
+    entries of unit modulus; `Spectrum.pair` forms them on expansion.
+    Every source (dense, ARPACK, translation partner) ends in one tail: a
+    (v, l, c) record per solved block, an ARPACK block's l its left
+    candidates until the cut at `count` is known.  The Spectrum keeps the
+    records of the blocks that own a returned value, and ARPACK's are then
+    bi-orthonormalized and checked on their returned columns, in solve order.
     The operator is brought to canonical CSR once; each multi-state block
     of the working matrix and of its balance is gathered from the CSR
     arrays once (`_diagonal_block`, the arrays of `work[idx][:, idx]`), so
@@ -876,7 +873,7 @@ def solve(
         # the blocks hold all the loop needs, so the whole balance is freed before it
         del balance
     solved = sizes == 1
-    vectors, pending = {}, {}
+    records = {}  # (v, l, c) per solved block; ARPACK's l: its left candidates until the cut
     # a partner shares its representative's bound and comes after it, so the
     # stable order reaches the representative first
     for n in multi[np.argsort(-bound[multi], kind="stable")]:
@@ -889,42 +886,40 @@ def solve(
         if n in partners:
             rep, mapped, signs = partners[n]
             wb = w[starts[rep] : starts[rep] + heads[rep]]
-            # the representative's right vectors, and its left vectors or ARPACK's left candidates
-            vrb, left = pending[rep][1:3] if iterative[n] else vectors[rep][:2]
-            vrb, c = _fix_phases(_mirror(vrb, mapped, signs), phase[idx])
-            left = _mirror(left, mapped, signs)
-            if iterative[n]:
-                pending[n] = (block, vrb, left, c)
-            else:
-                residual[start : start + wb.size] = _check_pairs(block, wb, vrb, left)
-                vectors[n] = (vrb, left, c)
-        elif iterative[n]:
-            wb, vrb, cand = _arpack_block(block, count, local)
+            # Q x of the representative's vectors, in their memory layout
+            vrb, left = (np.empty_like(x) for x in records[rep][:2])
+            vrb[mapped], left[mapped] = (signs[:, None] * x for x in records[rep][:2])
             vrb, c = _fix_phases(vrb, phase[idx])
-            pending[n] = (block, vrb, cand, c)
+            if not iterative[n]:
+                residual[start : start + wb.size] = _check_pairs(block, wb, vrb, left)
+        elif iterative[n]:
+            wb, vrb, left = _arpack_block(block, count, local)
+            vrb, c = _fix_phases(vrb, phase[idx])
         else:
             wb, vrb, left, c, residual[start : start + wb.size] = _dense_block(
                 block, phase[idx], local, residual_tol
             )
-            vectors[n] = (vrb, left, c)
+        records[n] = (vrb, left, c)
         w[start : start + wb.size] = wb
         solved[n] = True
 
     keep = _sorted_order(w)[: w.size if count is None else count]
     owner = np.repeat(np.arange(len(blocks)), heads)
     owning = set(owner[keep].tolist())
-    vectors = {n: vlc for n, vlc in vectors.items() if n in owning}
+    records = {n: vlc for n, vlc in records.items() if n in owning}
     # an ARPACK block validates only the heads it returns: a cluster split by
-    # the block's own cut at `count` can fail the checks only if returned
-    for n, (block, vrb, cand, c) in pending.items():
-        cols = keep[owner[keep] == n] - starts[n]
-        if cols.size:
+    # the block's own cut at `count` can fail the checks only if returned; its
+    # block is gathered again, so no solved block is held through the loop
+    for n, (vrb, cand, c) in records.items():
+        if iterative[n]:
+            block = _diagonal_block(work, blocks[n], blocks.position)[0]
+            cols = keep[owner[keep] == n] - starts[n]
             left = np.zeros_like(vrb)
             left[:, cols] = _biorthonormalize(vrb[:, cols], cand[:, cols])
             residual[starts[n] + cols] = _check_pairs(
                 block, w[starts[n] + cols], vrb[:, cols], left[:, cols]
             )
-            vectors[n] = (vrb, left, c)
+            records[n] = (vrb, left, c)
     worst = residual[keep].max()
     if not worst <= residual_tol:
         raise SolverError(
@@ -939,7 +934,7 @@ def solve(
         starts=starts,
         slots=keep,
         owners=owner[keep],
-        vectors=vectors,
+        vectors=records,
         phases=phase,
         solved=solved,
         real_form=real_form,
@@ -953,9 +948,14 @@ def energy_from_eigenvalue(e, *, hbar2_over_2m: float = 1.0):
     The ground state carries the largest operator eigenvalue, so energies come
     out lowest-first under this sign convention.
     """
+    check_kinetic_scale(hbar2_over_2m)
+    return -hbar2_over_2m * e
+
+
+def check_kinetic_scale(hbar2_over_2m) -> None:
+    """Refuse a kinetic scale hbar2_over_2m that is not positive and finite."""
     if not (0.0 < hbar2_over_2m < np.inf):
         raise ConfigurationError(f"hbar2_over_2m must be positive and finite, got {hbar2_over_2m}")
-    return -hbar2_over_2m * e
 
 
 def calibrate_mu(

@@ -303,11 +303,16 @@ def test_an_asymmetric_interaction_entry_raises(monkeypatch):
     # one term entry below the diagonal loses its mirror's value: the build
     # compares every slot with its transpose slot, the diagonal subtracted or not
     b = enumerate_basis(_lat(5), 3)
-    layout, aligned, diagonals = b._terms
-    term, j = np.argwhere(aligned[:, layout.lower] != 0.0)[0]
-    broken = aligned.copy()
-    broken[term, layout.lower[j]] *= 1.0 + 1e-11
-    monkeypatch.setitem(b.__dict__, "_terms", (layout, broken, diagonals))
+    layout, terms = b._terms
+    i = next(i for i, (slots, _, _) in enumerate(terms) if np.isin(slots, layout.lower).any())
+    slots, values, normal = terms[i]
+    j = np.flatnonzero(np.isin(slots, layout.lower))[0]
+    assert values[j] == normal[j] != 0.0
+    broken = list(terms)
+    broken[i] = (slots, values.copy(), normal.copy())
+    broken[i][1][j] *= 1.0 + 1e-11
+    broken[i][2][j] *= 1.0 + 1e-11
+    monkeypatch.setitem(b.__dict__, "_terms", (layout, broken))
     for normal_order in (False, True):
         with pytest.raises(SolverError, match="lost Hermiticity"):
             build_hamiltonian(b, 0.6, 0.0, 0.0, normal_order=normal_order)
@@ -742,34 +747,41 @@ def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
     for u in (1.0, 0.05, 0.3):
         for normal_order in (False, True):
             build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order)
-    # one aligned table of n~_k n~_{-k} for both conventions, built once, and
+    # one store of the n~_k n~_{-k} for both conventions, built once, and
     # one diagonal correction per mode
     assert tables == [shared.dim]
     assert len(corrections) == lat.num_modes
 
 
 def _float_arrays(value):
-    """The float64 arrays in a value, through tuples and dicts."""
+    """The float64 arrays in a value, through tuples, lists and dicts."""
     if isinstance(value, np.ndarray):
         return [value] if value.dtype == np.float64 else []
     if isinstance(value, dict):
         value = tuple(value.values())
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [a for v in value for a in _float_arrays(v)]
     return []
 
 
 def test_both_orderings_share_one_table_of_interaction_terms():
-    # after a build in each convention the basis holds the terms once, plus
-    # one diagonal correction per mode, not one table per convention
+    # after a build in each convention the basis holds each term once, as its
+    # values and normal-ordered values on its own slots only: no array with
+    # one pattern-length or dim-length row per mode
     lat = _lat(21)
     basis = enumerate_basis(lat, 3)
     for normal_order in (False, True):
         h = build_hamiltonian(basis, 0.7, 0.0, 0.0, normal_order=normal_order)
     held = _float_arrays(tuple(vars(basis).values()))
-    assert [a.shape for a in held] == [
-        (lat.num_modes, h.entries.size), (lat.num_modes, basis.dim)
-    ]
+    assert not [a for a in held if a.ndim == 2 and a.shape[1] in (h.entries.size, basis.dim)]
+    layout, terms = basis._terms
+    assert len(terms) == lat.num_modes
+    assert sum(a.size for a in held) == 2 * sum(slots.size for slots, _, _ in terms)
+    for mode, (slots, values, normal) in zip(lat.modes, terms):
+        term = (shift_operator(basis, mode) @ shift_operator(basis, tuple(-c for c in mode))).tocoo()
+        assert slots.size == values.size == normal.size == term.nnz
+        keys = term.row.astype(np.int64) * basis.dim + term.col
+        assert np.array_equal(layout.rows[slots] * basis.dim + layout.indices[slots], keys)
 
 
 def _build_matrix_loop(basis, u_int, u0, mu, hbar2_over_2m, normal_order):

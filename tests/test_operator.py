@@ -744,6 +744,19 @@ def test_triplet_malformed_entry_rejected():
         load_triplets("\n".join(lines))
 
 
+def test_triplet_truncated_export_rejected():
+    # L(0.2) at m=3, n_max=3 has 15 entries; an export cut after 10 of them
+    # must not load as a smaller operator
+    lat, par, bas = _setup(m=3, epsilon=0.2, n_max=3)
+    lines = export_triplets(assemble(par, bas).at(par.epsilon)).splitlines()
+    assert _edit_header("\n".join(lines), "nnz", "15") == "\n".join(lines)
+    with pytest.raises(ConfigurationError, match="has 10 entry lines, '# nnz:' says 15"):
+        load_triplets("\n".join(lines[:-5]))
+    # hand-written text with no nnz line loads what it lists
+    text = "\n".join(ln for ln in lines[:-5] if not ln.startswith("# nnz:"))
+    assert load_triplets(text).matrix.nnz == 10
+
+
 def test_triplet_missing_path_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="neither export text nor a readable file"):
         load_triplets(str(tmp_path / "absent.txt"))
