@@ -26,15 +26,18 @@ functional column in that closed form and builds no operator.
 A `FockBasis` holds its lattice and one occupation array whose row 0 is the
 condensate, so the functions on a sector take the basis alone.
 
-H is real symmetric, and a `FockHamiltonian` holds it in float64.  The
-interaction conserves total momentum, so H splits into exact blocks.  Each
-basis lays them out once (`_Layout`), as the connected components of the
-pattern that all its Hamiltonians share: the blocks of every H whose U^I_k
-are all nonzero, and unions of blocks otherwise.  `ground_pair` scatters
-each block straight from the entries of H on that pattern and diagonalizes
-it densely by a real `eigh`, up to `operator.DENSE_DIM_LIMIT` states.  It
-solves only the blocks whose Gershgorin bound leaves room for the ground
-level, lowest bound first, and returns what a solve of every block would.
+H is real symmetric, and a `FockHamiltonian` holds it in float64 on the
+pattern that all Hamiltonians of its basis share; its CSR is formed only
+when read.  The interaction conserves total momentum, so H splits into
+exact blocks.  Each basis lays them out once (`_Layout`), as the connected
+components of that pattern: the blocks of every H whose U^I_k are all
+nonzero, and unions of blocks otherwise.  `ground_pair` scatters each block
+straight from the entries of H on the pattern and diagonalizes it densely
+by a real `eigh`, up to `operator.DENSE_DIM_LIMIT` states.  It takes the
+blocks lowest Gershgorin bound first, stops where the bound leaves no room
+for the ground level, and sends a block to `eigh` only when one Cholesky
+factorization fails to prove its levels lie above the lowest one found; it
+returns what a solve of every block would.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError, is_integer
 from .lattice import STATE_LIMIT, ModeLattice
@@ -113,31 +115,35 @@ class FockBasis:
 
         terms[i] is the term of mode i as (slots, values, normal): the layout
         slots of its stored entries, those entries, and the same entries
-        with `_pair_density_diagonal` subtracted on the diagonal ones, as
-        normal ordering asks.  Built from one n~_k per mode.
+        with the mode's column of `_pair_densities` subtracted on the diagonal
+        ones, as normal ordering asks.  Built from one n~_k per mode, with one
+        correction pass and one binary search for every term.
         """
         dim, modes = self.dim, self.lattice.modes
         shifts = {mode: shift_operator(self, mode) for mode in modes}
+        coos = [(shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo() for mode in modes]
+        rows = np.concatenate([coo.row for coo in coos]).astype(np.int64)
+        cols = np.concatenate([coo.col for coo in coos]).astype(np.int64)
+        values = np.concatenate([coo.data for coo in coos])
+        ends = np.cumsum([coo.nnz for coo in coos])
         # entries as row-major keys row * dim + col, so the sorted union is the
-        # sorted CSR pattern and each term's slots are one binary search; the
+        # sorted CSR pattern and every term's slots are one binary search; the
         # union takes in every term's transpose too, so the pattern is symmetric
-        terms = []
-        for mode in modes:
-            coo = (shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo()
-            terms.append((coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data))
         keys = np.sort(np.concatenate(
-            [np.arange(dim, dtype=np.int64) * (dim + 1)]
-            + [rows * dim + cols for rows, cols, _ in terms]
-            + [cols * dim + rows for rows, cols, _ in terms]
+            (np.arange(dim, dtype=np.int64) * (dim + 1), rows * dim + cols, cols * dim + rows)
         ))
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        for i, (mode, (rows, cols, data)) in enumerate(zip(modes, terms)):
-            # every nonzero correction sits on a stored diagonal entry: the
-            # term's (s, s) entry, sum_{q in S_k} n_q (n_{q+k} + 1) (N^2 for
-            # k = 0), is at least the correction
-            correction = np.where(rows == cols, _pair_density_diagonal(self, mode)[rows], 0.0)
-            terms[i] = (np.searchsorted(keys, rows * dim + cols), data, data - correction)
-        return _layout(dim, keys), terms
+        slots = np.searchsorted(keys, rows * dim + cols)
+        # every nonzero correction sits on a stored diagonal entry: the
+        # term's (s, s) entry, sum_{q in S_k} n_q (n_{q+k} + 1) (N^2 for
+        # k = 0), is at least the correction
+        (diagonal,) = np.nonzero(rows == cols)
+        mode = np.searchsorted(ends, diagonal, side="right")
+        correction = np.zeros(values.size)
+        correction[diagonal] = _pair_densities(self)[rows[diagonal], mode]
+        normal = values - correction
+        spans = zip(np.concatenate(([0], ends[:-1])), ends)
+        return _layout(dim, keys), [(slots[a:b], values[a:b], normal[a:b]) for a, b in spans]
 
 
 def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
@@ -254,14 +260,26 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
     return mat
 
 
-def _pair_density_diagonal(basis: FockBasis, k_mode) -> np.ndarray:
-    """Diagonal of sum_{q in S_k} n_q with S_k = {q : q and q+k on the lattice}."""
-    src, _ = _shift_pairs(basis.lattice, k_mode)
+def _pair_densities(basis: FockBasis) -> np.ndarray:
+    """(dim, modes) array: column k the diagonal of sum_{q in S_k} n_q.
+
+    S_k = {q : q and q+k on the lattice}.  One product of the occupied
+    (state, q) entries with the (q, k) membership table of the S_k; every sum
+    is of small integers, so exact.
+    """
+    lattice = basis.lattice
+    coords, _ = _mode_grid(lattice)
+    member = np.ones((lattice.num_modes,) * 2, dtype=bool)
+    for axis in range(lattice.d):
+        # q + k + h along this axis, in the cube exactly when q + k is a mode there
+        shifted = coords[:, None, axis] + coords[None, :, axis] + (lattice.m_per_dim - 1) // 2
+        member &= (shifted >= 0) & (shifted < lattice.m_per_dim)
     states, modes = basis._moves[:2]
-    on = np.isin(modes, src)
-    return np.bincount(
-        states[on], basis.occupations[states[on], modes[on]].astype(float), minlength=basis.dim
+    occupied = sparse.csr_matrix(
+        (basis.occupations[states, modes].astype(float), (states, modes)),
+        shape=(basis.dim, lattice.num_modes),
     )
+    return occupied @ member.astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,19 +339,35 @@ def _layout(dim: int, keys: np.ndarray) -> _Layout:
 class FockHamiltonian:
     """One sector Hamiltonian, real symmetric, built on `basis`.
 
-    `matrix` is the float64 CSR of H, with the entries that come out exactly
-    0 dropped.  `entries` holds H on every slot of the pattern of the
-    basis's `_Layout`, those zeros included: `ground_pair` solves from it.
+    `entries` holds H in float64 on every slot of the pattern of the basis's
+    `_Layout`, exact zeros included: `ground_pair` solves from it, and
+    `interacting` says whether any U^I_k is nonzero.  `matrix`, formed from
+    `entries` on first read, is the CSR of H with the entries that come out
+    exactly 0 dropped, but with the whole diagonal kept when no U^I_k is
+    nonzero, as a chain of scipy sparse adds would store it.
     """
 
     basis: FockBasis
-    matrix: sparse.csr_matrix
     normal_order: bool
     entries: np.ndarray = field(repr=False)
+    interacting: bool
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.dim
+
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        layout, dim = self.basis._terms[0], self.dim
+        if self.interacting:
+            keep = self.entries != 0.0
+        else:
+            keep = np.zeros(self.entries.size, dtype=bool)
+            keep[layout.diag_slots] = True
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return sparse.csr_matrix(
+            (self.entries[keep], layout.indices[keep], kept[layout.indptr]), shape=(dim, dim)
+        )
 
 
 def build_hamiltonian(
@@ -365,16 +399,13 @@ def build_hamiltonian(
             )
     check_kinetic_scale(hbar2_over_2m)
 
-    dim = basis.dim
     k2 = np.array([lattice.k_squared(m) for m in lattice.modes])
     kinetic = hbar2_over_2m * (basis.occupations.astype(float) @ k2)
     diag = kinetic + (u0_ext - mu) * float(basis.n_particles)
 
     layout, terms = basis._terms
     # every entry is summed as a chain of scipy sparse adds would sum it, the
-    # diagonal first and then one scaled term per mode in mode order, and an
-    # entry that comes out exactly 0 is dropped as such an add drops it; with
-    # no interaction term the whole diagonal is kept, zeros included
+    # diagonal first and then one scaled term per mode in mode order
     acc = np.zeros(layout.indices.size)
     acc[layout.diag_slots] = diag
     inv_v = 1.0 / lattice.volume
@@ -394,16 +425,9 @@ def build_hamiltonian(
         raise SolverError(
             f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}"
         )
-    if active.size:
-        keep = acc != 0.0
-    else:
-        keep = np.zeros(acc.size, dtype=bool)
-        keep[layout.diag_slots] = True
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    ham = sparse.csr_matrix(
-        (acc[keep], layout.indices[keep], kept[layout.indptr]), shape=(dim, dim)
+    return FockHamiltonian(
+        basis=basis, normal_order=bool(normal_order), entries=acc, interacting=bool(active.size)
     )
-    return FockHamiltonian(basis=basis, matrix=ham, normal_order=bool(normal_order), entries=acc)
 
 
 def ground_pair(h: FockHamiltonian):
@@ -432,12 +456,29 @@ def ground_pair(h: FockHamiltonian):
     function of n taken as n and |H|_2 <= n max|H_ij|, and the subnormal
     moves of the bound's at most 2n terms and of the level, at most
     (2n + 1) 2^-1075 against the 2 n^2 eps max|H_ij| / 2^e >= n^2 2^-52
-    left over.  So every
-    skipped block's computed lowest value would lie strictly above the
-    returned one, and the solved blocks get the same arrays as in a loop
-    over all of them.  Without a subnormal the scaled bounds, margin and
+    left over.  Without a subnormal the scaled bounds, margin and
     comparisons are those on H exactly, so the same blocks are solved.
-    The residual and |H| are taken on `h.matrix` / max|H_ij|, so neither
+
+    A block that passes the bound, after the first one solved, reaches
+    `eigh` only if a certificate fails: LAPACK's Cholesky (`potrf`) on the
+    lower triangle of A - sigma I, A = H_b / 2^e, with sigma = E + delta,
+    E the lowest level found over 2^e, a = max|H_ij| / 2^e in [1/2, 1),
+    n the block's size and delta = 8 n^3 eps (a + |E|).  If it factors,
+    every eigenvalue `eigh` would compute for the block, over 2^e, lies
+    strictly above E, and the block is skipped.  A factorization that runs
+    to completion is exact for a perturbation of norm <= n gamma_{n+1}
+    |A - sigma I|_2 (N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, Thm 10.3), so lambda_min(A) > sigma minus
+    that, below 1.01 n^3 eps (a + |sigma|) for n <= 4096; rounding the
+    shifted diagonal and sigma moves it by at most eps (a + |sigma|); the
+    eigh backward error above takes n^2 eps a; and the subnormal moves of
+    the block and of E, at most (n + 1) 2^-1075.  As a + |sigma| <= 1.0002
+    (a + |E|), these sum to below 4 n^3 eps (a + |E|), half of delta.  So a
+    skipped block's computed level could neither beat nor tie the returned
+    one, and the solved blocks get the same arrays as in a loop over all of
+    them.
+
+    The residual and |H| are taken from `h.entries` / max|H_ij|, so neither
     overflows at any scale of H.
     """
     layout, values, dim = h.basis._terms[0], h.entries, h.dim
@@ -450,35 +491,40 @@ def ground_pair(h: FockHamiltonian):
     # Gershgorin bound of each block, on H / 2^e with max|H_ij| = f 2^e and
     # f in [1/2, 1): the lower triangle (eigh's default) enters the discs of
     # its row and of its column
-    mag = np.abs(values)
-    peak = mag.max(initial=0.0)
+    peak = np.abs(values).max(initial=0.0)
     exponent = int(np.frexp(peak)[1])
-    low = np.ldexp(mag[layout.lower], -exponent)
+    scaled = np.ldexp(values, -exponent)
+    low = np.abs(scaled[layout.lower])
     radius = np.bincount(layout.rows[layout.lower], low, dim) + np.bincount(
         layout.indices[layout.lower], low, dim
     )
-    disc = (np.ldexp(values[layout.diag_slots], -exponent) - radius)[blocks.members]
+    disc = (scaled[layout.diag_slots] - radius)[blocks.members]
     bound = np.minimum.reduceat(disc, blocks.offsets[:-1])
     if not np.isfinite(bound).all():
         raise SolverError("Hamiltonian has non-finite Gershgorin bounds")
-    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * np.ldexp(peak, -exponent)
+    unit = np.ldexp(peak, -exponent)
+    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * unit
     energy = None
     for n in np.argsort(bound, kind="stable"):
-        if energy is not None and bound[n] - margin > np.ldexp(energy, -exponent):
+        level = None if energy is None else np.ldexp(energy, -exponent)
+        if level is not None and bound[n] - margin > level:
             break
         size, own = sizes[n], slice(layout.slot_offsets[n], layout.slot_offsets[n + 1])
         block = np.zeros(size * size)
         block[layout.flat[own]] = values[layout.slots[own]]
-        vals, vecs = np.linalg.eigh(block.reshape(size, size))
+        block = block.reshape(size, size)
+        if level is not None and _above(np.ldexp(block, -exponent), level, unit):
+            continue
+        vals, vecs = np.linalg.eigh(block)
         if energy is None or vals[0] < energy or (vals[0] == energy and n < best):
             energy, best, block_vec = float(vals[0]), n, vecs[:, 0]
     vec = np.zeros(dim)
     vec[blocks[best]] = block_vec
     scale = peak if peak > 0.0 else 1.0
-    m = h.matrix
-    scaled = sparse.csr_matrix((m.data / scale, m.indices, m.indptr), shape=m.shape)
-    resid = float(np.linalg.norm(scaled @ vec - (energy / scale) * vec))
-    h_norm = float(spla.norm(scaled)) if m.nnz else 0.0
+    ratio = values / scale
+    image = np.bincount(layout.rows, ratio * vec[layout.indices], dim)
+    resid = float(np.linalg.norm(image - (energy / scale) * vec))
+    h_norm = float(np.linalg.norm(ratio))
     if resid > 1e-10 * max(h_norm, 1e-300):
         raise SolverError(
             f"ground-state residual {resid:.3e} exceeds 1e-10 * |H| = {1e-10 * h_norm:.3e}"
@@ -487,9 +533,28 @@ def ground_pair(h: FockHamiltonian):
     return energy, vec
 
 
+def _above(block: np.ndarray, level: float, unit: float) -> bool:
+    """Whether `eigh` would compute every value of `block` strictly above `level`.
+
+    `block` is a block of H / 2^e, of which the lower triangle is read, and
+    its diagonal is overwritten; `unit` is max|H_ij| / 2^e.  True when
+    LAPACK's Cholesky, through numpy (whose BLAS `eigh` has loaded already),
+    factors block - sigma I, sigma = level + 8 n^3 eps (unit + |level|); see
+    `ground_pair` for that shift.
+    """
+    size = block.shape[0]
+    delta = 8.0 * size**3 * np.finfo(float).eps * (unit + abs(level))
+    block[np.diag_indices(size)] -= level + delta
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def condensate_expectation(h: FockHamiltonian) -> float:
     """<c|H|c> for the condensate state (all N particles in the zero mode): state 0."""
-    return float(h.matrix[0, 0])
+    return float(h.entries[h.basis._terms[0].diag_slots[0]])
 
 
 def state_momentum(basis: FockBasis) -> np.ndarray:

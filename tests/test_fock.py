@@ -404,24 +404,110 @@ def test_ground_pair_caps_the_largest_block(monkeypatch):
         ground_pair(h)
 
 
+def _counting(monkeypatch):
+    """Record each `eigh` call as ("eigh", size), each certificate as ("above", size, result)."""
+    calls = []
+    eigh, above = np.linalg.eigh, fock._above
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(("eigh", a.shape[0])) or eigh(a))
+
+    def certify(block, level, unit):
+        size, result = block.shape[0], above(block, level, unit)
+        calls.append(("above", size, result))
+        return result
+
+    monkeypatch.setattr(fock, "_above", certify)
+    return calls
+
+
 def test_ground_pair_solves_only_the_blocks_that_can_hold_the_ground(monkeypatch):
     # compare's couplings at m=7, N=5: 31 blocks a Hamiltonian, so 310 eigh
-    # calls when every block is solved
+    # calls when every block is solved; the Gershgorin bound leaves 30 of them,
+    # and a Cholesky certificate rules out all but the first
     lat = _lat(7)
     b = enumerate_basis(lat, 5)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    counts = []
+    calls = _counting(monkeypatch)
+    counts, certified = [], 0
     for u in (1.0, 0.3162, 0.1, 0.03162, 0.01):
         for normal_order in (False, True):
             h = build_hamiltonian(b, u, 0.0, 0.0, normal_order=normal_order)
-            before = len(calls)
+            del calls[:]
             energy, vec = ground_pair(h)
-            counts.append(len(calls) - before)
+            counts.append(sum(call[0] == "eigh" for call in calls))
+            certified += sum(call[0] == "above" for call in calls)
             ref_energy, ref_vec = _ground_pair_all_blocks(h)
             assert energy == ref_energy and np.array_equal(vec, ref_vec)
-    assert counts == [9, 9, 3, 3, 1, 1, 1, 1, 1, 1]
+    assert counts == [1] * 10
+    assert certified == 20
+
+
+def _stepping_eigh():
+    """`np.linalg.eigh` whose values err low by k + 1 ulps on the k-th copy of a block.
+
+    Two units in the last place (ulps) of a value v are at most 2 eps |v|, within
+    the 2 n^2 eps max|H_ij| that `_lowering_eigh` allows, and unlike its
+    fractions of that they never round to the same value: a tie of equal
+    blocks is broken towards the later copy at every block size.
+    """
+    eigh, seen = np.linalg.eigh, {}
+
+    def stepped(a):
+        k = seen[a.tobytes()] = seen.get(a.tobytes(), -1) + 1
+        vals, vecs = eigh(a)
+        for _ in range(k + 1):
+            vals = np.nextafter(vals, -np.inf)
+        return vals, vecs
+
+    return stepped
+
+
+@pytest.mark.parametrize("normal_order", [False, True])
+def test_ground_pair_finds_a_ground_outside_the_block_of_lowest_bound(monkeypatch, normal_order):
+    # at m=7, N=4, U=0.7, hbar^2/2m=0.1 a block of 16 states has the lowest
+    # Gershgorin bound and is solved first, but the ground lies in block 0 (18
+    # states, the condensate's): its certificate must fail
+    h = build_hamiltonian(
+        _basis(1, 7, 4), 0.7, 0.0, 0.0, hbar2_over_2m=0.1, normal_order=normal_order
+    )
+    layout = h.basis._terms[0]
+    calls = _counting(monkeypatch)
+    ground, vec = ground_pair(h)
+    ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert ground == ref_energy and np.array_equal(vec, ref_vec)
+    assert np.flatnonzero(vec).min() == 0 and layout.blocks.sizes[0] == 18
+    assert calls[0] == ("eigh", 16) and ("above", 18, False) in calls
+    assert calls[calls.index(("above", 18, False)) + 1] == ("eigh", 18)
+    with mock.patch.object(np.linalg, "eigh", _stepping_eigh()):
+        energy, vec = ground_pair(h)
+    with mock.patch.object(np.linalg, "eigh", _stepping_eigh()):
+        ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert energy == ref_energy and np.array_equal(vec, ref_vec)
+    # eigh may report the winning block's level up to n^2 eps max|H_ij| low, so
+    # the certificate may pass the block neither at the level eigh gave nor
+    # that far below it
+    peak = np.abs(h.entries).max()
+    exponent = int(np.frexp(peak)[1])
+    block = np.ldexp(h.matrix[layout.blocks[0]][:, layout.blocks[0]].toarray(), -exponent)
+    unit, level = np.ldexp(peak, -exponent), np.ldexp(ground, -exponent)
+    for below in (0.0, 18**2 * np.finfo(float).eps * unit):
+        assert not fock._above(block.copy(), level - below, unit)
+
+
+def test_ground_pair_keeps_a_mirror_tie_that_eigh_rounding_breaks():
+    # at N=1 every block is one state; at U=6, hbar^2/2m=0.1 on five modes the
+    # ground is the pair of edge modes, two blocks whose values tie bit for bit
+    h = build_hamiltonian(_basis(1, 5, 1), 6.0, 0.0, 0.0, hbar2_over_2m=0.1)
+    diagonal = h.entries[h.basis._terms[0].diag_slots]
+    assert diagonal[3] == diagonal[4] == diagonal.min()
+    energy, vec = ground_pair(h)
+    assert vec[3] != 0.0 and energy == diagonal[3]
+    # the later copy of a block errs lower: the all-blocks answer moves to
+    # state 4, so the certificate may not rule that block out at the level
+    # eigh gave for state 3
+    with mock.patch.object(np.linalg, "eigh", _stepping_eigh()):
+        energy, vec = ground_pair(h)
+    with mock.patch.object(np.linalg, "eigh", _stepping_eigh()):
+        ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert vec[4] != 0.0 and energy == ref_energy and np.array_equal(vec, ref_vec)
 
 
 @functools.lru_cache(maxsize=None)
@@ -578,26 +664,45 @@ def test_mirror_relabeling_is_exact_symmetry():
     assert np.max(np.abs(h[np.ix_(perm, perm)] - h)) <= 1e-14 * np.max(np.abs(h))
 
 
-def test_ground_pair_sums_split_duplicate_entries():
-    # the blocks come from the basis's slots and the residual is checked on
-    # `h.matrix` as stored: a matrix that stores each entry as two halves
-    # gives the ground of the summed matrix, bit for bit
-    lat = _lat(5)
-    h = build_hamiltonian(enumerate_basis(lat, 3), 0.7, 0.0, 0.0)
-    m = h.matrix
-    spans = list(zip(m.indptr[:-1], m.indptr[1:]))
-    halves = sparse.csr_matrix(
-        (
-            np.concatenate([np.tile(0.5 * m.data[a:b], 2) for a, b in spans]),
-            np.concatenate([np.tile(m.indices[a:b], 2) for a, b in spans]),
-            2 * m.indptr,
-        ),
-        shape=m.shape,
+def _eager_matrix(h, interacting):
+    """The CSR that builds used to form eagerly from `h.entries`, kept as the reference."""
+    layout = h.basis._terms[0]
+    if interacting:
+        keep = h.entries != 0.0
+    else:
+        keep = np.zeros(h.entries.size, dtype=bool)
+        keep[layout.diag_slots] = True
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return sparse.csr_matrix(
+        (h.entries[keep], layout.indices[keep], kept[layout.indptr]), shape=(h.dim, h.dim)
     )
-    assert not halves.has_canonical_format
-    energy, vec = ground_pair(replace(h, matrix=halves))
-    ref_energy, ref_vec = ground_pair(h)
-    assert energy == ref_energy and vec.tobytes() == ref_vec.tobytes()
+
+
+@pytest.mark.parametrize("d, m, n", [(1, 5, 3), (2, 3, 2)])
+def test_matrix_is_formed_on_demand_as_the_eager_construction(d, m, n):
+    # a build and a solve form no CSR; the one formed on first read equals the
+    # eager construction bit for bit, with and without interaction terms
+    basis = _basis(d, m, n)
+    lat = basis.lattice
+    u_k = np.zeros(lat.num_modes)
+    u_k[[0, -2, -1]] = 0.7
+    for u_int, (u0, mu), normal_order in itertools.product(
+        (0.7, u_k, 0.0), ((0.0, 0.0), (0.25, 0.25)), (False, True)
+    ):
+        h = build_hamiltonian(basis, u_int, u0, mu, normal_order=normal_order)
+        ground_pair(h)
+        condensate_expectation(h)
+        assert "matrix" not in vars(h)
+        interacting = np.any(np.asarray(u_int) != 0.0)
+        assert h.interacting == interacting
+        got, ref = h.matrix, _eager_matrix(h, interacting)
+        assert h.matrix is got
+        for attr in ("indptr", "indices", "data"):
+            a, r = getattr(got, attr), getattr(ref, attr)
+            assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+        # with no interaction term the diagonal is kept whole, a zero included
+        if not interacting:
+            assert got.nnz == h.dim and (u0 != mu or got.data[0] == 0.0)
 
 
 def test_mean_field_comparison_refuses_a_count_that_is_not_an_integer():
@@ -658,6 +763,29 @@ def test_mean_field_comparison_rows():
         assert row["abs_dev"] == pytest.approx(
             abs(row["oracle_epp"] - row["prediction_epp"]), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("m, n", [(5, 2), (7, 5), (9, 3)])
+@pytest.mark.parametrize("normal_order", [False, True])
+def test_the_oracle_meets_the_second_order_weak_coupling_law(m, n, normal_order):
+    # the ground at U = 0 is the condensate, which is simple, so E(U) is
+    # analytic; with hbar^2/2m = 1 its U coefficient is <c|W|c> and its U^2
+    # coefficient the Rayleigh-Schroedinger sum over the pair states |k, -k>,
+    # each reached with element 2 sqrt(N(N-1))/V at energy 2 k^2
+    lat = _lat(m)
+    vol, modes = lat.volume, lat.num_modes
+    a1 = n * ((n - 1) if normal_order else (n + modes - 1)) / vol
+    inverse_k2 = sum(1.0 / lat.k_squared(lat.modes[p]) for p, _ in lat.pair_list())
+    a2 = -2.0 * n * (n - 1) / vol**2 * inverse_k2
+    basis = _basis(1, m, n)
+    remainder = []
+    for u in (1.0, 0.3162, 0.1, 0.03162, 0.01):
+        energy = ground_pair(build_hamiltonian(basis, u, 0.0, 0.0, normal_order=normal_order))[0]
+        remainder.append((energy - u * a1 - u * u * a2) / u**3)
+    # the remainder is O(U^3): bounded, and levelled off by U = 0.01 (it moves
+    # 3% or less over the last step at every case here)
+    assert max(abs(r) for r in remainder) <= 1.5
+    assert abs(remainder[-1] - remainder[-2]) <= 0.1 * abs(remainder[-1])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -737,9 +865,9 @@ def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
 def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
     lat = _lat(5)
     corrections, tables = [], []
-    diagonal = fock._pair_density_diagonal
+    densities = fock._pair_densities
     monkeypatch.setattr(
-        fock, "_pair_density_diagonal", lambda *a: corrections.append(a[1]) or diagonal(*a)
+        fock, "_pair_densities", lambda basis: corrections.append(basis.dim) or densities(basis)
     )
     layout = fock._layout
     monkeypatch.setattr(fock, "_layout", lambda *a: tables.append(a[0]) or layout(*a))
@@ -747,10 +875,10 @@ def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
     for u in (1.0, 0.05, 0.3):
         for normal_order in (False, True):
             build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order)
-    # one store of the n~_k n~_{-k} for both conventions, built once, and
-    # one diagonal correction per mode
+    # one store of the n~_k n~_{-k} for both conventions, built once, with
+    # one pass for the diagonal correction of every mode
     assert tables == [shared.dim]
-    assert len(corrections) == lat.num_modes
+    assert corrections == [shared.dim]
 
 
 def _float_arrays(value):
@@ -782,6 +910,20 @@ def test_both_orderings_share_one_table_of_interaction_terms():
         assert slots.size == values.size == normal.size == term.nnz
         keys = term.row.astype(np.int64) * basis.dim + term.col
         assert np.array_equal(layout.rows[slots] * basis.dim + layout.indices[slots], keys)
+        on = term.row == term.col
+        corr = np.where(on, _pair_density_diagonal(basis, mode)[term.row], 0.0)
+        assert values.tobytes() == term.data.tobytes()
+        assert normal.tobytes() == (term.data - corr).tobytes()
+
+
+def _pair_density_diagonal(basis, k_mode):
+    """Diagonal of sum_{q in S_k} n_q with S_k = {q : q and q+k on the lattice}, one mode at a time."""
+    src, _ = fock._shift_pairs(basis.lattice, k_mode)
+    states, modes = basis._moves[:2]
+    on = np.isin(modes, src)
+    return np.bincount(
+        states[on], basis.occupations[states[on], modes[on]].astype(float), minlength=basis.dim
+    )
 
 
 def _build_matrix_loop(basis, u_int, u0, mu, hbar2_over_2m, normal_order):
@@ -799,7 +941,7 @@ def _build_matrix_loop(basis, u_int, u0, mu, hbar2_over_2m, normal_order):
                 basis, tuple(-c for c in mode)
             )
             if normal_order:
-                corr = fock._pair_density_diagonal(basis, mode)
+                corr = _pair_density_diagonal(basis, mode)
                 term = term - sparse.csr_matrix((corr, eye), shape=(dim, dim))
             ham = ham + (u_int[i] * inv_v) * term
     ham = ham.tocsr()
