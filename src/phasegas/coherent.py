@@ -27,6 +27,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -162,10 +163,36 @@ def _check_sector(n_total: int):
         raise ConfigurationError(f"particle number must be a non-negative integer, got {n_total}")
 
 
+def _check_order(mq: int):
+    if not is_integer(mq) or mq < 2:
+        raise ConfigurationError(f"quadrature order mq must be an integer >= 2, got {mq}")
+
+
+def _power_over_factorial(g: complex, n: int) -> complex:
+    """G^n / n! as exp(n log G - lgamma(n + 1)), for G^n or n! past the double range.
+
+    0 where it underflows, G = 0 included; RangeOverflowError, carrying that
+    log as the exponent, where it overflows.
+    """
+    if g == 0:
+        return 0j
+    log = n * cmath.log(g) - math.lgamma(n + 1)
+    if log.real > _EXP_OVERFLOW:
+        raise RangeOverflowError(f"G^N/N! overflows: exp({log.real:.6g})", log)
+    return cmath.exp(log)
+
+
 def projected_exponent_closed(g: complex, n_total: int) -> complex:
-    """G^N / N! for a precomputed overlap exponent."""
+    """G^N / N! for a precomputed overlap exponent.
+
+    Where G^N or N! leaves the double range (N! does from N = 171), it is
+    taken from its log instead; see `_power_over_factorial`.
+    """
     _check_sector(n_total)
-    return complex(g) ** n_total / math.factorial(n_total)
+    try:
+        return complex(g) ** n_total / math.factorial(n_total)
+    except OverflowError:
+        return _power_over_factorial(complex(g), n_total)
 
 
 def projected_exponent_quadrature(g: complex, n_total: int, mq: int) -> complex:
@@ -175,8 +202,7 @@ def projected_exponent_quadrature(g: complex, n_total: int, mq: int) -> complex:
     rounding), hence approaches G^N/N! as mq grows.
     """
     _check_sector(n_total)
-    if not is_integer(mq) or mq < 2:
-        raise ConfigurationError(f"quadrature order mq must be an integer >= 2, got {mq}")
+    _check_order(mq)
     phases = 2.0 * np.pi * np.arange(mq) / mq
     vals = np.exp(-1j * phases * n_total) * np.exp(g * np.exp(1j * phases))
     return complex(np.sum(vals)) / mq
@@ -200,16 +226,27 @@ def cross_sector_quadrature(
     Vanishes (to rounding) unless n_bra = n_ket (mod mq); with n_bra = n_ket
     it reproduces the closed-form sector overlap.  This realizes the
     orthogonality of distinct number sectors at the quadrature level.
+    Where G^n_ket or mq n_ket! leaves the double range, G^n_ket / n_ket! is
+    taken from its log and the rotations e^{i phi (n_ket - n_bra)} summed
+    apart.
     """
     _check_sector(n_bra)
     _check_sector(n_ket)
-    if not is_integer(mq) or mq < 2:
-        raise ConfigurationError(f"quadrature order mq must be an integer >= 2, got {mq}")
+    _check_order(mq)
     g = exponent_g(a, b)
     phases = 2.0 * np.pi * np.arange(mq) / mq
     # the ket rotated by phi carries (G e^{i phi})^{n_ket} / n_ket!
-    vals = np.exp(-1j * phases * n_bra) * (g * np.exp(1j * phases)) ** n_ket
-    return complex(np.sum(vals)) / (mq * math.factorial(n_ket))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(-1j * phases * n_bra) * (g * np.exp(1j * phases)) ** n_ket
+        total = complex(np.sum(vals))
+    try:
+        value = total / (mq * math.factorial(n_ket))
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    rotations = complex(np.sum(np.exp(1j * phases * (n_ket - n_bra)))) / mq
+    return rotations * _power_over_factorial(g, n_ket)
 
 
 def aliasing_tail(g_abs: float, n_total: int, mq: int) -> float:
@@ -219,8 +256,7 @@ def aliasing_tail(g_abs: float, n_total: int, mq: int) -> float:
     range raises RangeOverflowError carrying its log as the exponent.
     """
     _check_sector(n_total)
-    if not is_integer(mq) or mq < 2:
-        raise ConfigurationError(f"quadrature order mq must be an integer >= 2, got {mq}")
+    _check_order(mq)
     g_abs = abs(float(g_abs))
     if not math.isfinite(g_abs):
         raise ConfigurationError(f"|G| must be finite, got {g_abs}")

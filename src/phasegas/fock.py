@@ -27,17 +27,17 @@ A `FockBasis` holds its lattice and one occupation array whose row 0 is the
 condensate, so the functions on a sector take the basis alone.
 
 H is real symmetric, and a `FockHamiltonian` holds it in float64 on the
-pattern that all Hamiltonians of its basis share; its CSR is formed only
-when read.  The interaction conserves total momentum, so H splits into
-exact blocks.  Each basis lays them out once (`_Layout`), as the connected
-components of that pattern: the blocks of every H whose U^I_k are all
-nonzero, and unions of blocks otherwise.  `ground_pair` scatters each block
-straight from the entries of H on the pattern and diagonalizes it densely
-by a real `eigh`, up to `operator.DENSE_DIM_LIMIT` states.  It takes the
-blocks lowest Gershgorin bound first, stops where the bound leaves no room
-for the ground level, and sends a block to `eigh` only when one Cholesky
-factorization fails to prove its levels lie above the lowest one found; it
-returns what a solve of every block would.
+pattern that all Hamiltonians of its basis share.  The interaction conserves
+total momentum, so H splits into exact blocks.  Each basis lays them out
+once (`_Layout`), as the connected components of that pattern: the blocks of
+every H whose U^I_k are all nonzero, and unions of blocks otherwise.
+`ground_pair` scatters each block straight from the entries of H on the
+pattern and diagonalizes it densely by a real `eigh`, up to
+`operator.DENSE_DIM_LIMIT` states.  It takes the blocks lowest Gershgorin
+bound first, stops where the bound leaves no room for the ground level, and
+sends a block to `eigh` only when one Cholesky factorization fails to prove
+its levels lie above the lowest one found; it returns what a solve of every
+block would.
 """
 
 from __future__ import annotations
@@ -286,9 +286,9 @@ def _pair_densities(basis: FockBasis) -> np.ndarray:
 class _Layout:
     """The coupling-independent pattern of every Hamiltonian on one basis, and its blocks.
 
-    The pattern is the CSR (indptr, indices), rows and columns sorted, of the
-    union of the diagonal, of every n~_k n~_{-k} and of their transposes, so
-    it is symmetric.  Slot s holds the entry (rows[s], indices[s]), and
+    The pattern is the union of the diagonal, of every n~_k n~_{-k} and of
+    their transposes, so it is symmetric, in row-major order with columns
+    sorted.  Slot s holds the entry (rows[s], indices[s]), and
     `transpose[s]` is the slot of its mirror; `lower` lists the slots below
     the diagonal.  `blocks` is the `spectral.BlockPartition` of the pattern's
     connected components.  `slots` lists the slots block after block, block
@@ -296,7 +296,6 @@ class _Layout:
     position of each in its block's dense row-major array.
     """
 
-    indptr: np.ndarray
     indices: np.ndarray
     rows: np.ndarray
     diag_slots: np.ndarray
@@ -320,7 +319,6 @@ def _layout(dim: int, keys: np.ndarray) -> _Layout:
     slot_offsets = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(blocks)))))
     flat = position[rows] * blocks.sizes[label] + position[indices]
     return _Layout(
-        indptr=indptr,
         indices=indices,
         rows=rows,
         diag_slots=np.searchsorted(keys, np.arange(dim, dtype=np.int64) * (dim + 1)),
@@ -340,34 +338,15 @@ class FockHamiltonian:
     """One sector Hamiltonian, real symmetric, built on `basis`.
 
     `entries` holds H in float64 on every slot of the pattern of the basis's
-    `_Layout`, exact zeros included: `ground_pair` solves from it, and
-    `interacting` says whether any U^I_k is nonzero.  `matrix`, formed from
-    `entries` on first read, is the CSR of H with the entries that come out
-    exactly 0 dropped, but with the whole diagonal kept when no U^I_k is
-    nonzero, as a chain of scipy sparse adds would store it.
+    `_Layout`, exact zeros included.
     """
 
     basis: FockBasis
-    normal_order: bool
     entries: np.ndarray = field(repr=False)
-    interacting: bool
 
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @functools.cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        layout, dim = self.basis._terms[0], self.dim
-        if self.interacting:
-            keep = self.entries != 0.0
-        else:
-            keep = np.zeros(self.entries.size, dtype=bool)
-            keep[layout.diag_slots] = True
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        return sparse.csr_matrix(
-            (self.entries[keep], layout.indices[keep], kept[layout.indptr]), shape=(dim, dim)
-        )
 
 
 def build_hamiltonian(
@@ -409,8 +388,7 @@ def build_hamiltonian(
     acc = np.zeros(layout.indices.size)
     acc[layout.diag_slots] = diag
     inv_v = 1.0 / lattice.volume
-    active = np.flatnonzero(u_int != 0.0)
-    for i in active:
+    for i in np.flatnonzero(u_int != 0.0):
         slots, values, normal = terms[i]
         acc[slots] += (u_int[i] * inv_v) * (normal if normal_order else values)
     if not np.isfinite(acc).all():
@@ -425,9 +403,7 @@ def build_hamiltonian(
         raise SolverError(
             f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}"
         )
-    return FockHamiltonian(
-        basis=basis, normal_order=bool(normal_order), entries=acc, interacting=bool(active.size)
-    )
+    return FockHamiltonian(basis=basis, entries=acc)
 
 
 def ground_pair(h: FockHamiltonian):
@@ -637,33 +613,3 @@ def mean_field_comparison(
             }
         )
     return rows
-
-
-def export_hamiltonian(h: FockHamiltonian, path=None) -> str:
-    """Sparse triplet text dump of the Hamiltonian (same format as operators)."""
-    from .operator import OperatorMatrix, export_triplets
-
-    wrapped = OperatorMatrix(
-        matrix=h.matrix,
-        offset=0.0,
-        basis_dims=(h.dim,),
-        provenance="fock-hamiltonian"
-        + (":normal-order" if h.normal_order else ":density-density"),
-    )
-    return export_triplets(wrapped, path)
-
-
-def export_basis(basis: FockBasis, path=None) -> str:
-    """Text dump of the occupation list: `index  n_1 ... n_M` per line."""
-    lines = [
-        "# phasegas fock basis v1",
-        f"# n_particles: {basis.n_particles}",
-        f"# dim: {basis.dim}",
-    ]
-    for i, occ in enumerate(basis.occupations):
-        lines.append(f"{i} " + " ".join(str(x) for x in occ))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    return text

@@ -351,7 +351,9 @@ def test_criterion_9_oracle_integrity():
     lat5 = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     b5 = enumerate_basis(lat5, 4)
     h5 = build_hamiltonian(b5, np.array([0.7, 0.4, 0.4, 0.2, 0.2]), 0.3, 0.1)
-    m = h5.matrix.toarray()
+    layout = b5._terms[0]
+    m = np.zeros((h5.dim, h5.dim))
+    m[layout.rows, layout.indices] = h5.entries
     herm = float(np.max(np.abs(m - m.conj().T))) / float(np.max(np.abs(m)))
 
     lat3 = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
@@ -360,9 +362,9 @@ def test_criterion_9_oracle_integrity():
         b = enumerate_basis(lat3, n)
         h = build_hamiltonian(b, 0.6, 0.0, 0.0)
         p = state_momentum(b)[:, 0]
-        coo = h.matrix.tocoo()
-        keep = coo.data != 0.0
-        if not np.all(p[coo.row[keep]] == p[coo.col[keep]]):
+        layout = b._terms[0]
+        keep = h.entries != 0.0
+        if not np.all(p[layout.rows[keep]] == p[layout.indices[keep]]):
             blocks_ok = False
 
     rows = mean_field_comparison(lat3, 3, np.geomspace(1.0, 0.01, 9), n_max=2)

@@ -266,6 +266,17 @@ def test_failed_numerical_check_is_exit_one(tmp_path):
     assert os.listdir(out) == []
 
 
+def test_overlaps_projects_past_the_double_range_of_n_factorial(tmp_path):
+    # 200! is past the double range, so the closed form comes from its log;
+    # at N >= mq = 64 the quadrature aliases, a failed check and not a crash
+    cfg = _write_config(tmp_path, overlaps={"mq": 64, "n_project": 200})
+    out = tmp_path / "np200"
+    assert main(["--config", cfg, "--out", str(out), "overlaps"]) == 1
+    lines = (out / "overlaps.csv").read_text().strip().splitlines()
+    failed = [line.split(",")[0] for line in lines[1:] if line.endswith("FAIL")]
+    assert failed == ["projection_quadrature_vs_closed"]
+
+
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_an_overlap_error_that_cannot_be_evaluated_fails(tmp_path, seed):
     # at r = 60 on three modes exp(G) underflows to 0 for a strongly negative
@@ -665,6 +676,14 @@ def test_cli_commands_do_not_load_scipy_optimize(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_every_public_name_resolves_through_the_lazy_getattr():
+    # a stale entry of the lazy export table fails only when its name is read
+    names = [name for name in phasegas.__all__ if name != "__version__"]
+    assert names
+    for name in names:
+        assert phasegas.__getattr__(name) is getattr(phasegas, name)
 
 
 def test_weak_variant_keeps_u0_and_drops_the_rest_of_the_potential(tmp_path):

@@ -1,6 +1,7 @@
 """Overlap algebra: exponent routes, number projection, quadrature aliasing."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -283,4 +284,34 @@ def test_a_bool_is_not_a_sector_or_a_quadrature_order():
         projected_exponent_quadrature(0.5, 2, True)
     with pytest.raises(ConfigurationError, match="mq"):
         cross_sector_quadrature(a, a, 2, 2, True)
+    with pytest.raises(ConfigurationError, match="mq"):
+        aliasing_tail(0.5, 2, True)
     assert projected_exponent_closed(0.5, np.int64(2)) == projected_exponent_closed(0.5, 2)
+
+
+def test_a_projection_past_the_double_range_of_n_factorial_or_g_power():
+    # N! leaves the double range from N = 171; 100^160 does too, though
+    # 100^160 / 160!, about 2e35, does not
+    assert projected_exponent_closed(0.5, 171) == 0.0
+    assert projected_exponent_closed(0.0, 200) == 0.0
+    for n in (160, 171):
+        ref = float(Fraction(100**n, math.factorial(n)))
+        assert projected_exponent_closed(100, n) == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(RangeOverflowError) as info:
+        projected_exponent_closed(1e4, 171)
+    assert info.value.exponent == pytest.approx(171 * math.log(1e4) - math.lgamma(172), rel=1e-15)
+    # where G^N / N! completes as written, it keeps its bits
+    assert projected_exponent_closed(3.0, 2) == 4.5
+    lat = _lattice()
+    states = [_random_field(lat, np.random.default_rng(RNG_SEED), r=0.45) for _ in range(3)]
+    gram = kernel_gram(states, n_total=171)
+    assert gram.shape == (3, 3) and np.isfinite(gram).all()
+    # the quadrature of a ket pre-projected onto such a sector
+    big = CoherentField(lat, math.sqrt(100.0 / lat.volume), np.zeros(8))
+    g = exponent_g(big, big)
+    for n in (160, 171):
+        closed = projected_exponent_closed(g, n)
+        assert cross_sector_quadrature(big, big, n, n, 64) == pytest.approx(closed, rel=1e-12)
+        assert abs(cross_sector_quadrature(big, big, n - 1, n, 64)) <= 1e-12 * abs(closed)
+    small = CoherentField(lat, 0.3, np.zeros(8))
+    assert cross_sector_quadrature(small, small, 171, 171, 64) == 0.0

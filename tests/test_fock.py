@@ -20,8 +20,6 @@ from phasegas.fock import (
     build_hamiltonian,
     condensate_expectation,
     enumerate_basis,
-    export_basis,
-    export_hamiltonian,
     ground_pair,
     mean_field_comparison,
     shift_operator,
@@ -43,6 +41,12 @@ def _lat(m=3):
 def _index(basis):
     """State index of every occupation tuple of the basis."""
     return {tuple(occ): i for i, occ in enumerate(basis.occupations.tolist())}
+
+
+def _matrix(h):
+    """H as a CSR: its entries on every slot of the basis's layout, exact zeros included."""
+    layout = h.basis._terms[0]
+    return sparse.csr_matrix((h.entries, (layout.rows, layout.indices)), shape=(h.dim, h.dim))
 
 
 def test_enumeration_examples():
@@ -114,7 +118,7 @@ def test_condensate_is_state_zero(d, m, n):
     assert found == 0
     for normal_order in (False, True):
         h = build_hamiltonian(b, 0.7, 0.2, 0.1, hbar2_over_2m=0.6, normal_order=normal_order)
-        assert condensate_expectation(h) == h.matrix[found, found].real
+        assert condensate_expectation(h) == _matrix(h)[found, found].real
 
 
 def test_occupations_are_read_only():
@@ -226,7 +230,7 @@ def test_single_particle_hamiltonian_matches_oracle():
         u_int[ip] = u_int[im] = vals[p + 1]
     b = enumerate_basis(lat, 1)
     h = build_hamiltonian(b, u_int, 0.4, 0.1, hbar2_over_2m=0.7)
-    got = h.matrix.toarray()
+    got = _matrix(h).toarray()
     ref = _single_particle_oracle(lat, u_int, 0.4, 0.1, 0.7)
     # states are occupation tuples with a single 1; build the mapping explicitly
     state_to_mode = {}
@@ -254,7 +258,7 @@ def test_free_gas_is_diagonal_kinetic():
     lat = _lat()
     b = enumerate_basis(lat, 3)
     h = build_hamiltonian(b, 0.0, 0.2, 0.0, hbar2_over_2m=0.5)
-    m = h.matrix.toarray()
+    m = _matrix(h).toarray()
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) == 0.0
     k2 = np.array([lat.k_squared(mode) for mode in lat.modes])
@@ -273,7 +277,7 @@ def test_hamiltonian_hermitian():
         u_int[ip] = u_int[im] = vals[p + 1]
     b = enumerate_basis(lat, 3)
     h = build_hamiltonian(b, u_int, 0.0, 0.0)
-    m = h.matrix.tocsr()
+    m = _matrix(h)
     herm = (m - m.T.conj()).toarray()
     assert np.max(np.abs(herm)) <= 1e-13 * np.max(np.abs(m.toarray()))
 
@@ -323,7 +327,7 @@ def test_momentum_block_structure():
     b = enumerate_basis(lat, 3)
     h = build_hamiltonian(b, 0.6, 0.0, 0.0)
     p = state_momentum(b)[:, 0]
-    coo = h.matrix.tocoo()
+    coo = _matrix(h).tocoo()
     assert coo.nnz > b.dim  # interaction really couples states
     assert np.all(p[coo.row] == p[coo.col])
 
@@ -354,11 +358,11 @@ def test_variational_bound():
 def _ground_pair_all_blocks(h):
     """The loop that solved every block of the basis, kept as the reference: (energy, vector).
 
-    Each block is the dense float64 copy of the sparse slice of `h.matrix` on it.
+    Each block is the dense float64 copy of the sparse slice of H on it.
     """
-    energy = None
+    energy, matrix = None, _matrix(h)
     for idx in h.basis._terms[0].blocks:
-        vals, vecs = np.linalg.eigh(h.matrix[idx][:, idx].toarray())
+        vals, vecs = np.linalg.eigh(matrix[idx][:, idx].toarray())
         if energy is None or vals[0] < energy:
             energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
     vec = np.zeros(h.dim)
@@ -371,24 +375,25 @@ def test_ground_pair_residual_and_sparse_path():
     b = enumerate_basis(lat, 3)
     h = build_hamiltonian(b, 0.9, 0.0, 0.0)
     e_small, v_small = ground_pair(h)
-    m = h.matrix.toarray()
+    m = _matrix(h).toarray()
     assert np.linalg.norm(m @ v_small - e_small * v_small) <= 1e-9 * np.linalg.norm(m)
     # m=9, N=6 (dim 3003, largest block 151) is solved block by block too,
     # checked against Lanczos on the whole sector
     lat9 = _lat(9)
     h9 = build_hamiltonian(enumerate_basis(lat9, 6), 0.9, 0.0, 0.0)
-    assert h9.dim == 3003 and max(idx.size for idx in connected_blocks(h9.matrix)) == 151
+    m9 = _matrix(h9)
+    assert h9.dim == 3003 and max(idx.size for idx in connected_blocks(m9)) == 151
     e9, v9 = ground_pair(h9)
     v0 = np.random.default_rng(SEED).standard_normal(h9.dim)
-    e_lanczos = spla.eigsh(h9.matrix, k=1, which="SA", v0=v0)[0][0]
+    e_lanczos = spla.eigsh(m9, k=1, which="SA", v0=v0)[0][0]
     assert abs(e9 - e_lanczos) <= 1e-9 * max(1.0, abs(e9))
-    assert np.linalg.norm(h9.matrix @ v9 - e9 * v9) <= 1e-9 * spla.norm(h9.matrix)
+    assert np.linalg.norm(m9 @ v9 - e9 * v9) <= 1e-9 * spla.norm(m9)
     # the block-by-block dense solve against one eigh of the whole sector
     lat7 = _lat(7)
     h7 = build_hamiltonian(enumerate_basis(lat7, 5), 0.7, 0.0, 0.0)
-    assert len(connected_blocks(h7.matrix)) == 31
+    assert len(connected_blocks(_matrix(h7))) == 31
     e_block, v_block = ground_pair(h7)
-    e_full = np.linalg.eigh(h7.matrix.toarray())[0][0]
+    e_full = np.linalg.eigh(_matrix(h7).toarray())[0][0]
     assert abs(e_block - e_full) <= 1e-12 * abs(e_full)
     assert np.isclose(np.linalg.norm(v_block), 1.0, atol=1e-12)
 
@@ -396,7 +401,7 @@ def test_ground_pair_residual_and_sparse_path():
 def test_ground_pair_caps_the_largest_block(monkeypatch):
     lat = _lat(7)
     h = build_hamiltonian(enumerate_basis(lat, 5), 0.7, 0.0, 0.0)
-    largest = max(idx.size for idx in connected_blocks(h.matrix))
+    largest = max(idx.size for idx in connected_blocks(_matrix(h)))
     monkeypatch.setattr(fock, "DENSE_DIM_LIMIT", largest)
     ground_pair(h)
     monkeypatch.setattr(fock, "DENSE_DIM_LIMIT", largest - 1)
@@ -486,7 +491,7 @@ def test_ground_pair_finds_a_ground_outside_the_block_of_lowest_bound(monkeypatc
     # that far below it
     peak = np.abs(h.entries).max()
     exponent = int(np.frexp(peak)[1])
-    block = np.ldexp(h.matrix[layout.blocks[0]][:, layout.blocks[0]].toarray(), -exponent)
+    block = np.ldexp(_matrix(h)[layout.blocks[0]][:, layout.blocks[0]].toarray(), -exponent)
     unit, level = np.ldexp(peak, -exponent), np.ldexp(ground, -exponent)
     for below in (0.0, 18**2 * np.finfo(float).eps * unit):
         assert not fock._above(block.copy(), level - below, unit)
@@ -549,8 +554,9 @@ def test_ground_pair_equals_the_all_blocks_loop(h):
     assert vec.dtype == ref_vec.dtype == np.float64 and np.array_equal(vec, ref_vec)
     # and a dense solve of the whole sector, within the backward error of eigh
     # on a matrix of its dimension
-    peak = np.abs(h.matrix.data).max(initial=0.0)
-    whole = np.linalg.eigvalsh(h.matrix.toarray())[0]
+    matrix = _matrix(h)
+    peak = np.abs(matrix.data).max(initial=0.0)
+    whole = np.linalg.eigvalsh(matrix.toarray())[0]
     assert abs(energy - whole) <= 4.0 * h.dim**2 * np.finfo(float).eps * peak
 
 
@@ -591,7 +597,7 @@ def test_ground_pair_solves_finite_entries_whose_gershgorin_discs_overflow():
     # terms reach past the float range unless they are taken on H / 2^e
     u_k = np.array([-1.2e308, 1.4e308, 1.4e308])
     h = build_hamiltonian(enumerate_basis(_lat(), 3), u_k, 0.0, 0.0)
-    assert np.isfinite(h.entries).all() and np.isfinite(h.matrix.data).all()
+    assert np.isfinite(h.entries).all() and np.isfinite(_matrix(h).data).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         energy, vec = ground_pair(h)
@@ -622,7 +628,7 @@ def test_ground_pair_checks_the_residual_at_any_scale(monkeypatch):
 @pytest.mark.parametrize("d, m, n", [(1, 7, 5), (1, 5, 3), (2, 3, 2)])
 def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n):
     # the blocks handed to eigh are scattered from the basis's slots; each
-    # must equal the dense copy of the sparse slice of `h.matrix` on one of the
+    # must equal the dense copy of the sparse slice of H on one of the
     # basis's blocks, bit for bit
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
     h = build_hamiltonian(enumerate_basis(lat, n), 0.7, 0.0, 0.0, normal_order=True)
@@ -631,7 +637,8 @@ def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n)
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
     ground_pair(h)
     blocks = h.basis._terms[0].blocks
-    refs = [h.matrix[idx][:, idx].toarray() for idx in blocks]
+    matrix = _matrix(h)
+    refs = [matrix[idx][:, idx].toarray() for idx in blocks]
     assert len(blocks) > 1 and 1 <= len(seen) <= len(blocks)
     # each solved array is the slice of a block not matched before (equal
     # blocks are interchangeable)
@@ -652,7 +659,7 @@ def test_mirror_relabeling_is_exact_symmetry():
     u_int[0] = vals[0]
     for p, (ip, im) in enumerate(lat.pair_list()):
         u_int[ip] = u_int[im] = vals[p + 1]
-    h = build_hamiltonian(b, u_int, 0.2, 0.0, hbar2_over_2m=0.3).matrix.toarray()
+    h = _matrix(build_hamiltonian(b, u_int, 0.2, 0.0, hbar2_over_2m=0.3)).toarray()
     mirror_mode = [lat.index(tuple(-c for c in mode)) for mode in lat.modes]
     index = _index(b)
     perm = np.empty(b.dim, dtype=int)
@@ -662,47 +669,6 @@ def test_mirror_relabeling_is_exact_symmetry():
     # same terms accumulate in a different order on the mirrored side, so
     # agreement is to rounding rather than bit-exact
     assert np.max(np.abs(h[np.ix_(perm, perm)] - h)) <= 1e-14 * np.max(np.abs(h))
-
-
-def _eager_matrix(h, interacting):
-    """The CSR that builds used to form eagerly from `h.entries`, kept as the reference."""
-    layout = h.basis._terms[0]
-    if interacting:
-        keep = h.entries != 0.0
-    else:
-        keep = np.zeros(h.entries.size, dtype=bool)
-        keep[layout.diag_slots] = True
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    return sparse.csr_matrix(
-        (h.entries[keep], layout.indices[keep], kept[layout.indptr]), shape=(h.dim, h.dim)
-    )
-
-
-@pytest.mark.parametrize("d, m, n", [(1, 5, 3), (2, 3, 2)])
-def test_matrix_is_formed_on_demand_as_the_eager_construction(d, m, n):
-    # a build and a solve form no CSR; the one formed on first read equals the
-    # eager construction bit for bit, with and without interaction terms
-    basis = _basis(d, m, n)
-    lat = basis.lattice
-    u_k = np.zeros(lat.num_modes)
-    u_k[[0, -2, -1]] = 0.7
-    for u_int, (u0, mu), normal_order in itertools.product(
-        (0.7, u_k, 0.0), ((0.0, 0.0), (0.25, 0.25)), (False, True)
-    ):
-        h = build_hamiltonian(basis, u_int, u0, mu, normal_order=normal_order)
-        ground_pair(h)
-        condensate_expectation(h)
-        assert "matrix" not in vars(h)
-        interacting = np.any(np.asarray(u_int) != 0.0)
-        assert h.interacting == interacting
-        got, ref = h.matrix, _eager_matrix(h, interacting)
-        assert h.matrix is got
-        for attr in ("indptr", "indices", "data"):
-            a, r = getattr(got, attr), getattr(ref, attr)
-            assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
-        # with no interaction term the diagonal is kept whole, a zero included
-        if not interacting:
-            assert got.nnz == h.dim and (u0 != mu or got.data[0] == 0.0)
 
 
 def test_mean_field_comparison_refuses_a_count_that_is_not_an_integer():
@@ -850,9 +816,9 @@ def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
     shared = enumerate_basis(lat, 3)
     cases = list(itertools.product((1.0, 0.05), (False, True)))
     for u, normal_order in cases:
-        got = build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order).matrix
+        got = _matrix(build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order))
         fresh = enumerate_basis(lat, 3)
-        ref = build_hamiltonian(fresh, u, 0.0, 0.0, normal_order=normal_order).matrix
+        ref = _matrix(build_hamiltonian(fresh, u, 0.0, 0.0, normal_order=normal_order))
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(ref, attr))
     # the shared basis builds each n~_k once, every fresh basis builds all of them
@@ -962,16 +928,24 @@ def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
     for p, (ip, im) in enumerate(lat.pair_list()):
         u_k[ip] = u_k[im] = vals[p + 1]
     assert (u_k == 0.0).any() and (u_k != 0.0).any()
+    layout = basis._terms[0]
+    keys = layout.rows * basis.dim + layout.indices
     for u_int, (u0, mu), normal_order in itertools.product(
         (u_k, np.full(lat.num_modes, 0.3162), np.zeros(lat.num_modes)),
         ((0.0, 0.0), (0.4, 0.1), (0.25, 0.25)),
         (False, True),
     ):
         got = build_hamiltonian(basis, u_int, u0, mu, hbar2_over_2m=0.7, normal_order=normal_order)
-        ref = _build_matrix_loop(basis, u_int, u0, mu, 0.7, normal_order)
-        for attr in ("indptr", "indices", "data"):
-            a, r = getattr(got.matrix, attr), getattr(ref, attr)
-            assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+        ref = _build_matrix_loop(basis, u_int, u0, mu, 0.7, normal_order).tocoo()
+        # every entry the add chain stores sits on a slot and equals it bit for
+        # bit; every slot it does not store holds exactly +0.0
+        ref_keys = ref.row.astype(np.int64) * basis.dim + ref.col
+        assert np.isin(ref_keys, keys).all()
+        slots = np.searchsorted(keys, ref_keys)
+        assert got.entries.dtype == ref.data.dtype
+        assert got.entries[slots].tobytes() == ref.data.tobytes()
+        rest = np.delete(got.entries, slots)
+        assert rest.tobytes() == np.zeros(rest.size).tobytes()
 
 
 def test_non_finite_coupling_rejected():
@@ -979,17 +953,3 @@ def test_non_finite_coupling_rejected():
     b = enumerate_basis(lat, 2)
     with pytest.raises(ConfigurationError, match="finite"):
         build_hamiltonian(b, np.inf, 0.0, 0.0)
-
-
-def test_exports(tmp_path):
-    lat = _lat()
-    b = enumerate_basis(lat, 2)
-    h = build_hamiltonian(b, 0.3, 0.0, 0.0)
-    p1 = tmp_path / "h.txt"
-    text = export_hamiltonian(h, p1)
-    assert p1.read_text() == text
-    assert "triplet" in text.splitlines()[0]
-    p2 = tmp_path / "basis.txt"
-    btext = export_basis(b, p2)
-    assert p2.read_text() == btext
-    assert str(b.dim) in btext
