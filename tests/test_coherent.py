@@ -303,9 +303,11 @@ def test_a_projection_past_the_double_range_of_n_factorial_or_g_power():
     # where G^N / N! completes as written, it keeps its bits
     assert projected_exponent_closed(3.0, 2) == 4.5
     lat = _lattice()
-    states = [_random_field(lat, np.random.default_rng(RNG_SEED), r=0.45) for _ in range(3)]
+    rng = np.random.default_rng(RNG_SEED)
+    states = [_random_field(lat, rng, r=0.45) for _ in range(3)]
     gram = kernel_gram(states, n_total=171)
     assert gram.shape == (3, 3) and np.isfinite(gram).all()
+    assert np.array_equal(gram, gram.conj().T)
     # the quadrature of a ket pre-projected onto such a sector
     big = CoherentField(lat, math.sqrt(100.0 / lat.volume), np.zeros(8))
     g = exponent_g(big, big)

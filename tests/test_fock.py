@@ -44,9 +44,15 @@ def _index(basis):
 
 
 def _matrix(h):
-    """H as a CSR: its entries on every slot of the basis's layout, exact zeros included."""
+    """H as a CSR of its nonzero entries, each on its slot of the basis's layout.
+
+    Exact zeros are dropped, so the pattern holds only real couplings.
+    """
     layout = h.basis._terms[0]
-    return sparse.csr_matrix((h.entries, (layout.rows, layout.indices)), shape=(h.dim, h.dim))
+    keep = h.entries != 0.0
+    return sparse.csr_matrix(
+        (h.entries[keep], (layout.rows[keep], layout.indices[keep])), shape=(h.dim, h.dim)
+    )
 
 
 def test_enumeration_examples():
