@@ -11,10 +11,8 @@ The interaction is density-density exactly as written -- NOT normal-ordered --
 so diagonal self-interaction terms are present; `normal_order=True` switches
 to :n~_k n~_{-k}: = n~_k n~_{-k} - sum_{q in S_k} n_q (S_k the set of q with
 both q and q+k on the lattice) for diagnostic comparison against the textbook
-contact form.  Each basis stores every n~_k n~_{-k} once, on its own slots:
-its entries, and the same entries less the correction on the diagonal ones.
-Even with the cutoff, n~_k+ = n~_{-k} holds exactly, so H is Hermitian for
-real even U^I_k.
+contact form.  Even with the cutoff, n~_k+ = n~_{-k} holds exactly, so H is
+Hermitian for real even U^I_k.
 
 The bridge to the mode-operator side is gamma_k = U^I_k / (hbar2_over_2m * V)
 and u_0 = (U0 - mu) / hbar2_over_2m; operator eigenvalues lam convert back to
@@ -26,18 +24,15 @@ functional column in that closed form and builds no operator.
 A `FockBasis` holds its lattice and one occupation array whose row 0 is the
 condensate, so the functions on a sector take the basis alone.
 
-H is real symmetric, and a `FockHamiltonian` holds it in float64 on the
-pattern that all Hamiltonians of its basis share.  The interaction conserves
-total momentum, so H splits into exact blocks.  Each basis lays them out
-once (`_Layout`), as the connected components of that pattern: the blocks of
-every H whose U^I_k are all nonzero, and unions of blocks otherwise.
-`ground_pair` scatters each block straight from the entries of H on the
-pattern and diagonalizes it densely by a real `eigh`, up to
-`operator.DENSE_DIM_LIMIT` states.  It takes the blocks lowest Gershgorin
-bound first, stops where the bound leaves no room for the ground level, and
-sends a block to `eigh` only when one Cholesky factorization fails to prove
-its levels lie above the lowest one found; it returns what a solve of every
-block would.
+The interaction conserves total momentum, so H is block diagonal over the
+momentum sectors of the basis (`state_momentum`), and the sector is the unit
+of the oracle.  A basis builds the interaction terms of a sector on first
+use, from the sector's states and their one-particle moves, and keeps them
+for every Hamiltonian on it, for both conventions.  A `FockHamiltonian` is
+real symmetric: its diagonal and its couplings, formed into float64 entries
+one set of sectors at a time.  `ground_pair` bounds every sector from the
+diagonal alone, builds and solves only the sectors that can hold the ground,
+and returns what a dense solve of every block would.
 """
 
 from __future__ import annotations
@@ -64,14 +59,11 @@ class FockBasis:
     in descending lexicographic order and the lattice lists its zero mode
     first, so row 0 is always the condensate (N, 0, ..., 0).
 
-    `_terms`, computed once on first use, holds the coupling-independent
-    interaction terms n~_k n~_{-k} for both conventions: one `_Layout` of the
-    pattern of every Hamiltonian on the basis and of its blocks, and per
-    mode the term's slots of that pattern, its entries there, and those
-    entries normal-ordered.  So a build is the diagonal plus one scaled add
-    per mode on that term's slots, and a solve finds its blocks laid out.
-    `_moves`, computed once on first use, locates the target of every
-    one-particle move of the `shift_operator` calls.
+    `_sectors`, computed once on first use, is the `spectral.BlockPartition`
+    of the states by total momentum, the sectors numbered by their smallest
+    state as `connected_blocks` numbers blocks, so sector 0 holds the
+    condensate.  `_store` keeps the interaction terms of every sector built
+    so far (`_Store`); each sector is built at most once per basis.
     """
 
     lattice: ModeLattice
@@ -83,67 +75,95 @@ class FockBasis:
         return self.occupations.shape[0]
 
     @functools.cached_property
-    def _moves(self):
-        """(states, modes, down, up): what `shift_operator` needs to move one particle.
-
-        `states` and `modes` list every occupied (state, mode), state by
-        state.  A state's index is the sum over modes j < M - 1 of
-        `_rank_table`[left_j, j], left_j its particles after mode j.  Moving
-        one particle from mode t to mode q < t lowers left_j by one for
-        q <= j < t, and moving it to q > t raises left_j by one for t <= j < q.
-        So the index of the state it gives is the old index plus
-        down[state, t] - down[state, q], or plus up[state, q] - up[state, t]:
-        column j of down (up) sums over the modes before j the change of each
-        term when left_j drops (grows) by one.  No move lowers a left_j of 0
-        or raises one of N, so the table row is clipped there and the change
-        reads 0.
-        """
-        m_modes, n = self.lattice.num_modes, self.n_particles
-        table, cols = _rank_table(m_modes, n), np.arange(m_modes - 1)
-        left = n - np.cumsum(self.occupations[:, :-1], axis=1)
-        here = table[left, cols]
-        steps = []
-        for row in (np.maximum(left - 1, 0), np.minimum(left + 1, n)):
-            total = np.zeros((self.dim, m_modes), dtype=np.int64)
-            np.cumsum(table[row, cols] - here, axis=1, out=total[:, 1:])
-            steps.append(total)
-        return (*np.nonzero(self.occupations), *steps)
+    def _sectors(self) -> BlockPartition:
+        reach = 2 * self.n_particles * ((self.lattice.m_per_dim - 1) // 2) + 1
+        key = (state_momentum(self) + reach // 2) @ reach ** np.arange(self.lattice.d)
+        _, first, label = np.unique(key, return_index=True, return_inverse=True)
+        # number the sectors by their smallest state
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return _partition(rank[label])
 
     @functools.cached_property
-    def _terms(self):
-        """(`_Layout`, terms): the n~_k n~_{-k} of every Hamiltonian here.
+    def _store(self) -> _Store:
+        return _Store(len(self._sectors))
 
-        terms[i] is the term of mode i as (slots, values, normal): the layout
-        slots of its stored entries, those entries, and the same entries
-        with the mode's column of `_pair_densities` subtracted on the diagonal
-        ones, as normal ordering asks.  Built from one n~_k per mode, with one
-        correction pass and one binary search for every term.
-        """
-        dim, modes = self.dim, self.lattice.modes
-        shifts = {mode: shift_operator(self, mode) for mode in modes}
-        coos = [(shifts[mode] @ shifts[tuple(-c for c in mode)]).tocoo() for mode in modes]
-        rows = np.concatenate([coo.row for coo in coos]).astype(np.int64)
-        cols = np.concatenate([coo.col for coo in coos]).astype(np.int64)
-        values = np.concatenate([coo.data for coo in coos])
-        ends = np.cumsum([coo.nnz for coo in coos])
-        # entries as row-major keys row * dim + col, so the sorted union is the
-        # sorted CSR pattern and every term's slots are one binary search; the
-        # union takes in every term's transpose too, so the pattern is symmetric
-        keys = np.sort(np.concatenate(
-            (np.arange(dim, dtype=np.int64) * (dim + 1), rows * dim + cols, cols * dim + rows)
-        ))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        slots = np.searchsorted(keys, rows * dim + cols)
-        # every nonzero correction sits on a stored diagonal entry: the
-        # term's (s, s) entry, sum_{q in S_k} n_q (n_{q+k} + 1) (N^2 for
-        # k = 0), is at least the correction
-        (diagonal,) = np.nonzero(rows == cols)
-        mode = np.searchsorted(ends, diagonal, side="right")
-        correction = np.zeros(values.size)
-        correction[diagonal] = _pair_densities(self)[rows[diagonal], mode]
-        normal = values - correction
-        spans = zip(np.concatenate(([0], ends[:-1])), ends)
-        return _layout(dim, keys), [(slots[a:b], values[a:b], normal[a:b]) for a, b in spans]
+
+class _Store:
+    """The interaction terms of the momentum sectors of one basis built so far.
+
+    `builds` holds one `_Terms` per build, and sector s lies in
+    `builds[where[s, 0]]` as its blocks `where[s, 1]` to `where[s, 2] - 1`;
+    the row is -1 until the sector is built.
+    """
+
+    def __init__(self, n_sectors: int):
+        self.builds: list[_Terms] = []
+        self.where = np.full((n_sectors, 3), -1, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class _Terms:
+    """The interaction terms of some momentum sectors of one basis, block after block.
+
+    A block is a connected component of a sector's pattern, the union of
+    the diagonal and of every n~_k n~_{-k}; in every sector probed it is the
+    whole sector.  Block n has
+      - the states `states[offsets[n]:offsets[n + 1]]`, ascending;
+      - the slots `slot_offsets[n]` to `slot_offsets[n + 1] - 1`, in
+        row-major order: slot s lies at (`rows[s]`, `cols[s]`), positions in
+        `states`, and at `flat[s]` of the block's dense row-major array, and
+        `mirror[s]` is the slot of (`cols[s]`, `rows[s]`); `diag[i]` is the
+        slot of (i, i);
+      - the parts `part_offsets[n]` to `part_offsets[n + 1] - 1`, which sum
+        to its entries: part p adds to slot `slot[p]` the coefficient
+        `coef[p]` of (diagonal, couplings) of a `FockHamiltonian` times
+        `value[p]`, or `normal[p]` in the normal-ordered form.  The parts of
+        a block are its diagonal (index the state, value 1.0) and then its
+        term entries mode by mode (index dim + mode).
+    """
+
+    states: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    flat: np.ndarray
+    mirror: np.ndarray
+    slot_offsets: np.ndarray
+    diag: np.ndarray
+    slot: np.ndarray
+    coef: np.ndarray
+    value: np.ndarray
+    normal: np.ndarray
+    part_offsets: np.ndarray
+
+    def take(self, blocks: np.ndarray) -> _Terms:
+        """The terms of the given blocks alone, in that order."""
+        at, owner = _ranges(self.offsets[blocks], self.offsets[blocks + 1])
+        slots, slot_owner = _ranges(self.slot_offsets[blocks], self.slot_offsets[blocks + 1])
+        parts, part_owner = _ranges(self.part_offsets[blocks], self.part_offsets[blocks + 1])
+        offsets, slot_offsets, part_offsets = (
+            np.concatenate(([0], np.cumsum(np.diff(a)[blocks])))
+            for a in (self.offsets, self.slot_offsets, self.part_offsets)
+        )
+        # each block's shift of state positions and of slots
+        moved = (offsets[:-1] - self.offsets[blocks])[slot_owner]
+        shift = slot_offsets[:-1] - self.slot_offsets[blocks]
+        return _Terms(
+            states=self.states[at],
+            offsets=offsets,
+            rows=self.rows[slots] + moved,
+            cols=self.cols[slots] + moved,
+            flat=self.flat[slots],
+            mirror=self.mirror[slots] + shift[slot_owner],
+            slot_offsets=slot_offsets,
+            diag=self.diag[at] + shift[owner],
+            slot=self.slot[parts] + shift[part_owner],
+            coef=self.coef[parts],
+            value=self.value[parts],
+            normal=self.normal[parts],
+            part_offsets=part_offsets,
+        )
 
 
 def enumerate_basis(lattice: ModeLattice, n_particles: int) -> FockBasis:
@@ -211,6 +231,29 @@ def _mode_grid(lattice: ModeLattice):
     return coords, grid
 
 
+@functools.lru_cache(maxsize=None)
+def _mirror(lattice: ModeLattice) -> np.ndarray:
+    """mirror[i]: the lattice index of -k, k the mode of index i."""
+    coords, grid = _mode_grid(lattice)
+    return grid[tuple(((lattice.m_per_dim - 1) // 2 - coords).T)]
+
+
+@functools.lru_cache(maxsize=None)
+def _move_pairs(lattice: ModeLattice):
+    """(src, dst, mode): every move of a particle between two modes by a nonzero lattice mode.
+
+    Mode index mode[p] is the displacement k = dst[p] - src[p]; the pairs
+    run by source mode.
+    """
+    coords, grid = _mode_grid(lattice)
+    # dst - src + h, a point of the cube exactly when dst - src is a mode
+    shift = coords[None, :, :] - coords[:, None, :] + (lattice.m_per_dim - 1) // 2
+    on = ((shift >= 0) & (shift < lattice.m_per_dim)).all(axis=2)
+    np.fill_diagonal(on, False)
+    src, dst = np.nonzero(on)
+    return src, dst, grid[tuple(shift[src, dst].T)]
+
+
 def _shift_pairs(lattice: ModeLattice, k_mode):
     """Index arrays (q, q+k) over the modes q with q+k also on the lattice."""
     coords, grid = _mode_grid(lattice)
@@ -220,38 +263,100 @@ def _shift_pairs(lattice: ModeLattice, k_mode):
     return src, grid[tuple(shifted[src].T)]
 
 
+def _partition(label: np.ndarray) -> BlockPartition:
+    """The `spectral.BlockPartition` of the states by `label`, blocks numbered by their smallest state.
+
+    `label` must number them so already, as `connected_blocks` does.
+    """
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    position = np.empty_like(members)
+    position[members] = np.arange(members.size)
+    position -= offsets[label]
+    for a in (label, members, offsets, sizes, position):
+        a.flags.writeable = False
+    return BlockPartition(label, members, offsets, sizes, position)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray):
+    """(positions, owner): the ranges starts[i]..stops[i] - 1 end to end, and the i of each."""
+    sizes = stops - starts
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    return np.arange(owner.size) + (starts - np.cumsum(sizes) + sizes)[owner], owner
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Whether each element of a sorted array starts a run of equal ones."""
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new
+
+
+def _moves(basis: FockBasis, states: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Every move of one particle from mode src[p] to mode dst[p] out of `states`.
+
+    Returns (origin, pair, target, value, back): the position in `states` of
+    the state a move leaves, its p, the index of the state it makes,
+    <target| a+_dst a_src |origin> = sqrt(n_src) sqrt(n_dst + 1), and the
+    entry of the reverse move <origin| a+_src a_dst |target>, from the
+    target's occupations, sqrt(n_dst + 1) sqrt(n_src).
+
+    A state's index is the sum over modes j < M - 1 of `_rank_table`[left_j,
+    j], left_j its particles after mode j.  Moving one particle from mode t
+    to mode q < t lowers left_j by one for q <= j < t, and moving it to q > t
+    raises left_j by one for t <= j < q.  So the index of the state it gives
+    is the old index plus down[t] - down[q], or plus up[q] - up[t]: column j
+    of down (up) sums over the modes before j the change of each term when
+    left_j drops (grows) by one.  No move lowers a left_j of 0 or raises one
+    of N, so the table row is clipped there and the change reads 0.
+    """
+    occ = basis.occupations[states]
+    m_modes, n = basis.lattice.num_modes, basis.n_particles
+    table, cols = _rank_table(m_modes, n), np.arange(m_modes - 1)
+    left = n - np.cumsum(occ[:, :-1], axis=1)
+    here = table[left, cols]
+    # down and up, one after the other
+    steps = np.zeros((2, states.size, m_modes), dtype=np.int64)
+    for total, row in zip(steps, (np.maximum(left - 1, 0), np.minimum(left + 1, n))):
+        np.cumsum(table[row, cols] - here, axis=1, out=total[:, 1:])
+    # every occupied (state, mode) with every pair that leaves that mode
+    by_src = np.argsort(src, kind="stable")
+    ends = np.searchsorted(src[by_src], np.arange(m_modes + 1))
+    origin, t = np.nonzero(occ)
+    at, owner = _ranges(ends[t], ends[t + 1])
+    origin, t, pair = origin[owner], t[owner], by_src[at]
+    q = dst[pair]
+    row = ((q > t) * states.size + origin) * m_modes
+    steps = steps.reshape(-1)
+    moved = steps[row + np.maximum(q, t)] - steps[row + np.minimum(q, t)]
+    occ = occ.reshape(-1)
+    n_src, n_dst = np.sqrt(occ[origin * m_modes + t].astype(float)), np.sqrt(occ[origin * m_modes + q] + 1.0)
+    return origin, pair, states[origin] + moved, n_src * n_dst, n_dst * n_src
+
+
 def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
     """Matrix of n~_k = sum_q a+_q a_{q+k}, sharp-cutoff, in the given basis.
 
     Diagonal (q = q+k) contributions use the integer occupation directly so
-    that n~_0 = N exactly in floating point.  Otherwise every occupied
-    (state, q+k) with q on the lattice gives one entry, all in one pass; its
-    target state is located by its rank in the descending-lex order
-    (`FockBasis._moves`), with no search.
+    that n~_0 = N exactly in floating point.  Otherwise every entry is one
+    move of a particle from mode q+k to mode q out of its column's state,
+    located by its rank in the descending-lex order (`_moves`, the moves the
+    sector build pairs up), with no search.
     """
     k_mode = tuple(int(c) for c in k_mode)
     if len(k_mode) != basis.lattice.d:
         raise ConfigurationError(
             f"k_mode {k_mode} does not have the lattice's {basis.lattice.d} components"
         )
-    occ = basis.occupations
     src, dst = _shift_pairs(basis.lattice, k_mode)
     if not any(k_mode):
         # diagonal: the integer particle count, stored only where it is nonzero
-        count = occ[:, src].sum(axis=1)
+        count = basis.occupations[:, src].sum(axis=1)
         (states,) = np.nonzero(count)
         rows, cols, vals = states, states, count[states].astype(float)
     else:
-        states, modes, down, up = basis._moves
-        # the mode q that a particle of mode t = q+k goes to, -1 off the lattice
-        target = np.full(basis.lattice.num_modes, -1)
-        target[dst] = src
-        on = target[modes] >= 0
-        states, t = states[on], modes[on]
-        q = target[t]
-        moved = np.where(q < t, down[states, t] - down[states, q], up[states, q] - up[states, t])
-        rows, cols = states + moved, states
-        vals = np.sqrt(occ[states, t].astype(float)) * np.sqrt(occ[states, q] + 1.0)
+        cols, _, rows, vals, _ = _moves(basis, np.arange(basis.dim), dst, src)
     mat = sparse.csr_matrix(
         (vals, (rows.astype(int), cols.astype(int))), shape=(basis.dim, basis.dim)
     )
@@ -260,89 +365,155 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
     return mat
 
 
-def _pair_densities(basis: FockBasis) -> np.ndarray:
-    """(dim, modes) array: column k the diagonal of sum_{q in S_k} n_q.
+def _products(basis: FockBasis, states: np.ndarray, sector: np.ndarray, sizes: np.ndarray):
+    """Every entry of every n~_k n~_{-k}, k != 0, on sectors: (sector, k, place, value, normal).
 
-    S_k = {q : q and q+k on the lattice}.  One product of the occupied
-    (state, q) entries with the (q, k) membership table of the S_k; every sum
-    is of small integers, so exact.
+    `states` lists the sectors' states sector after sector, each state's
+    sector (an index into `sizes`) in `sector`.  An entry at (r, c) of a
+    sector lies at place r * n + c of its n by n dense array, r and c
+    positions in the sector; the entries come sector by sector and mode by
+    mode.
+
+    Term k is n~_k n~_{-k}.  n~_{-k} moves one particle by k, so its entry
+    at (j, c) is the `value` of the move by k from c to j, and the entry of
+    n~_k at (r, j) is the `back` of the move by k from r to j.  So the
+    term's entry at (r, c) sums back * value over the states j that a move
+    by k reaches from both r and c, and r and c share a sector.  It is
+    summed in ascending j, as scipy's product of the CSR matrices of n~_k
+    and n~_{-k} sums it, so it keeps that product's bits.  Normal ordering
+    subtracts, on the diagonal, sum_{q in S_k} n_q: the source occupations
+    of the moves by k.
     """
-    lattice = basis.lattice
-    coords, _ = _mode_grid(lattice)
-    member = np.ones((lattice.num_modes,) * 2, dtype=bool)
-    for axis in range(lattice.d):
-        # q + k + h along this axis, in the cube exactly when q + k is a mode there
-        shifted = coords[:, None, axis] + coords[None, :, axis] + (lattice.m_per_dim - 1) // 2
-        member &= (shifted >= 0) & (shifted < lattice.m_per_dim)
-    states, modes = basis._moves[:2]
-    occupied = sparse.csr_matrix(
-        (basis.occupations[states, modes].astype(float), (states, modes)),
-        shape=(basis.dim, lattice.num_modes),
-    )
-    return occupied @ member.astype(float)
+    m_modes, dim = basis.lattice.num_modes, basis.dim
+    place = np.arange(states.size) - (np.cumsum(sizes) - sizes)[sector]
+    src, dst, mode = _move_pairs(basis.lattice)
+    origin, pair, target, value, back = _moves(basis, states, src, dst)
+    moved = basis.occupations.reshape(-1)[states[origin] * m_modes + src[pair]].astype(float)
+    # the moves by one k into one state j, run after run in ascending (k, j),
+    # and every two moves (a, b) of a run
+    k = mode[pair]
+    order = np.argsort(k * dim + target)
+    new = _runs((k * dim + target)[order])
+    origin, k, value, back, moved = (x[order] for x in (origin, k, value, back, moved))
+    start = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    b, a = _ranges(start[run], np.append(start[1:], new.size)[run])
+    # each product's key, in bit fields from the top: the sector, k and the
+    # entry's place, then the run; one sort orders the entries sector by
+    # sector and mode by mode, and each entry's products in ascending j
+    k_bits, q_bits, r_bits = (int(x).bit_length() for x in (m_modes, sizes.max() ** 2, start.size))
+    if sizes.size.bit_length() + k_bits + q_bits + r_bits > 62:
+        raise ConfigurationError(f"the terms of {states.size} states overflow the sort key")
+    own = sector[origin]
+    line = (own << k_bits | k) << q_bits | place[origin] * sizes[own]
+    key = (line[a] << r_bits) + (place[origin[b]] << r_bits) + run[a]
+    product = back[a] * value[b]
+    del a, b
+    by_key = np.argsort(key)
+    key, product = key[by_key] >> r_bits, product[by_key]
+    del by_key
+    new = _runs(key)
+    values = np.bincount(np.cumsum(new) - 1, product)
+    key = key[new]
+    # each move's pair with itself lies on the diagonal entry of its state and k
+    normal = values - np.bincount(np.searchsorted(key, line + place[origin]), moved, key.size)
+    return key >> q_bits + k_bits, key >> q_bits & (1 << k_bits) - 1, key & (1 << q_bits) - 1, values, normal
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """The coupling-independent pattern of every Hamiltonian on one basis, and its blocks.
+def _build(basis: FockBasis, sectors: np.ndarray) -> None:
+    """Build the interaction terms of `sectors` (unbuilt, ascending) in one pass, into the store.
 
-    The pattern is the union of the diagonal, of every n~_k n~_{-k} and of
-    their transposes, so it is symmetric, in row-major order with columns
-    sorted.  Slot s holds the entry (rows[s], indices[s]), and
-    `transpose[s]` is the slot of its mirror; `lower` lists the slots below
-    the diagonal.  `blocks` is the `spectral.BlockPartition` of the pattern's
-    connected components.  `slots` lists the slots block after block, block
-    n's from `slot_offsets[n]` to `slot_offsets[n + 1]`, and `flat` the
-    position of each in its block's dense row-major array.
+    The k != 0 terms come from `_products`; the k = 0 term is N^2 on the
+    diagonal.
     """
-
-    indices: np.ndarray
-    rows: np.ndarray
-    diag_slots: np.ndarray
-    transpose: np.ndarray
-    lower: np.ndarray
-    blocks: BlockPartition
-    slots: np.ndarray
-    slot_offsets: np.ndarray
-    flat: np.ndarray
-
-
-def _layout(dim: int, keys: np.ndarray) -> _Layout:
-    """`_Layout` of the pattern whose sorted row-major keys row * dim + col are `keys`."""
-    rows, indices = np.divmod(keys, dim)
-    indptr = np.searchsorted(rows, np.arange(dim + 1))
-    blocks = connected_blocks(
-        sparse.csr_matrix((np.ones(keys.size, dtype=np.int8), indices, indptr), shape=(dim, dim))
+    part, n, dim = basis._sectors, basis.n_particles, basis.dim
+    at, sector = _ranges(part.offsets[sectors], part.offsets[sectors + 1])
+    states, count = part.members[at], at.size
+    sizes = part.sizes[sectors].astype(np.int64)
+    base = np.cumsum(sizes) - sizes
+    # each slot's place in the dense arrays of the sectors laid end to end
+    square = np.cumsum(sizes * sizes) - sizes * sizes
+    e_sector, e_mode, e_place, values, normal = _products(basis, states, sector, sizes)
+    # the parts of every entry: the diagonal, then each term in mode order
+    diag_flat = square[sector] + (at - part.offsets[sectors][sector]) * (sizes[sector] + 1)
+    ones = np.ones(count)
+    parts = [(diag_flat, states, ones, ones)]
+    if n:
+        nn = np.full(count, float(n) * float(n))
+        parts.append((diag_flat, np.full(count, dim), nn, nn - float(n)))
+    parts.append((square[e_sector] + e_place, dim + e_mode, values, normal))
+    del e_sector, e_mode, e_place, values, normal
+    flat, coef, value, normal = (np.concatenate(x) for x in zip(*parts))
+    del parts
+    present = np.zeros(int(square[-1] + sizes[-1] ** 2), dtype=bool)
+    present[flat] = True
+    pattern, index = np.flatnonzero(present), np.cumsum(present) - 1
+    slot = index[flat]
+    del present, flat
+    own = np.searchsorted(square, pattern, side="right") - 1
+    row, col = np.divmod(pattern - square[own], sizes[own])
+    mirror = index[square[own] + col * sizes[own] + row]
+    del index
+    row, col = row + base[own], col + base[own]
+    # a sector is one block when each of its states but the first has a
+    # pattern neighbour before it, its row's first slot
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=count))))
+    rows = np.arange(count)
+    if ((col[indptr[:-1]] < rows) | (rows == base[sector])).all():
+        blocks = _partition(sector)
+    else:
+        blocks = connected_blocks(
+            sparse.csr_matrix((np.ones(pattern.size, dtype=np.int8), col, indptr), shape=(count, count))
+        )
+    # slots and parts block by block; a sector of one block keeps its order
+    label = blocks.label[row]
+    by_block = np.argsort(label, kind="stable")
+    rank = np.empty_like(by_block)
+    rank[by_block] = np.arange(by_block.size)
+    part_block = label[slot]
+    by_part = np.argsort(part_block, kind="stable")
+    offsets = blocks.offsets
+    inverse = np.argsort(blocks.members)
+    position, size = blocks.position, blocks.sizes[label]
+    terms = _Terms(
+        states=states[blocks.members],
+        offsets=offsets,
+        rows=inverse[row][by_block],
+        cols=inverse[col][by_block],
+        flat=(position[row] * size + position[col])[by_block],
+        mirror=rank[mirror][by_block],
+        slot_offsets=np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(blocks))))),
+        diag=rank[slot[blocks.members]],
+        slot=rank[slot][by_part],
+        coef=coef[by_part],
+        value=value[by_part],
+        normal=normal[by_part],
+        part_offsets=np.concatenate(([0], np.cumsum(np.bincount(part_block, minlength=len(blocks))))),
     )
-    label, position = blocks.label[rows], blocks.position
-    slots = np.argsort(label, kind="stable")
-    slot_offsets = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(blocks)))))
-    flat = position[rows] * blocks.sizes[label] + position[indices]
-    return _Layout(
-        indices=indices,
-        rows=rows,
-        diag_slots=np.searchsorted(keys, np.arange(dim, dtype=np.int64) * (dim + 1)),
-        # the pattern is symmetric, so its slots in column-major order are the
-        # mirrors of its slots in row-major order
-        transpose=np.argsort(indices, kind="stable"),
-        lower=np.flatnonzero(rows > indices),
-        blocks=blocks,
-        slots=slots,
-        slot_offsets=slot_offsets,
-        flat=flat[slots],
-    )
+    store = basis._store
+    block_sector = sectors[sector[blocks.members[offsets[:-1]]]]
+    store.where[sectors] = np.column_stack((
+        np.full(sectors.size, len(store.builds)),
+        np.searchsorted(block_sector, sectors),
+        np.searchsorted(block_sector, sectors, side="right"),
+    ))
+    store.builds.append(terms)
 
 
 @dataclass(frozen=True, eq=False)
 class FockHamiltonian:
-    """One sector Hamiltonian, real symmetric, built on `basis`.
+    """One sector Hamiltonian, real symmetric, on `basis`.
 
-    `entries` holds H in float64 on every slot of the pattern of the basis's
-    `_Layout`, exact zeros included.
+    `diagonal` holds kinetic + (U0 - mu) N of every state and `couplings`
+    U^I_k / V of every mode, both float64, and `normal_order` the
+    convention.  H's entries are formed from these and the basis's stored
+    terms, one set of sectors at a time, when a solve asks for them.
     """
 
     basis: FockBasis
-    entries: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
+    couplings: np.ndarray = field(repr=False)
+    normal_order: bool = False
 
     @property
     def dim(self) -> int:
@@ -370,58 +541,136 @@ def build_hamiltonian(
     if not np.isfinite(u_int).all():
         raise ConfigurationError("u_int_k must be finite")
     scale = max(1.0, float(np.max(np.abs(u_int))))
-    for i, mode in enumerate(lattice.modes):
-        j = lattice.index(tuple(-c for c in mode))
-        if abs(u_int[i] - u_int[j]) > 1e-12 * scale:
-            raise ConfigurationError(
-                "u_int_k must be conjugate-symmetric (even) across k -> -k"
-            )
+    if (np.abs(u_int - u_int[_mirror(lattice)]) > 1e-12 * scale).any():
+        raise ConfigurationError(
+            "u_int_k must be conjugate-symmetric (even) across k -> -k"
+        )
     check_kinetic_scale(hbar2_over_2m)
 
     k2 = np.array([lattice.k_squared(m) for m in lattice.modes])
     kinetic = hbar2_over_2m * (basis.occupations.astype(float) @ k2)
-    diag = kinetic + (u0_ext - mu) * float(basis.n_particles)
+    diagonal = kinetic + (u0_ext - mu) * float(basis.n_particles)
+    if not np.isfinite(diagonal).all():
+        raise ConfigurationError(_NON_FINITE)
+    return FockHamiltonian(basis, diagonal, u_int * (1.0 / lattice.volume), bool(normal_order))
 
-    layout, terms = basis._terms
-    # every entry is summed as a chain of scipy sparse adds would sum it, the
+
+# an input error (a non-finite u0_ext or mu, or an overflow), which a solve
+# would report as a failed one
+_NON_FINITE = "non-finite Hamiltonian entry from u_int_k, u0_ext or mu"
+
+
+def _terms(basis: FockBasis, sectors: np.ndarray) -> list[_Terms]:
+    """The terms of `sectors`, one `_Terms` for each build they lie in.
+
+    Those not built yet are built first, together in one pass.
+    """
+    if not sectors.size:
+        return []
+    store = basis._store
+    where = store.where[sectors]
+    if (where[:, 0] < 0).any():
+        _build(basis, np.unique(sectors[where[:, 0] < 0]))
+        where = store.where[sectors]
+    pieces = []
+    for build in np.unique(where[:, 0]):
+        here = where[where[:, 0] == build]
+        terms = store.builds[build]
+        blocks, _ = _ranges(here[:, 1], here[:, 2])
+        pieces.append(terms if blocks.size == terms.offsets.size - 1 else terms.take(blocks))
+    return pieces
+
+
+def _entries(h: FockHamiltonian, terms: _Terms) -> np.ndarray:
+    """H on the slots of `terms`.
+
+    Refuses non-finite entries (`ConfigurationError`) and entries that
+    differ from their mirror's by more than 1e-13 max|H_ij| (`SolverError`).
+    """
+    # every entry summed as a chain of scipy sparse adds would sum it, the
     # diagonal first and then one scaled term per mode in mode order
-    acc = np.zeros(layout.indices.size)
-    acc[layout.diag_slots] = diag
-    inv_v = 1.0 / lattice.volume
-    for i in np.flatnonzero(u_int != 0.0):
-        slots, values, normal = terms[i]
-        acc[slots] += (u_int[i] * inv_v) * (normal if normal_order else values)
-    if not np.isfinite(acc).all():
-        # an input error (a non-finite u0_ext or mu, or an overflow), which
-        # ground_pair would report as a failed solve
-        raise ConfigurationError(
-            f"non-finite Hamiltonian entry from u_int_k, u0_ext={u0_ext} or mu={mu}"
-        )
-    herm_err = np.abs(acc - acc[layout.transpose]).max(initial=0.0)
-    peak = np.abs(acc).max(initial=0.0)
-    if herm_err > 1e-13 * max(peak, 1e-300):
-        raise SolverError(
-            f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}"
-        )
-    return FockHamiltonian(basis=basis, entries=acc)
+    coefficients = np.concatenate((h.diagonal, h.couplings))
+    values = np.bincount(
+        terms.slot,
+        coefficients[terms.coef] * (terms.normal if h.normal_order else terms.value),
+        terms.slot_offsets[-1],
+    )
+    if not np.isfinite(values).all():
+        raise ConfigurationError(_NON_FINITE)
+    herm_err = np.abs(values - values[terms.mirror]).max(initial=0.0)
+    if herm_err > 1e-13 * max(np.abs(values).max(initial=0.0), 1e-300):
+        raise SolverError(f"Hamiltonian assembly lost Hermiticity: max deviation {herm_err:.3e}")
+    return values
+
+
+def _weyl_bounds(h: FockHamiltonian):
+    """(bound, margin): a lower bound on the levels of each sector, from H's diagonal alone.
+
+    (None, None) when some U^I_k < 0, or when a bound or the margin is not
+    finite; see `ground_pair`.
+    """
+    c = h.couplings
+    if (c < 0.0).any():
+        return None, None
+    basis = h.basis
+    n, part = float(basis.n_particles), basis._sectors
+    diagonal = h.diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        if h.normal_order:
+            # sum_k c_k sum_{q in S_k} n_q, the diagonal that normal ordering
+            # takes from the terms; S_0 is every mode
+            src, _, mode = _move_pairs(basis.lattice)
+            weight = c[0] + np.bincount(src, c[mode], c.size)
+            diagonal = diagonal - basis.occupations @ weight
+        bound = np.minimum.reduceat(diagonal[part.members], part.offsets[:-1]) + c[0] * n * n
+        size = float(part.sizes.max())
+        peak = np.abs(h.diagonal).max() + np.abs(c).sum() * n * n
+        margin = 2.0 * size * (size + n + c.size + 10) * (np.finfo(float).eps * peak + 2.0**-1074)
+    if not (np.isfinite(bound).all() and np.isfinite(margin)):
+        return None, None
+    return bound, float(margin)
 
 
 def ground_pair(h: FockHamiltonian):
     """(lowest eigenvalue, float64 eigenvector), residual-validated against 1e-10*|H|.
 
-    H is diagonalized one block of its basis's `_Layout` at a time -- the
-    interaction conserves total momentum, so the blocks are (pieces of) the
-    momentum sectors -- by a real `eigh`, up to `operator.DENSE_DIM_LIMIT`
-    states a block.  Each block is scattered straight from `h.entries`.
-    The result is the all-blocks answer, the lowest level over every block
-    with a tie going to the block with the smallest state index, but only
-    the blocks that can hold it reach `eigh`.  By the Gershgorin circle
-    theorem (S. Gershgorin, 1931) every eigenvalue of a block lies above
-    min_i (H_ii - sum_{j != i} |H_ij|) over its rows, where the sum runs over
-    the symmetric matrix `eigh` sees, the lower triangle and its transpose.
-    The bounds are taken on H / 2^e, with 2^e the power of two just above
-    max|H_ij|, so no disc overflows at any scale of H; dividing by a power of
-    two is exact but where an entry falls into the subnormal range, which
+    H is block diagonal over the momentum sectors of its basis, and each
+    sector is formed and diagonalized one block (a connected component of
+    its pattern) at a time by a real `eigh`, up to `operator.DENSE_DIM_LIMIT`
+    states a sector.  The result is the all-blocks answer, the lowest level
+    over every block with a tie going to the block with the smallest state
+    index, but only the sectors that can hold it are built, and only the
+    blocks that can hold it reach `eigh`.
+
+    Sectors first.  n~_k n~_{-k} = n~_k n~_k+ is positive semidefinite and
+    the k = 0 term is N^2 I, so for U^I_k >= 0 Weyl's inequality (H. Weyl,
+    Math. Ann. 71, 441, 1912) puts every level of a sector at or above
+    B = min over its states of the diagonal + U^I_0 N^2 / V.  In the
+    normal-ordered form each term also takes sum_{q in S_k} n_q from the
+    diagonal, so B takes sum_k (U^I_k / V) sum_{q in S_k} n_q from each
+    state's diagonal first.  The sector of lowest B is solved first; then
+    one build forms every sector whose B less the margin below does not
+    exceed the level E found, and those go through the block steps below.
+    A sector left out could neither beat nor tie E.  H's computed entries
+    differ from the exact sum of the float diagonal and couplings times the
+    exact terms by rounding: each entry sums at most N + M + 10 rounded
+    products and adds, M the number of modes, so by at most
+    1.01 (N + M + 10) eps/2 a with a = max|diagonal| + N^2 sum_k |U^I_k| / V
+    (every |H_ij| lies below a, as every term entry lies below N^2), and in
+    2-norm by n times that, n the largest sector.  B itself rounds by at
+    most (M + 2) 1.01 eps a, and `eigh` may report a level up to n^2 eps a
+    low (the backward error taken below, doubled).  The margin
+    2 n (n + N + M + 10) (eps a + 2^-1074) covers these, and each rounding
+    in the subnormal range, at most 2^-1075.  With a U^I_k < 0 there is no
+    such bound, and every sector is built.
+
+    Then blocks.  By the Gershgorin circle theorem (S. Gershgorin, 1931)
+    every eigenvalue of a block lies above min_i (H_ii - sum_{j != i} |H_ij|)
+    over its rows, where the sum runs over the symmetric matrix `eigh` sees,
+    the lower triangle and its transpose.  Each formed set of sectors takes
+    its bounds on H / 2^e, with 2^e the power of two just above its
+    max|H_ij|, so no disc overflows at any scale of H; dividing by a power
+    of two is exact but where an entry falls into the subnormal range, which
     moves it by at most 2^-1075.  Blocks are solved lowest bound first, and
     the loop stops at the first block whose bound exceeds the lowest level
     found, over 2^e, by more than 4 n^2 eps max|H_ij| / 2^e, n the largest
@@ -435,14 +684,14 @@ def ground_pair(h: FockHamiltonian):
     left over.  Without a subnormal the scaled bounds, margin and
     comparisons are those on H exactly, so the same blocks are solved.
 
-    A block that passes the bound, after the first one solved, reaches
-    `eigh` only if a certificate fails: LAPACK's Cholesky (`potrf`) on the
-    lower triangle of A - sigma I, A = H_b / 2^e, with sigma = E + delta,
-    E the lowest level found over 2^e, a = max|H_ij| / 2^e in [1/2, 1),
-    n the block's size and delta = 8 n^3 eps (a + |E|).  If it factors,
-    every eigenvalue `eigh` would compute for the block, over 2^e, lies
-    strictly above E, and the block is skipped.  A factorization that runs
-    to completion is exact for a perturbation of norm <= n gamma_{n+1}
+    A block that passes the bound, once a level is found, reaches `eigh`
+    only if a certificate fails: LAPACK's Cholesky (`potrf`) on the lower
+    triangle of A - sigma I, A = H_b / 2^e, with sigma = E + delta, E the
+    lowest level found over 2^e, a = max|H_ij| / 2^e in [1/2, 1), n the
+    block's size and delta = 8 n^3 eps (a + |E|).  If it factors, every
+    eigenvalue `eigh` would compute for the block, over 2^e, lies strictly
+    above E, and the block is skipped.  A factorization that runs to
+    completion is exact for a perturbation of norm <= n gamma_{n+1}
     |A - sigma I|_2 (N. J. Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2002, Thm 10.3), so lambda_min(A) > sigma minus
     that, below 1.01 n^3 eps (a + |sigma|) for n <= 4096; rounding the
@@ -454,59 +703,89 @@ def ground_pair(h: FockHamiltonian):
     one, and the solved blocks get the same arrays as in a loop over all of
     them.
 
-    The residual and |H| are taken from `h.entries` / max|H_ij|, so neither
-    overflows at any scale of H.
+    The residual is taken on the returned block and |H| over the sectors
+    formed, both over their max|H_ij|, so neither overflows at any scale of
+    H.  |H| over the formed sectors is at most |H| over the basis, so the
+    check is at least as strict as one over every sector.
     """
-    layout, values, dim = h.basis._terms[0], h.entries, h.dim
-    blocks, sizes = layout.blocks, layout.blocks.sizes
+    basis = h.basis
+    sizes = basis._sectors.sizes
     if sizes.max() > DENSE_DIM_LIMIT:
         raise ConfigurationError(
             f"dense solve capped at block dimension {DENSE_DIM_LIMIT} (largest block "
-            f"{sizes.max()} of dimension {dim})"
+            f"{sizes.max()} of dimension {basis.dim})"
         )
-    # Gershgorin bound of each block, on H / 2^e with max|H_ij| = f 2^e and
-    # f in [1/2, 1): the lower triangle (eigh's default) enters the discs of
-    # its row and of its column
+    bound, margin = _weyl_bounds(h)
+    formed = []
+    if bound is None:
+        best = _solve(h, np.arange(sizes.size), None, formed)
+    else:
+        first = int(np.argmin(bound))
+        best = _solve(h, np.array([first]), None, formed)
+        rest = np.flatnonzero(bound - margin <= best[0])
+        best = _solve(h, rest[rest != first], best, formed)
+    energy, _, block, states, block_vec = best
+    vec = np.zeros(basis.dim)
+    vec[states] = block_vec
+    values = np.concatenate(formed)
     peak = np.abs(values).max(initial=0.0)
-    exponent = int(np.frexp(peak)[1])
-    scaled = np.ldexp(values, -exponent)
-    low = np.abs(scaled[layout.lower])
-    radius = np.bincount(layout.rows[layout.lower], low, dim) + np.bincount(
-        layout.indices[layout.lower], low, dim
-    )
-    disc = (scaled[layout.diag_slots] - radius)[blocks.members]
-    bound = np.minimum.reduceat(disc, blocks.offsets[:-1])
-    if not np.isfinite(bound).all():
-        raise SolverError("Hamiltonian has non-finite Gershgorin bounds")
-    unit = np.ldexp(peak, -exponent)
-    margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * unit
-    energy = None
-    for n in np.argsort(bound, kind="stable"):
-        level = None if energy is None else np.ldexp(energy, -exponent)
-        if level is not None and bound[n] - margin > level:
-            break
-        size, own = sizes[n], slice(layout.slot_offsets[n], layout.slot_offsets[n + 1])
-        block = np.zeros(size * size)
-        block[layout.flat[own]] = values[layout.slots[own]]
-        block = block.reshape(size, size)
-        if level is not None and _above(np.ldexp(block, -exponent), level, unit):
-            continue
-        vals, vecs = np.linalg.eigh(block)
-        if energy is None or vals[0] < energy or (vals[0] == energy and n < best):
-            energy, best, block_vec = float(vals[0]), n, vecs[:, 0]
-    vec = np.zeros(dim)
-    vec[blocks[best]] = block_vec
     scale = peak if peak > 0.0 else 1.0
-    ratio = values / scale
-    image = np.bincount(layout.rows, ratio * vec[layout.indices], dim)
-    resid = float(np.linalg.norm(image - (energy / scale) * vec))
-    h_norm = float(np.linalg.norm(ratio))
+    resid = float(np.linalg.norm((block / scale) @ block_vec - (energy / scale) * block_vec))
+    h_norm = float(np.linalg.norm(values / scale))
     if resid > 1e-10 * max(h_norm, 1e-300):
         raise SolverError(
             f"ground-state residual {resid:.3e} exceeds 1e-10 * |H| = {1e-10 * h_norm:.3e}"
             f" (both on H / max|H_ij| = H / {scale:.3e})"
         )
     return energy, vec
+
+
+def _solve(h: FockHamiltonian, sectors: np.ndarray, best, formed: list):
+    """The lowest level over the blocks of `sectors` and `best`, by the block steps of `ground_pair`.
+
+    `best` and the result are None or (level, smallest state of its block,
+    the block as the dense array `eigh` took, its states, the block's
+    eigenvector of that level).  H's entries on each piece of terms formed
+    are appended to `formed`.
+    """
+    for terms in _terms(h.basis, sectors):
+        values = _entries(h, terms)
+        formed.append(values)
+        offsets = terms.offsets
+        sizes = np.diff(offsets)
+        # Gershgorin bound of each block, on H / 2^e with max|H_ij| = f 2^e and
+        # f in [1/2, 1): the lower triangle (eigh's default) enters the discs of
+        # its row and of its column
+        peak = np.abs(values).max(initial=0.0)
+        exponent = int(np.frexp(peak)[1])
+        unit = np.ldexp(peak, -exponent)
+        order = [0]
+        if best is not None or sizes.size > 1:
+            # one block with no level found yet is solved whatever its bound
+            scaled = np.ldexp(values, -exponent)
+            lower = terms.rows > terms.cols
+            low = np.abs(scaled[lower])
+            radius = np.bincount(terms.rows[lower], low, offsets[-1]) + np.bincount(
+                terms.cols[lower], low, offsets[-1]
+            )
+            bound = np.minimum.reduceat(scaled[terms.diag] - radius, offsets[:-1])
+            margin = 4.0 * float(sizes.max()) ** 2 * np.finfo(float).eps * unit
+            order = np.argsort(bound, kind="stable")
+        for n in order:
+            level = None if best is None else np.ldexp(best[0], -exponent)
+            if level is not None and bound[n] - margin > level:
+                break
+            size, own = sizes[n], slice(terms.slot_offsets[n], terms.slot_offsets[n + 1])
+            block = np.zeros(size * size)
+            block[terms.flat[own]] = values[own]
+            block = block.reshape(size, size)
+            if level is not None and _above(np.ldexp(block, -exponent), level, unit):
+                continue
+            vals, vecs = np.linalg.eigh(block)
+            states = terms.states[offsets[n] : offsets[n + 1]]
+            if best is None or vals[0] < best[0] or (vals[0] == best[0] and states[0] < best[1]):
+                best = (float(vals[0]), states[0], block, states, vecs[:, 0])
+    return best
 
 
 def _above(block: np.ndarray, level: float, unit: float) -> bool:
@@ -529,8 +808,9 @@ def _above(block: np.ndarray, level: float, unit: float) -> bool:
 
 
 def condensate_expectation(h: FockHamiltonian) -> float:
-    """<c|H|c> for the condensate state (all N particles in the zero mode): state 0."""
-    return float(h.entries[h.basis._terms[0].diag_slots[0]])
+    """<c|H|c> for the condensate state (all N particles in the zero mode): state 0, in sector 0."""
+    (terms,) = _terms(h.basis, np.zeros(1, dtype=np.int64))
+    return float(_entries(h, terms)[terms.diag[0]])
 
 
 def state_momentum(basis: FockBasis) -> np.ndarray:

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+import phasegas.fock as fock
 from phasegas.coherent import (
     CoherentField,
     aliasing_tail,
@@ -345,15 +346,22 @@ def test_criterion_8_perturbation_consistency():
     assert ok, line
 
 
+def _oracle_entries(h):
+    """(rows, cols, values): the oracle's H on every slot of every momentum sector."""
+    pieces = fock._terms(h.basis, np.arange(len(h.basis._sectors)))
+    parts = [(t.states[t.rows], t.states[t.cols], fock._entries(h, t)) for t in pieces]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 def test_criterion_9_oracle_integrity():
     t0 = time.perf_counter()
 
     lat5 = ModeLattice(d=1, box_len=TAU, m_per_dim=5)
     b5 = enumerate_basis(lat5, 4)
     h5 = build_hamiltonian(b5, np.array([0.7, 0.4, 0.4, 0.2, 0.2]), 0.3, 0.1)
-    layout = b5._terms[0]
+    rows, cols, values = _oracle_entries(h5)
     m = np.zeros((h5.dim, h5.dim))
-    m[layout.rows, layout.indices] = h5.entries
+    m[rows, cols] = values
     herm = float(np.max(np.abs(m - m.conj().T))) / float(np.max(np.abs(m)))
 
     lat3 = ModeLattice(d=1, box_len=TAU, m_per_dim=3)
@@ -362,9 +370,9 @@ def test_criterion_9_oracle_integrity():
         b = enumerate_basis(lat3, n)
         h = build_hamiltonian(b, 0.6, 0.0, 0.0)
         p = state_momentum(b)[:, 0]
-        layout = b._terms[0]
-        keep = h.entries != 0.0
-        if not np.all(p[layout.rows[keep]] == p[layout.indices[keep]]):
+        rows, cols, values = _oracle_entries(h)
+        keep = values != 0.0
+        if not np.all(p[rows[keep]] == p[cols[keep]]):
             blocks_ok = False
 
     rows = mean_field_comparison(lat3, 3, np.geomspace(1.0, 0.01, 9), n_max=2)

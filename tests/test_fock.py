@@ -43,16 +43,31 @@ def _index(basis):
     return {tuple(occ): i for i, occ in enumerate(basis.occupations.tolist())}
 
 
+def _every_sector(basis):
+    """The stored terms of every sector of the basis, building those not built yet."""
+    return fock._terms(basis, np.arange(len(basis._sectors)))
+
+
+def _entries(h):
+    """(rows, cols, values): H on every slot of every sector, exact zeros included."""
+    parts = [(t.states[t.rows], t.states[t.cols], fock._entries(h, t)) for t in _every_sector(h.basis)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 def _matrix(h):
-    """H as a CSR of its nonzero entries, each on its slot of the basis's layout.
+    """H as a CSR of its nonzero entries, each sector's on its slots.
 
     Exact zeros are dropped, so the pattern holds only real couplings.
     """
-    layout = h.basis._terms[0]
-    keep = h.entries != 0.0
-    return sparse.csr_matrix(
-        (h.entries[keep], (layout.rows[keep], layout.indices[keep])), shape=(h.dim, h.dim)
-    )
+    rows, cols, values = _entries(h)
+    keep = values != 0.0
+    return sparse.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=(h.dim, h.dim))
+
+
+def _blocks(basis):
+    """Every block of every sector of the basis, as ascending state arrays, by smallest state."""
+    blocks = [t.states[a:b] for t in _every_sector(basis) for a, b in zip(t.offsets[:-1], t.offsets[1:])]
+    return sorted(blocks, key=lambda states: states[0])
 
 
 def test_enumeration_examples():
@@ -299,33 +314,34 @@ def test_asymmetric_interaction_rejected():
 def test_non_hermitian_assembly_raises(monkeypatch):
     lat = _lat()
     b = enumerate_basis(lat, 2)
+    moves = fock._moves
 
-    def not_adjoint(basis, mode):
-        # the same upper-triangular matrix for k and -k: n~_k n~_{-k} is not Hermitian
-        return sparse.csr_matrix(np.triu(np.ones((basis.dim, basis.dim))))
+    def not_adjoint(basis, states, src, dst):
+        # n~_k's entry of each move no longer equals n~_{-k}'s of the move
+        # back: n~_k n~_{-k} is not Hermitian
+        origin, pair, target, value, back = moves(basis, states, src, dst)
+        return origin, pair, target, value, back * (1.0 + 1e-11 * origin)
 
-    monkeypatch.setattr(fock, "shift_operator", not_adjoint)
+    monkeypatch.setattr(fock, "_moves", not_adjoint)
     with pytest.raises(SolverError, match="lost Hermiticity"):
-        build_hamiltonian(b, 0.6, 0.0, 0.0)
+        ground_pair(build_hamiltonian(b, 0.6, 0.0, 0.0))
 
 
-def test_an_asymmetric_interaction_entry_raises(monkeypatch):
-    # one term entry below the diagonal loses its mirror's value: the build
-    # compares every slot with its transpose slot, the diagonal subtracted or not
+def test_an_asymmetric_interaction_entry_raises():
+    # one term entry below the diagonal loses its mirror's value: forming a
+    # sector compares every slot with its mirror slot, the diagonal
+    # subtracted or not
     b = enumerate_basis(_lat(5), 3)
-    layout, terms = b._terms
-    i = next(i for i, (slots, _, _) in enumerate(terms) if np.isin(slots, layout.lower).any())
-    slots, values, normal = terms[i]
-    j = np.flatnonzero(np.isin(slots, layout.lower))[0]
-    assert values[j] == normal[j] != 0.0
-    broken = list(terms)
-    broken[i] = (slots, values.copy(), normal.copy())
-    broken[i][1][j] *= 1.0 + 1e-11
-    broken[i][2][j] *= 1.0 + 1e-11
-    monkeypatch.setitem(b.__dict__, "_terms", (layout, broken))
+    (terms,) = _every_sector(b)
+    j = np.flatnonzero((terms.rows > terms.cols)[terms.slot] & (terms.coef >= b.dim))[0]
+    assert terms.value[j] == terms.normal[j] != 0.0
+    value, normal = terms.value.copy(), terms.normal.copy()
+    value[j] *= 1.0 + 1e-11
+    normal[j] *= 1.0 + 1e-11
+    b._store.builds[0] = replace(terms, value=value, normal=normal)
     for normal_order in (False, True):
         with pytest.raises(SolverError, match="lost Hermiticity"):
-            build_hamiltonian(b, 0.6, 0.0, 0.0, normal_order=normal_order)
+            _matrix(build_hamiltonian(b, 0.6, 0.0, 0.0, normal_order=normal_order))
 
 
 def test_momentum_block_structure():
@@ -367,7 +383,7 @@ def _ground_pair_all_blocks(h):
     Each block is the dense float64 copy of the sparse slice of H on it.
     """
     energy, matrix = None, _matrix(h)
-    for idx in h.basis._terms[0].blocks:
+    for idx in _blocks(h.basis):
         vals, vecs = np.linalg.eigh(matrix[idx][:, idx].toarray())
         if energy is None or vals[0] < energy:
             energy, support, block_vec = float(vals[0]), idx, vecs[:, 0]
@@ -432,8 +448,9 @@ def _counting(monkeypatch):
 
 def test_ground_pair_solves_only_the_blocks_that_can_hold_the_ground(monkeypatch):
     # compare's couplings at m=7, N=5: 31 blocks a Hamiltonian, so 310 eigh
-    # calls when every block is solved; the Gershgorin bound leaves 30 of them,
-    # and a Cholesky certificate rules out all but the first
+    # calls when every block is solved; the Weyl bound of the sectors leaves
+    # 6 + 6 + 2 + 2 blocks after the first of each, the Gershgorin bound all
+    # of them, and a Cholesky certificate rules them out
     lat = _lat(7)
     b = enumerate_basis(lat, 5)
     calls = _counting(monkeypatch)
@@ -448,7 +465,88 @@ def test_ground_pair_solves_only_the_blocks_that_can_hold_the_ground(monkeypatch
             ref_energy, ref_vec = _ground_pair_all_blocks(h)
             assert energy == ref_energy and np.array_equal(vec, ref_vec)
     assert counts == [1] * 10
-    assert certified == 20
+    assert certified == 16
+
+
+def _sector_levels(h):
+    """The lowest level of every sector, from a dense eigh of each of its blocks."""
+    levels = np.full(len(h.basis._sectors), np.inf)
+    matrix = _matrix(h)
+    for idx in _blocks(h.basis):
+        sector = h.basis._sectors.label[idx[0]]
+        levels[sector] = min(levels[sector], np.linalg.eigvalsh(matrix[idx][:, idx].toarray())[0])
+    return levels
+
+
+@pytest.mark.parametrize("normal_order", [False, True])
+def test_the_weyl_bound_of_every_sector_lies_below_its_levels(normal_order):
+    # at m=7, N=5 the bound admits 7 of the 31 sectors at U = 1 and one at
+    # U <= 0.1, in both orderings; the tightest sector's bound lies 2.39
+    # below its lowest level at U = 1 and 0.024 at U = 0.01, so a slack of
+    # that much added to the bound, which could then rule out the sector of
+    # the ground itself, fails here
+    basis = _basis(1, 7, 5)
+    admitted = []
+    for u in (1.0, 0.3162, 0.1, 0.03162, 0.01):
+        h = build_hamiltonian(basis, u, 0.0, 0.0, normal_order=normal_order)
+        bound, margin = fock._weyl_bounds(h)
+        levels = _sector_levels(h)
+        assert (bound <= levels).all() and 0.0 < margin < 1e-9
+        assert (levels - bound).min() < 2.4 * u
+        admitted.append(int((bound - margin <= levels.min()).sum()))
+    assert admitted == [7, 3, 1, 1, 1]
+
+
+def test_a_negative_coupling_builds_every_sector(monkeypatch):
+    # with a U^I_k < 0 no term is bounded below, so no sector may be skipped
+    basis = _basis(1, 5, 3)
+    built = _counting_builds(monkeypatch)
+    for u_k in ([-0.3, 0.7, 0.7, 0.2, 0.2], [0.4, -0.1, -0.1, 0.3, 0.3]):
+        fresh = enumerate_basis(basis.lattice, 3)
+        for normal_order in (False, True):
+            h = build_hamiltonian(fresh, np.array(u_k), 0.0, 0.0, normal_order=normal_order)
+            assert fock._weyl_bounds(h) == (None, None)
+            energy, vec = ground_pair(h)
+            ref_energy, ref_vec = _ground_pair_all_blocks(h)
+            assert energy == ref_energy and np.array_equal(vec, ref_vec)
+        assert sorted(_built(built, fresh)) == list(range(len(fresh._sectors)))
+
+
+def test_weak_coupling_builds_the_condensate_sector_alone(monkeypatch):
+    # at U <= 0.1 on m=7, N=5 every other sector's bound lies above the
+    # ground: only sector 0, of 32 of the 462 states, is ever built
+    built = _counting_builds(monkeypatch)
+    basis = enumerate_basis(_lat(7), 5)
+    for u in (0.1, 0.03162, 0.01):
+        for normal_order in (False, True):
+            h = build_hamiltonian(basis, u, 0.0, 0.0, normal_order=normal_order)
+            ground_pair(h)
+            condensate_expectation(h)
+    assert built == [(basis, [0])] and basis._sectors.sizes[0] == 32
+
+
+@pytest.mark.parametrize("normal_order", [False, True])
+def test_a_sector_whose_pattern_splits_is_solved_block_by_block(monkeypatch, normal_order):
+    # with the moves by k = +-2 alone a particle keeps the parity of its mode,
+    # so the sectors of m=5, N=3 split into blocks; each must be laid out and
+    # solved as the components of H's pattern, ties and all
+    lat = _lat(5)
+    pairs = fock._move_pairs(lat)
+    keep = np.isin(pairs[2], [lat.index((2,)), lat.index((-2,))])
+    monkeypatch.setattr(fock, "_move_pairs", lambda lattice: tuple(a[keep] for a in pairs))
+    h = build_hamiltonian(enumerate_basis(lat, 3), 0.7, 0.1, 0.0, hbar2_over_2m=0.2, normal_order=normal_order)
+    blocks = _blocks(h.basis)
+    components = list(connected_blocks(_matrix(h)))
+    assert len(blocks) == len(components) > len(h.basis._sectors)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, components))
+    energy, vec = ground_pair(h)
+    ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert energy == ref_energy and np.array_equal(vec, ref_vec)
+    with mock.patch.object(np.linalg, "eigh", _lowering_eigh()):
+        energy, vec = ground_pair(h)
+    with mock.patch.object(np.linalg, "eigh", _lowering_eigh()):
+        ref_energy, ref_vec = _ground_pair_all_blocks(h)
+    assert energy == ref_energy and np.array_equal(vec, ref_vec)
 
 
 def _stepping_eigh():
@@ -473,20 +571,22 @@ def _stepping_eigh():
 
 @pytest.mark.parametrize("normal_order", [False, True])
 def test_ground_pair_finds_a_ground_outside_the_block_of_lowest_bound(monkeypatch, normal_order):
-    # at m=7, N=4, U=0.7, hbar^2/2m=0.1 a block of 16 states has the lowest
-    # Gershgorin bound and is solved first, but the ground lies in block 0 (18
-    # states, the condensate's): its certificate must fail
+    # at m=7, N=3, U=6, hbar^2/2m=0.1 the condensate's sector (8 states) has
+    # the lowest Weyl bound and is solved first, but the ground lies in
+    # another sector of 8 states: its certificate must fail
     h = build_hamiltonian(
-        _basis(1, 7, 4), 0.7, 0.0, 0.0, hbar2_over_2m=0.1, normal_order=normal_order
+        _basis(1, 7, 3), 6.0, 0.0, 0.0, hbar2_over_2m=0.1, normal_order=normal_order
     )
-    layout = h.basis._terms[0]
+    sectors = h.basis._sectors
     calls = _counting(monkeypatch)
     ground, vec = ground_pair(h)
     ref_energy, ref_vec = _ground_pair_all_blocks(h)
     assert ground == ref_energy and np.array_equal(vec, ref_vec)
-    assert np.flatnonzero(vec).min() == 0 and layout.blocks.sizes[0] == 18
-    assert calls[0] == ("eigh", 16) and ("above", 18, False) in calls
-    assert calls[calls.index(("above", 18, False)) + 1] == ("eigh", 18)
+    (block,) = [b for b in _blocks(h.basis) if vec[b].any()]
+    bound, _ = fock._weyl_bounds(h)
+    assert np.argmin(bound) == 0 != sectors.label[block[0]] and block.size == sectors.sizes[0] == 8
+    assert calls[0] == ("eigh", 8) and ("above", 8, False) in calls
+    assert calls[calls.index(("above", 8, False)) + 1] == ("eigh", 8)
     with mock.patch.object(np.linalg, "eigh", _stepping_eigh()):
         energy, vec = ground_pair(h)
     with mock.patch.object(np.linalg, "eigh", _stepping_eigh()):
@@ -495,11 +595,11 @@ def test_ground_pair_finds_a_ground_outside_the_block_of_lowest_bound(monkeypatc
     # eigh may report the winning block's level up to n^2 eps max|H_ij| low, so
     # the certificate may pass the block neither at the level eigh gave nor
     # that far below it
-    peak = np.abs(h.entries).max()
+    peak = np.abs(_entries(h)[2]).max()
     exponent = int(np.frexp(peak)[1])
-    block = np.ldexp(_matrix(h)[layout.blocks[0]][:, layout.blocks[0]].toarray(), -exponent)
+    block = np.ldexp(_matrix(h)[block][:, block].toarray(), -exponent)
     unit, level = np.ldexp(peak, -exponent), np.ldexp(ground, -exponent)
-    for below in (0.0, 18**2 * np.finfo(float).eps * unit):
+    for below in (0.0, 8**2 * np.finfo(float).eps * unit):
         assert not fock._above(block.copy(), level - below, unit)
 
 
@@ -507,7 +607,9 @@ def test_ground_pair_keeps_a_mirror_tie_that_eigh_rounding_breaks():
     # at N=1 every block is one state; at U=6, hbar^2/2m=0.1 on five modes the
     # ground is the pair of edge modes, two blocks whose values tie bit for bit
     h = build_hamiltonian(_basis(1, 5, 1), 6.0, 0.0, 0.0, hbar2_over_2m=0.1)
-    diagonal = h.entries[h.basis._terms[0].diag_slots]
+    rows, cols, values = _entries(h)
+    diagonal = np.zeros(h.dim)
+    diagonal[rows[rows == cols]] = values[rows == cols]
     assert diagonal[3] == diagonal[4] == diagonal.min()
     energy, vec = ground_pair(h)
     assert vec[3] != 0.0 and energy == diagonal[3]
@@ -603,18 +705,18 @@ def test_ground_pair_solves_finite_entries_whose_gershgorin_discs_overflow():
     # terms reach past the float range unless they are taken on H / 2^e
     u_k = np.array([-1.2e308, 1.4e308, 1.4e308])
     h = build_hamiltonian(enumerate_basis(_lat(), 3), u_k, 0.0, 0.0)
-    assert np.isfinite(h.entries).all() and np.isfinite(_matrix(h).data).all()
+    assert np.isfinite(_entries(h)[2]).all() and np.isfinite(_matrix(h).data).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         energy, vec = ground_pair(h)
     ref_energy, ref_vec = _ground_pair_all_blocks(h)
     assert energy == ref_energy and np.array_equal(vec, ref_vec)
     assert math.isclose(energy, -1.496e308, rel_tol=1e-3)
-    # a non-finite entry still leaves no bound to skip by
-    entries = h.entries.copy()
-    entries[0] = math.inf
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite"):
-        ground_pair(replace(h, entries=entries))
+    # a non-finite entry is refused when its sector is formed, before any bound
+    diagonal = h.diagonal.copy()
+    diagonal[0] = math.inf
+    with np.errstate(all="ignore"), pytest.raises(ConfigurationError, match="non-finite"):
+        ground_pair(replace(h, diagonal=diagonal))
 
 
 def test_ground_pair_checks_the_residual_at_any_scale(monkeypatch):
@@ -642,7 +744,7 @@ def test_ground_pair_blocks_bit_identical_to_sparse_slices(monkeypatch, d, m, n)
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
     ground_pair(h)
-    blocks = h.basis._terms[0].blocks
+    blocks = _blocks(h.basis)
     matrix = _matrix(h)
     refs = [matrix[idx][:, idx].toarray() for idx in blocks]
     assert len(blocks) > 1 and 1 <= len(seen) <= len(blocks)
@@ -704,11 +806,12 @@ def test_build_hamiltonian_refuses_a_bad_kinetic_scale_and_non_finite_inputs():
     for u0_ext, mu in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308)):
         with pytest.raises(ConfigurationError, match="non-finite Hamiltonian entry"):
             build_hamiltonian(basis, 0.5, u0_ext, mu)
-    # finite inputs whose entries overflow
+    # finite inputs whose entries overflow: on the diagonal when H is built,
+    # in a sum of terms when its sector is formed
     with np.errstate(over="ignore"):
         for u_int, scale in ((0.5, 1e308), (1.7e308, 1.0)):
             with pytest.raises(ConfigurationError, match="non-finite Hamiltonian entry"):
-                build_hamiltonian(basis, u_int, 0.0, 0.0, hbar2_over_2m=scale)
+                ground_pair(build_hamiltonian(basis, u_int, 0.0, 0.0, hbar2_over_2m=scale))
 
 
 def test_mean_field_comparison_rows():
@@ -810,47 +913,47 @@ def test_mean_field_comparison_refuses_an_overflowing_weak_ladder_before_the_ora
             mean_field_comparison(lattice, n, (0.5, u), hbar2_over_2m=scale, n_max=n_max)
 
 
-def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
+def _counting_builds(monkeypatch):
+    """Record each batched build of sector terms as (basis, its sectors)."""
+    built, build = [], fock._build
+    monkeypatch.setattr(
+        fock, "_build", lambda basis, sectors: built.append((basis, sectors.tolist())) or build(basis, sectors)
+    )
+    return built
+
+
+def _built(built, basis):
+    """The sectors built on `basis`, build after build."""
+    return [s for b, sectors in built if b is basis for s in sectors]
+
+
+def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
+    # one store of the n~_k n~_{-k} for both conventions: each sector is
+    # built at most once per basis, however many Hamiltonians on it are
+    # solved or read whole
     lat = _lat(5)
-    built = []
-
-    def counting(basis, k_mode):
-        built.append(k_mode)
-        return shift_operator(basis, k_mode)
-
-    monkeypatch.setattr(fock, "shift_operator", counting)
+    built = _counting_builds(monkeypatch)
     shared = enumerate_basis(lat, 3)
-    cases = list(itertools.product((1.0, 0.05), (False, True)))
+    cases = list(itertools.product((1.0, 0.05, 0.3), (False, True)))
+    for u, normal_order in cases:
+        h = build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order)
+        ground_pair(h)
+        condensate_expectation(h)
     for u, normal_order in cases:
         got = _matrix(build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order))
         fresh = enumerate_basis(lat, 3)
         ref = _matrix(build_hamiltonian(fresh, u, 0.0, 0.0, normal_order=normal_order))
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(ref, attr))
-    # the shared basis builds each n~_k once, every fresh basis builds all of them
-    assert len(built) == lat.num_modes * (1 + len(cases))
+    # the shared basis builds each sector once, every fresh basis all of them
+    sectors = list(range(len(shared._sectors)))
+    assert sorted(_built(built, shared)) == sectors
+    assert len(built) - len([b for b, _ in built if b is shared]) == len(cases)
     rows = mean_field_comparison(lat, 3, (0.5, 0.05, 0.005))
-    assert len(built) == lat.num_modes * (2 + len(cases))
     assert len(rows) == 3
-
-
-def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
-    lat = _lat(5)
-    corrections, tables = [], []
-    densities = fock._pair_densities
-    monkeypatch.setattr(
-        fock, "_pair_densities", lambda basis: corrections.append(basis.dim) or densities(basis)
-    )
-    layout = fock._layout
-    monkeypatch.setattr(fock, "_layout", lambda *a: tables.append(a[0]) or layout(*a))
-    shared = enumerate_basis(lat, 3)
-    for u in (1.0, 0.05, 0.3):
-        for normal_order in (False, True):
-            build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order)
-    # one store of the n~_k n~_{-k} for both conventions, built once, with
-    # one pass for the diagonal correction of every mode
-    assert tables == [shared.dim]
-    assert corrections == [shared.dim]
+    for basis in {id(b): b for b, _ in built}.values():
+        once = _built(built, basis)
+        assert len(once) == len(set(once)) and set(once) <= set(sectors)
 
 
 def _float_arrays(value):
@@ -865,33 +968,40 @@ def _float_arrays(value):
 
 
 def test_both_orderings_share_one_table_of_interaction_terms():
-    # after a build in each convention the basis holds each term once, as its
-    # values and normal-ordered values on its own slots only: no array with
-    # one pattern-length or dim-length row per mode
+    # after every sector is read in each convention the basis holds each term
+    # entry once, as its value and its normal-ordered value, beside one unit
+    # part for each diagonal entry: no array with one pattern-length or
+    # dim-length row per mode
     lat = _lat(21)
     basis = enumerate_basis(lat, 3)
     for normal_order in (False, True):
-        h = build_hamiltonian(basis, 0.7, 0.0, 0.0, normal_order=normal_order)
-    held = _float_arrays(tuple(vars(basis).values()))
-    assert not [a for a in held if a.ndim == 2 and a.shape[1] in (h.entries.size, basis.dim)]
-    layout, terms = basis._terms
-    assert len(terms) == lat.num_modes
-    assert sum(a.size for a in held) == 2 * sum(slots.size for slots, _, _ in terms)
-    for mode, (slots, values, normal) in zip(lat.modes, terms):
+        rows = _entries(build_hamiltonian(basis, 0.7, 0.0, 0.0, normal_order=normal_order))[0]
+    held = _float_arrays([vars(t) for t in basis._store.builds])
+    assert not [a for a in held if a.ndim == 2 and a.shape[1] in (rows.size, basis.dim)]
+    (terms,) = basis._store.builds
+    coef = terms.coef
+    assert np.array_equal(np.sort(coef[coef < basis.dim]), np.arange(basis.dim))
+    counted = 0
+    for i, mode in enumerate(lat.modes):
         term = (shift_operator(basis, mode) @ shift_operator(basis, tuple(-c for c in mode))).tocoo()
-        assert slots.size == values.size == normal.size == term.nnz
-        keys = term.row.astype(np.int64) * basis.dim + term.col
-        assert np.array_equal(layout.rows[slots] * basis.dim + layout.indices[slots], keys)
-        on = term.row == term.col
-        corr = np.where(on, _pair_density_diagonal(basis, mode)[term.row], 0.0)
-        assert values.tobytes() == term.data.tobytes()
-        assert normal.tobytes() == (term.data - corr).tobytes()
+        (mine,) = np.nonzero(coef == basis.dim + i)
+        slot = terms.slot[mine]
+        keys = terms.states[terms.rows[slot]] * basis.dim + terms.states[terms.cols[slot]]
+        ref_keys = term.row.astype(np.int64) * basis.dim + term.col
+        order, ref_order = np.argsort(keys), np.argsort(ref_keys)
+        assert np.array_equal(keys[order], ref_keys[ref_order])
+        on = (term.row == term.col)[ref_order]
+        corr = np.where(on, _pair_density_diagonal(basis, mode)[term.row[ref_order]], 0.0)
+        assert terms.value[mine][order].tobytes() == term.data[ref_order].tobytes()
+        assert terms.normal[mine][order].tobytes() == (term.data[ref_order] - corr).tobytes()
+        counted += term.nnz
+    assert sum(a.size for a in held) == 2 * (counted + basis.dim)
 
 
 def _pair_density_diagonal(basis, k_mode):
     """Diagonal of sum_{q in S_k} n_q with S_k = {q : q and q+k on the lattice}, one mode at a time."""
     src, _ = fock._shift_pairs(basis.lattice, k_mode)
-    states, modes = basis._moves[:2]
+    states, modes = np.nonzero(basis.occupations)
     on = np.isin(modes, src)
     return np.bincount(
         states[on], basis.occupations[states[on], modes[on]].astype(float), minlength=basis.dim
@@ -934,8 +1044,6 @@ def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
     for p, (ip, im) in enumerate(lat.pair_list()):
         u_k[ip] = u_k[im] = vals[p + 1]
     assert (u_k == 0.0).any() and (u_k != 0.0).any()
-    layout = basis._terms[0]
-    keys = layout.rows * basis.dim + layout.indices
     for u_int, (u0, mu), normal_order in itertools.product(
         (u_k, np.full(lat.num_modes, 0.3162), np.zeros(lat.num_modes)),
         ((0.0, 0.0), (0.4, 0.1), (0.25, 0.25)),
@@ -943,14 +1051,18 @@ def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
     ):
         got = build_hamiltonian(basis, u_int, u0, mu, hbar2_over_2m=0.7, normal_order=normal_order)
         ref = _build_matrix_loop(basis, u_int, u0, mu, 0.7, normal_order).tocoo()
-        # every entry the add chain stores sits on a slot and equals it bit for
-        # bit; every slot it does not store holds exactly +0.0
+        rows, cols, values = _entries(got)
+        keys = rows * basis.dim + cols
+        by_key = np.argsort(keys)
+        keys, values = keys[by_key], values[by_key]
+        # every entry the add chain stores sits on a slot of a sector and
+        # equals it bit for bit; every slot it does not store holds exactly +0.0
         ref_keys = ref.row.astype(np.int64) * basis.dim + ref.col
         assert np.isin(ref_keys, keys).all()
         slots = np.searchsorted(keys, ref_keys)
-        assert got.entries.dtype == ref.data.dtype
-        assert got.entries[slots].tobytes() == ref.data.tobytes()
-        rest = np.delete(got.entries, slots)
+        assert values.dtype == ref.data.dtype
+        assert values[slots].tobytes() == ref.data.tobytes()
+        rest = np.delete(values, slots)
         assert rest.tobytes() == np.zeros(rest.size).tobytes()
 
 
