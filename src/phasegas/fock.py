@@ -232,13 +232,6 @@ def _mode_grid(lattice: ModeLattice):
 
 
 @functools.lru_cache(maxsize=None)
-def _mirror(lattice: ModeLattice) -> np.ndarray:
-    """mirror[i]: the lattice index of -k, k the mode of index i."""
-    coords, grid = _mode_grid(lattice)
-    return grid[tuple(((lattice.m_per_dim - 1) // 2 - coords).T)]
-
-
-@functools.lru_cache(maxsize=None)
 def _move_pairs(lattice: ModeLattice):
     """(src, dst, mode): every move of a particle between two modes by a nonzero lattice mode.
 
@@ -264,9 +257,10 @@ def _shift_pairs(lattice: ModeLattice, k_mode):
 
 
 def _partition(label: np.ndarray) -> BlockPartition:
-    """The `spectral.BlockPartition` of the states by `label`, blocks numbered by their smallest state.
+    """The `spectral.BlockPartition` of the states by `label`.
 
-    `label` must number them so already, as `connected_blocks` does.
+    `label` must number the blocks by their smallest state already, as
+    `connected_blocks` does.
     """
     members = np.argsort(label, kind="stable")
     sizes = np.bincount(label)
@@ -286,6 +280,11 @@ def _ranges(starts: np.ndarray, stops: np.ndarray):
     return np.arange(owner.size) + (starts - np.cumsum(sizes) + sizes)[owner], owner
 
 
+def _offsets(label: np.ndarray, count: int) -> np.ndarray:
+    """Where the runs of the labels 0..count-1 start in an array sorted by label, and its end."""
+    return np.concatenate(([0], np.cumsum(np.bincount(label, minlength=count))))
+
+
 def _runs(keys: np.ndarray) -> np.ndarray:
     """Whether each element of a sorted array starts a run of equal ones."""
     new = np.ones(keys.size, dtype=bool)
@@ -294,7 +293,7 @@ def _runs(keys: np.ndarray) -> np.ndarray:
 
 
 def _moves(basis: FockBasis, states: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """Every move of one particle from mode src[p] to mode dst[p] out of `states`.
+    """Every move of one particle from mode src[p] to mode dst[p] out of `states`, src ascending.
 
     Returns (origin, pair, target, value, back): the position in `states` of
     the state a move leaves, its p, the index of the state it makes,
@@ -321,17 +320,16 @@ def _moves(basis: FockBasis, states: np.ndarray, src: np.ndarray, dst: np.ndarra
     for total, row in zip(steps, (np.maximum(left - 1, 0), np.minimum(left + 1, n))):
         np.cumsum(table[row, cols] - here, axis=1, out=total[:, 1:])
     # every occupied (state, mode) with every pair that leaves that mode
-    by_src = np.argsort(src, kind="stable")
-    ends = np.searchsorted(src[by_src], np.arange(m_modes + 1))
+    ends = np.searchsorted(src, np.arange(m_modes + 1))
     origin, t = np.nonzero(occ)
-    at, owner = _ranges(ends[t], ends[t + 1])
-    origin, t, pair = origin[owner], t[owner], by_src[at]
-    q = dst[pair]
+    pair, owner = _ranges(ends[t], ends[t + 1])
+    origin, t, q = origin[owner], t[owner], dst[pair]
     row = ((q > t) * states.size + origin) * m_modes
     steps = steps.reshape(-1)
     moved = steps[row + np.maximum(q, t)] - steps[row + np.minimum(q, t)]
     occ = occ.reshape(-1)
-    n_src, n_dst = np.sqrt(occ[origin * m_modes + t].astype(float)), np.sqrt(occ[origin * m_modes + q] + 1.0)
+    n_src = np.sqrt(occ[origin * m_modes + t].astype(float))
+    n_dst = np.sqrt(occ[origin * m_modes + q] + 1.0)
     return origin, pair, states[origin] + moved, n_src * n_dst, n_dst * n_src
 
 
@@ -356,7 +354,8 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
         (states,) = np.nonzero(count)
         rows, cols, vals = states, states, count[states].astype(float)
     else:
-        cols, _, rows, vals, _ = _moves(basis, np.arange(basis.dim), dst, src)
+        by_src = np.argsort(dst)
+        cols, _, rows, vals, _ = _moves(basis, np.arange(basis.dim), dst[by_src], src[by_src])
     mat = sparse.csr_matrix(
         (vals, (rows.astype(int), cols.astype(int))), shape=(basis.dim, basis.dim)
     )
@@ -371,8 +370,7 @@ def _products(basis: FockBasis, states: np.ndarray, sector: np.ndarray, sizes: n
     `states` lists the sectors' states sector after sector, each state's
     sector (an index into `sizes`) in `sector`.  An entry at (r, c) of a
     sector lies at place r * n + c of its n by n dense array, r and c
-    positions in the sector; the entries come sector by sector and mode by
-    mode.
+    positions in the sector; the entries of each sector come mode by mode.
 
     Term k is n~_k n~_{-k}.  n~_{-k} moves one particle by k, so its entry
     at (j, c) is the `value` of the move by k from c to j, and the entry of
@@ -384,40 +382,67 @@ def _products(basis: FockBasis, states: np.ndarray, sector: np.ndarray, sizes: n
     subtracts, on the diagonal, sum_{q in S_k} n_q: the source occupations
     of the moves by k.
     """
-    m_modes, dim = basis.lattice.num_modes, basis.dim
-    place = np.arange(states.size) - (np.cumsum(sizes) - sizes)[sector]
+    m_modes, dim, count = basis.lattice.num_modes, basis.dim, states.size
+    base = np.cumsum(sizes) - sizes
+    place = np.arange(count) - base[sector]
     src, dst, mode = _move_pairs(basis.lattice)
     origin, pair, target, value, back = _moves(basis, states, src, dst)
-    moved = basis.occupations.reshape(-1)[states[origin] * m_modes + src[pair]].astype(float)
-    # the moves by one k into one state j, run after run in ascending (k, j),
-    # and every two moves (a, b) of a run
     k = mode[pair]
+    # normal ordering takes from the diagonal entry of each state and k the
+    # source occupations of its moves by k
+    occupied = basis.occupations.reshape(-1)[states[origin] * m_modes + src[pair]]
+    correction = np.bincount(k * count + origin, occupied, m_modes * count)
+    # the moves by one k into one state j, run after run in ascending (k, j)
+    # (each large array is dropped once used)
     order = np.argsort(k * dim + target)
     new = _runs((k * dim + target)[order])
-    origin, k, value, back, moved = (x[order] for x in (origin, k, value, back, moved))
+    del pair, target, occupied
+    origin, k, value, back = (x[order] for x in (origin, k, value, back))
     start = np.flatnonzero(new)
     run = np.cumsum(new) - 1
-    b, a = _ranges(start[run], np.append(start[1:], new.size)[run])
+    stop = np.append(start[1:], new.size)
     # each product's key, in bit fields from the top: the sector, k and the
-    # entry's place, then the run; one sort orders the entries sector by
+    # entry's place, then the run; a sort orders the entries sector by
     # sector and mode by mode, and each entry's products in ascending j
     k_bits, q_bits, r_bits = (int(x).bit_length() for x in (m_modes, sizes.max() ** 2, start.size))
     if sizes.size.bit_length() + k_bits + q_bits + r_bits > 62:
-        raise ConfigurationError(f"the terms of {states.size} states overflow the sort key")
+        raise ConfigurationError(f"the terms of {count} states overflow the sort key")
     own = sector[origin]
-    line = (own << k_bits | k) << q_bits | place[origin] * sizes[own]
-    key = (line[a] << r_bits) + (place[origin[b]] << r_bits) + run[a]
-    product = back[a] * value[b]
-    del a, b
-    by_key = np.argsort(key)
-    key, product = key[by_key] >> r_bits, product[by_key]
-    del by_key
-    new = _runs(key)
-    values = np.bincount(np.cumsum(new) - 1, product)
-    key = key[new]
-    # each move's pair with itself lies on the diagonal entry of its state and k
-    normal = values - np.bincount(np.searchsorted(key, line + place[origin]), moved, key.size)
-    return key >> q_bits + k_bits, key >> q_bits & (1 << k_bits) - 1, key & (1 << q_bits) - 1, values, normal
+    line = ((own << k_bits | k) << q_bits | place[origin] * sizes[own]) << r_bits | run
+    column = place[origin] << r_bits
+    del own, origin
+    # every two moves (a, b) of a run, formed and summed a few modes at a
+    # time, about 2^20 pairs at once, as all the products of an entry share
+    # its k
+    pairs = np.concatenate(([0], np.cumsum((stop - start)[run])))
+    cut = np.searchsorted(k, np.arange(m_modes + 1))
+    edges = np.unique(np.concatenate(([0, k.size], cut[1:][np.diff(pairs[cut] >> 20) > 0])))
+    keys, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        b, a = _ranges(start[run[lo:hi]], stop[run[lo:hi]])
+        a += lo
+        key = line[a] + column[b]
+        product = back[a] * value[b]
+        del a, b
+        by_key = np.argsort(key)
+        key = key[by_key] >> r_bits
+        product = product[by_key]
+        del by_key
+        new = _runs(key)
+        sums.append(np.bincount(np.cumsum(new) - 1, product))
+        keys.append(key[new])
+    del line, column, back, value, k, run
+    key, values = np.concatenate(keys), np.concatenate(sums)
+    del keys, sums
+    e_sector = key >> q_bits + k_bits
+    e_mode = key >> q_bits & (1 << k_bits) - 1
+    e_place = key & (1 << q_bits) - 1
+    del key
+    row, col = np.divmod(e_place, sizes[e_sector])
+    (diag,) = np.nonzero(row == col)
+    normal = values.copy()
+    normal[diag] -= correction[e_mode[diag] * count + base[e_sector[diag]] + row[diag]]
+    return e_sector, e_mode, e_place, values, normal
 
 
 def _build(basis: FockBasis, sectors: np.ndarray) -> None:
@@ -435,7 +460,7 @@ def _build(basis: FockBasis, sectors: np.ndarray) -> None:
     square = np.cumsum(sizes * sizes) - sizes * sizes
     e_sector, e_mode, e_place, values, normal = _products(basis, states, sector, sizes)
     # the parts of every entry: the diagonal, then each term in mode order
-    diag_flat = square[sector] + (at - part.offsets[sectors][sector]) * (sizes[sector] + 1)
+    diag_flat = square[sector] + part.position[states] * (sizes[sector] + 1)
     ones = np.ones(count)
     parts = [(diag_flat, states, ones, ones)]
     if n:
@@ -447,9 +472,13 @@ def _build(basis: FockBasis, sectors: np.ndarray) -> None:
     del parts
     present = np.zeros(int(square[-1] + sizes[-1] ** 2), dtype=bool)
     present[flat] = True
-    pattern, index = np.flatnonzero(present), np.cumsum(present) - 1
+    pattern = np.flatnonzero(present)
+    # the slot of each place the pattern holds
+    index = np.cumsum(present, dtype=np.int32)
+    index -= 1
+    del present
     slot = index[flat]
-    del present, flat
+    del flat
     own = np.searchsorted(square, pattern, side="right") - 1
     row, col = np.divmod(pattern - square[own], sizes[own])
     mirror = index[square[own] + col * sizes[own] + row]
@@ -457,41 +486,46 @@ def _build(basis: FockBasis, sectors: np.ndarray) -> None:
     row, col = row + base[own], col + base[own]
     # a sector is one block when each of its states but the first has a
     # pattern neighbour before it, its row's first slot
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=count))))
-    rows = np.arange(count)
-    if ((col[indptr[:-1]] < rows) | (rows == base[sector])).all():
+    indptr = _offsets(row, count)
+    positions = np.arange(count)
+    if ((col[indptr[:-1]] < positions) | (positions == base[sector])).all():
         blocks = _partition(sector)
     else:
-        blocks = connected_blocks(
-            sparse.csr_matrix((np.ones(pattern.size, dtype=np.int8), col, indptr), shape=(count, count))
-        )
+        links = np.ones(pattern.size, dtype=np.int8)
+        blocks = connected_blocks(sparse.csr_matrix((links, col, indptr), shape=(count, count)))
     # slots and parts block by block; a sector of one block keeps its order
     label = blocks.label[row]
     by_block = np.argsort(label, kind="stable")
-    rank = np.empty_like(by_block)
+    rank = np.empty(by_block.size, dtype=np.int32)
     rank[by_block] = np.arange(by_block.size)
     part_block = label[slot]
+    part_offsets = _offsets(part_block, len(blocks))
     by_part = np.argsort(part_block, kind="stable")
-    offsets = blocks.offsets
-    inverse = np.argsort(blocks.members)
-    position, size = blocks.position, blocks.sizes[label]
+    del part_block
+    # the arrays kept, reordered one at a time
+    diag = rank[slot[blocks.members]]
+    slot = rank[slot[by_part]]
+    coef = coef[by_part].astype(np.int32)
+    value = value[by_part]
+    normal = normal[by_part]
+    inverse = np.argsort(blocks.members).astype(np.int32)
     terms = _Terms(
         states=states[blocks.members],
-        offsets=offsets,
+        offsets=blocks.offsets,
         rows=inverse[row][by_block],
         cols=inverse[col][by_block],
-        flat=(position[row] * size + position[col])[by_block],
+        flat=(blocks.position[row] * blocks.sizes[label] + blocks.position[col])[by_block],
         mirror=rank[mirror][by_block],
-        slot_offsets=np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(blocks))))),
-        diag=rank[slot[blocks.members]],
-        slot=rank[slot][by_part],
-        coef=coef[by_part],
-        value=value[by_part],
-        normal=normal[by_part],
-        part_offsets=np.concatenate(([0], np.cumsum(np.bincount(part_block, minlength=len(blocks))))),
+        slot_offsets=_offsets(label, len(blocks)),
+        diag=diag,
+        slot=slot,
+        coef=coef,
+        value=value,
+        normal=normal,
+        part_offsets=part_offsets,
     )
     store = basis._store
-    block_sector = sectors[sector[blocks.members[offsets[:-1]]]]
+    block_sector = sectors[sector[blocks.members[blocks.offsets[:-1]]]]
     store.where[sectors] = np.column_stack((
         np.full(sectors.size, len(store.builds)),
         np.searchsorted(block_sector, sectors),
@@ -541,7 +575,10 @@ def build_hamiltonian(
     if not np.isfinite(u_int).all():
         raise ConfigurationError("u_int_k must be finite")
     scale = max(1.0, float(np.max(np.abs(u_int))))
-    if (np.abs(u_int - u_int[_mirror(lattice)]) > 1e-12 * scale).any():
+    # the lattice index of -k for every mode k
+    coords, grid = _mode_grid(lattice)
+    mirror = grid[tuple(((lattice.m_per_dim - 1) // 2 - coords).T)]
+    if (np.abs(u_int - u_int[mirror]) > 1e-12 * scale).any():
         raise ConfigurationError(
             "u_int_k must be conjugate-symmetric (even) across k -> -k"
         )
@@ -625,7 +662,7 @@ def _weyl_bounds(h: FockHamiltonian):
         bound = np.minimum.reduceat(diagonal[part.members], part.offsets[:-1]) + c[0] * n * n
         size = float(part.sizes.max())
         peak = np.abs(h.diagonal).max() + np.abs(c).sum() * n * n
-        margin = 2.0 * size * (size + n + c.size + 10) * (np.finfo(float).eps * peak + 2.0**-1074)
+        margin = 4.0 * size * (size + n + c.size + 10) * (np.finfo(float).eps * peak + 2.0**-1074)
     if not (np.isfinite(bound).all() and np.isfinite(margin)):
         return None, None
     return bound, float(margin)
@@ -654,15 +691,16 @@ def ground_pair(h: FockHamiltonian):
     A sector left out could neither beat nor tie E.  H's computed entries
     differ from the exact sum of the float diagonal and couplings times the
     exact terms by rounding: each entry sums at most N + M + 10 rounded
-    products and adds, M the number of modes, so by at most
-    1.01 (N + M + 10) eps/2 a with a = max|diagonal| + N^2 sum_k |U^I_k| / V
-    (every |H_ij| lies below a, as every term entry lies below N^2), and in
-    2-norm by n times that, n the largest sector.  B itself rounds by at
-    most (M + 2) 1.01 eps a, and `eigh` may report a level up to n^2 eps a
-    low (the backward error taken below, doubled).  The margin
-    2 n (n + N + M + 10) (eps a + 2^-1074) covers these, and each rounding
-    in the subnormal range, at most 2^-1075.  With a U^I_k < 0 there is no
-    such bound, and every sector is built.
+    products and adds, M the number of modes, of parts whose sizes add up
+    to at most 2a, a = max|diagonal| + N^2 sum_k |U^I_k| / V (every |H_ij|
+    lies below a, as every term entry lies below N^2), so by at most
+    1.01 (N + M + 10) eps a, and in 2-norm by n times that, n the largest
+    sector.  B itself rounds by at most (N + M + 10) eps a, and `eigh` may
+    report a level up to n^2 eps a low (the backward error taken below),
+    which is doubled.  The margin 4 n (n + N + M + 10) (eps a + 2^-1074)
+    covers these, and each rounding in the subnormal range, at most
+    2^-1075.  With a U^I_k < 0 there is no such bound, and every sector is
+    built.
 
     Then blocks.  By the Gershgorin circle theorem (S. Gershgorin, 1931)
     every eigenvalue of a block lies above min_i (H_ii - sum_{j != i} |H_ij|)
@@ -741,7 +779,7 @@ def ground_pair(h: FockHamiltonian):
 
 
 def _solve(h: FockHamiltonian, sectors: np.ndarray, best, formed: list):
-    """The lowest level over the blocks of `sectors` and `best`, by the block steps of `ground_pair`.
+    """The lowest level over `best` and the blocks of `sectors`, by `ground_pair`'s block steps.
 
     `best` and the result are None or (level, smallest state of its block,
     the block as the dense array `eigh` took, its states, the block's

@@ -48,9 +48,11 @@ def _every_sector(basis):
     return fock._terms(basis, np.arange(len(basis._sectors)))
 
 
-def _entries(h):
+def _every_entry(h):
     """(rows, cols, values): H on every slot of every sector, exact zeros included."""
-    parts = [(t.states[t.rows], t.states[t.cols], fock._entries(h, t)) for t in _every_sector(h.basis)]
+    parts = [
+        (t.states[t.rows], t.states[t.cols], fock._entries(h, t)) for t in _every_sector(h.basis)
+    ]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -59,14 +61,15 @@ def _matrix(h):
 
     Exact zeros are dropped, so the pattern holds only real couplings.
     """
-    rows, cols, values = _entries(h)
+    rows, cols, values = _every_entry(h)
     keep = values != 0.0
     return sparse.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=(h.dim, h.dim))
 
 
 def _blocks(basis):
     """Every block of every sector of the basis, as ascending state arrays, by smallest state."""
-    blocks = [t.states[a:b] for t in _every_sector(basis) for a, b in zip(t.offsets[:-1], t.offsets[1:])]
+    pieces = _every_sector(basis)
+    blocks = [t.states[a:b] for t in pieces for a, b in zip(t.offsets[:-1], t.offsets[1:])]
     return sorted(blocks, key=lambda states: states[0])
 
 
@@ -534,7 +537,9 @@ def test_a_sector_whose_pattern_splits_is_solved_block_by_block(monkeypatch, nor
     pairs = fock._move_pairs(lat)
     keep = np.isin(pairs[2], [lat.index((2,)), lat.index((-2,))])
     monkeypatch.setattr(fock, "_move_pairs", lambda lattice: tuple(a[keep] for a in pairs))
-    h = build_hamiltonian(enumerate_basis(lat, 3), 0.7, 0.1, 0.0, hbar2_over_2m=0.2, normal_order=normal_order)
+    h = build_hamiltonian(
+        enumerate_basis(lat, 3), 0.7, 0.1, 0.0, hbar2_over_2m=0.2, normal_order=normal_order
+    )
     blocks = _blocks(h.basis)
     components = list(connected_blocks(_matrix(h)))
     assert len(blocks) == len(components) > len(h.basis._sectors)
@@ -595,7 +600,7 @@ def test_ground_pair_finds_a_ground_outside_the_block_of_lowest_bound(monkeypatc
     # eigh may report the winning block's level up to n^2 eps max|H_ij| low, so
     # the certificate may pass the block neither at the level eigh gave nor
     # that far below it
-    peak = np.abs(_entries(h)[2]).max()
+    peak = np.abs(_every_entry(h)[2]).max()
     exponent = int(np.frexp(peak)[1])
     block = np.ldexp(_matrix(h)[block][:, block].toarray(), -exponent)
     unit, level = np.ldexp(peak, -exponent), np.ldexp(ground, -exponent)
@@ -607,7 +612,7 @@ def test_ground_pair_keeps_a_mirror_tie_that_eigh_rounding_breaks():
     # at N=1 every block is one state; at U=6, hbar^2/2m=0.1 on five modes the
     # ground is the pair of edge modes, two blocks whose values tie bit for bit
     h = build_hamiltonian(_basis(1, 5, 1), 6.0, 0.0, 0.0, hbar2_over_2m=0.1)
-    rows, cols, values = _entries(h)
+    rows, cols, values = _every_entry(h)
     diagonal = np.zeros(h.dim)
     diagonal[rows[rows == cols]] = values[rows == cols]
     assert diagonal[3] == diagonal[4] == diagonal.min()
@@ -705,7 +710,7 @@ def test_ground_pair_solves_finite_entries_whose_gershgorin_discs_overflow():
     # terms reach past the float range unless they are taken on H / 2^e
     u_k = np.array([-1.2e308, 1.4e308, 1.4e308])
     h = build_hamiltonian(enumerate_basis(_lat(), 3), u_k, 0.0, 0.0)
-    assert np.isfinite(_entries(h)[2]).all() and np.isfinite(_matrix(h).data).all()
+    assert np.isfinite(_every_entry(h)[2]).all() and np.isfinite(_matrix(h).data).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         energy, vec = ground_pair(h)
@@ -916,9 +921,12 @@ def test_mean_field_comparison_refuses_an_overflowing_weak_ladder_before_the_ora
 def _counting_builds(monkeypatch):
     """Record each batched build of sector terms as (basis, its sectors)."""
     built, build = [], fock._build
-    monkeypatch.setattr(
-        fock, "_build", lambda basis, sectors: built.append((basis, sectors.tolist())) or build(basis, sectors)
-    )
+
+    def counted(basis, sectors):
+        built.append((basis, sectors.tolist()))
+        return build(basis, sectors)
+
+    monkeypatch.setattr(fock, "_build", counted)
     return built
 
 
@@ -975,7 +983,7 @@ def test_both_orderings_share_one_table_of_interaction_terms():
     lat = _lat(21)
     basis = enumerate_basis(lat, 3)
     for normal_order in (False, True):
-        rows = _entries(build_hamiltonian(basis, 0.7, 0.0, 0.0, normal_order=normal_order))[0]
+        rows = _every_entry(build_hamiltonian(basis, 0.7, 0.0, 0.0, normal_order=normal_order))[0]
     held = _float_arrays([vars(t) for t in basis._store.builds])
     assert not [a for a in held if a.ndim == 2 and a.shape[1] in (rows.size, basis.dim)]
     (terms,) = basis._store.builds
@@ -1032,7 +1040,8 @@ def _build_matrix_loop(basis, u_int, u0, mu, hbar2_over_2m, normal_order):
     return ham
 
 
-@pytest.mark.parametrize("d, m, n", [(1, 3, 4), (1, 5, 3), (1, 7, 3), (2, 3, 2)])
+# at m=5, N=5 some entries sum three or more products whose order moves their bits
+@pytest.mark.parametrize("d, m, n", [(1, 3, 4), (1, 5, 3), (1, 7, 3), (2, 3, 2), (1, 5, 5)])
 def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
     lat = ModeLattice(d=d, box_len=TAU, m_per_dim=m)
     basis = enumerate_basis(lat, n)
@@ -1051,7 +1060,7 @@ def test_build_bit_identical_to_one_sparse_add_per_mode(d, m, n):
     ):
         got = build_hamiltonian(basis, u_int, u0, mu, hbar2_over_2m=0.7, normal_order=normal_order)
         ref = _build_matrix_loop(basis, u_int, u0, mu, 0.7, normal_order).tocoo()
-        rows, cols, values = _entries(got)
+        rows, cols, values = _every_entry(got)
         keys = rows * basis.dim + cols
         by_key = np.argsort(keys)
         keys, values = keys[by_key], values[by_key]
