@@ -293,10 +293,11 @@ def _runs(keys: np.ndarray) -> np.ndarray:
 
 
 def _moves(basis: FockBasis, states: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """Every move of one particle from mode src[p] to mode dst[p] out of `states`, src ascending.
+    """Every move of one particle from mode src[p] to mode dst[p] out of `states`.
 
-    Returns (origin, pair, target, value, back): the position in `states` of
-    the state a move leaves, its p, the index of the state it makes,
+    The pairs (src, dst) must run by ascending src.  Returns (origin, pair,
+    target, value, back): the position in `states` of the state a move
+    leaves, its p, the index of the state it makes,
     <target| a+_dst a_src |origin> = sqrt(n_src) sqrt(n_dst + 1), and the
     entry of the reverse move <origin| a+_src a_dst |target>, from the
     target's occupations, sqrt(n_dst + 1) sqrt(n_src).
@@ -328,9 +329,9 @@ def _moves(basis: FockBasis, states: np.ndarray, src: np.ndarray, dst: np.ndarra
     steps = steps.reshape(-1)
     moved = steps[row + np.maximum(q, t)] - steps[row + np.minimum(q, t)]
     occ = occ.reshape(-1)
-    n_src = np.sqrt(occ[origin * m_modes + t].astype(float))
-    n_dst = np.sqrt(occ[origin * m_modes + q] + 1.0)
-    return origin, pair, states[origin] + moved, n_src * n_dst, n_dst * n_src
+    root_src = np.sqrt(occ[origin * m_modes + t].astype(float))
+    root_dst = np.sqrt(occ[origin * m_modes + q] + 1.0)
+    return origin, pair, states[origin] + moved, root_src * root_dst, root_dst * root_src
 
 
 def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
@@ -354,6 +355,7 @@ def shift_operator(basis: FockBasis, k_mode) -> sparse.csr_matrix:
         (states,) = np.nonzero(count)
         rows, cols, vals = states, states, count[states].astype(float)
     else:
+        # a particle of mode q+k goes to mode q; the moves run by q+k
         by_src = np.argsort(dst)
         cols, _, rows, vals, _ = _moves(basis, np.arange(basis.dim), dst[by_src], src[by_src])
     mat = sparse.csr_matrix(
@@ -534,6 +536,11 @@ def _build(basis: FockBasis, sectors: np.ndarray) -> None:
     store.builds.append(terms)
 
 
+# a non-finite entry comes from the input (a non-finite u0_ext or mu, or an
+# overflow), so it is a configuration error, not a failed solve
+_NON_FINITE = "non-finite Hamiltonian entry from u_int_k, u0_ext or mu"
+
+
 @dataclass(frozen=True, eq=False)
 class FockHamiltonian:
     """One sector Hamiltonian, real symmetric, on `basis`.
@@ -590,11 +597,6 @@ def build_hamiltonian(
     if not np.isfinite(diagonal).all():
         raise ConfigurationError(_NON_FINITE)
     return FockHamiltonian(basis, diagonal, u_int * (1.0 / lattice.volume), bool(normal_order))
-
-
-# an input error (a non-finite u0_ext or mu, or an overflow), which a solve
-# would report as a failed one
-_NON_FINITE = "non-finite Hamiltonian entry from u_int_k, u0_ext or mu"
 
 
 def _terms(basis: FockBasis, sectors: np.ndarray) -> list[_Terms]:
@@ -791,15 +793,15 @@ def _solve(h: FockHamiltonian, sectors: np.ndarray, best, formed: list):
         formed.append(values)
         offsets = terms.offsets
         sizes = np.diff(offsets)
-        # Gershgorin bound of each block, on H / 2^e with max|H_ij| = f 2^e and
-        # f in [1/2, 1): the lower triangle (eigh's default) enters the discs of
-        # its row and of its column
         peak = np.abs(values).max(initial=0.0)
         exponent = int(np.frexp(peak)[1])
         unit = np.ldexp(peak, -exponent)
+        # one block with no level found yet is solved whatever its bound
         order = [0]
         if best is not None or sizes.size > 1:
-            # one block with no level found yet is solved whatever its bound
+            # Gershgorin bound of each block, on H / 2^e with max|H_ij| = f 2^e
+            # and f in [1/2, 1): the lower triangle (eigh's default) enters the
+            # discs of its row and of its column
             scaled = np.ldexp(values, -exponent)
             lower = terms.rows > terms.cols
             low = np.abs(scaled[lower])

@@ -989,10 +989,12 @@ def test_both_orderings_share_one_table_of_interaction_terms():
     (terms,) = basis._store.builds
     coef = terms.coef
     assert np.array_equal(np.sort(coef[coef < basis.dim]), np.arange(basis.dim))
+    assert np.array_equal(np.unique(coef[coef >= basis.dim]), basis.dim + np.arange(lat.num_modes))
     counted = 0
     for i, mode in enumerate(lat.modes):
         term = (shift_operator(basis, mode) @ shift_operator(basis, tuple(-c for c in mode))).tocoo()
         (mine,) = np.nonzero(coef == basis.dim + i)
+        assert mine.size == term.nnz
         slot = terms.slot[mine]
         keys = terms.states[terms.rows[slot]] * basis.dim + terms.states[terms.cols[slot]]
         ref_keys = term.row.astype(np.int64) * basis.dim + term.col
