@@ -935,6 +935,31 @@ def _built(built, basis):
     return [s for b, sectors in built if b is basis for s in sectors]
 
 
+def test_hamiltonians_on_one_basis_share_shift_matrices(monkeypatch):
+    # the sector build reads each n~_k move straight off the basis: no
+    # Hamiltonian, on a shared basis or a fresh one, builds a shift matrix,
+    # and a shared basis gives every H bit for bit as a fresh one does
+    lat = _lat(5)
+    built = []
+
+    def counting(basis, k_mode):
+        built.append(k_mode)
+        return shift_operator(basis, k_mode)
+
+    monkeypatch.setattr(fock, "shift_operator", counting)
+    shared = enumerate_basis(lat, 3)
+    cases = list(itertools.product((1.0, 0.05), (False, True)))
+    for u, normal_order in cases:
+        got = _matrix(build_hamiltonian(shared, u, 0.0, 0.0, normal_order=normal_order))
+        fresh = enumerate_basis(lat, 3)
+        ref = _matrix(build_hamiltonian(fresh, u, 0.0, 0.0, normal_order=normal_order))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    rows = mean_field_comparison(lat, 3, (0.5, 0.05, 0.005))
+    assert len(rows) == 3
+    assert built == []
+
+
 def test_hamiltonians_on_one_basis_share_interaction_terms(monkeypatch):
     # one store of the n~_k n~_{-k} for both conventions: each sector is
     # built at most once per basis, however many Hamiltonians on it are
